@@ -1,6 +1,5 @@
-//! Criterion micro-benchmark of the verification round in isolation:
-//! batched (SIMD-indexed, prefetch-pipelined, vector-compared — PR 5) vs the
-//! historical per-candidate path, per backend.
+//! Criterion micro-benchmark of the verification round in isolation
+//! (SIMD-indexed, prefetch-pipelined, vector-compared), per backend.
 //!
 //! The candidate arrays are produced once by a real filtering round over the
 //! verify-heavy adversarial workload (hot-prefix patterns, so candidate
@@ -36,12 +35,6 @@ fn bench_backend<B: VectorBackend<W>, const W: usize>(
         b.iter(|| {
             out.clear();
             engine.verify_round(trace, &scratch, &mut out)
-        })
-    });
-    group.bench_function(BenchmarkId::new(label, "per-candidate"), |b| {
-        b.iter(|| {
-            out.clear();
-            engine.verify_round_per_candidate(trace, &scratch, &mut out)
         })
     });
 }

@@ -10,21 +10,15 @@
 //! * since PR 5, a **verify-heavy** section: end-to-end V-PATCH throughput
 //!   (filter round + verification round) on the adversarial
 //!   [`Workload::verify_heavy_variant`] workload — hot-prefix patterns, so
-//!   candidate density is 10–100× s1-http — measured once with the batched,
-//!   prefetch-pipelined verification path and once with the historical
-//!   per-candidate path, each row carrying its `verify_share` (fraction of
-//!   scan time spent verifying) so the batched win is attributable;
+//!   candidate density is 10–100× s1-http — each row carrying its
+//!   `verify_share` (fraction of scan time spent verifying);
 //! * since PR 5, a **memory** section: every engine's
 //!   [`mpm_patterns::Matcher::memory_footprint`] (filter vs verifier bytes)
 //!   on the s1 ruleset, so perf snapshots carry their memory cost;
 //! * since PR 6, a **rule_confirmation** section: the s1-http contents
 //!   regrouped into multi-content rules (every content kept, secondaries
 //!   tied with `distance:0`), scanned anchors-only vs with anchor-gated
-//!   rule confirmation — the cost of promoting patterns to rules;
-//! * since PR 9, a **scan_graph** section: the graph-assembled V-PATCH
-//!   end-to-end scan with the cross-chunk overlapped schedule on vs off,
-//!   on both the s1-http and verify-heavy workloads — the A/B that shows
-//!   what software pipelining buys when verification is the bottleneck.
+//!   rule confirmation — the cost of promoting patterns to rules.
 //!
 //! Output is a JSON snapshot in the `vpatch-bench-baseline/v1` shape; the
 //! checked-in `BENCH_baseline.json` accumulates one snapshot per
@@ -52,7 +46,6 @@
 use mpm_bench::engines::{build_engine, EngineKind, Platform};
 use mpm_bench::measure::measure_closure;
 use mpm_bench::{multicore, report, MultiCoreFigure, Options, Workload};
-use mpm_graph::GraphConfig;
 use mpm_patterns::stats::RunningStats;
 use mpm_patterns::Matcher;
 use mpm_simd::{Avx2Backend, Avx512Backend, ScalarBackend, VectorBackend};
@@ -78,14 +71,15 @@ struct BaselineRow {
 }
 
 /// One end-to-end point on the verify-heavy workload: full V-PATCH scan
-/// (filter round + verification round), batched vs per-candidate verify.
+/// (filter round + verification round).
 #[derive(Clone, Debug, Serialize)]
 struct VerifyHeavyRow {
     /// Backend name.
     backend: String,
     /// Vector width.
     lanes: usize,
-    /// `batched` (PR 5 path) or `per-candidate` (historical path).
+    /// Always `batched`; snapshots up to PR 11 also carry `per-candidate`
+    /// rows from the since-removed one-lookup-per-candidate round.
     verify: String,
     /// Mean end-to-end throughput in Gbit/s.
     gbps: f64,
@@ -93,35 +87,8 @@ struct VerifyHeavyRow {
     gbps_std: f64,
     /// Fraction of scan time spent in the verification round.
     verify_share: f64,
-    /// Candidate positions produced per input KiB (workload density check;
-    /// identical across verify modes by construction).
+    /// Candidate positions produced per input KiB (workload density check).
     candidates_per_kib: f64,
-}
-
-/// One point of the scan-graph section (since PR 9): full end-to-end
-/// V-PATCH scan through the operator graph, overlapped (double-banked
-/// cross-chunk software pipelining) vs sequential schedule, per backend
-/// and workload. The A/B pair shares everything — engine, tables, chunk
-/// size — except `overlap`, so the delta is the pipelining effect.
-#[derive(Clone, Debug, Serialize)]
-struct ScanGraphRow {
-    /// Backend name.
-    backend: String,
-    /// Vector width.
-    lanes: usize,
-    /// `s1-http` (filter-dominated) or `verify-heavy` (the adversarial
-    /// workload the overlapped schedule targets).
-    workload: String,
-    /// Graph chunk size in bytes.
-    chunk: usize,
-    /// Whether the overlapped schedule was on.
-    overlap: bool,
-    /// Median end-to-end throughput in Gbit/s (interleaved A/B runs;
-    /// median because one descheduled run on a shared runner skews a mean
-    /// by more than the overlap delta under test).
-    gbps: f64,
-    /// Sample standard deviation.
-    gbps_std: f64,
 }
 
 /// One point of the rule-confirmation section: the s1-http contents
@@ -221,12 +188,8 @@ struct BaselineSnapshot {
     runs: usize,
     /// One row per backend × configuration (Figure 6 filtering quantity).
     rows: Vec<BaselineRow>,
-    /// End-to-end rows on the verify-heavy adversarial workload, batched vs
-    /// per-candidate verification.
+    /// End-to-end rows on the verify-heavy adversarial workload.
     verify_heavy: Vec<VerifyHeavyRow>,
-    /// Scan-graph rows: the graph-assembled end-to-end scan with the
-    /// overlapped schedule on vs off, per backend and workload.
-    scan_graph: Vec<ScanGraphRow>,
     /// Rule-confirmation rows: multi-content rules built from the same
     /// contents, anchors-only vs confirmation-on.
     rule_confirmation: Vec<RulesetRow>,
@@ -287,9 +250,8 @@ fn measure_all_backends(
 }
 
 /// Measures one backend's full scan (filter + verify) on the verify-heavy
-/// workload, once per verification mode. Per-phase times are taken around
-/// the two rounds directly, so `verify_share` is attributable to the path
-/// under test rather than inferred.
+/// workload. Per-phase times are taken around the two rounds directly, so
+/// `verify_share` is measured rather than inferred.
 fn measure_verify_heavy<B: VectorBackend<W>, const W: usize>(
     workload: &Workload,
     trace: &[u8],
@@ -302,113 +264,37 @@ fn measure_verify_heavy<B: VectorBackend<W>, const W: usize>(
     let engine = VPatch::<B, W>::build(&workload.patterns);
     let mut scratch = Scratch::with_capacity_for(trace.len());
     let mut out = Vec::new();
-    for (mode, batched) in [("batched", true), ("per-candidate", false)] {
-        // Warm-up pass (tables + trace into cache, scratch to steady state).
-        scratch.clear();
+    // Warm-up pass (tables + trace into cache, scratch to steady state).
+    scratch.clear();
+    engine.filter_round(trace, &mut scratch);
+    let candidates = scratch.candidates();
+    let mut stats = RunningStats::new();
+    let mut filter_nanos = 0u64;
+    let mut verify_nanos = 0u64;
+    for _ in 0..runs {
+        out.clear();
+        scratch.begin_chunk();
+        let t0 = Instant::now();
         engine.filter_round(trace, &mut scratch);
-        let candidates = scratch.candidates();
-        let mut stats = RunningStats::new();
-        let mut filter_nanos = 0u64;
-        let mut verify_nanos = 0u64;
-        for _ in 0..runs {
-            out.clear();
-            scratch.begin_chunk();
-            let t0 = Instant::now();
-            engine.filter_round(trace, &mut scratch);
-            let t1 = Instant::now();
-            if batched {
-                engine.verify_round(trace, &scratch, &mut out);
-            } else {
-                engine.verify_round_per_candidate(trace, &scratch, &mut out);
-            }
-            let t2 = Instant::now();
-            filter_nanos += (t1 - t0).as_nanos() as u64;
-            verify_nanos += (t2 - t1).as_nanos() as u64;
-            stats.push(mpm_bench::measure::gbps(
-                trace.len(),
-                (t2 - t0).as_secs_f64(),
-            ));
-        }
-        rows.push(VerifyHeavyRow {
-            backend: B::name().to_string(),
-            lanes: W,
-            verify: mode.to_string(),
-            gbps: stats.mean(),
-            gbps_std: stats.stddev(),
-            verify_share: verify_nanos as f64 / (filter_nanos + verify_nanos).max(1) as f64,
-            candidates_per_kib: candidates as f64 * 1024.0 / trace.len() as f64,
-        });
+        let t1 = Instant::now();
+        engine.verify_round(trace, &scratch, &mut out);
+        let t2 = Instant::now();
+        filter_nanos += (t1 - t0).as_nanos() as u64;
+        verify_nanos += (t2 - t1).as_nanos() as u64;
+        stats.push(mpm_bench::measure::gbps(
+            trace.len(),
+            (t2 - t0).as_secs_f64(),
+        ));
     }
-}
-
-/// Measures one backend's graph-assembled V-PATCH scan ([`Matcher::find_into`],
-/// which since PR 9 runs the operator graph) with the overlapped schedule
-/// off and on, everything else identical. The differential suite proves the
-/// two schedules byte-identical, so the row pair is a pure perf A/B.
-fn measure_scan_graph<B: VectorBackend<W>, const W: usize>(
-    workload: &Workload,
-    trace: &[u8],
-    runs: usize,
-    workload_label: &str,
-    rows: &mut Vec<ScanGraphRow>,
-) {
-    if !B::is_available() {
-        return;
-    }
-    // The interesting quantity is the overlap *delta*, which is small next
-    // to run-to-run machine drift — so the two schedules are measured
-    // interleaved (seq, ovl, seq, ovl, ...) rather than as two separate
-    // loops, turning slow drift into noise both rows share, and each row
-    // reports its *median* throughput: on shared-hardware runners a single
-    // descheduled run skews a mean by more than the effect under test.
-    // The delta also needs more samples than an absolute-throughput row to
-    // resolve at all, hence the 3x run multiplier.
-    let runs = runs * 3;
-    let mut engines: Vec<VPatch<B, W>> = Vec::new();
-    let mut samples: Vec<Vec<f64>> = Vec::new();
-    let mut chunk = 0;
-    for overlap in [false, true] {
-        let mut engine = VPatch::<B, W>::build(&workload.patterns);
-        let cfg = GraphConfig {
-            overlap,
-            ..engine.graph_config()
-        };
-        engine.set_graph_config(cfg);
-        chunk = cfg.chunk;
-        engines.push(engine);
-        samples.push(Vec::with_capacity(runs));
-    }
-    let mut out = Vec::new();
-    for run in 0..(1 + runs) {
-        for (engine, sample) in engines.iter().zip(samples.iter_mut()) {
-            out.clear();
-            let t0 = Instant::now();
-            engine.find_into(trace, &mut out);
-            let secs = t0.elapsed().as_secs_f64();
-            // First pass is warm-up (tables + trace into cache, scratchpad
-            // allocated) and is not recorded.
-            if run > 0 {
-                sample.push(mpm_bench::measure::gbps(trace.len(), secs));
-            }
-        }
-    }
-    for (overlap, sample) in [false, true].into_iter().zip(&mut samples) {
-        sample.sort_by(|a, b| a.total_cmp(b));
-        let median = sample[sample.len() / 2];
-        let mut stat = RunningStats::new();
-        for &s in sample.iter() {
-            stat.push(s);
-        }
-        rows.push(ScanGraphRow {
-            backend: B::name().to_string(),
-            lanes: W,
-            workload: workload_label.to_string(),
-            chunk,
-            overlap,
-            gbps: median,
-            gbps_std: stat.stddev(),
-        });
-    }
+    rows.push(VerifyHeavyRow {
+        backend: B::name().to_string(),
+        lanes: W,
+        verify: "batched".to_string(),
+        gbps: stats.mean(),
+        gbps_std: stats.stddev(),
+        verify_share: verify_nanos as f64 / (filter_nanos + verify_nanos).max(1) as f64,
+        candidates_per_kib: candidates as f64 * 1024.0 / trace.len() as f64,
+    });
 }
 
 /// Regroups the workload's contents into a multi-content rule set: every
@@ -695,26 +581,13 @@ fn main() {
     measure_all_backends(&mixed, options.runs, " (mixed-case)", &mut rows);
 
     // Verify-heavy adversarial rows: end-to-end scans where verification
-    // dominates, batched vs per-candidate.
+    // dominates.
     let heavy = workload.verify_heavy_variant(0x5eed);
     let heavy_trace = &heavy.traces[0].1;
     let mut verify_heavy = Vec::new();
     measure_verify_heavy::<ScalarBackend, 8>(&heavy, heavy_trace, options.runs, &mut verify_heavy);
     measure_verify_heavy::<Avx2Backend, 8>(&heavy, heavy_trace, options.runs, &mut verify_heavy);
     measure_verify_heavy::<Avx512Backend, 16>(&heavy, heavy_trace, options.runs, &mut verify_heavy);
-
-    // Scan-graph rows: the graph path end-to-end, overlapped vs sequential
-    // schedule, on the filter-dominated s1-http trace and the verify-heavy
-    // one (where cross-chunk pipelining has work to hide).
-    let mut scan_graph = Vec::new();
-    for (label, wl, tr) in [
-        ("s1-http", &workload, trace),
-        ("verify-heavy", &heavy, heavy_trace),
-    ] {
-        measure_scan_graph::<ScalarBackend, 8>(wl, tr, options.runs, label, &mut scan_graph);
-        measure_scan_graph::<Avx2Backend, 8>(wl, tr, options.runs, label, &mut scan_graph);
-        measure_scan_graph::<Avx512Backend, 16>(wl, tr, options.runs, label, &mut scan_graph);
-    }
 
     // Rule-confirmation rows: the same s1-http contents regrouped two per
     // rule, on the same trace, confirmation off vs on.
@@ -732,7 +605,7 @@ fn main() {
     let snapshot = BaselineSnapshot {
         label: "current".to_string(),
         source: format!(
-            "bench_baseline bin (filter_only + verify-heavy end-to-end via direct phase timing + scan_graph overlap A/B as interleaved-run medians + resilience Block/Shed A/B on the bursty packetization, {} runs after warm-up)",
+            "bench_baseline bin (filter_only + verify-heavy end-to-end via direct phase timing + resilience Block/Shed A/B on the bursty packetization, {} runs after warm-up)",
             options.runs
         ),
         ruleset: options.ruleset.label().to_string(),
@@ -740,7 +613,6 @@ fn main() {
         runs: options.runs,
         rows,
         verify_heavy,
-        scan_graph,
         rule_confirmation,
         ruleset_scaling: measure_ruleset_scaling(&workload, options.runs),
         memory: memory_section(&workload),

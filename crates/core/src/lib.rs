@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod graph_ops;
 pub mod scratch;
 pub mod spatch;
 pub mod tables;

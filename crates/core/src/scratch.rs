@@ -114,33 +114,19 @@ thread_local! {
     static CACHED_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// Upper bound on the candidate capacity the thread-local scratch keeps
-/// between calls (entries per array; 1 MiB of `u32`s each). One scan of a
-/// huge buffer must not pin hundreds of megabytes of idle heap on the
-/// thread for the process lifetime — anything above this is released when
-/// the cached scratch is handed back.
-const MAX_CACHED_CAPACITY: usize = 1 << 18;
-
 /// Runs `f` with this thread's cached [`Scratch`] (allocating a transient
 /// one only in the re-entrant case, which the engines never hit themselves).
 /// The scratch is handed over un-cleared; callers reset whatever state they
-/// rely on. On return the candidate arrays are emptied and capacity beyond
-/// `MAX_CACHED_CAPACITY` entries per array is given back to the allocator,
-/// so the cache's idle footprint stays bounded regardless of the largest
-/// input ever scanned on the thread.
+/// rely on.
+///
+/// The cache's footprint is bounded by construction: the engines fill it one
+/// [`mpm_graph::DEFAULT_CHUNK`] at a time, so neither candidate array ever
+/// holds more than a chunk's positions and (with `Vec`'s doubling growth)
+/// neither capacity exceeds `2 * DEFAULT_CHUNK` entries — 512 KiB per array
+/// per thread, whatever the largest input ever scanned on the thread.
 pub fn with_cached_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     CACHED_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            let result = f(&mut scratch);
-            scratch.begin_chunk();
-            if scratch.a_short.capacity() > MAX_CACHED_CAPACITY {
-                scratch.a_short.shrink_to(MAX_CACHED_CAPACITY);
-            }
-            if scratch.a_long.capacity() > MAX_CACHED_CAPACITY {
-                scratch.a_long.shrink_to(MAX_CACHED_CAPACITY);
-            }
-            result
-        }
+        Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut Scratch::new()),
     })
 }
@@ -207,18 +193,25 @@ mod tests {
 
     #[test]
     fn cached_scratch_footprint_is_bounded() {
-        // A scan-sized reservation far above the cache limit...
+        use mpm_patterns::PatternSet;
+        // Every position of an all-'a' haystack passes filter 1 ("aa" of
+        // "aab") and filters 2 + 3 ("aaaa" of "aaaab"), and none verifies:
+        // the worst case for the candidate arrays at zero output cost.
+        let set = PatternSet::from_literals(&["aab", "aaaab"]);
+        let hay = vec![b'a'; 8 << 20];
+        let engine = crate::build_auto(&set);
+        let probe = &hay[..1024];
+        assert_eq!(engine.scan_with_stats(probe).candidates, 2 * 1024 - 3);
+        let mut out = Vec::new();
+        engine.find_into(&hay, &mut out);
+        assert!(out.is_empty());
+        // Chunking keeps each array within one chunk's positions, so the
+        // cache never grows past the bound `with_cached_scratch` states.
         with_cached_scratch(|s| {
-            s.clear();
-            s.reserve_for(MAX_CACHED_CAPACITY * 64 * 32, true, true);
-            assert!(s.a_short.capacity() > MAX_CACHED_CAPACITY);
-            s.a_short.push(1);
-        });
-        // ...is trimmed back (and emptied) once the cache is released.
-        with_cached_scratch(|s| {
-            assert!(s.a_short.capacity() <= MAX_CACHED_CAPACITY);
-            assert!(s.a_long.capacity() <= MAX_CACHED_CAPACITY);
-            assert!(s.a_short.is_empty());
+            let bound = 2 * mpm_graph::DEFAULT_CHUNK;
+            assert!(s.a_short.capacity() >= mpm_graph::DEFAULT_CHUNK);
+            assert!(s.a_short.capacity() <= bound, "{}", s.a_short.capacity());
+            assert!(s.a_long.capacity() <= bound, "{}", s.a_long.capacity());
         });
     }
 

@@ -3,19 +3,14 @@
 
 use crate::scratch::{self, Scratch};
 use crate::tables::SPatchTables;
-use mpm_graph::{with_cached_scratchpad, GraphConfig, ScanGraph};
+use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
 use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Scalar S-PATCH engine.
 #[derive(Clone, Debug)]
 pub struct SPatch {
-    tables: Arc<SPatchTables>,
-    /// The scan-graph assembly (`spatch:filter` → `patch:verify`) every
-    /// `find_into` / `scan_with_stats` call executes; see
-    /// `graph_ops`.
-    graph: ScanGraph,
+    tables: SPatchTables,
 }
 
 impl SPatch {
@@ -27,30 +22,12 @@ impl SPatch {
     /// Builds from already-compiled tables (shared with V-PATCH in the
     /// benchmark harness so both engines use byte-identical filters).
     pub fn from_tables(tables: SPatchTables) -> Self {
-        let tables = Arc::new(tables);
-        let graph = crate::graph_ops::build_spatch_graph(&tables);
-        SPatch { tables, graph }
+        SPatch { tables }
     }
 
     /// The compiled tables.
     pub fn tables(&self) -> &SPatchTables {
         &self.tables
-    }
-
-    /// The scan-graph assembly this engine executes.
-    pub fn graph(&self) -> &ScanGraph {
-        &self.graph
-    }
-
-    /// The graph execution parameters (chunk size, overlap).
-    pub fn graph_config(&self) -> GraphConfig {
-        self.graph.config()
-    }
-
-    /// Overrides the graph execution parameters; the A/B harnesses use this
-    /// to pin `overlap` on or off regardless of `MPM_GRAPH_OVERLAP`.
-    pub fn set_graph_config(&mut self, config: GraphConfig) {
-        self.graph.set_config(config);
     }
 
     /// **Filtering round** (lines 3–14 of Algorithm 1): sweeps the input
@@ -62,28 +39,17 @@ impl SPatch {
     /// variants are monomorphized separately so a case-sensitive-only set
     /// runs exactly the historical byte-exact loop.
     pub fn filter_round(&self, haystack: &[u8], scratch: &mut Scratch) {
-        Self::filter_range_tables(&self.tables, haystack, 0, haystack.len(), scratch);
+        self.filter_range(haystack, 0, haystack.len(), scratch);
     }
 
     /// [`SPatch::filter_round`] restricted to window positions
-    /// `start..end` — the per-chunk kernel the scan-graph filter op runs.
-    /// For any partition of `0..n` the concatenated candidate arrays are
-    /// identical to one whole-input round: window *bytes* are read across
-    /// `end` (the haystack is whole, only the window start set is split).
+    /// `start..end` — the per-chunk kernel of the engine's [`TwoRound`]
+    /// filter round. For any partition of `0..n` the concatenated candidate
+    /// arrays are identical to one whole-input round: window *bytes* are
+    /// read across `end` (the haystack is whole, only the window start set
+    /// is split).
     pub fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
-        Self::filter_range_tables(&self.tables, haystack, start, end, scratch);
-    }
-
-    /// Table-parameterized form of [`SPatch::filter_range`], callable from a
-    /// graph op that shares the tables by `Arc` instead of borrowing the
-    /// engine.
-    pub(crate) fn filter_range_tables(
-        t: &SPatchTables,
-        haystack: &[u8],
-        start: usize,
-        end: usize,
-        scratch: &mut Scratch,
-    ) {
+        let t = &self.tables;
         if t.folded {
             Self::filter_range_impl::<true>(t, haystack, start, end, scratch);
         } else {
@@ -157,26 +123,6 @@ impl SPatch {
             + v.verify_long_batch::<ScalarBackend, 8>(haystack, &scratch.a_long, out)
     }
 
-    /// The historical per-candidate verification round (no prefetching, one
-    /// serial lookup per candidate); the differential-suite reference and
-    /// bench A/B baseline, mirroring [`crate::VPatch::verify_round_per_candidate`].
-    pub fn verify_round_per_candidate(
-        &self,
-        haystack: &[u8],
-        scratch: &Scratch,
-        out: &mut Vec<MatchEvent>,
-    ) -> u64 {
-        let v = self.tables.verifier();
-        let mut comparisons = 0u64;
-        for &pos in &scratch.a_short {
-            comparisons += v.verify_short(haystack, pos as usize, out) as u64;
-        }
-        for &pos in &scratch.a_long {
-            comparisons += v.verify_long(haystack, pos as usize, out) as u64;
-        }
-        comparisons
-    }
-
     /// Full scan reusing caller-provided scratch (no allocation in the steady
     /// state). Candidate arrays are reset per call; the phase counters
     /// **accumulate** across calls (reset with [`Scratch::clear`]), so a
@@ -197,37 +143,21 @@ impl SPatch {
         scratch.filter_nanos += (t1 - t0).as_nanos() as u64;
         scratch.verify_nanos += (t2 - t1).as_nanos() as u64;
     }
+}
 
-    /// The pre-graph monolithic scan path (whole-input filter round, then
-    /// one verify round through the thread-cached [`Scratch`]). Retained as
-    /// the oracle the scan-graph differential suite holds the graph-routed
-    /// [`Matcher::find_into`] to.
-    pub fn find_into_legacy(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        scratch::with_cached_scratch(|scratch| {
-            scratch.clear();
-            scratch.reserve_for(haystack.len(), self.tables.has_short, self.tables.has_long);
-            self.filter_round(haystack, scratch);
-            self.verify_round(haystack, scratch, out);
-        });
+/// The two rounds of Algorithm 1 over one chunk, on a [`Scratch`].
+impl TwoRound for SPatch {
+    type Pad = Scratch;
+
+    fn filter(&self, chunk: Chunk<'_>, scratch: &mut Scratch, _out: &mut Vec<MatchEvent>) -> u64 {
+        scratch.begin_chunk();
+        scratch.reserve_for(chunk.len(), self.tables.has_short, self.tables.has_long);
+        self.filter_range(chunk.haystack, chunk.start, chunk.end, scratch);
+        scratch.candidates()
     }
 
-    /// The pre-graph monolithic stats path; oracle counterpart of
-    /// [`Matcher::scan_with_stats`] (timings excluded, counters exact).
-    pub fn scan_with_stats_legacy(&self, haystack: &[u8]) -> MatcherStats {
-        scratch::with_cached_scratch(|scratch| {
-            scratch.clear();
-            scratch.reserve_for(haystack.len(), self.tables.has_short, self.tables.has_long);
-            let mut out = Vec::new();
-            self.scan_with_scratch(haystack, scratch, &mut out);
-            MatcherStats {
-                bytes_scanned: haystack.len() as u64,
-                candidates: scratch.candidates(),
-                matches: out.len() as u64,
-                filter_nanos: scratch.filter_nanos,
-                verify_nanos: scratch.verify_nanos,
-                ..MatcherStats::default()
-            }
-        })
+    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) {
+        self.verify_round(chunk.haystack, scratch, out);
     }
 }
 
@@ -241,25 +171,14 @@ impl Matcher for SPatch {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        // Execute the scan-graph assembly through this thread's cached
-        // scratchpad: chunked, and (config permitting) software-pipelined
-        // across chunks.
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        scratch::with_cached_scratch(|scratch| {
+            mpm_graph::scan(self, haystack, DEFAULT_CHUNK, scratch, out)
+        });
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        with_cached_scratchpad(|pad| {
-            let mut out = Vec::new();
-            self.graph.run(haystack, pad, &mut out);
-            let c = pad.counters;
-            MatcherStats {
-                bytes_scanned: haystack.len() as u64,
-                candidates: c.candidates,
-                matches: out.len() as u64,
-                filter_nanos: c.filter_nanos,
-                verify_nanos: c.verify_nanos,
-                ..MatcherStats::default()
-            }
+        scratch::with_cached_scratch(|scratch| {
+            mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, scratch, &mut Vec::new())
         })
     }
 

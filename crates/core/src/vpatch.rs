@@ -14,12 +14,11 @@
 
 use crate::scratch::{self, Scratch};
 use crate::tables::SPatchTables;
-use mpm_graph::{with_cached_scratchpad, GraphConfig, ScanGraph};
+use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
 use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
 use mpm_simd::VectorBackend;
 use mpm_verify::HASH_MULTIPLIER;
 use std::marker::PhantomData;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which variant of the filtering-only measurement to run
@@ -40,11 +39,7 @@ pub enum FilterOnlyMode {
 /// [`crate::VPatchScalar8`] or the [`crate::build_auto`] factory.
 #[derive(Clone, Debug)]
 pub struct VPatch<B: VectorBackend<W>, const W: usize> {
-    tables: Arc<SPatchTables>,
-    /// The scan-graph assembly (`vpatch:filter` → `patch:verify`) every
-    /// `find_into` / `scan_with_stats` call executes; see
-    /// `graph_ops`.
-    graph: ScanGraph,
+    tables: SPatchTables,
     _backend: PhantomData<B>,
 }
 
@@ -68,11 +63,8 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
             "SIMD backend {} is not available on this CPU",
             B::name()
         );
-        let tables = Arc::new(tables);
-        let graph = crate::graph_ops::build_vpatch_graph::<B, W>(&tables);
         VPatch {
             tables,
-            graph,
             _backend: PhantomData,
         }
     }
@@ -80,22 +72,6 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
     /// The compiled tables.
     pub fn tables(&self) -> &SPatchTables {
         &self.tables
-    }
-
-    /// The scan-graph assembly this engine executes.
-    pub fn graph(&self) -> &ScanGraph {
-        &self.graph
-    }
-
-    /// The graph execution parameters (chunk size, overlap).
-    pub fn graph_config(&self) -> GraphConfig {
-        self.graph.config()
-    }
-
-    /// Overrides the graph execution parameters; the A/B harnesses use this
-    /// to pin `overlap` on or off regardless of `MPM_GRAPH_OVERLAP`.
-    pub fn set_graph_config(&mut self, config: GraphConfig) {
-        self.graph.set_config(config);
     }
 
     /// Name of the SIMD backend in use.
@@ -227,11 +203,12 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
     /// byte-exact kernel depending on how the tables were built, so
     /// case-sensitive-only sets keep the historical code path.
     pub fn filter_round(&self, haystack: &[u8], scratch: &mut Scratch) {
-        Self::filter_range_tables(&self.tables, haystack, 0, haystack.len(), scratch);
+        self.filter_range(haystack, 0, haystack.len(), scratch);
     }
 
     /// [`VPatch::filter_round`] restricted to window positions
-    /// `start..end` — the per-chunk kernel the scan-graph filter op runs.
+    /// `start..end` — the per-chunk kernel of the engine's [`TwoRound`]
+    /// filter round.
     /// `filter_range(0, n)` is exactly `filter_round`, and for any partition
     /// of `0..n` into `CHUNK_ALIGN`-aligned ranges the concatenated
     /// candidate arrays (and the filter-3 occupancy counters) are identical
@@ -241,19 +218,7 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
     ///
     /// [`CHUNK_ALIGN`]: mpm_graph::CHUNK_ALIGN
     pub fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
-        Self::filter_range_tables(&self.tables, haystack, start, end, scratch);
-    }
-
-    /// Table-parameterized form of [`VPatch::filter_range`], callable from a
-    /// graph op that shares the tables by `Arc` instead of borrowing the
-    /// engine.
-    pub(crate) fn filter_range_tables(
-        t: &SPatchTables,
-        haystack: &[u8],
-        start: usize,
-        end: usize,
-        scratch: &mut Scratch,
-    ) {
+        let t = &self.tables;
         if t.folded {
             Self::filter_range_impl::<true>(t, haystack, start, end, scratch);
         } else {
@@ -323,7 +288,7 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         if n == 0 {
             return 0;
         }
-        let t = &*self.tables;
+        let t = &self.tables;
         let mut checksum = 0u64;
         let mut i = 0usize;
         match mode {
@@ -369,7 +334,7 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
     /// candidate windows back, hash the bucket indices `W` at a time, and
     /// the table walk is prefetch-pipelined `K` candidates deep. Returns the
     /// number of pattern comparisons performed (identical, by construction
-    /// and by the differential suite, to the per-candidate count).
+    /// and by the differential suite, to one table lookup per candidate).
     pub fn verify_round(
         &self,
         haystack: &[u8],
@@ -379,29 +344,6 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         let v = self.tables.verifier();
         v.verify_short_batch::<B, W>(haystack, &scratch.a_short, out)
             + v.verify_long_batch::<B, W>(haystack, &scratch.a_long, out)
-    }
-
-    /// The historical per-candidate verification round (one serial
-    /// [`mpm_verify::Verifier::verify_short`] / `verify_long` lookup per
-    /// candidate, no prefetching, byte-loop compares). Kept as the reference
-    /// the differential suite holds [`VPatch::verify_round`] to, and as the
-    /// A/B baseline the `verify_round` Criterion bench and the
-    /// `bench_baseline` verify-heavy rows measure the batched path against.
-    pub fn verify_round_per_candidate(
-        &self,
-        haystack: &[u8],
-        scratch: &Scratch,
-        out: &mut Vec<MatchEvent>,
-    ) -> u64 {
-        let v = self.tables.verifier();
-        let mut comparisons = 0u64;
-        for &pos in &scratch.a_short {
-            comparisons += v.verify_short(haystack, pos as usize, out) as u64;
-        }
-        for &pos in &scratch.a_long {
-            comparisons += v.verify_long(haystack, pos as usize, out) as u64;
-        }
-        comparisons
     }
 
     /// Full scan reusing caller-provided scratch. Candidate arrays are reset
@@ -423,38 +365,21 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         scratch.filter_nanos += (t1 - t0).as_nanos() as u64;
         scratch.verify_nanos += (t2 - t1).as_nanos() as u64;
     }
+}
 
-    /// The pre-graph monolithic scan path (whole-input filter round, then
-    /// one verify round through the thread-cached [`Scratch`]). Retained as
-    /// the oracle the scan-graph differential suite holds the graph-routed
-    /// [`Matcher::find_into`] to.
-    pub fn find_into_legacy(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        scratch::with_cached_scratch(|scratch| {
-            scratch.clear();
-            scratch.reserve_for(haystack.len(), self.tables.has_short, self.tables.has_long);
-            self.filter_round(haystack, scratch);
-            self.verify_round(haystack, scratch, out);
-        });
+/// The two rounds of Algorithm 2 over one chunk, on a [`Scratch`].
+impl<B: VectorBackend<W>, const W: usize> TwoRound for VPatch<B, W> {
+    type Pad = Scratch;
+
+    fn filter(&self, chunk: Chunk<'_>, scratch: &mut Scratch, _out: &mut Vec<MatchEvent>) -> u64 {
+        scratch.begin_chunk();
+        scratch.reserve_for(chunk.len(), self.tables.has_short, self.tables.has_long);
+        self.filter_range(chunk.haystack, chunk.start, chunk.end, scratch);
+        scratch.candidates()
     }
 
-    /// The pre-graph monolithic stats path; oracle counterpart of
-    /// [`Matcher::scan_with_stats`] (timings excluded, counters exact).
-    pub fn scan_with_stats_legacy(&self, haystack: &[u8]) -> MatcherStats {
-        scratch::with_cached_scratch(|scratch| {
-            scratch.clear();
-            scratch.reserve_for(haystack.len(), self.tables.has_short, self.tables.has_long);
-            let mut out = Vec::new();
-            self.scan_with_scratch(haystack, scratch, &mut out);
-            MatcherStats {
-                bytes_scanned: haystack.len() as u64,
-                candidates: scratch.candidates(),
-                matches: out.len() as u64,
-                filter_nanos: scratch.filter_nanos,
-                verify_nanos: scratch.verify_nanos,
-                filter3_blocks: scratch.filter3_blocks,
-                useful_lanes: scratch.useful_lanes,
-            }
-        })
+    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) {
+        self.verify_round(chunk.haystack, scratch, out);
     }
 }
 
@@ -468,25 +393,20 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        // Execute the scan-graph assembly through this thread's cached
-        // scratchpad: chunked, and (config permitting) software-pipelined
-        // across chunks.
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        scratch::with_cached_scratch(|scratch| {
+            mpm_graph::scan(self, haystack, DEFAULT_CHUNK, scratch, out)
+        });
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        with_cached_scratchpad(|pad| {
-            let mut out = Vec::new();
-            self.graph.run(haystack, pad, &mut out);
-            let c = pad.counters;
+        scratch::with_cached_scratch(|scratch| {
+            scratch.clear();
+            let stats =
+                mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, scratch, &mut Vec::new());
             MatcherStats {
-                bytes_scanned: haystack.len() as u64,
-                candidates: c.candidates,
-                matches: out.len() as u64,
-                filter_nanos: c.filter_nanos,
-                verify_nanos: c.verify_nanos,
-                filter3_blocks: c.filter3_blocks,
-                useful_lanes: c.useful_lanes,
+                filter3_blocks: scratch.filter3_blocks,
+                useful_lanes: scratch.useful_lanes,
+                ..stats
             }
         })
     }

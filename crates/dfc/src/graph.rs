@@ -1,37 +1,20 @@
-//! DFC / Vector-DFC as **scan-graph assemblies**.
+//! DFC's two rounds over one chunk, shared by the scalar and the vectorized
+//! engine.
 //!
-//! The graph form splits DFC's historically interleaved single pass at its
-//! natural seam: the filter op sweeps one chunk's windows through the
-//! initial direct filter, compacting survivors into a counted `pending`
-//! slot; the verify op drains that slot through the batched
+//! The paper's DFC interleaves filtering and verification in one pass; here
+//! the pass is split at its natural seam so it runs as the two rounds of
+//! `mpm_graph::TwoRound`: the filter round sweeps one chunk's windows
+//! through the initial direct filter, compacting survivors into the
+//! `pending` buffer; the verify round drains that buffer through the batched
 //! classification/verification path in [`DRAIN_BLOCK`]-sized blocks. The
-//! candidate set, match set and comparison counts are identical to the
-//! legacy pass (the drain blocking only regroups the append order of
-//! matches, which no caller observes); what the split buys is the
-//! double-banked overlap schedule — chunk *k*'s filter sweep runs while
-//! chunk *k − 1*'s candidates drain.
+//! drain blocking only regroups the append order of matches, which no
+//! caller observes.
 
-use std::marker::PhantomData;
-use std::sync::Arc;
-
-use mpm_graph::{Chunk, GraphBuilder, GraphConfig, ScanGraph, ScanOp, Scratchpad, SlotId, Stage};
+use mpm_graph::Chunk;
 use mpm_patterns::{fold_byte, MatchEvent};
 use mpm_simd::VectorBackend;
 
-use crate::tables::{DfcTables, DRAIN_BLOCK};
-
-/// How many leading pending candidates the prime hook prefetches bucket
-/// rows for while the next chunk is still being filtered.
-const PRIME_CANDIDATES: usize = 64;
-
-/// The slots every DFC assembly allocates: initial-filter survivors
-/// (counted — they are the engine's candidate statistic) and the
-/// progressive-filter scratch the long-class drain uses (uncounted).
-#[derive(Clone, Copy)]
-pub(crate) struct DfcSlots {
-    pending: SlotId,
-    long_scratch: SlotId,
-}
+use crate::tables::{DfcTables, DrainBuffers, DRAIN_BLOCK};
 
 /// Scalar DFC initial-filter sweep over window positions `start..end`
 /// (clamped to the last 2-byte window).
@@ -86,226 +69,46 @@ fn vector_filter_range<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
     scalar_filter_range::<FOLD>(t, haystack, i, end, pending);
 }
 
-/// Filter-stage operator: the scalar DFC sweep.
-struct DfcFilterOp {
-    tables: Arc<DfcTables>,
-    slots: DfcSlots,
+/// Filter round of the scalar engine: replaces `pending` with the chunk's
+/// initial-filter survivors.
+pub(crate) fn scalar_filter(t: &DfcTables, chunk: Chunk<'_>, pending: &mut Vec<u32>) -> u64 {
+    pending.clear();
+    if t.is_folded() {
+        scalar_filter_range::<true>(t, chunk.haystack, chunk.start, chunk.end, pending);
+    } else {
+        scalar_filter_range::<false>(t, chunk.haystack, chunk.start, chunk.end, pending);
+    }
+    pending.len() as u64
 }
 
-impl ScanOp for DfcFilterOp {
-    fn name(&self) -> &'static str {
-        "dfc:filter"
+/// Filter round of the vectorized engine on backend `B`.
+pub(crate) fn vector_filter<B: VectorBackend<W>, const W: usize>(
+    t: &DfcTables,
+    chunk: Chunk<'_>,
+    pending: &mut Vec<u32>,
+) -> u64 {
+    pending.clear();
+    if t.is_folded() {
+        vector_filter_range::<B, W, true>(t, chunk.haystack, chunk.start, chunk.end, pending);
+    } else {
+        vector_filter_range::<B, W, false>(t, chunk.haystack, chunk.start, chunk.end, pending);
     }
-
-    fn stage(&self) -> Stage {
-        Stage::Filter
-    }
-
-    fn init(&self, batch: usize, pad: &mut Scratchpad) {
-        pad.reserve_slot(self.slots.pending, batch / 16 + 16);
-    }
-
-    fn execute(&self, chunk: Chunk<'_>, pad: &mut Scratchpad, _out: &mut Vec<MatchEvent>) {
-        let mut pending = pad.take_write(self.slots.pending);
-        if self.tables.is_folded() {
-            scalar_filter_range::<true>(
-                &self.tables,
-                chunk.haystack,
-                chunk.start,
-                chunk.end,
-                &mut pending,
-            );
-        } else {
-            scalar_filter_range::<false>(
-                &self.tables,
-                chunk.haystack,
-                chunk.start,
-                chunk.end,
-                &mut pending,
-            );
-        }
-        pad.put_write(self.slots.pending, pending);
-    }
+    pending.len() as u64
 }
 
-/// Filter-stage operator: the vectorized (Vector-DFC) sweep on backend `B`.
-struct VectorDfcFilterOp<B: VectorBackend<W>, const W: usize> {
-    tables: Arc<DfcTables>,
-    slots: DfcSlots,
-    _backend: PhantomData<fn() -> B>,
-}
-
-impl<B: VectorBackend<W>, const W: usize> ScanOp for VectorDfcFilterOp<B, W> {
-    fn name(&self) -> &'static str {
-        "vdfc:filter"
+/// Verify round: drains `pending` through the batched classification path
+/// in [`DRAIN_BLOCK`]-sized blocks; the last chunk also owns the final byte,
+/// which has no 2-byte window.
+pub(crate) fn drain<B: VectorBackend<W>, const W: usize>(
+    t: &DfcTables,
+    chunk: Chunk<'_>,
+    (pending, long_scratch): &mut DrainBuffers,
+    out: &mut Vec<MatchEvent>,
+) {
+    for block in pending.chunks(DRAIN_BLOCK) {
+        t.classify_and_verify_batch::<B, W>(chunk.haystack, block, long_scratch, out);
     }
-
-    fn stage(&self) -> Stage {
-        Stage::Filter
-    }
-
-    fn init(&self, batch: usize, pad: &mut Scratchpad) {
-        pad.reserve_slot(self.slots.pending, batch / 16 + 16);
-    }
-
-    fn execute(&self, chunk: Chunk<'_>, pad: &mut Scratchpad, _out: &mut Vec<MatchEvent>) {
-        let mut pending = pad.take_write(self.slots.pending);
-        if self.tables.is_folded() {
-            vector_filter_range::<B, W, true>(
-                &self.tables,
-                chunk.haystack,
-                chunk.start,
-                chunk.end,
-                &mut pending,
-            );
-        } else {
-            vector_filter_range::<B, W, false>(
-                &self.tables,
-                chunk.haystack,
-                chunk.start,
-                chunk.end,
-                &mut pending,
-            );
-        }
-        pad.put_write(self.slots.pending, pending);
-    }
-}
-
-/// Verify-stage operator: drains the read bank's pending positions through
-/// the batched classification path in [`DRAIN_BLOCK`]-sized blocks, and
-/// handles the final-byte tail on the last chunk.
-struct DfcVerifyOp<B: VectorBackend<W>, const W: usize> {
-    tables: Arc<DfcTables>,
-    slots: DfcSlots,
-    _backend: PhantomData<fn() -> B>,
-}
-
-impl<B: VectorBackend<W>, const W: usize> ScanOp for DfcVerifyOp<B, W> {
-    fn name(&self) -> &'static str {
-        "dfc:verify"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Verify
-    }
-
-    fn execute(&self, chunk: Chunk<'_>, pad: &mut Scratchpad, out: &mut Vec<MatchEvent>) {
-        let t = &self.tables;
-        let pending = pad.take_read(self.slots.pending);
-        let mut long_scratch = pad.take_read(self.slots.long_scratch);
-        let mut comparisons = 0u64;
-        for block in pending.chunks(DRAIN_BLOCK) {
-            comparisons +=
-                t.classify_and_verify_batch::<B, W>(chunk.haystack, block, &mut long_scratch, out);
-        }
-        if chunk.is_last {
-            t.verify_tail(chunk.haystack, out);
-        }
-        pad.counters.comparisons += comparisons;
-        pad.put_read(self.slots.pending, pending);
-        pad.put_read(self.slots.long_scratch, long_scratch);
-    }
-
-    fn prime(&self, chunk: Chunk<'_>, pad: &Scratchpad) {
-        self.tables.prefetch_pending(
-            chunk.haystack,
-            pad.read(self.slots.pending),
-            PRIME_CANDIDATES,
-        );
-    }
-}
-
-fn dfc_builder() -> (GraphBuilder, DfcSlots) {
-    let mut b = GraphBuilder::new();
-    let slots = DfcSlots {
-        pending: b.slot(true),
-        long_scratch: b.slot(false),
-    };
-    b.config(GraphConfig::from_env());
-    (b, slots)
-}
-
-/// Assembles the scalar DFC graph: scalar sweep → block drain on the
-/// scalar backend.
-pub(crate) fn build_dfc_graph(tables: &Arc<DfcTables>) -> ScanGraph {
-    use mpm_simd::ScalarBackend;
-    let (mut b, slots) = dfc_builder();
-    b.op(Arc::new(DfcFilterOp {
-        tables: tables.clone(),
-        slots,
-    }));
-    b.op(Arc::new(DfcVerifyOp::<ScalarBackend, 8> {
-        tables: tables.clone(),
-        slots,
-        _backend: PhantomData,
-    }));
-    b.build()
-}
-
-/// Assembles the Vector-DFC graph: vector sweep → block drain on `B`.
-pub(crate) fn build_vector_dfc_graph<B: VectorBackend<W>, const W: usize>(
-    tables: &Arc<DfcTables>,
-) -> ScanGraph {
-    let (mut b, slots) = dfc_builder();
-    b.op(Arc::new(VectorDfcFilterOp::<B, W> {
-        tables: tables.clone(),
-        slots,
-        _backend: PhantomData,
-    }));
-    b.op(Arc::new(DfcVerifyOp::<B, W> {
-        tables: tables.clone(),
-        slots,
-        _backend: PhantomData,
-    }));
-    b.build()
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{Dfc, VectorDfcScalar};
-    use mpm_patterns::{Matcher, PatternSet};
-
-    fn sorted(mut v: Vec<MatchEvent>) -> Vec<MatchEvent> {
-        v.sort_unstable_by_key(|m| (m.start, m.pattern.0));
-        v
-    }
-
-    use mpm_patterns::MatchEvent;
-
-    #[test]
-    fn graph_matches_legacy_across_chunkings_and_overlap() {
-        let set = PatternSet::from_literals(&["a", "ab", "GET", "abcd", "attack", "/etc/passwd"]);
-        let hay: Vec<u8> = b"GET /etc/passwd abcd attack aab "
-            .iter()
-            .cycle()
-            .take(4096 + 17)
-            .copied()
-            .collect();
-
-        let mut legacy = Vec::new();
-        let dfc = Dfc::build(&set);
-        dfc.find_into_legacy(&hay, &mut legacy);
-        let legacy = sorted(legacy);
-
-        for chunk in [64usize, 256, 1 << 16] {
-            for overlap in [false, true] {
-                let cfg = mpm_graph::GraphConfig { chunk, overlap }.normalize();
-                let mut d = Dfc::build(&set);
-                d.set_graph_config(cfg);
-                assert_eq!(sorted(d.find_all(&hay)), legacy, "dfc chunk={chunk}");
-                assert_eq!(
-                    d.scan_with_stats(&hay).candidates,
-                    dfc.scan_with_stats_legacy(&hay).candidates
-                );
-
-                let mut v = VectorDfcScalar::build(&set);
-                v.set_graph_config(cfg);
-                assert_eq!(sorted(v.find_all(&hay)), legacy, "vdfc chunk={chunk}");
-                assert_eq!(
-                    v.scan_with_stats(&hay).candidates,
-                    v.scan_with_stats_legacy(&hay).candidates
-                );
-            }
-        }
+    if chunk.is_last() {
+        t.verify_tail(chunk.haystack, out);
     }
 }

@@ -1,34 +1,25 @@
-//! The original (scalar, single-pass) DFC engine.
+//! The original scalar DFC engine.
 //!
-//! Since PR 5 the verification side of the pass is **block-drained**: the
-//! positions that survive the initial direct filter are buffered (up to
-//! [`crate::tables::DRAIN_BLOCK`] at a time) and pushed through the batched,
-//! prefetch-pipelined compact-hash-table path instead of being classified
-//! and verified one at a time the moment they pass. The filter loop itself —
-//! the part the paper's "DFC" baseline measures against the vectorized
-//! engines — is unchanged scalar code; what changed is that the dependent
-//! hash-table loads of consecutive candidates now overlap instead of
-//! serialising.
+//! The filter loop — the part the paper's "DFC" baseline measures against
+//! the vectorized engines — is plain scalar code over the initial direct
+//! filter. The positions that survive it are buffered per scan chunk and
+//! pushed through the batched, prefetch-pipelined compact-hash-table path
+//! [`crate::tables::DRAIN_BLOCK`] at a time, instead of being classified and
+//! verified one at a time the moment they pass, so the dependent hash-table
+//! loads of consecutive candidates overlap instead of serialising.
 
-use crate::tables::{DfcTables, DRAIN_BLOCK};
-use mpm_graph::{with_cached_scratchpad, GraphConfig, ScanGraph};
-use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
+use crate::graph;
+use crate::tables::{with_drain_buffers, DfcTables, DrainBuffers};
+use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
+use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
 use mpm_simd::ScalarBackend;
-use std::sync::Arc;
 
-/// Scalar DFC: interleaved filtering + verification, exactly the structure
-/// the paper uses as its "DFC" baseline.
-///
-/// Since PR 9 the scan path is a graph assembly (`graph` module): the
-/// filter sweep and the block drain are separate operators scheduled by
-/// [`ScanGraph`], which also gives DFC the streaming chunk loop and the
-/// overlapped (double-banked) schedule for free. The historical
-/// single-pass loop is retained as [`Dfc::find_into_legacy`], the
-/// differential oracle the graph path is tested against.
+/// Scalar DFC, the paper's "DFC" baseline: a scalar sweep through the
+/// initial filter, then classification + verification of the survivors
+/// (the two [`TwoRound`] rounds, run chunk by chunk).
 #[derive(Clone, Debug)]
 pub struct Dfc {
-    tables: Arc<DfcTables>,
-    graph: ScanGraph,
+    tables: DfcTables,
 }
 
 impl Dfc {
@@ -37,107 +28,26 @@ impl Dfc {
         Self::from_tables(DfcTables::build(set))
     }
 
-    /// Wraps pre-built tables in the engine (assembles the scan graph).
+    /// Wraps pre-built tables in the engine.
     pub fn from_tables(tables: DfcTables) -> Self {
-        let tables = Arc::new(tables);
-        let graph = crate::graph::build_dfc_graph(&tables);
-        Dfc { tables, graph }
+        Dfc { tables }
     }
 
     /// The compiled tables (used by the cache-simulation experiments).
     pub fn tables(&self) -> &DfcTables {
         &self.tables
     }
+}
 
-    /// The operator graph the scan path executes.
-    pub fn graph(&self) -> &ScanGraph {
-        &self.graph
+impl TwoRound for Dfc {
+    type Pad = DrainBuffers;
+
+    fn filter(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, _out: &mut Vec<MatchEvent>) -> u64 {
+        graph::scalar_filter(&self.tables, chunk, &mut pad.0)
     }
 
-    /// The graph's chunking/overlap configuration.
-    pub fn graph_config(&self) -> GraphConfig {
-        self.graph.config()
-    }
-
-    /// Overrides the graph's chunking/overlap configuration (used by the
-    /// benchmark harness and the differential tests for deterministic A/B
-    /// runs without environment races).
-    pub fn set_graph_config(&mut self, config: GraphConfig) {
-        self.graph.set_config(config);
-    }
-
-    /// The pre-PR 9 monolithic scan pass, kept as the differential oracle
-    /// for the graph assembly.
-    pub fn find_into_legacy(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        self.scan(haystack, out);
-    }
-
-    /// [`Matcher::scan_with_stats`] through the legacy monolithic pass.
-    pub fn scan_with_stats_legacy(&self, haystack: &[u8]) -> MatcherStats {
-        let mut out = Vec::new();
-        let (candidates, _comparisons) = self.scan(haystack, &mut out);
-        MatcherStats {
-            bytes_scanned: haystack.len() as u64,
-            candidates,
-            matches: out.len() as u64,
-            ..MatcherStats::default()
-        }
-    }
-
-    /// Core scan loop shared by [`Matcher::find_into`] and
-    /// [`Matcher::scan_with_stats`]. Returns `(candidates, comparisons)`.
-    /// Dispatches to the folded (`nocase`-capable) or byte-exact loop
-    /// depending on how the tables were built.
-    fn scan(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) -> (u64, u64) {
-        if self.tables.is_folded() {
-            self.scan_impl::<true>(haystack, out)
-        } else {
-            self.scan_impl::<false>(haystack, out)
-        }
-    }
-
-    fn scan_impl<const FOLD: bool>(
-        &self,
-        haystack: &[u8],
-        out: &mut Vec<MatchEvent>,
-    ) -> (u64, u64) {
-        let t = &self.tables;
-        if haystack.is_empty() {
-            return (0, 0);
-        }
-        // The drain buffers come from the thread-local cache, so repeated
-        // scans (one per streamed chunk/packet) allocate nothing.
-        crate::tables::with_drain_buffers(|pending, long_scratch| {
-            let mut candidates = 0u64;
-            let mut comparisons = 0u64;
-            for i in 0..haystack.len() - 1 {
-                let window = u16::from_le_bytes([
-                    fold_byte(haystack[i], FOLD),
-                    fold_byte(haystack[i + 1], FOLD),
-                ]);
-                if t.df_initial.contains(window) {
-                    candidates += 1;
-                    pending.push(i as u32);
-                    if pending.len() == DRAIN_BLOCK {
-                        comparisons += t.classify_and_verify_batch::<ScalarBackend, 8>(
-                            haystack,
-                            pending,
-                            long_scratch,
-                            out,
-                        );
-                        pending.clear();
-                    }
-                }
-            }
-            comparisons += t.classify_and_verify_batch::<ScalarBackend, 8>(
-                haystack,
-                pending,
-                long_scratch,
-                out,
-            );
-            t.verify_tail(haystack, out);
-            (candidates, comparisons)
-        })
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) {
+        graph::drain::<ScalarBackend, 8>(&self.tables, chunk, pad, out);
     }
 }
 
@@ -151,23 +61,13 @@ impl Matcher for Dfc {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        with_drain_buffers(|pad| mpm_graph::scan(self, haystack, DEFAULT_CHUNK, pad, out));
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        let mut out = Vec::new();
-        let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
-            pad.counters
-        });
-        MatcherStats {
-            bytes_scanned: haystack.len() as u64,
-            candidates: counters.candidates,
-            matches: out.len() as u64,
-            filter_nanos: counters.filter_nanos,
-            verify_nanos: counters.verify_nanos,
-            ..MatcherStats::default()
-        }
+        with_drain_buffers(|pad| {
+            mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, pad, &mut Vec::new())
+        })
     }
 
     fn heap_bytes(&self) -> usize {

@@ -6,34 +6,38 @@ use mpm_simd::VectorBackend;
 use mpm_verify::{CompactHashTable, DirectFilter};
 use std::cell::RefCell;
 
-/// How many initial-filter survivors the DFC engines buffer before draining
-/// them through the batched verification path (one block per length-class
-/// table keeps the candidate positions and the per-table pipeline state hot).
+/// How many initial-filter survivors the DFC engines hand to the batched
+/// verification path at a time (one block per length-class table keeps the
+/// candidate positions and the per-table pipeline state hot).
 pub const DRAIN_BLOCK: usize = 256;
 
+/// The candidate buffers of one scan, `(pending, long_scratch)`: the
+/// initial-filter survivors of the current chunk, and the
+/// progressive-filter scratch the long-class drain uses.
+pub(crate) type DrainBuffers = (Vec<u32>, Vec<u32>);
+
 thread_local! {
-    /// Per-thread `(pending, long_scratch)` drain buffers reused across
-    /// scans, so the block-drained engines stay allocation-free per scan —
-    /// streaming callers invoke `find_into` once per pushed chunk/packet
-    /// (mirrors the cached scratch in `mpm-vpatch`). Both buffers are
-    /// bounded by [`DRAIN_BLOCK`] (+ one vector width of compress_store
-    /// spare), so no shrink policy is needed.
-    static DRAIN_BUFFERS: RefCell<(Vec<u32>, Vec<u32>)> =
+    /// Per-thread drain buffers reused across scans, so the engines stay
+    /// allocation-free per scan — streaming callers invoke `find_into` once
+    /// per pushed chunk/packet (mirrors the cached scratch in `mpm-vpatch`).
+    /// `pending` never holds more than one scan chunk's positions and
+    /// `long_scratch` at most [`DRAIN_BLOCK`], so no shrink policy is
+    /// needed.
+    static DRAIN_BUFFERS: RefCell<DrainBuffers> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's cached drain buffers, cleared on entry
 /// (a transient pair is allocated only in the re-entrant case, which the
 /// engines never hit themselves).
-pub(crate) fn with_drain_buffers<R>(f: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>) -> R) -> R {
+pub(crate) fn with_drain_buffers<R>(f: impl FnOnce(&mut DrainBuffers) -> R) -> R {
     DRAIN_BUFFERS.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buffers) => {
-            let (pending, long_scratch) = &mut *buffers;
-            pending.clear();
-            long_scratch.clear();
-            f(pending, long_scratch)
+            buffers.0.clear();
+            buffers.1.clear();
+            f(&mut buffers)
         }
-        Err(_) => f(&mut Vec::new(), &mut Vec::new()),
+        Err(_) => f(&mut DrainBuffers::default()),
     })
 }
 
@@ -128,11 +132,11 @@ impl DfcTables {
     /// window passed the initial filter. Appends confirmed matches to `out`
     /// and returns the number of pattern comparisons performed.
     ///
-    /// This is the historical **per-candidate** path: the engines now drain
-    /// buffered candidate blocks through
-    /// [`DfcTables::classify_and_verify_batch`] instead, but this form is
-    /// kept public as the reference semantics the batched drain is held to
-    /// (`tests/verify_batch_differential.rs`) and for per-position callers
+    /// The engines drain buffered candidate blocks through
+    /// [`DfcTables::classify_and_verify_batch`] instead; this one-position
+    /// form stays public as the reference for the batched drain's
+    /// *comparison counts*, which no naive matcher can check
+    /// (`tests/verify_batch_differential.rs`), and for per-position callers
     /// like the cache simulator's access replay.
     #[inline]
     pub fn classify_and_verify(
@@ -224,17 +228,6 @@ impl DfcTables {
         }
     }
 
-    /// Prime hook for the scan graph's overlapped schedule: touches the
-    /// hash-table bucket rows the first `limit` pending candidates will
-    /// load, so the drain that runs alongside the next chunk's filter pass
-    /// starts with warm lines instead of a cold dependent-load chain.
-    #[inline]
-    pub(crate) fn prefetch_pending(&self, haystack: &[u8], pending: &[u32], limit: usize) {
-        for ht in [&self.ht_len1, &self.ht_len2, &self.ht_len3, &self.ht_long] {
-            ht.prefetch_candidates(haystack, pending, limit);
-        }
-    }
-
     /// The initial direct filter (exposed for the vectorized engine and for
     /// the cache simulator).
     pub fn initial_filter(&self) -> &DirectFilter {
@@ -287,18 +280,18 @@ mod tests {
 
     #[test]
     fn drain_buffers_are_cached_cleared_and_reentrancy_safe() {
-        let cap = with_drain_buffers(|pending, _| {
+        let cap = with_drain_buffers(|(pending, _)| {
             pending.reserve(128);
             pending.push(7);
             pending.capacity()
         });
-        with_drain_buffers(|pending, long_scratch| {
+        with_drain_buffers(|(pending, long_scratch)| {
             // Cleared on entry, capacity persisted from the previous scan.
             assert!(pending.is_empty());
             assert!(long_scratch.is_empty());
             assert!(pending.capacity() >= cap.min(128));
             // A nested borrow must not panic; it falls back to transients.
-            let nested_empty = with_drain_buffers(|p, l| p.is_empty() && l.is_empty());
+            let nested_empty = with_drain_buffers(|(p, l)| p.is_empty() && l.is_empty());
             assert!(nested_empty);
         });
     }

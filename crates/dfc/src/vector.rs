@@ -11,37 +11,30 @@
 //! needed before vectorization pays off.
 //!
 //! The filter lookups ride the register-resident `VectorBackend` API: the
-//! `windows2 → shr → gather → test` chain stays in `B::Vec` registers. The
-//! algorithmic *structure* is still DFC's single pass — there is no separate
-//! whole-input filtering round as in S-PATCH/V-PATCH — but since PR 5 the
-//! surviving lane masks leave the registers through `compress_store` into a
-//! small pending block that is drained through the batched,
-//! prefetch-pipelined verification path (`DfcTables::classify_and_verify_batch`)
-//! whenever it fills, rather than each lane being classified and verified
-//! inline the moment its bit pops out of the mask. The candidate set, match
-//! set and comparison counts are unchanged; only the memory scheduling of
-//! the verification tail — which dominates Vector-DFC's runtime on
-//! realistic traffic, which is the paper's whole point about this engine —
-//! is improved.
+//! `windows2 → shr → gather → test` chain stays in `B::Vec` registers, and
+//! the surviving lane masks leave the registers through `compress_store`
+//! into the pending buffer, which is drained through the batched,
+//! prefetch-pipelined verification path
+//! (`DfcTables::classify_and_verify_batch`) rather than each lane being
+//! classified and verified inline the moment its bit pops out of the mask.
+//! Only the memory scheduling of the verification tail — which dominates
+//! Vector-DFC's runtime on realistic traffic, which is the paper's whole
+//! point about this engine — differs from the paper's description; the
+//! candidate set, match set and comparison counts do not.
 
-use crate::tables::{DfcTables, DRAIN_BLOCK};
-use mpm_graph::{with_cached_scratchpad, GraphConfig, ScanGraph};
-use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
+use crate::graph;
+use crate::tables::{with_drain_buffers, DfcTables, DrainBuffers};
+use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
+use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
 use mpm_simd::VectorBackend;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
-/// Vector-DFC, generic over the SIMD backend and lane count.
-///
-/// Since PR 9 the scan path is a graph assembly (`graph` module): the
-/// vectorized sweep and the block drain are separate operators scheduled
-/// by [`ScanGraph`]. The historical single-pass loop is retained as
-/// [`VectorDfc::find_into_legacy`], the differential oracle the graph
-/// path is tested against.
+/// Vector-DFC, generic over the SIMD backend and lane count: DFC with the
+/// initial-filter sweep vectorized (the two [`TwoRound`] rounds, run chunk
+/// by chunk).
 #[derive(Clone, Debug)]
 pub struct VectorDfc<B: VectorBackend<W>, const W: usize> {
-    tables: Arc<DfcTables>,
-    graph: ScanGraph,
+    tables: DfcTables,
     _backend: PhantomData<B>,
 }
 
@@ -61,15 +54,12 @@ impl<B: VectorBackend<W>, const W: usize> VectorDfc<B, W> {
         Self::from_tables(DfcTables::build(set))
     }
 
-    /// Wraps pre-built tables in the engine (assembles the scan graph).
-    /// The backend-availability check is the caller's responsibility here;
-    /// [`VectorDfc::build`] performs it.
+    /// Wraps pre-built tables in the engine. The backend-availability check
+    /// is the caller's responsibility here; [`VectorDfc::build`] performs
+    /// it.
     pub fn from_tables(tables: DfcTables) -> Self {
-        let tables = Arc::new(tables);
-        let graph = crate::graph::build_vector_dfc_graph::<B, W>(&tables);
         VectorDfc {
             tables,
-            graph,
             _backend: PhantomData,
         }
     }
@@ -84,117 +74,17 @@ impl<B: VectorBackend<W>, const W: usize> VectorDfc<B, W> {
     pub fn tables(&self) -> &DfcTables {
         &self.tables
     }
+}
 
-    /// The operator graph the scan path executes.
-    pub fn graph(&self) -> &ScanGraph {
-        &self.graph
+impl<B: VectorBackend<W>, const W: usize> TwoRound for VectorDfc<B, W> {
+    type Pad = DrainBuffers;
+
+    fn filter(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, _out: &mut Vec<MatchEvent>) -> u64 {
+        graph::vector_filter::<B, W>(&self.tables, chunk, &mut pad.0)
     }
 
-    /// The graph's chunking/overlap configuration.
-    pub fn graph_config(&self) -> GraphConfig {
-        self.graph.config()
-    }
-
-    /// Overrides the graph's chunking/overlap configuration (used by the
-    /// benchmark harness and the differential tests for deterministic A/B
-    /// runs without environment races).
-    pub fn set_graph_config(&mut self, config: GraphConfig) {
-        self.graph.set_config(config);
-    }
-
-    /// The pre-PR 9 monolithic scan pass, kept as the differential oracle
-    /// for the graph assembly.
-    pub fn find_into_legacy(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        self.scan(haystack, out);
-    }
-
-    /// [`Matcher::scan_with_stats`] through the legacy monolithic pass.
-    pub fn scan_with_stats_legacy(&self, haystack: &[u8]) -> MatcherStats {
-        let mut out = Vec::new();
-        let candidates = self.scan(haystack, &mut out);
-        MatcherStats {
-            bytes_scanned: haystack.len() as u64,
-            candidates,
-            matches: out.len() as u64,
-            ..MatcherStats::default()
-        }
-    }
-
-    fn scan(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) -> u64 {
-        if self.tables.is_folded() {
-            self.scan_impl::<true>(haystack, out)
-        } else {
-            self.scan_impl::<false>(haystack, out)
-        }
-    }
-
-    fn scan_impl<const FOLD: bool>(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) -> u64 {
-        let t = &self.tables;
-        if haystack.is_empty() {
-            return 0;
-        }
-        let filter_bytes = t.df_initial.bytes();
-        let n = haystack.len();
-        // The drain buffers come from the thread-local cache, so repeated
-        // scans (one per streamed chunk/packet) allocate nothing.
-        crate::tables::with_drain_buffers(|pending, long_scratch| {
-            let mut candidates = 0u64;
-            // The vector loop needs W + 1 input bytes per block; positions
-            // whose 2-byte window would read past the end are handled by the
-            // scalar tail below.
-            let mut i = 0usize;
-            if n > W {
-                // Run the vectorized initial-filter loop inside the backend's
-                // feature context so the gathers inline (see
-                // `VectorBackend::dispatch`). Surviving lanes are compacted
-                // into the pending block with `compress_store` and drained
-                // through the batched verification path when it fills. With
-                // folded tables the window register is case-folded before the
-                // filter lookup, mirroring the folded build.
-                B::dispatch(|| {
-                    while i + W < n {
-                        let windows = B::windows2(haystack, i);
-                        let windows = if FOLD {
-                            B::to_ascii_lower(windows)
-                        } else {
-                            windows
-                        };
-                        let idx = B::shr_const(windows, 3);
-                        let bytes = B::gather_bytes(filter_bytes, idx);
-                        let mask = B::test_window_bits(bytes, windows);
-                        if mask != 0 {
-                            candidates += mask.count_ones() as u64;
-                            B::compress_store(mask, i as u32, pending);
-                            if pending.len() >= DRAIN_BLOCK {
-                                t.classify_and_verify_batch::<B, W>(
-                                    haystack,
-                                    pending,
-                                    long_scratch,
-                                    out,
-                                );
-                                pending.clear();
-                            }
-                        }
-                        i += W;
-                    }
-                });
-            }
-            // Scalar tail: remaining windows plus the final byte.
-            while i + 1 < n {
-                let window = u16::from_le_bytes([
-                    fold_byte(haystack[i], FOLD),
-                    fold_byte(haystack[i + 1], FOLD),
-                ]);
-                if t.df_initial.contains(window) {
-                    candidates += 1;
-                    pending.push(i as u32);
-                }
-                i += 1;
-            }
-            t.classify_and_verify_batch::<B, W>(haystack, pending, long_scratch, out);
-            t.verify_tail(haystack, out);
-            candidates
-        })
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) {
+        graph::drain::<B, W>(&self.tables, chunk, pad, out);
     }
 }
 
@@ -208,23 +98,13 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VectorDfc<B, W> {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        with_drain_buffers(|pad| mpm_graph::scan(self, haystack, DEFAULT_CHUNK, pad, out));
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        let mut out = Vec::new();
-        let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
-            pad.counters
-        });
-        MatcherStats {
-            bytes_scanned: haystack.len() as u64,
-            candidates: counters.candidates,
-            matches: out.len() as u64,
-            filter_nanos: counters.filter_nanos,
-            verify_nanos: counters.verify_nanos,
-            ..MatcherStats::default()
-        }
+        with_drain_buffers(|pad| {
+            mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, pad, &mut Vec::new())
+        })
     }
 
     fn heap_bytes(&self) -> usize {

@@ -1,333 +1,126 @@
-//! Graph assembly and the two execution schedules (sequential and
-//! cross-chunk overlapped).
+//! The scan loop itself.
 
-use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
-use mpm_patterns::MatchEvent;
+use mpm_patterns::{MatchEvent, MatcherStats};
 
-use crate::scratchpad::{Scratchpad, SlotId, SlotSpec};
-use crate::{Chunk, GraphConfig, ScanOp, Stage};
+use crate::{Chunk, TwoRound, CHUNK_ALIGN};
 
-/// Builds a [`ScanGraph`]: allocate slots, register operators, pick a
-/// config.
+/// Scans `haystack` with `engine`, `chunk_size` positions at a time,
+/// appending matches to `out`. Reads no clock and allocates nothing beyond
+/// what the engine's rounds push into `pad` and `out`.
 ///
-/// ```
-/// use mpm_graph::{GraphBuilder, GraphConfig};
-/// let mut b = GraphBuilder::new();
-/// let _candidates = b.slot(true);
-/// let graph = b.config(GraphConfig::default()).build();
-/// assert_eq!(graph.config().chunk, mpm_graph::DEFAULT_CHUNK);
-/// ```
-#[derive(Default)]
-pub struct GraphBuilder {
-    slots: Vec<SlotSpec>,
-    ops: Vec<Arc<dyn ScanOp>>,
-    config: GraphConfig,
+/// Engines pass [`DEFAULT_CHUNK`](crate::DEFAULT_CHUNK); the seam tests pass
+/// small values.
+///
+/// # Panics
+/// Panics if `chunk_size` is not a positive multiple of [`CHUNK_ALIGN`], or
+/// if `haystack` is too long for `u32` candidate positions.
+pub fn scan<E: TwoRound>(
+    engine: &E,
+    haystack: &[u8],
+    chunk_size: usize,
+    pad: &mut E::Pad,
+    out: &mut Vec<MatchEvent>,
+) {
+    run::<E, false>(engine, haystack, chunk_size, pad, out);
 }
 
-impl GraphBuilder {
-    /// An empty builder with the default [`GraphConfig`].
-    pub fn new() -> Self {
-        GraphBuilder {
-            slots: Vec::new(),
-            ops: Vec::new(),
-            config: GraphConfig::default(),
-        }
-    }
-
-    /// Allocates a scratchpad slot; `counted` slots contribute their
-    /// filter-stage lengths to [`StageCounters::candidates`]
-    /// (see [`SlotSpec`]).
-    ///
-    /// [`StageCounters::candidates`]: crate::StageCounters::candidates
-    pub fn slot(&mut self, counted: bool) -> SlotId {
-        self.slots.push(SlotSpec { counted });
-        SlotId(self.slots.len() - 1)
-    }
-
-    /// Registers an operator. Execution order within a stage is
-    /// registration order.
-    pub fn op(&mut self, op: Arc<dyn ScanOp>) -> &mut Self {
-        self.ops.push(op);
-        self
-    }
-
-    /// Sets the execution parameters (normalized; see
-    /// [`GraphConfig::normalize`]).
-    pub fn config(&mut self, config: GraphConfig) -> &mut Self {
-        self.config = config.normalize();
-        self
-    }
-
-    /// Finalizes the assembly.
-    pub fn build(&mut self) -> ScanGraph {
-        let ops = std::mem::take(&mut self.ops);
-        ScanGraph {
-            filter_ops: ops
-                .iter()
-                .filter(|o| o.stage() == Stage::Filter)
-                .cloned()
-                .collect(),
-            verify_ops: ops
-                .iter()
-                .filter(|o| o.stage() == Stage::Verify)
-                .cloned()
-                .collect(),
-            slots: std::mem::take(&mut self.slots).into(),
-            config: self.config,
-        }
-    }
+/// [`scan`] with the two rounds timed: returns the bytes scanned, the
+/// candidates the filter rounds reported, the matches appended to `out` and
+/// the nanoseconds spent in each round (engine-specific fields stay zero).
+pub fn scan_with_stats<E: TwoRound>(
+    engine: &E,
+    haystack: &[u8],
+    chunk_size: usize,
+    pad: &mut E::Pad,
+    out: &mut Vec<MatchEvent>,
+) -> MatcherStats {
+    run::<E, true>(engine, haystack, chunk_size, pad, out)
 }
 
-/// An executable assembly of scan operators. Cheap to clone (operators are
-/// shared), cheap to re-run (buffers live in the caller's [`Scratchpad`]).
-#[derive(Clone)]
-pub struct ScanGraph {
-    filter_ops: Vec<Arc<dyn ScanOp>>,
-    verify_ops: Vec<Arc<dyn ScanOp>>,
-    slots: Arc<[SlotSpec]>,
-    config: GraphConfig,
-}
-
-impl fmt::Debug for ScanGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScanGraph")
-            .field(
-                "filter_ops",
-                &self.filter_ops.iter().map(|o| o.name()).collect::<Vec<_>>(),
-            )
-            .field(
-                "verify_ops",
-                &self.verify_ops.iter().map(|o| o.name()).collect::<Vec<_>>(),
-            )
-            .field("slots", &self.slots.len())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl ScanGraph {
-    /// The execution parameters.
-    pub fn config(&self) -> GraphConfig {
-        self.config
-    }
-
-    /// Replaces the execution parameters (normalized). Engines expose this
-    /// for the overlap on/off A/B harnesses.
-    pub fn set_config(&mut self, config: GraphConfig) {
-        self.config = config.normalize();
-    }
-
-    /// Operator names in execution order (filter stage, then verify stage).
-    pub fn op_names(&self) -> Vec<&'static str> {
-        self.filter_ops
-            .iter()
-            .chain(&self.verify_ops)
-            .map(|o| o.name())
-            .collect()
-    }
-
-    /// Executes the graph over `haystack`, appending matches to `out` and
-    /// accumulating counters in `pad.counters` (which this call resets).
-    /// The sequential and overlapped schedules produce identical output.
-    pub fn run(&self, haystack: &[u8], pad: &mut Scratchpad, out: &mut Vec<MatchEvent>) {
-        pad.configure(&self.slots);
-        pad.reset();
-        let n = haystack.len();
-        if n == 0 {
-            return;
-        }
-        assert!(
-            n < u32::MAX as usize,
-            "haystack too large for u32 candidate positions"
-        );
-        let chunk_size = self.config.chunk;
-        let nchunks = n.div_ceil(chunk_size);
-        for op in self.filter_ops.iter().chain(&self.verify_ops) {
-            op.init(chunk_size.min(n), pad);
-        }
-        let chunk_at = |k: usize| Chunk {
+#[inline(always)]
+fn run<E: TwoRound, const TIMED: bool>(
+    engine: &E,
+    haystack: &[u8],
+    chunk_size: usize,
+    pad: &mut E::Pad,
+    out: &mut Vec<MatchEvent>,
+) -> MatcherStats {
+    assert!(
+        chunk_size > 0 && chunk_size.is_multiple_of(CHUNK_ALIGN),
+        "chunk size {chunk_size} is not a positive multiple of {CHUNK_ALIGN}"
+    );
+    let n = haystack.len();
+    assert!(
+        n < u32::MAX as usize,
+        "haystack too large for u32 candidate positions"
+    );
+    let matches_before = out.len();
+    let mut stats = MatcherStats {
+        bytes_scanned: n as u64,
+        ..MatcherStats::default()
+    };
+    let mut start = 0;
+    while start < n {
+        let end = n.min(start + chunk_size);
+        let chunk = Chunk {
             haystack,
-            start: k * chunk_size,
-            end: ((k + 1) * chunk_size).min(n),
-            is_last: k + 1 == nchunks,
+            start,
+            end,
         };
-        if self.config.overlap && nchunks > 1 {
-            self.run_overlapped(pad, out, nchunks, &chunk_at);
-        } else {
-            self.run_sequential(pad, out, nchunks, &chunk_at);
+        let filter_started = TIMED.then(Instant::now);
+        stats.candidates += engine.filter(chunk, pad, out);
+        let verify_started = TIMED.then(Instant::now);
+        engine.verify(chunk, pad, out);
+        if let (Some(t0), Some(t1)) = (filter_started, verify_started) {
+            stats.filter_nanos += (t1 - t0).as_nanos() as u64;
+            stats.verify_nanos += t1.elapsed().as_nanos() as u64;
         }
+        start = end;
     }
-
-    /// Classical schedule: filter then verify, chunk by chunk, single bank.
-    fn run_sequential<'a>(
-        &self,
-        pad: &mut Scratchpad,
-        out: &mut Vec<MatchEvent>,
-        nchunks: usize,
-        chunk_at: &dyn Fn(usize) -> Chunk<'a>,
-    ) {
-        for k in 0..nchunks {
-            let chunk = chunk_at(k);
-            self.filter_pass(chunk, pad, out, 0);
-            pad.set_read_bank(0);
-            pad.drain_read_events(out);
-            self.verify_pass(chunk, pad, out, false);
-        }
-    }
-
-    /// Software-pipelined schedule: while the verify ops drain chunk
-    /// *k − 1* from one bank, the filter ops fill the other bank with chunk
-    /// *k*'s candidates. [`ScanOp::prime`] runs before the filter so the
-    /// verifier's leading table loads overlap the filter's compute.
-    fn run_overlapped<'a>(
-        &self,
-        pad: &mut Scratchpad,
-        out: &mut Vec<MatchEvent>,
-        nchunks: usize,
-        chunk_at: &dyn Fn(usize) -> Chunk<'a>,
-    ) {
-        self.filter_pass(chunk_at(0), pad, out, 0);
-        for k in 1..nchunks {
-            let prev = chunk_at(k - 1);
-            pad.set_read_bank((k - 1) % 2);
-            self.prime_pass(prev, pad);
-            self.filter_pass(chunk_at(k), pad, out, k % 2);
-            pad.drain_read_events(out);
-            self.verify_pass(prev, pad, out, false);
-        }
-        let last = chunk_at(nchunks - 1);
-        pad.set_read_bank((nchunks - 1) % 2);
-        pad.drain_read_events(out);
-        self.verify_pass(last, pad, out, true);
-    }
-
-    fn filter_pass(
-        &self,
-        chunk: Chunk<'_>,
-        pad: &mut Scratchpad,
-        out: &mut Vec<MatchEvent>,
-        bank: usize,
-    ) {
-        pad.begin_write_bank(bank);
-        let t = Instant::now();
-        for op in &self.filter_ops {
-            op.execute(chunk, pad, out);
-        }
-        pad.counters.filter_nanos += t.elapsed().as_nanos() as u64;
-        pad.accumulate_candidates();
-    }
-
-    fn verify_pass(
-        &self,
-        chunk: Chunk<'_>,
-        pad: &mut Scratchpad,
-        out: &mut Vec<MatchEvent>,
-        prime_first: bool,
-    ) {
-        if prime_first {
-            self.prime_pass(chunk, pad);
-        }
-        let t = Instant::now();
-        for op in &self.verify_ops {
-            op.execute(chunk, pad, out);
-        }
-        pad.counters.verify_nanos += t.elapsed().as_nanos() as u64;
-    }
-
-    fn prime_pass(&self, chunk: Chunk<'_>, pad: &Scratchpad) {
-        for op in &self.verify_ops {
-            op.prime(chunk, pad);
-        }
-    }
+    stats.matches = (out.len() - matches_before) as u64;
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{with_cached_scratchpad, Stage};
+    use mpm_patterns::PatternId;
 
-    /// Filter op: records every position whose byte equals `target` into a
-    /// slot, and (to exercise event banking) directly emits an event for
-    /// positions of byte b'!'.
-    struct ByteFilter {
-        target: u8,
-        slot: SlotId,
-    }
+    /// Toy engine: every `x` is a candidate, confirmed when its position is
+    /// even; every `!` is reported by the filter round directly.
+    struct Toy;
 
-    impl ScanOp for ByteFilter {
-        fn name(&self) -> &'static str {
-            "test:byte-filter"
-        }
-        fn stage(&self) -> Stage {
-            Stage::Filter
-        }
-        fn init(&self, batch: usize, pad: &mut Scratchpad) {
-            pad.reserve_slot(self.slot, batch);
-        }
-        fn execute(&self, chunk: Chunk<'_>, pad: &mut Scratchpad, _out: &mut Vec<MatchEvent>) {
+    impl TwoRound for Toy {
+        type Pad = Vec<u32>;
+
+        fn filter(&self, chunk: Chunk<'_>, pad: &mut Vec<u32>, out: &mut Vec<MatchEvent>) -> u64 {
+            pad.clear();
             for i in chunk.start..chunk.end {
-                if chunk.haystack[i] == self.target {
-                    pad.write(self.slot).push(i as u32);
+                match chunk.haystack[i] {
+                    b'x' => pad.push(i as u32),
+                    b'!' => out.push(MatchEvent::new(i, PatternId(7))),
+                    _ => {}
                 }
-                if chunk.haystack[i] == b'!' {
-                    pad.events_mut()
-                        .push(MatchEvent::new(i, mpm_patterns::PatternId(7)));
-                }
+            }
+            pad.len() as u64
+        }
+
+        fn verify(&self, _chunk: Chunk<'_>, pad: &mut Vec<u32>, out: &mut Vec<MatchEvent>) {
+            for &pos in pad.iter().filter(|&&pos| pos % 2 == 0) {
+                out.push(MatchEvent::new(pos as usize, PatternId(1)));
             }
         }
     }
 
-    /// Verify op: "confirms" candidates whose position is even.
-    struct EvenVerify {
-        slot: SlotId,
-        primed: std::sync::atomic::AtomicUsize,
-    }
-
-    impl ScanOp for EvenVerify {
-        fn name(&self) -> &'static str {
-            "test:even-verify"
-        }
-        fn stage(&self) -> Stage {
-            Stage::Verify
-        }
-        fn execute(&self, _chunk: Chunk<'_>, pad: &mut Scratchpad, out: &mut Vec<MatchEvent>) {
-            let cands = pad.take_read(self.slot);
-            for &pos in &cands {
-                pad.counters.comparisons += 1;
-                if pos % 2 == 0 {
-                    out.push(MatchEvent::new(pos as usize, mpm_patterns::PatternId(1)));
-                }
-            }
-            pad.put_read(self.slot, cands);
-        }
-        fn prime(&self, _chunk: Chunk<'_>, _pad: &Scratchpad) {
-            self.primed
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    fn test_graph(chunk: usize, overlap: bool) -> (ScanGraph, SlotId) {
-        let mut b = GraphBuilder::new();
-        let slot = b.slot(true);
-        b.op(Arc::new(ByteFilter { target: b'x', slot }));
-        b.op(Arc::new(EvenVerify {
-            slot,
-            primed: Default::default(),
-        }));
-        b.config(GraphConfig { chunk, overlap });
-        (b.build(), slot)
-    }
-
-    fn run(graph: &ScanGraph, hay: &[u8]) -> (Vec<MatchEvent>, crate::StageCounters) {
+    fn run_toy(hay: &[u8], chunk_size: usize) -> (Vec<MatchEvent>, MatcherStats) {
         let mut out = Vec::new();
-        let counters = with_cached_scratchpad(|pad| {
-            graph.run(hay, pad, &mut out);
-            pad.counters
-        });
-        (out, counters)
+        let stats = scan_with_stats(&Toy, hay, chunk_size, &mut Vec::new(), &mut out);
+        let mut untimed = Vec::new();
+        scan(&Toy, hay, chunk_size, &mut Vec::new(), &mut untimed);
+        assert_eq!(untimed, out, "timing must not change the output");
+        (out, stats)
     }
 
     fn hay(len: usize) -> Vec<u8> {
@@ -341,106 +134,63 @@ mod tests {
     }
 
     #[test]
-    fn overlap_output_is_identical_to_sequential() {
-        let data = hay(10_000);
-        for chunk in [32, 64, 256, 4096] {
-            let (seq_g, _) = test_graph(chunk, false);
-            let (ovl_g, _) = test_graph(chunk, true);
-            let (seq, seq_c) = run(&seq_g, &data);
-            let (ovl, ovl_c) = run(&ovl_g, &data);
-            assert_eq!(seq, ovl, "chunk={chunk}");
-            assert_eq!(seq_c.candidates, ovl_c.candidates);
-            assert_eq!(seq_c.comparisons, ovl_c.comparisons);
-        }
-    }
-
-    #[test]
     fn chunking_does_not_change_results() {
-        // The raw order interleaves filter-stage events per chunk, so
-        // compare the normalized match set (the contract chunking
-        // preserves) plus the chunking-invariant counters.
+        // The raw order interleaves filter-round events per chunk, so
+        // compare the normalized match set plus the counters.
         let data = hay(5_000);
-        let (whole_g, _) = test_graph(1 << 20, false);
-        let (mut whole, whole_c) = run(&whole_g, &data);
+        let (mut whole, whole_stats) = run_toy(&data, 1 << 20);
         mpm_patterns::matcher::normalize_matches(&mut whole);
-        for chunk in [32, 96, 1024] {
-            for overlap in [false, true] {
-                let (g, _) = test_graph(chunk, overlap);
-                let (mut got, got_c) = run(&g, &data);
-                mpm_patterns::matcher::normalize_matches(&mut got);
-                assert_eq!(got, whole, "chunk={chunk} overlap={overlap}");
-                assert_eq!(got_c.candidates, whole_c.candidates);
-                assert_eq!(got_c.comparisons, whole_c.comparisons);
-            }
+        assert_eq!(whole_stats.bytes_scanned, 5_000);
+        assert_eq!(whole_stats.matches as usize, whole.len());
+        for chunk_size in [32, 96, 1024] {
+            let (mut got, stats) = run_toy(&data, chunk_size);
+            mpm_patterns::matcher::normalize_matches(&mut got);
+            assert_eq!(got, whole, "chunk={chunk_size}");
+            assert_eq!(stats.candidates, whole_stats.candidates);
+            assert_eq!(stats.matches, whole_stats.matches);
         }
     }
 
     #[test]
     fn events_interleave_in_chunk_order() {
-        // A '!' event in chunk 0 must precede a verify match from chunk 0,
-        // which precedes a '!' event from chunk 1, under both schedules.
+        // A chunk's filter-round events precede its verify-round matches,
+        // which precede the next chunk's filter-round events.
         let mut data = vec![b'.'; 96];
         data[2] = b'x'; // chunk 0 verify match (even pos)
         data[5] = b'!'; // chunk 0 direct event
         data[40] = b'x'; // chunk 1 verify match
         data[39] = b'!'; // chunk 1 direct event
-        for overlap in [false, true] {
-            let (g, _) = test_graph(32, overlap);
-            let (got, _) = run(&g, &data);
-            let positions: Vec<usize> = got.iter().map(|m| m.start).collect();
-            assert_eq!(positions, vec![5, 2, 39, 40], "overlap={overlap}");
-        }
+        let (got, _) = run_toy(&data, 32);
+        let positions: Vec<usize> = got.iter().map(|m| m.start).collect();
+        assert_eq!(positions, vec![5, 2, 39, 40]);
     }
 
     #[test]
     fn empty_input_is_a_no_op() {
-        let (g, _) = test_graph(64, true);
-        let (got, counters) = run(&g, b"");
+        let (got, stats) = run_toy(b"", 64);
         assert!(got.is_empty());
-        assert_eq!(counters.candidates, 0);
+        assert_eq!(stats, MatcherStats::default());
     }
 
     #[test]
-    fn prime_runs_once_per_chunk_when_overlapped() {
-        let mut b = GraphBuilder::new();
-        let slot = b.slot(true);
-        b.op(Arc::new(ByteFilter { target: b'x', slot }));
-        let verify = Arc::new(EvenVerify {
-            slot,
-            primed: Default::default(),
-        });
-        b.op(verify.clone());
-        b.config(GraphConfig {
-            chunk: 32,
-            overlap: true,
-        });
-        let g = b.build();
-        let data = hay(32 * 5);
-        let _ = run(&g, &data);
-        assert_eq!(
-            verify.primed.load(std::sync::atomic::Ordering::Relaxed),
-            5,
-            "one prime per chunk"
-        );
-    }
-
-    #[test]
-    fn debug_lists_op_names() {
-        let (g, _) = test_graph(64, true);
-        let dump = format!("{g:?}");
-        assert!(dump.contains("test:byte-filter"));
-        assert!(dump.contains("test:even-verify"));
-        assert_eq!(g.op_names(), vec!["test:byte-filter", "test:even-verify"]);
-    }
-
-    #[test]
-    fn config_normalization_aligns_chunk() {
-        let cfg = GraphConfig {
-            chunk: 100,
-            overlap: true,
+    fn the_last_chunk_owns_the_tail() {
+        struct Tails;
+        impl TwoRound for Tails {
+            type Pad = Vec<(usize, usize, bool)>;
+            fn filter(&self, c: Chunk<'_>, pad: &mut Self::Pad, _: &mut Vec<MatchEvent>) -> u64 {
+                pad.push((c.start, c.len(), c.is_last()));
+                0
+            }
+            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) {}
         }
-        .normalize();
-        assert_eq!(cfg.chunk % crate::CHUNK_ALIGN, 0);
-        assert!(cfg.chunk >= 100);
+        let mut seen = Vec::new();
+        scan(&Tails, &[0u8; 70], 32, &mut seen, &mut Vec::new());
+        assert_eq!(seen, vec![(0, 32, false), (32, 32, false), (64, 6, true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive multiple")]
+    fn unaligned_chunk_sizes_are_rejected() {
+        run_toy(b"xx", 100);
     }
 }

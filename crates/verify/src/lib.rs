@@ -581,26 +581,6 @@ impl CompactHashTable {
         }
     }
 
-    /// Issues best-effort prefetches for the bucket rows of the leading
-    /// `limit` candidates, without verifying anything. The scan graph's
-    /// overlapped executor calls this (via `ScanOp::prime`) before running
-    /// the *next* chunk's filter pass, so by the time
-    /// [`CompactHashTable::verify_batch`] starts on these candidates its
-    /// first `bucket_starts` rows are already in flight — the cross-chunk
-    /// software-pipelining hook. Read-only; has no observable effect on
-    /// results.
-    pub fn prefetch_candidates(&self, haystack: &[u8], positions: &[u32], limit: usize) {
-        if self.entries.is_empty() {
-            return;
-        }
-        for &pos in positions.iter().take(limit) {
-            let b = self.scalar_bucket(haystack, pos as usize);
-            if b != SKIP_BUCKET {
-                prefetch_read(&self.bucket_starts[b as usize]);
-            }
-        }
-    }
-
     /// Drains one block of candidates through the K-deep prefetch pipeline.
     #[inline(always)]
     fn drain_pipelined<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
@@ -775,6 +755,11 @@ impl Verifier {
 
     /// Verifies a candidate produced by the short-pattern filter (filter 1).
     /// Returns the number of pattern comparisons performed.
+    ///
+    /// The engines verify whole candidate arrays through
+    /// [`Verifier::verify_short_batch`]; this one-candidate lookup is the
+    /// reference for the batched path's *comparison counts*, which no naive
+    /// matcher can check (`tests/verify_batch_differential.rs`).
     #[inline]
     pub fn verify_short(&self, haystack: &[u8], pos: usize, out: &mut Vec<MatchEvent>) -> usize {
         self.short.verify_at(haystack, pos, out)
@@ -782,6 +767,8 @@ impl Verifier {
 
     /// Verifies a candidate produced by the long-pattern filters
     /// (filters 2 + 3). Returns the number of pattern comparisons performed.
+    /// One-candidate reference for [`Verifier::verify_long_batch`], as
+    /// [`Verifier::verify_short`] is for the short class.
     #[inline]
     pub fn verify_long(&self, haystack: &[u8], pos: usize, out: &mut Vec<MatchEvent>) -> usize {
         self.long.verify_at(haystack, pos, out)
@@ -811,14 +798,6 @@ impl Verifier {
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
         self.long.verify_batch::<B, W>(haystack, positions, out)
-    }
-
-    /// Prefetches the bucket rows of the leading short/long candidates (see
-    /// [`CompactHashTable::prefetch_candidates`]); the engines' graph verify
-    /// operators call this from their `prime` hook.
-    pub fn prefetch_batches(&self, haystack: &[u8], short: &[u32], long: &[u32], limit: usize) {
-        self.short.prefetch_candidates(haystack, short, limit);
-        self.long.prefetch_candidates(haystack, long, limit);
     }
 
     /// The short-pattern table.

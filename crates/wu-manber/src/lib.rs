@@ -33,14 +33,12 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod graph;
-
-use mpm_graph::{with_cached_scratchpad, GraphConfig, ScanGraph};
-use mpm_patterns::{fold_byte, MatchEvent, Matcher, PatternId, PatternSet};
+use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
+use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternId, PatternSet};
 use mpm_simd::{
     prefetch_read, Avx2Backend, Avx512Backend, BackendKind, ScalarBackend, VectorBackend,
 };
-use std::sync::Arc;
+use std::cell::RefCell;
 
 /// Block size used for the shift table (the classic choice).
 const B: usize = 2;
@@ -48,56 +46,59 @@ const B: usize = 2;
 /// Number of entries in the SHIFT/HASH tables (one per 2-byte block value).
 const TABLE_SIZE: usize = 1 << 16;
 
-/// Zero-shift candidates buffered before a batched verification drain: the
-/// candidate-window loop no longer verifies each window the moment its shift
-/// hits zero, it buffers `(start, block value)` pairs and drains them with
-/// the bucket storage prefetched ahead and the per-pattern compares running
-/// through the SIMD window comparison (`VectorBackend::eq_window`).
-const WM_BATCH: usize = 64;
-
 /// Prefetch distance inside the drain: the id storage of candidate `i + K`
 /// is requested while candidate `i`'s patterns are compared.
 const WM_PREFETCH: usize = 4;
 
-/// The compiled Wu-Manber state — everything the scan needs, shared by
-/// the engine facade and the scan-graph operators through an [`Arc`].
-#[derive(Clone, Debug)]
-pub(crate) struct WmCore {
-    pub(crate) set: PatternSet,
-    /// Shortest pattern length among the patterns handled by the shift
-    /// machinery (length ≥ 2). Zero when there are none.
-    pub(crate) m: usize,
-    /// Safe shift distance per 2-byte block value.
-    pub(crate) shift: Vec<u16>,
-    /// Candidate pattern ids per 2-byte block value (only populated where
-    /// `shift == 0`).
-    pub(crate) buckets: Vec<Vec<PatternId>>,
-    /// Single-byte patterns, handled by a dedicated pass: `one_byte[b]`
-    /// lists the ids of patterns matching byte `b` (a `nocase` letter is
-    /// registered under both of its case variants).
-    pub(crate) one_byte: Vec<Vec<PatternId>>,
-    pub(crate) has_one_byte: bool,
-    /// True if the SHIFT/HASH tables were built over ASCII-case-folded
-    /// pattern bytes (the set contains a `nocase` pattern); the scan folds
-    /// input block values to match.
-    pub(crate) folded: bool,
+/// The candidate arrays of one scan, `(starts, values)`: the window start
+/// and the block value of every zero-shift window of the current chunk.
+type Candidates = (Vec<u32>, Vec<u32>);
+
+thread_local! {
+    /// Per-thread candidate arrays reused across scans, so `find_into`
+    /// allocates nothing once warm. Neither array ever holds more than one
+    /// scan chunk's positions.
+    static CANDIDATES: RefCell<Candidates> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Runs `f` with this thread's cached candidate arrays (a transient pair
+/// only in the re-entrant case, which the engine never hits itself).
+fn with_candidates<R>(f: impl FnOnce(&mut Candidates) -> R) -> R {
+    CANDIDATES.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut pad) => f(&mut pad),
+        Err(_) => f(&mut Candidates::default()),
+    })
 }
 
 /// Wu-Manber matcher.
 ///
-/// Since PR 9 the scan path is a graph assembly (`graph` module): the
-/// single-byte pass, the shift walk and the candidate drain are separate
-/// operators scheduled by [`ScanGraph`]. The historical interleaved scan
-/// is retained as [`WuManber::find_into_legacy`], the differential oracle
-/// the graph path is tested against.
+/// The scan is the two [`TwoRound`] rounds, run chunk by chunk: the filter
+/// round emits the exact single-byte matches and walks the shift table,
+/// buffering the zero-shift windows; the verify round walks their buckets.
 #[derive(Clone, Debug)]
 pub struct WuManber {
-    core: Arc<WmCore>,
+    set: PatternSet,
+    /// Shortest pattern length among the patterns handled by the shift
+    /// machinery (length ≥ 2). Zero when there are none.
+    m: usize,
+    /// Safe shift distance per 2-byte block value.
+    shift: Vec<u16>,
+    /// Candidate pattern ids per 2-byte block value (only populated where
+    /// `shift == 0`).
+    buckets: Vec<Vec<PatternId>>,
+    /// Single-byte patterns, handled by a dedicated pass: `one_byte[b]`
+    /// lists the ids of patterns matching byte `b` (a `nocase` letter is
+    /// registered under both of its case variants).
+    one_byte: Vec<Vec<PatternId>>,
+    has_one_byte: bool,
     /// SIMD backend the candidate drain's window compares dispatch to,
     /// resolved once at build time (`MPM_FORCE_BACKEND` pins it, exactly as
     /// for the filtering engines) so the per-scan path allocates nothing.
     backend: BackendKind,
-    graph: ScanGraph,
+    /// True if the SHIFT/HASH tables were built over ASCII-case-folded
+    /// pattern bytes (the set contains a `nocase` pattern); the scan folds
+    /// input block values to match.
+    folded: bool,
 }
 
 #[inline]
@@ -105,9 +106,9 @@ fn block_value(a: u8, b: u8) -> usize {
     u16::from_le_bytes([a, b]) as usize
 }
 
-impl WmCore {
-    /// Compiles the shared scan state for `set`.
-    fn build(set: &PatternSet) -> Self {
+impl WuManber {
+    /// Compiles the matcher for `set`.
+    pub fn build(set: &PatternSet) -> Self {
         let folded = set.has_nocase();
         let fold = |b: u8| fold_byte(b, folded);
         let mut one_byte = vec![Vec::new(); 256];
@@ -157,20 +158,43 @@ impl WmCore {
             }
         }
 
-        WmCore {
+        WuManber {
             set: set.clone(),
             m,
             shift,
             buckets,
             one_byte,
             has_one_byte,
+            backend: mpm_simd::detect_best(),
             folded,
         }
     }
 
+    /// True if the tables were built over ASCII-case-folded bytes (the set
+    /// contains a `nocase` pattern).
+    pub fn is_folded(&self) -> bool {
+        self.folded
+    }
+
+    /// Shortest shift-eligible pattern length (`0` if all patterns are
+    /// single bytes). The average shift — and therefore the throughput — is
+    /// bounded by this value, which is the paper's argument against
+    /// Wu-Manber for rulesets with short patterns.
+    pub fn window_len(&self) -> usize {
+        self.m
+    }
+
+    /// Average shift value over the whole table (diagnostic; large is good).
+    pub fn average_shift(&self) -> f64 {
+        if self.m < B {
+            return 0.0;
+        }
+        self.shift.iter().map(|&s| s as f64).sum::<f64>() / self.shift.len() as f64
+    }
+
     /// Emits the single-byte matches whose position lies in `start..end`
     /// (this pass is exact, so its events need no verification round).
-    pub(crate) fn scan_one_byte_range(
+    fn scan_one_byte_range(
         &self,
         haystack: &[u8],
         start: usize,
@@ -191,7 +215,7 @@ impl WmCore {
     /// would have skipped over — harmless, because the shift invariant
     /// guarantees no true match ends at a skipped position, so any extra
     /// candidate is rejected by verification.
-    pub(crate) fn shift_walk_range<const FOLD: bool>(
+    fn shift_walk_range<const FOLD: bool>(
         &self,
         haystack: &[u8],
         start: usize,
@@ -205,7 +229,7 @@ impl WmCore {
         }
         // `pos` is the index of the last byte of the current m-byte window;
         // the window itself may begin before `start` (in the previous
-        // chunk), which is fine — ops always see the full haystack.
+        // chunk), which is fine — the rounds always see the full haystack.
         let mut pos = start.max(m - 1);
         while pos < end {
             let value = block_value(
@@ -231,7 +255,7 @@ impl WmCore {
     /// start under its own case rule, via the backend's vector window
     /// comparison. The id storage of candidate `i + K` is prefetched while
     /// candidate `i` is verified.
-    pub(crate) fn drain_candidates<S: VectorBackend<W>, const W: usize, const FOLD: bool>(
+    fn drain_candidates<S: VectorBackend<W>, const W: usize, const FOLD: bool>(
         &self,
         haystack: &[u8],
         starts: &[u32],
@@ -266,148 +290,47 @@ impl WmCore {
             }
         });
     }
+
+    /// Monomorphizes the drain over the fold mode for one backend.
+    fn drain_on<S: VectorBackend<W>, const W: usize>(
+        &self,
+        haystack: &[u8],
+        (starts, values): &Candidates,
+        out: &mut Vec<MatchEvent>,
+    ) {
+        if self.folded {
+            self.drain_candidates::<S, W, true>(haystack, starts, values, out);
+        } else {
+            self.drain_candidates::<S, W, false>(haystack, starts, values, out);
+        }
+    }
 }
 
-impl WuManber {
-    /// Compiles the matcher for `set`.
-    pub fn build(set: &PatternSet) -> Self {
-        let core = Arc::new(WmCore::build(set));
-        let backend = mpm_simd::detect_best();
-        let graph = match backend {
-            BackendKind::Scalar => graph::build_wm_graph::<ScalarBackend, 8>(&core),
-            BackendKind::Avx2 => graph::build_wm_graph::<Avx2Backend, 8>(&core),
-            BackendKind::Avx512 => graph::build_wm_graph::<Avx512Backend, 16>(&core),
-        };
-        WuManber {
-            core,
-            backend,
-            graph,
+impl TwoRound for WuManber {
+    type Pad = Candidates;
+
+    fn filter(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) -> u64 {
+        let (starts, values) = pad;
+        starts.clear();
+        values.clear();
+        if self.has_one_byte {
+            self.scan_one_byte_range(chunk.haystack, chunk.start, chunk.end, out);
         }
-    }
-
-    /// True if the tables were built over ASCII-case-folded bytes (the set
-    /// contains a `nocase` pattern).
-    pub fn is_folded(&self) -> bool {
-        self.core.folded
-    }
-
-    /// Shortest shift-eligible pattern length (`0` if all patterns are
-    /// single bytes). The average shift — and therefore the throughput — is
-    /// bounded by this value, which is the paper's argument against
-    /// Wu-Manber for rulesets with short patterns.
-    pub fn window_len(&self) -> usize {
-        self.core.m
-    }
-
-    /// Average shift value over the whole table (diagnostic; large is good).
-    pub fn average_shift(&self) -> f64 {
-        if self.core.m < B {
-            return 0.0;
-        }
-        self.core.shift.iter().map(|&s| s as f64).sum::<f64>() / self.core.shift.len() as f64
-    }
-
-    /// The operator graph the scan path executes.
-    pub fn graph(&self) -> &ScanGraph {
-        &self.graph
-    }
-
-    /// The graph's chunking/overlap configuration.
-    pub fn graph_config(&self) -> GraphConfig {
-        self.graph.config()
-    }
-
-    /// Overrides the graph's chunking/overlap configuration (used by the
-    /// benchmark harness and the differential tests for deterministic A/B
-    /// runs without environment races).
-    pub fn set_graph_config(&mut self, config: GraphConfig) {
-        self.graph.set_config(config);
-    }
-
-    /// The pre-PR 9 interleaved scan (single-byte pass + shift walk with
-    /// inline batched verification), kept as the differential oracle for
-    /// the graph assembly.
-    pub fn find_into_legacy(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        if self.core.has_one_byte {
-            self.core
-                .scan_one_byte_range(haystack, 0, haystack.len(), out);
-        }
-        // The candidate drain's window compares ride the backend resolved at
-        // build time; the shift walk itself is scalar.
-        match self.backend {
-            BackendKind::Scalar => self.shift_scan_on::<ScalarBackend, 8>(haystack, out),
-            BackendKind::Avx2 => self.shift_scan_on::<Avx2Backend, 8>(haystack, out),
-            BackendKind::Avx512 => self.shift_scan_on::<Avx512Backend, 16>(haystack, out),
-        }
-    }
-
-    /// The shift-table scan over patterns of length ≥ `B`, monomorphized per
-    /// case mode (`FOLD = true` folds the input block values to match the
-    /// folded tables) and per SIMD backend `S` (used only in the candidate
-    /// drain; the shift walk itself is inherently scalar).
-    ///
-    /// Zero-shift candidates are **batched**: `(start, block value)` pairs
-    /// are buffered — prefetching the bucket header the moment the candidate
-    /// is found — and drained [`WM_BATCH`] at a time through
-    /// [`WuManber::drain_candidates`], so the bucket walks of consecutive
-    /// candidates overlap in the memory system instead of serialising.
-    fn shift_scan<S: VectorBackend<W>, const W: usize, const FOLD: bool>(
-        &self,
-        haystack: &[u8],
-        out: &mut Vec<MatchEvent>,
-    ) {
-        let core = &*self.core;
-        let m = core.m;
-        if m < B || haystack.len() < m {
-            return;
-        }
-        let n = haystack.len();
-        let mut pend_start = [0u32; WM_BATCH];
-        let mut pend_value = [0u32; WM_BATCH];
-        let mut pending = 0usize;
-        // `pos` is the index of the last byte of the current m-byte window.
-        let mut pos = m - 1;
-        while pos < n {
-            let value = block_value(
-                fold_byte(haystack[pos - 1], FOLD),
-                fold_byte(haystack[pos], FOLD),
-            );
-            let shift = core.shift[value] as usize;
-            if shift > 0 {
-                pos += shift;
-                continue;
-            }
-            // Candidate window: buffer it and request its bucket now, so the
-            // pattern-id list is resident by the time the drain walks it.
-            prefetch_read(&core.buckets[value]);
-            pend_start[pending] = (pos + 1 - m) as u32;
-            pend_value[pending] = value as u32;
-            pending += 1;
-            if pending == WM_BATCH {
-                core.drain_candidates::<S, W, FOLD>(haystack, &pend_start, &pend_value, out);
-                pending = 0;
-            }
-            pos += 1;
-        }
-        core.drain_candidates::<S, W, FOLD>(
-            haystack,
-            &pend_start[..pending],
-            &pend_value[..pending],
-            out,
-        );
-    }
-
-    /// Monomorphizes the legacy shift scan over the fold mode for one
-    /// backend.
-    fn shift_scan_on<S: VectorBackend<W>, const W: usize>(
-        &self,
-        haystack: &[u8],
-        out: &mut Vec<MatchEvent>,
-    ) {
-        if self.core.folded {
-            self.shift_scan::<S, W, true>(haystack, out);
+        if self.folded {
+            self.shift_walk_range::<true>(chunk.haystack, chunk.start, chunk.end, starts, values);
         } else {
-            self.shift_scan::<S, W, false>(haystack, out);
+            self.shift_walk_range::<false>(chunk.haystack, chunk.start, chunk.end, starts, values);
+        }
+        starts.len() as u64
+    }
+
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) {
+        // The window compares ride the backend resolved at build time; the
+        // shift walk itself is scalar.
+        match self.backend {
+            BackendKind::Scalar => self.drain_on::<ScalarBackend, 8>(chunk.haystack, pad, out),
+            BackendKind::Avx2 => self.drain_on::<Avx2Backend, 8>(chunk.haystack, pad, out),
+            BackendKind::Avx512 => self.drain_on::<Avx512Backend, 16>(chunk.haystack, pad, out),
         }
     }
 }
@@ -418,8 +341,7 @@ impl Matcher for WuManber {
     }
 
     fn max_pattern_len(&self) -> usize {
-        self.core
-            .set
+        self.set
             .patterns()
             .iter()
             .map(|p| p.len())
@@ -428,23 +350,13 @@ impl Matcher for WuManber {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        with_candidates(|pad| mpm_graph::scan(self, haystack, DEFAULT_CHUNK, pad, out));
     }
 
-    fn scan_with_stats(&self, haystack: &[u8]) -> mpm_patterns::MatcherStats {
-        let mut out = Vec::new();
-        let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
-            pad.counters
-        });
-        mpm_patterns::MatcherStats {
-            bytes_scanned: haystack.len() as u64,
-            candidates: counters.candidates,
-            matches: out.len() as u64,
-            filter_nanos: counters.filter_nanos,
-            verify_nanos: counters.verify_nanos,
-            ..mpm_patterns::MatcherStats::default()
-        }
+    fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
+        with_candidates(|pad| {
+            mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, pad, &mut Vec::new())
+        })
     }
 
     fn heap_bytes(&self) -> usize {
@@ -456,21 +368,14 @@ impl Matcher for WuManber {
         mpm_patterns::MemoryFootprint {
             // The shift table is what the skip loop touches per position —
             // Wu-Manber's analogue of the filtering structures.
-            filter_bytes: self.core.shift.len() * 2,
+            filter_bytes: self.shift.len() * 2,
             // Candidate buckets + the pattern bytes they are compared to.
             verify_bytes: self
-                .core
                 .buckets
                 .iter()
                 .map(|b| b.len() * std::mem::size_of::<PatternId>())
                 .sum::<usize>()
-                + self
-                    .core
-                    .set
-                    .patterns()
-                    .iter()
-                    .map(|p| p.len())
-                    .sum::<usize>(),
+                + self.set.patterns().iter().map(|p| p.len()).sum::<usize>(),
             other_bytes: 0,
         }
     }

@@ -17,9 +17,8 @@
 //! [`mpm_aho_corasick`] (baselines), [`mpm_patterns`] / [`mpm_traffic`]
 //! (workload substrates), [`mpm_simd`] (vector backends), [`mpm_stream`]
 //! (streaming + sharded multi-core scanning), [`mpm_verify`] (filters +
-//! compact hash tables), [`mpm_graph`] (the operator scan graph every
-//! engine's scan path is assembled from) and [`mpm_cachesim`] (locality
-//! analysis).
+//! compact hash tables), [`mpm_graph`] (the chunked two-round scan loop every
+//! engine runs) and [`mpm_cachesim`] (locality analysis).
 
 #![warn(missing_docs)]
 
@@ -70,7 +69,7 @@ pub fn build_grouped_engines(
 pub mod prelude {
     pub use mpm_aho_corasick::{DfaMatcher, NfaMatcher};
     pub use mpm_dfc::{Dfc, VectorDfc};
-    pub use mpm_graph::{GraphConfig, ScanGraph, ScanOp, Scratchpad, Stage};
+    pub use mpm_graph::{Chunk, TwoRound};
     pub use mpm_patterns::{
         ArenaBuilder, Direction, FlowTuple, GroupKey, GroupedRuleSet, MatchEvent, Matcher,
         MatcherStats, MemoryFootprint, NaiveMatcher, Pattern, PatternArena, PatternId, PatternSet,

@@ -1,10 +1,12 @@
-//! PR 9 differential suite: every engine's **graph-assembled** scan path
-//! must be equivalent to its retained legacy monolithic pass — same match
-//! set, same candidate statistics — for every forced backend, one-shot and
-//! streamed, under random chunkings, with the overlapped schedule on and
-//! off. Additionally, at a fixed chunk size the overlapped and sequential
-//! schedules must produce **byte-identical** output (same order), which is
-//! the invariant that makes `overlap` a pure performance knob.
+//! Differential suite for the chunked two-round scan loop: every engine,
+//! run through `mpm_graph::scan` at chunk sizes that put a seam every few
+//! bytes, must report exactly what [`NaiveMatcher`] reports — one-shot and
+//! streamed through a [`StreamScanner`] under random packetisations, for
+//! case-sensitive and `nocase` sets, on every backend. Candidate counts
+//! must not depend on the chunk size (Wu-Manber excepted: its shift walk
+//! restarts at every seam). A last case goes through plain
+//! `Matcher::find_into` with patterns cut across the real seam at byte
+//! `DEFAULT_CHUNK`.
 //!
 //! CI runs this suite once per forced backend (`MPM_FORCE_BACKEND=scalar|
 //! avx2|avx512`); within one run it additionally iterates every backend
@@ -12,23 +14,26 @@
 
 use std::sync::Arc;
 
-use mpm_graph::GraphConfig;
-use mpm_patterns::{MatchEvent, Matcher, Pattern, PatternSet};
+use mpm_dfc::{Dfc, VectorDfc};
+use mpm_graph::{TwoRound, DEFAULT_CHUNK};
+use mpm_patterns::naive::naive_find_all;
+use mpm_patterns::{fold_byte, MatchEvent, Matcher, Pattern, PatternSet};
 use mpm_simd::BackendKind;
-use mpm_stream::{SharedMatcher, StreamScanner};
+use mpm_stream::StreamScanner;
+use mpm_vpatch::{SPatch, Scratch, VPatch};
+use mpm_wu_manber::WuManber;
 
-/// Chunk sizes exercised for every engine: aligned, unaligned (normalized
-/// up by the graph), tiny, and larger-than-input.
-const CHUNKS: &[usize] = &[32, 64, 96, 131, 256, 1000, 4096, 1 << 20];
+/// Chunk sizes handed to the loop: one vector stride, a few strides, a
+/// non-power-of-two, mid-sized, and larger than the input.
+const CHUNKS: &[usize] = &[32, 64, 96, 256, 4096, 1 << 20];
 
 fn sorted(mut v: Vec<MatchEvent>) -> Vec<MatchEvent> {
     v.sort_unstable_by_key(|m| (m.start, m.pattern.0));
     v
 }
 
-/// A verify-heavy adversarial input: dense near-matches keep the verify
-/// stage busy (the workload the overlapped schedule targets), plus clean
-/// filler so the filter stage also gets exercised.
+/// Dense near-matches keep the verify round busy on every chunk, plus clean
+/// filler so the filter round also rejects.
 fn adversarial_haystack(len: usize) -> Vec<u8> {
     let phrase = b"GET /etc/passwd attack attac attach cmd.exe cmd.ex aab ab GET GE ";
     phrase.iter().cycle().take(len).copied().collect()
@@ -57,7 +62,7 @@ fn rules_nocase() -> PatternSet {
     ])
 }
 
-/// Deterministic xorshift so the "random" chunkings are reproducible.
+/// Deterministic xorshift so the "random" packetisations are reproducible.
 struct Rng(u64);
 
 impl Rng {
@@ -69,10 +74,41 @@ impl Rng {
     }
 }
 
-/// Splits `hay` into random packets and runs them through a
-/// [`StreamScanner`] over `engine` (whose per-chunk scans all go through
-/// the graph path), comparing against the one-shot legacy match set.
-fn check_streamed(engine: SharedMatcher, set: &PatternSet, hay: &[u8], legacy: &[MatchEvent]) {
+/// An engine scanned through the loop at a fixed chunk size, as a
+/// [`Matcher`]: what lets a [`StreamScanner`] drive small-chunk scans.
+struct Chunked<E> {
+    engine: E,
+    chunk: usize,
+}
+
+impl<E: TwoRound + Matcher> Matcher for Chunked<E>
+where
+    E::Pad: Default,
+{
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+
+    fn max_pattern_len(&self) -> usize {
+        self.engine.max_pattern_len()
+    }
+
+    fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
+        let mut pad = E::Pad::default();
+        mpm_graph::scan(&self.engine, haystack, self.chunk, &mut pad, out);
+    }
+}
+
+/// Splits `hay` into random packets and pushes them through a
+/// [`StreamScanner`] over `engine`.
+fn check_streamed(
+    engine: impl Matcher + Send + Sync + 'static,
+    set: &PatternSet,
+    hay: &[u8],
+    oracle: &[MatchEvent],
+    what: &str,
+) {
+    let engine: mpm_stream::SharedMatcher = Arc::new(engine);
     let mut rng = Rng(0x9e3779b97f4a7c15);
     for _ in 0..3 {
         let mut scanner = StreamScanner::new(engine.clone(), set);
@@ -84,159 +120,112 @@ fn check_streamed(engine: SharedMatcher, set: &PatternSet, hay: &[u8], legacy: &
             scanner.push(&hay[offset..end], &mut got);
             offset = end;
         }
-        assert_eq!(sorted(got), legacy, "streamed scan diverged from legacy");
+        assert_eq!(sorted(got), oracle, "{what}: streamed != naive");
     }
 }
 
-/// The core differential check, generic over a concrete engine type.
-///
-/// `legacy(e, hay)` runs the retained monolithic pass; `configure` applies
-/// a [`GraphConfig`] to the engine's graph. The engine's [`Matcher`] entry
-/// points are the graph path under test.
-fn check_engine<E, L, C>(
+/// The core check for one engine type. `whole_input_candidates` is the
+/// engine's candidate count from one unchunked filter pass (`None` when the
+/// count legitimately depends on the chunking).
+fn check_engine<E>(
     name: &str,
     build: impl Fn() -> E,
-    legacy: L,
-    configure: C,
+    whole_input_candidates: impl Fn(&E, &[u8]) -> Option<u64>,
     set: &PatternSet,
-    candidates_chunk_invariant: bool,
 ) where
-    E: Matcher + Send + Sync + 'static,
-    L: Fn(&E, &[u8]) -> Vec<MatchEvent>,
-    C: Fn(&mut E, GraphConfig),
+    E: TwoRound + Matcher + Send + Sync + 'static,
+    E::Pad: Default,
 {
     let hay = adversarial_haystack(48 * 1024 + 37);
-    let oracle_engine = build();
-    let oracle = sorted(legacy(&oracle_engine, &hay));
+    let oracle = naive_find_all(set, &hay);
     assert!(
         !oracle.is_empty(),
-        "{name}: oracle found nothing — bad setup"
+        "{name}: naive found nothing — bad setup"
     );
+    let engine = build();
+    let expected_candidates = whole_input_candidates(&engine, &hay);
 
-    let mut candidates_seen: Option<u64> = None;
     for &chunk in CHUNKS {
-        // The two schedules must agree with the oracle *and* with each
-        // other byte-for-byte (same event order) at the same chunk size.
-        let mut per_overlap: Vec<Vec<MatchEvent>> = Vec::new();
-        let mut per_overlap_candidates: Vec<u64> = Vec::new();
-        for overlap in [false, true] {
-            let mut e = build();
-            configure(&mut e, GraphConfig { chunk, overlap }.normalize());
-            let got = e.find_all(&hay);
-            assert_eq!(
-                sorted(got.clone()),
-                oracle,
-                "{name}: graph(chunk={chunk}, overlap={overlap}) != legacy"
-            );
-            let stats = e.scan_with_stats(&hay);
-            assert_eq!(
-                stats.matches as usize,
-                oracle.len(),
-                "{name}: stats.matches"
-            );
-            assert_eq!(stats.bytes_scanned as usize, hay.len());
-            per_overlap.push(got);
-            per_overlap_candidates.push(stats.candidates);
+        let what = format!("{name} chunk={chunk}");
+        let mut pad = E::Pad::default();
+        let mut got = Vec::new();
+        let stats = mpm_graph::scan_with_stats(&engine, &hay, chunk, &mut pad, &mut got);
+        assert_eq!(sorted(got), oracle, "{what}: one-shot != naive");
+        assert_eq!(stats.matches as usize, oracle.len(), "{what}: matches");
+        assert_eq!(stats.bytes_scanned as usize, hay.len());
+        if let Some(expected) = expected_candidates {
+            assert_eq!(stats.candidates, expected, "{what}: candidates");
         }
-        assert_eq!(
-            per_overlap[0], per_overlap[1],
-            "{name}: overlap on/off output not byte-identical at chunk={chunk}"
-        );
-        assert_eq!(
-            per_overlap_candidates[0], per_overlap_candidates[1],
-            "{name}: overlap on/off candidate counters diverge at chunk={chunk}"
-        );
-        if candidates_chunk_invariant {
-            let c = per_overlap_candidates[0];
-            match candidates_seen {
-                None => candidates_seen = Some(c),
-                Some(prev) => assert_eq!(
-                    prev, c,
-                    "{name}: candidate counter not chunk-invariant at chunk={chunk}"
-                ),
-            }
-        }
+        // The pad is reusable: a second scan on it changes nothing.
+        let mut again = Vec::new();
+        mpm_graph::scan(&engine, &hay, chunk, &mut pad, &mut again);
+        assert_eq!(sorted(again), oracle, "{what}: reused pad");
+
+        let engine = build();
+        check_streamed(Chunked { engine, chunk }, set, &hay, &oracle, &what);
     }
 
-    // Streamed: random packet splits over the default graph config.
-    let engine: SharedMatcher = Arc::new(build());
-    check_streamed(engine, set, &hay, &oracle);
+    // The engine's own entry points (thread-cached pad, `DEFAULT_CHUNK`).
+    assert_eq!(engine.find_all(&hay), oracle, "{name}: find_all != naive");
+    let stats = engine.scan_with_stats(&hay);
+    assert_eq!(stats.matches as usize, oracle.len(), "{name}: stats");
+    if let Some(expected) = expected_candidates {
+        assert_eq!(stats.candidates, expected, "{name}: stats.candidates");
+    }
+    check_streamed(engine, set, &hay, &oracle, name);
 }
 
-/// Runs the whole engine matrix for one vector backend width.
+/// DFC's candidates, counted independently: the windows of the whole input
+/// that pass the initial filter.
+fn dfc_candidates(tables: &mpm_dfc::DfcTables, hay: &[u8]) -> Option<u64> {
+    let fold = tables.is_folded();
+    let passes = |w: &[u8]| {
+        let window = u16::from_le_bytes([fold_byte(w[0], fold), fold_byte(w[1], fold)]);
+        tables.initial_filter().contains(window)
+    };
+    Some(hay.windows(2).filter(|w| passes(w)).count() as u64)
+}
+
+/// Runs the whole engine matrix for one vector backend.
 fn run_matrix_for_backend(kind: BackendKind) {
     for set in [rules(), rules_nocase()] {
-        // S-PATCH (scalar two-round engine; backend-independent, checked
-        // once per backend anyway — it is cheap and keeps the loop simple).
+        // The scalar engines are backend-independent; checking them once per
+        // backend anyway is cheap and keeps the loop simple.
         check_engine(
             "S-PATCH",
-            || mpm_vpatch::SPatch::build(&set),
-            |e, h| {
-                let mut out = Vec::new();
-                e.find_into_legacy(h, &mut out);
-                out
+            || SPatch::build(&set),
+            |e, hay| {
+                let mut scratch = Scratch::new();
+                e.filter_round(hay, &mut scratch);
+                Some(scratch.candidates())
             },
-            |e, cfg| e.set_graph_config(cfg),
             &set,
-            true,
         );
-
-        // DFC (scalar baseline).
         check_engine(
             "DFC",
-            || mpm_dfc::Dfc::build(&set),
-            |e, h| {
-                let mut out = Vec::new();
-                e.find_into_legacy(h, &mut out);
-                out
-            },
-            |e, cfg| e.set_graph_config(cfg),
+            || Dfc::build(&set),
+            |e, hay| dfc_candidates(e.tables(), hay),
             &set,
-            true,
         );
+        check_engine("Wu-Manber", || WuManber::build(&set), |_, _| None, &set);
 
-        // Wu-Manber: candidate counts are legitimately chunk-dependent
-        // (the shift walk restarts at chunk boundaries), so only the
-        // overlap-invariance of the counters is asserted.
-        check_engine(
-            "Wu-Manber",
-            || mpm_wu_manber::WuManber::build(&set),
-            |e, h| {
-                let mut out = Vec::new();
-                e.find_into_legacy(h, &mut out);
-                out
-            },
-            |e, cfg| e.set_graph_config(cfg),
-            &set,
-            false,
-        );
-
-        // V-PATCH and Vector-DFC at the backend's concrete type.
         macro_rules! vector_engines {
             ($backend:ty, $w:expr) => {{
                 check_engine(
                     "V-PATCH",
-                    || mpm_vpatch::VPatch::<$backend, $w>::build(&set),
-                    |e, h| {
-                        let mut out = Vec::new();
-                        e.find_into_legacy(h, &mut out);
-                        out
+                    || VPatch::<$backend, $w>::build(&set),
+                    |e, hay| {
+                        let mut scratch = Scratch::new();
+                        e.filter_round(hay, &mut scratch);
+                        Some(scratch.candidates())
                     },
-                    |e, cfg| e.set_graph_config(cfg),
                     &set,
-                    true,
                 );
                 check_engine(
                     "Vector-DFC",
-                    || mpm_dfc::VectorDfc::<$backend, $w>::build(&set),
-                    |e, h| {
-                        let mut out = Vec::new();
-                        e.find_into_legacy(h, &mut out);
-                        out
-                    },
-                    |e, cfg| e.set_graph_config(cfg),
+                    || VectorDfc::<$backend, $w>::build(&set),
+                    |e, hay| dfc_candidates(e.tables(), hay),
                     &set,
-                    true,
                 );
             }};
         }
@@ -249,12 +238,12 @@ fn run_matrix_for_backend(kind: BackendKind) {
 }
 
 #[test]
-fn scan_graph_equals_legacy_scalar_backend() {
+fn engines_equal_naive_across_chunk_seams_scalar_backend() {
     run_matrix_for_backend(BackendKind::Scalar);
 }
 
 #[test]
-fn scan_graph_equals_legacy_simd_backends() {
+fn engines_equal_naive_across_chunk_seams_simd_backends() {
     for kind in mpm_simd::available_backends() {
         if kind != BackendKind::Scalar {
             run_matrix_for_backend(kind);
@@ -265,18 +254,56 @@ fn scan_graph_equals_legacy_simd_backends() {
 /// The scalar-backend V-PATCH at 16 lanes exercises the second unroll
 /// width without SIMD hardware.
 #[test]
-fn scan_graph_equals_legacy_wide_scalar_vpatch() {
+fn wide_scalar_vpatch_equals_naive_across_chunk_seams() {
     let set = rules();
-    let hay = adversarial_haystack(16 * 1024 + 5);
-    let e = mpm_vpatch::VPatchScalar16::build(&set);
-    let mut legacy = Vec::new();
-    e.find_into_legacy(&hay, &mut legacy);
-    let legacy = sorted(legacy);
-    for &chunk in &[96usize, 1 << 16] {
-        for overlap in [false, true] {
-            let mut g = mpm_vpatch::VPatchScalar16::build(&set);
-            g.set_graph_config(GraphConfig { chunk, overlap }.normalize());
-            assert_eq!(sorted(g.find_all(&hay)), legacy);
+    check_engine(
+        "V-PATCH/scalar16",
+        || mpm_vpatch::VPatchScalar16::build(&set),
+        |e, hay| {
+            let mut scratch = Scratch::new();
+            e.filter_round(hay, &mut scratch);
+            Some(scratch.candidates())
+        },
+        &set,
+    );
+}
+
+/// Plain `find_into` on a two-chunk haystack: a long pattern cut at every
+/// offset across byte `DEFAULT_CHUNK`, a 2-byte pattern straddling it,
+/// 1-byte patterns on both sides of it, and one on the input's last byte.
+#[test]
+fn find_into_loses_nothing_at_the_default_chunk_seam() {
+    let needle = b"seam-needle";
+    let set = PatternSet::from_literals(&["seam-needle", "ab", "x"]);
+    let mut engines: Vec<Box<dyn Matcher>> = vec![
+        Box::new(SPatch::build(&set)),
+        Box::new(Dfc::build(&set)),
+        Box::new(WuManber::build(&set)),
+    ];
+    for kind in mpm_simd::available_backends() {
+        engines.push(mpm_vpatch::build_vpatch_for(&set, kind).expect("backend is available"));
+        match kind {
+            BackendKind::Scalar => engines.push(Box::new(mpm_dfc::VectorDfcScalar::build(&set))),
+            BackendKind::Avx2 => engines.push(Box::new(mpm_dfc::VectorDfcAvx2::build(&set))),
+            BackendKind::Avx512 => engines.push(Box::new(mpm_dfc::VectorDfcAvx512::build(&set))),
+        }
+    }
+    // One haystack per cut of the long pattern, then one each with the
+    // 2-byte and the 1-byte pattern on the seam itself.
+    let seam = DEFAULT_CHUNK;
+    let mut placements: Vec<(usize, &[u8])> = (0..=needle.len())
+        .map(|cut| (seam - cut, &needle[..]))
+        .collect();
+    placements.push((seam - 1, b"ab"));
+    placements.push((seam - 1, b"xx"));
+    for (at, bytes) in placements {
+        let mut hay = vec![b'.'; 2 * DEFAULT_CHUNK];
+        hay[at..at + bytes.len()].copy_from_slice(bytes);
+        hay[2 * DEFAULT_CHUNK - 1] = b'x';
+        let oracle = naive_find_all(&set, &hay);
+        assert!(oracle.len() >= 2, "the placed pattern and the last byte");
+        for engine in &engines {
+            assert_eq!(engine.find_all(&hay), oracle, "{} at={at}", engine.name());
         }
     }
 }

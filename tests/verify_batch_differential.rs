@@ -1,6 +1,6 @@
 //! Differential property suite for the batched, prefetch-pipelined
-//! verification path (PR 5): **batched ≡ per-candidate**, on every backend
-//! this run can dispatch to.
+//! verification path: **batched ≡ one table lookup per candidate**, on every
+//! backend this run can dispatch to.
 //!
 //! For random folded and unfolded pattern sets, and for candidate arrays
 //! produced by real filtering rounds as well as hand-clustered ones (around
@@ -13,7 +13,10 @@
 //! * the same **comparison counts** (the instrumentation the cache model
 //!   and the figure-5 analysis consume)
 //!
-//! as the historical per-candidate path it replaced. `MPM_FORCE_BACKEND`
+//! as the table-level one-candidate lookups (`Verifier::verify_short` /
+//! `verify_long`, `DfcTables::classify_and_verify`), which stay public as
+//! this suite's reference: the naive matcher can check match sets, but only
+//! a lookup-by-lookup replay can check comparison counts. `MPM_FORCE_BACKEND`
 //! narrows `available_backends()`, which is how the CI matrix pins the
 //! suite to the scalar, AVX2 and AVX-512 code paths in turn (in `--release`,
 //! so the unsafe masked-compare and prefetch paths run with optimizations).
@@ -62,7 +65,23 @@ fn haystack_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     bytes_strategy(max_len)
 }
 
-/// Runs one engine's filtering round and returns `(batched, per-candidate)`
+/// One table lookup per candidate of a filtering round's arrays: the
+/// reference `(normalized matches, comparisons)` a verification round is
+/// held to.
+fn lookup_each(v: &Verifier, hay: &[u8], scratch: &Scratch) -> (Vec<MatchEvent>, u64) {
+    let mut out = Vec::new();
+    let mut comparisons = 0u64;
+    for &pos in &scratch.a_short {
+        comparisons += v.verify_short(hay, pos as usize, &mut out) as u64;
+    }
+    for &pos in &scratch.a_long {
+        comparisons += v.verify_long(hay, pos as usize, &mut out) as u64;
+    }
+    normalize_matches(&mut out);
+    (out, comparisons)
+}
+
+/// Runs one V-PATCH filtering round and returns `(batched, reference)`
 /// results as `(normalized matches, comparisons)` pairs.
 fn vpatch_both_paths<B: VectorBackend<W>, const W: usize>(
     set: &PatternSet,
@@ -74,14 +93,12 @@ fn vpatch_both_paths<B: VectorBackend<W>, const W: usize>(
     let mut batched = Vec::new();
     let batched_cmp = engine.verify_round(hay, &scratch, &mut batched);
     normalize_matches(&mut batched);
-    let mut per_candidate = Vec::new();
-    let per_candidate_cmp = engine.verify_round_per_candidate(hay, &scratch, &mut per_candidate);
-    normalize_matches(&mut per_candidate);
-    ((batched, batched_cmp), (per_candidate, per_candidate_cmp))
+    let reference = lookup_each(engine.tables().verifier(), hay, &scratch);
+    ((batched, batched_cmp), reference)
 }
 
-/// Asserts batched ≡ per-candidate for V-PATCH on every dispatchable
-/// backend, and for S-PATCH (scalar-batched) against its own reference.
+/// Asserts batched ≡ lookup-per-candidate for V-PATCH on every dispatchable
+/// backend, and for S-PATCH (scalar-batched).
 fn assert_engine_paths_agree(set: &PatternSet, hay: &[u8]) {
     for kind in available_backends() {
         let (batched, reference) = match kind {
@@ -103,16 +120,14 @@ fn assert_engine_paths_agree(set: &PatternSet, hay: &[u8]) {
     engine.filter_round(hay, &mut scratch);
     let mut batched = Vec::new();
     let batched_cmp = engine.verify_round(hay, &scratch, &mut batched);
-    let mut reference = Vec::new();
-    let reference_cmp = engine.verify_round_per_candidate(hay, &scratch, &mut reference);
     normalize_matches(&mut batched);
-    normalize_matches(&mut reference);
+    let (reference, reference_cmp) = lookup_each(engine.tables().verifier(), hay, &scratch);
     assert_eq!(batched, reference, "S-PATCH match set");
     assert_eq!(batched_cmp, reference_cmp, "S-PATCH comparison count");
 }
 
-/// Asserts `Verifier` batched ≡ per-candidate for an explicit candidate
-/// array on every dispatchable backend.
+/// Asserts `Verifier` batched ≡ lookup-per-candidate for an explicit
+/// candidate array on every dispatchable backend.
 fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) {
     let v = Verifier::build(set);
     let mut expected = Vec::new();
@@ -147,7 +162,7 @@ fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched ≡ per-candidate for real filtering-round candidate arrays on
+    /// Batched ≡ lookup-per-candidate for real filtering-round candidate arrays on
     /// random folded/unfolded sets and random traffic.
     #[test]
     fn engine_verify_rounds_agree_on_random_sets(
@@ -157,7 +172,7 @@ proptest! {
         assert_engine_paths_agree(&set, &hay);
     }
 
-    /// Batched ≡ per-candidate for arbitrary candidate position arrays —
+    /// Batched ≡ lookup-per-candidate for arbitrary candidate position arrays —
     /// including duplicates and positions the filters would never emit.
     #[test]
     fn verifier_batch_agrees_on_arbitrary_position_arrays(
@@ -216,8 +231,8 @@ fn clustered_candidates_at_block_boundaries_and_buffer_end() {
     }
 }
 
-/// DFC's batched drain (`classify_and_verify_batch`) ≡ the historical
-/// per-candidate classification, including the progressive-filter gate for
+/// DFC's batched drain (`classify_and_verify_batch`) ≡ one
+/// `classify_and_verify` per candidate, including the progressive-filter gate for
 /// the long class, on every dispatchable backend.
 #[test]
 fn dfc_batched_drain_equals_per_candidate_classification() {
