@@ -164,10 +164,19 @@ pub fn available_backends() -> Vec<BackendKind> {
 /// The backend an engine's `new_auto`/`build_auto` constructor should pick:
 /// the [`forced_backend`] when set, otherwise the widest available backend
 /// (best throughput on this machine).
+///
+/// Decided once per process and cached next to [`forced_backend`], so hot
+/// callers pay one atomic load and no allocation.
 pub fn detect_best() -> BackendKind {
-    *available_backends()
-        .last()
-        .expect("scalar is always available")
+    static BEST: OnceLock<BackendKind> = OnceLock::new();
+    *BEST.get_or_init(|| {
+        forced_backend().unwrap_or_else(|| {
+            [BackendKind::Avx512, BackendKind::Avx2]
+                .into_iter()
+                .find(|kind| kind.is_available())
+                .unwrap_or(BackendKind::Scalar)
+        })
+    })
 }
 
 #[cfg(test)]

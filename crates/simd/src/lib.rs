@@ -82,6 +82,25 @@ pub use scalar::{ScalarBackend, ScalarWide16, ScalarWide8};
 /// addressable index (see the crate-level documentation).
 pub const GATHER_PADDING: usize = 4;
 
+/// Number of consecutive start positions one vector step of
+/// [`VectorBackend::prescreen`] tests.
+pub const PRESCREEN_BLOCK: usize = 64;
+
+/// Packs 64 flag bytes, each `0` or `1`, into a bitmask (bit `j` = flag `j`).
+///
+/// Eight bytes at a time: with every byte 0 or 1, multiplying the
+/// little-endian word by `Σ 2^(56-7i)` lands byte `i`'s flag on bit `56 + i`,
+/// and no two partial products share a bit position, so nothing carries.
+#[inline(always)]
+fn pack_flags(flags: &[u8; PRESCREEN_BLOCK]) -> u64 {
+    let mut mask = 0u64;
+    for (k, lane) in flags.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(lane.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        mask |= (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    mask
+}
+
 /// Issues a best-effort read prefetch for the cache line containing `ptr`
 /// (`prefetcht0` on x86-64, a no-op elsewhere).
 ///
@@ -291,6 +310,76 @@ pub trait VectorBackend<const W: usize>: Copy + Clone + Default + Send + Sync + 
     fn eq_window_nocase(window: &[u8], pattern: &[u8]) -> bool {
         debug_assert_eq!(window.len(), pattern.len());
         window.eq_ignore_ascii_case(pattern)
+    }
+
+    /// Two-byte occurrence prescreen: calls `candidate(start)`, in ascending
+    /// order, for every `start` in `starts` where `pattern`'s **first and
+    /// last byte** both match `hay` (at `start` and `start + pattern.len()
+    /// - 1`), ASCII-case-insensitively when `FOLD`. A superset of the true
+    /// occurrence starts; the caller settles each candidate with
+    /// [`VectorBackend::eq_window`] / [`VectorBackend::eq_window_nocase`].
+    ///
+    /// This is the filter half of occurrence enumeration in rule
+    /// confirmation (`mpm-verify`): instead of one dependent scalar compare
+    /// per start, [`PRESCREEN_BLOCK`] consecutive starts are tested per step
+    /// — two byte-compares over the block, AND-ed into flag bytes — and only
+    /// blocks with a hit pay for the bitmask and the candidate calls. Two
+    /// bytes a pattern length apart reject far more starts than the first
+    /// byte alone on text-like payloads. Starts past the last whole block go
+    /// through a scalar loop.
+    ///
+    /// The default is safe Rust written to autovectorise: inside a
+    /// [`VectorBackend::dispatch`] region it compiles to that backend's byte
+    /// compares (`vpcmpeqb` on 32-byte registers under AVX2 and AVX-512F).
+    ///
+    /// # Panics
+    /// Panics if `pattern` is empty, or if a non-empty `starts` reaches past
+    /// `hay.len() - pattern.len()`.
+    #[inline(always)]
+    fn prescreen<const FOLD: bool>(
+        hay: &[u8],
+        starts: std::ops::RangeInclusive<usize>,
+        pattern: &[u8],
+        mut candidate: impl FnMut(usize),
+    ) {
+        if starts.is_empty() {
+            return;
+        }
+        let (lo, hi) = (*starts.start(), *starts.end());
+        let gap = pattern.len() - 1;
+        let fold = |b: u8| if FOLD { b.to_ascii_lowercase() } else { b };
+        let (first, last) = (fold(pattern[0]), fold(pattern[gap]));
+        let heads = &hay[lo..=hi];
+        let tails = &hay[lo + gap..=hi + gap];
+        let mut base = lo;
+        for (h, t) in heads
+            .chunks_exact(PRESCREEN_BLOCK)
+            .zip(tails.chunks_exact(PRESCREEN_BLOCK))
+        {
+            let h: &[u8; PRESCREEN_BLOCK] = h.try_into().expect("chunks_exact yields blocks");
+            let t: &[u8; PRESCREEN_BLOCK] = t.try_into().expect("chunks_exact yields blocks");
+            let mut flags = [0u8; PRESCREEN_BLOCK];
+            for j in 0..PRESCREEN_BLOCK {
+                flags[j] = u8::from((fold(h[j]) == first) & (fold(t[j]) == last));
+            }
+            if flags != [0u8; PRESCREEN_BLOCK] {
+                let mut mask = pack_flags(&flags);
+                while mask != 0 {
+                    candidate(base + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
+                }
+            }
+            base += PRESCREEN_BLOCK;
+        }
+        for (j, (&h, &t)) in heads[base - lo..]
+            .iter()
+            .zip(&tails[base - lo..])
+            .enumerate()
+        {
+            if fold(h) == first && fold(t) == last {
+                candidate(base + j);
+            }
+        }
     }
 
     /// ASCII-lowercases every packed byte of every lane: each byte in

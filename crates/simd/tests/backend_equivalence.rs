@@ -530,3 +530,128 @@ proptest! {
         }
     }
 }
+
+// --- occurrence prescreen ------------------------------------------------
+//
+// `prescreen` must report exactly the starts whose first and last pattern
+// byte match — the definition below, written independently of the blocked
+// implementation — on every backend, inside that backend's `dispatch`
+// region (where the default compiles to the backend's vector compares).
+
+/// The starts `prescreen` must report, by definition.
+fn prescreen_reference(
+    hay: &[u8],
+    starts: std::ops::RangeInclusive<usize>,
+    pattern: &[u8],
+    fold: bool,
+) -> Vec<usize> {
+    let norm = |b: u8| if fold { b.to_ascii_lowercase() } else { b };
+    let gap = pattern.len() - 1;
+    starts
+        .filter(|&s| norm(hay[s]) == norm(pattern[0]) && norm(hay[s + gap]) == norm(pattern[gap]))
+        .collect()
+}
+
+fn prescreen_on<B: VectorBackend<W>, const W: usize>(
+    hay: &[u8],
+    starts: std::ops::RangeInclusive<usize>,
+    pattern: &[u8],
+    fold: bool,
+) -> Vec<usize> {
+    let mut got = Vec::new();
+    B::dispatch(|| {
+        if fold {
+            B::prescreen::<true>(hay, starts, pattern, |start| got.push(start));
+        } else {
+            B::prescreen::<false>(hay, starts, pattern, |start| got.push(start));
+        }
+    });
+    got
+}
+
+/// Asserts every available backend reports the reference starts, exact and
+/// folded.
+fn assert_prescreen_all_backends(
+    hay: &[u8],
+    starts: std::ops::RangeInclusive<usize>,
+    pattern: &[u8],
+    context: &str,
+) {
+    for fold in [false, true] {
+        let expected = prescreen_reference(hay, starts.clone(), pattern, fold);
+        assert_eq!(
+            prescreen_on::<ScalarBackend, 8>(hay, starts.clone(), pattern, fold),
+            expected,
+            "scalar prescreen (fold {fold}): {context}"
+        );
+        if avx2_available() {
+            assert_eq!(
+                prescreen_on::<Avx2Backend, 8>(hay, starts.clone(), pattern, fold),
+                expected,
+                "avx2 prescreen (fold {fold}): {context}"
+            );
+        }
+        if avx512_available() {
+            assert_eq!(
+                prescreen_on::<Avx512Backend, 16>(hay, starts.clone(), pattern, fold),
+                expected,
+                "avx512 prescreen (fold {fold}): {context}"
+            );
+        }
+    }
+}
+
+#[test]
+fn prescreen_on_exact_size_allocations_at_every_tail_and_pattern_length() {
+    // The haystack is a boxed slice of exactly the bytes the call may read,
+    // so a load past the last start's last byte leaves the allocation (and,
+    // in the safe default, panics on the slice bound). Every number of
+    // starts from none to two blocks — whole blocks, every scalar-tail
+    // length, both — against every pattern length from one byte (first and
+    // last byte coincide) to one longer than a block, with the one
+    // occurrence at the first or at the last start.
+    const BLOCK: usize = mpm_simd::PRESCREEN_BLOCK;
+    for starts in 0..=2 * BLOCK {
+        for len in 1..=BLOCK + 1 {
+            let pattern: Vec<u8> = (0..len).map(|i| b'A' + (i % 23) as u8).collect();
+            let context = format!("{starts} starts, pattern length {len}");
+            if starts == 0 {
+                // An empty range reads nothing, even from an empty haystack.
+                let hay: Box<[u8]> = Box::new([]);
+                #[allow(clippy::reversed_empty_ranges)]
+                assert_prescreen_all_backends(&hay, 1..=0, &pattern, &context);
+                continue;
+            }
+            for planted in [0, starts - 1] {
+                // Lowercase filler: no filler byte equals a pattern byte
+                // exactly, but the folded prescreen sees near-misses.
+                let mut hay = vec![b'q'; starts + len - 1];
+                hay[planted..planted + len].copy_from_slice(&pattern);
+                let hay: Box<[u8]> = hay.into_boxed_slice();
+                let context = format!("{context}, occurrence at {planted}");
+                assert_eq!(
+                    prescreen_reference(&hay, 0..=starts - 1, &pattern, false),
+                    vec![planted],
+                    "fixture: {context}"
+                );
+                assert_prescreen_all_backends(&hay, 0..=starts - 1, &pattern, &context);
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn prescreen_matches_reference_on_random_windows(
+        hay in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'A'), Just(b'b'), Just(0xC1u8), any::<u8>()], 1..400),
+        pattern in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'A'), Just(b'b'), any::<u8>()], 1..70),
+        lo in any::<usize>(),
+        span in any::<usize>(),
+    ) {
+        prop_assume!(pattern.len() <= hay.len());
+        let last_start = hay.len() - pattern.len();
+        let lo = lo % (last_start + 1);
+        let hi = lo + span % (last_start - lo + 1);
+        assert_prescreen_all_backends(&hay, lo..=hi, &pattern, &format!("starts {lo}..={hi}"));
+    }
+}

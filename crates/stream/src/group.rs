@@ -17,12 +17,14 @@
 //!
 //! - **Verifier entries**: all groups share **one** [`RuleConfirmer`] built
 //!   over the monolithic rule set. Per-group confirmers would each carry
-//!   their own unique-content automaton — measured at ~30× the engine
-//!   tables on realistic rulesets, the dominant term of the grouped memory
-//!   blow-up — even though the contents they index overlap almost entirely
-//!   across groups. The shared confirmer dedups every `(bytes, nocase)`
-//!   content globally; per-flow scanners translate group-local rule
-//!   indices to monolithic ids at confirmation time.
+//!   their own rule chains and — once anything indexes a payload — their
+//!   own unique-content automaton, measured at ~30× the engine tables on
+//!   realistic rulesets, even though the contents they cover overlap almost
+//!   entirely across groups. The shared confirmer dedups every
+//!   `(bytes, nocase)` content globally; per-flow scanners translate
+//!   group-local rule indices to monolithic ids at confirmation time.
+//!   (Grouped scanning confirms by resumable enumeration and never indexes,
+//!   so the automaton, compiled on first use, is not resident here.)
 //! - **Engines**: groups whose local rule lists are structurally identical
 //!   (same contents, modifiers and protocol group, in the same order —
 //!   Snort `sid`s may differ) share one compiled engine via `Arc`, so N
@@ -31,7 +33,7 @@
 //! [`GroupedEngineSet::memory_footprint`] counts each unique engine once,
 //! the shared confirmer once, and the shared arena exactly once.
 
-use crate::rules::RuleStreamScanner;
+use crate::rules::{insert_sorted, RuleStreamScanner};
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
@@ -222,7 +224,8 @@ impl GroupedEngineSet {
     /// accounted (the CI memory-budget gauge): each unique engine's
     /// [`mpm_patterns::Matcher::memory_footprint`] counted once — shared
     /// engines are not double-charged — the **one** shared confirmer
-    /// counted once, plus the shared arena's bytes exactly once
+    /// counted once (its [`RuleConfirmer::heap_bytes`]: the index automaton
+    /// only if something compiled it), plus the shared arena's bytes once
     /// (attributed to `verify_bytes`, since the verification tables are
     /// what read it). Confirmer and id-map bytes land in `other_bytes`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
@@ -276,11 +279,10 @@ pub struct GroupedFlowScanner {
     /// order (deterministic). Each reports monolithic rule ids directly
     /// (its `confirm_ids` map translates group-local indices).
     scanners: Vec<RuleStreamScanner>,
-    /// Global rule ids already reported for this flow (a rule can be a
-    /// member of several selected groups; it is reported once).
-    confirmed: Vec<bool>,
+    /// Global rule ids already reported for this flow, sorted (a rule can
+    /// be a member of several selected groups; it is reported once).
+    confirmed: Vec<u32>,
     anchors_scratch: Vec<MatchEvent>,
-    rules_scratch: Vec<RuleMatch>,
 }
 
 impl std::fmt::Debug for GroupedFlowScanner {
@@ -329,14 +331,12 @@ impl GroupedFlowScanner {
                 )
             })
             .collect();
-        let confirmed = vec![false; set.grouped.len()];
         GroupedFlowScanner {
             set,
             tuple,
             scanners,
-            confirmed,
+            confirmed: Vec::new(),
             anchors_scratch: Vec::new(),
-            rules_scratch: Vec::new(),
         }
     }
 
@@ -382,23 +382,23 @@ impl GroupedFlowScanner {
     pub fn push(&mut self, chunk: &[u8], rules_out: &mut Vec<RuleMatch>) {
         for scanner in &mut self.scanners {
             self.anchors_scratch.clear();
-            self.rules_scratch.clear();
-            scanner.push(chunk, &mut self.anchors_scratch, &mut self.rules_scratch);
-            for m in &self.rules_scratch {
-                // `m.rule` is already the monolithic id (the scanner's
-                // `confirm_ids` map translated it).
-                let global = m.rule;
-                if self.confirmed[global.index()] {
-                    continue;
+            let first_new = rules_out.len();
+            scanner.push(chunk, &mut self.anchors_scratch, rules_out);
+            // The scanner reported monolithic ids (its `confirm_ids` map
+            // translated them); keep, in place, those that apply to the
+            // flow and that no other selected group reported first.
+            let mut kept = first_new;
+            for i in first_new..rules_out.len() {
+                let global = rules_out[i].rule;
+                let applies = self
+                    .tuple
+                    .is_none_or(|tuple| self.set.grouped.applies_to(global, tuple));
+                if applies && insert_sorted(&mut self.confirmed, global.0) {
+                    rules_out[kept] = rules_out[i];
+                    kept += 1;
                 }
-                if let Some(tuple) = self.tuple {
-                    if !self.set.grouped.applies_to(global, tuple) {
-                        continue;
-                    }
-                }
-                self.confirmed[global.index()] = true;
-                rules_out.push(RuleMatch::new(global, m.end));
             }
+            rules_out.truncate(kept);
         }
     }
 }
@@ -526,10 +526,10 @@ alert tcp any any -> any 1003 (content:"same-needle"; sid:300;)
         assert_eq!(fp3.filter_bytes, fp1.filter_bytes);
         assert_eq!(fp3.verify_bytes, fp1.verify_bytes);
         // What does scale with group count is only the confirmer chains
-        // and the per-group id maps — the shared unique-content automaton
-        // is built once, so the total stays far below 3× the single-group
-        // cost.
+        // and the per-group id maps: two more one-content rules. The
+        // confirmer's index automaton is compiled on first use and grouped
+        // scanning never indexes, so it is not resident and not charged.
         assert!(fp3.other_bytes > fp1.other_bytes);
-        assert!(fp3.total() < 2 * fp1.total());
+        assert!(fp3.other_bytes - fp1.other_bytes < 256);
     }
 }

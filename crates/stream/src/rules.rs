@@ -7,20 +7,38 @@
 //! megabyte later), so confirmation is a function of the **whole flow
 //! payload seen so far**. `RuleStreamScanner` therefore buffers the flow's
 //! payload, while still running the anchor engine incrementally through the
-//! inner [`StreamScanner`] (carry bytes only) so the per-chunk fast path
-//! stays cheap: confirmation work happens only on pushes where an anchor
-//! fires or a rule is already pending.
+//! inner [`StreamScanner`] (carry bytes only).
+//!
+//! # Per-push cost: O(pending × contents × chunk)
+//!
+//! A rule whose anchor has fired but which is not yet satisfiable is
+//! **pending**, and carries a [`ConfirmProgress`] record: per content, the
+//! next start position not examined yet and the occurrence ends found so
+//! far. Each push hands every pending rule to
+//! [`RuleConfirmer::resume`], which examines only the start positions the
+//! new bytes opened up, appends any new occurrences, and re-runs the
+//! constraint DP only if a list grew and none is empty. So a push costs
+//! O(pending rules × contents × chunk length) — flat along the flow — and
+//! over a whole flow every byte is examined once per pending content,
+//! instead of once per pending content *per push*. Per-flow state is
+//! proportional to the rules the flow has triggered, not to the rule set:
+//! a sorted list of triggered rule indices plus one record per pending
+//! rule. The record is dropped when its rule confirms, on
+//! [`RuleStreamScanner::reset`] and when the flow degrades.
 //!
 //! Equivalence guarantee (property-tested in
 //! `tests/rule_confirmation_differential.rs` and
 //! `crates/stream/tests/rule_stream_equivalence.rs`): for any chunking, the
 //! set of confirmed rules and their reported offsets equals
-//! `RuleScanner::scan_rules` on the concatenated payload. That holds
-//! because the confirmer reports the **minimal prefix length** at which a
-//! rule is satisfiable — a pure function of the payload bytes, independent
-//! of where chunk seams fall — and satisfiability is monotone in the
-//! prefix, so re-checking a pending rule on each push confirms it on
-//! exactly the push whose chunk completes that minimal prefix.
+//! `RuleScanner::scan_rules` on the concatenated payload. Resumption is
+//! exact — a record's occurrence lists after a push equal a from-scratch
+//! enumeration of the buffered payload (see `mpm_verify::confirm`) — so
+//! each push decides exactly what re-confirming from scratch would. The
+//! confirmer reports the **minimal prefix length** at which a rule is
+//! satisfiable — a pure function of the payload bytes, independent of where
+//! chunk seams fall — and satisfiability is monotone in the prefix, so a
+//! pending rule confirms on exactly the push whose chunk completes that
+//! minimal prefix.
 //!
 //! # Memory contract: bounded buffers and graceful degradation
 //!
@@ -42,27 +60,36 @@
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
 use mpm_patterns::{MatchEvent, MatcherStats};
-use mpm_verify::RuleConfirmer;
+use mpm_verify::{ConfirmProgress, RuleConfirmer};
 use std::sync::Arc;
 
-/// Per-rule confirmation progress within one flow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RuleState {
-    /// No anchor hit yet; the rule cannot match (anchor gating is exact).
-    Unseen,
-    /// Anchor fired, but the remaining contents/constraints are not yet
-    /// satisfiable on the payload so far — re-checked on every later push.
-    Pending,
-    /// Confirmed and reported; never re-reported for this flow.
-    Confirmed,
+/// Inserts `id` into the sorted set `ids`; false if it was already there.
+/// The per-flow rule sets are this small sorted vector because a flow
+/// triggers a handful of rules out of thousands.
+pub(crate) fn insert_sorted(ids: &mut Vec<u32>, id: u32) -> bool {
+    match ids.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            ids.insert(at, id);
+            true
+        }
+    }
+}
+
+/// A rule whose anchor fired but whose remaining contents/constraints are
+/// not yet satisfiable on the payload so far.
+struct PendingRule {
+    /// Scanner-local rule index.
+    rule: u32,
+    progress: ConfirmProgress,
 }
 
 /// Stateful rule scanning over one logical stream (one flow).
 ///
 /// Wraps a [`StreamScanner`] over the rule set's anchor patterns and a
 /// [`RuleConfirmer`]; both the engine and the confirmer are shared
-/// (`Arc`), so per-flow cost is the buffered payload plus a byte of state
-/// per rule.
+/// (`Arc`), so per-flow cost is the buffered payload plus a few words per
+/// rule the flow has triggered.
 ///
 /// ```
 /// use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -101,9 +128,14 @@ pub struct RuleStreamScanner {
     confirm_ids: Option<Arc<[u32]>>,
     /// The flow's payload so far (see module docs for why rules need it).
     payload: Vec<u8>,
-    state: Vec<RuleState>,
-    /// Rules in [`RuleState::Pending`], re-checked each push.
-    pending: Vec<u32>,
+    /// Scanner-local indices of every rule whose anchor has fired on this
+    /// flow, pending or confirmed, sorted. A rule absent from it cannot
+    /// match (anchor gating is exact); one present is never re-triggered,
+    /// so a confirmed rule is never re-reported.
+    triggered: Vec<u32>,
+    /// The triggered rules not yet confirmed, in trigger order, each with
+    /// its resumable confirmation progress.
+    pending: Vec<PendingRule>,
     /// Buffer cap in bytes; `None` means unbounded (the historical
     /// behaviour). See the module-level memory contract.
     max_buffer: Option<usize>,
@@ -119,7 +151,7 @@ impl std::fmt::Debug for RuleStreamScanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleStreamScanner")
             .field("inner", &self.inner)
-            .field("rules", &self.state.len())
+            .field("triggered", &self.triggered.len())
             .field("pending", &self.pending.len())
             .field("buffered_bytes", &self.payload.len())
             .field("degraded", &self.degraded)
@@ -165,17 +197,13 @@ impl RuleStreamScanner {
         confirm_ids: Option<Arc<[u32]>>,
         max_buffer: Option<usize>,
     ) -> Self {
-        let rules = match &confirm_ids {
-            Some(ids) => ids.len(),
-            None => confirmer.rule_count(),
-        };
         RuleStreamScanner {
             inner,
             confirmer,
             rule_of,
             confirm_ids,
             payload: Vec::new(),
-            state: vec![RuleState::Unseen; rules],
+            triggered: Vec::new(),
             pending: Vec::new(),
             max_buffer,
             degraded: false,
@@ -236,7 +264,7 @@ impl RuleStreamScanner {
     pub fn reset(&mut self) {
         self.inner.reset();
         self.payload.clear();
-        self.state.fill(RuleState::Unseen);
+        self.triggered.clear();
         self.pending.clear();
         self.degraded = false;
         self.truncated = 0;
@@ -280,28 +308,29 @@ impl RuleStreamScanner {
         let first_new = anchors_out.len();
         self.inner.push(chunk, anchors_out);
         for event in &anchors_out[first_new..] {
-            let rule = self.rule_of[event.pattern.index()] as usize;
-            if self.state[rule] == RuleState::Unseen {
-                self.state[rule] = RuleState::Pending;
-                self.pending.push(rule as u32);
+            let rule = self.rule_of[event.pattern.index()];
+            if insert_sorted(&mut self.triggered, rule) {
+                self.pending.push(PendingRule {
+                    rule,
+                    progress: ConfirmProgress::default(),
+                });
             }
         }
-        // On the crossing push this final re-check runs against exactly the
-        // first `cap` bytes of the stream, so a capped flow confirms the
+        // On the crossing push this final resumption runs against exactly
+        // the first `cap` bytes of the stream, so a capped flow confirms the
         // same rules as `scan_rules` on that prefix regardless of where the
         // chunk seams fall. (Anchors past the cap may have marked rules
         // pending above; their contents are absent from the capped payload,
         // so they cannot confirm, and pending state is cleared below.)
-        let (confirmer, payload, state) = (&self.confirmer, &self.payload, &mut self.state);
+        let (confirmer, payload) = (&self.confirmer, &self.payload);
         let confirm_ids = self.confirm_ids.as_deref();
-        self.pending.retain(|&rule| {
+        self.pending.retain_mut(|pending| {
             let id = match confirm_ids {
-                Some(ids) => RuleId(ids[rule as usize]),
-                None => RuleId(rule),
+                Some(ids) => RuleId(ids[pending.rule as usize]),
+                None => RuleId(pending.rule),
             };
-            match confirmer.confirm(payload, id) {
+            match confirmer.resume(payload, id, &mut pending.progress) {
                 Some(end) => {
-                    state[rule as usize] = RuleState::Confirmed;
                     rules_out.push(RuleMatch::new(id, end));
                     false
                 }
@@ -449,6 +478,55 @@ mod tests {
         assert_eq!(s.truncated_bytes(), 0);
         s.push(b"abcd", &mut anchors, &mut rules);
         assert_eq!(rules.len(), 1, "fresh stream confirms within the cap");
+    }
+
+    /// The work bound of resumable confirmation, counted not timed: over a
+    /// whole flow a pending rule examines each start position at most once
+    /// per content — however many packets the flow arrives in. (Re-walking
+    /// the buffered flow on every push, as confirmation once did, examines
+    /// ~flow² / (2 · packet) starts per content: 360× this bound here.)
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_pending_rule_examines_every_flow_byte_once_per_content() {
+        const FLOW: usize = 1 << 20;
+        const PACKET: usize = 1460;
+        // Both anchors (the long first contents) sit at the head of the
+        // flow; neither second content ever arrives, so both rules stay
+        // pending for the whole megabyte. The filler is made of the second
+        // contents' own first and last bytes, in both cases, so the
+        // prescreen keeps handing starts to the full compare.
+        let set = ruleset(vec![
+            vec![
+                RuleContent::new(*b"anchor-one"),
+                RuleContent::new(*b"xy-z").with_distance(0),
+            ],
+            vec![
+                RuleContent::new(*b"anchor-two"),
+                RuleContent::new(*b"Xy-Z")
+                    .with_nocase(true)
+                    .with_distance(0),
+            ],
+        ]);
+        let mut flow = b"anchor-one anchor-two ".to_vec();
+        flow.extend(b"x..zX..Z".iter().cycle().take(FLOW - flow.len()));
+        let mut s = scanner(&set);
+        let (mut anchors, mut rules) = (Vec::new(), Vec::new());
+        for packet in flow.chunks(PACKET) {
+            s.push(packet, &mut anchors, &mut rules);
+        }
+        assert!(rules.is_empty(), "the second contents never arrive");
+        assert_eq!(s.pending.len(), 2, "both rules held pending");
+        for pending in &s.pending {
+            let examined = pending.progress.examined_starts();
+            // Two contents each: at most one look per start per content,
+            // and no fewer than the whole flow bar the last few starts.
+            assert!(
+                examined <= 2 * FLOW as u64,
+                "rule {}: {examined} starts examined over a {FLOW}-byte flow",
+                pending.rule
+            );
+            assert!(examined >= 2 * (FLOW as u64 - 16), "rule {}", pending.rule);
+        }
     }
 
     #[test]

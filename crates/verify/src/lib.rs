@@ -36,7 +36,7 @@
 pub mod confirm;
 pub mod filters;
 
-pub use confirm::{PayloadIndex, RuleConfirmer, RuleScanner};
+pub use confirm::{ConfirmProgress, PayloadIndex, RuleConfirmer, RuleScanner};
 pub use filters::{
     direct_filter_bits_for, direct_filter_window_count, DirectFilter, HashedFilter,
     MergedDirectFilters, DIRECT_FILTER_FULL_BITS, DIRECT_FILTER_MIN_BITS, FILTER_PADDING,

@@ -88,7 +88,7 @@ pub mod prelude {
     pub use mpm_traffic::{
         ChunkedStream, MatchDensityGenerator, TraceGenerator, TraceKind, TraceSpec,
     };
-    pub use mpm_verify::{PayloadIndex, RuleConfirmer, RuleScanner};
+    pub use mpm_verify::{ConfirmProgress, PayloadIndex, RuleConfirmer, RuleScanner};
     pub use mpm_vpatch::{build_auto, build_for, FilterOnlyMode, SPatch, Scratch, VPatch};
     pub use mpm_wu_manber::WuManber;
 }

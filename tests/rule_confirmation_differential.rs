@@ -12,12 +12,17 @@
 //! Both one-shot (`RuleScanner::scan_rules`) and streamed
 //! (`RuleStreamScanner` under random chunkings) paths must agree with the
 //! oracle exactly: same confirmed rules, same minimal satisfiable prefix
-//! lengths. `MPM_FORCE_BACKEND` pins the confirmation backend the same way
-//! it pins the engines, which is how the CI matrix drives this suite
-//! through the scalar, AVX2 and AVX-512 `eq_window` paths in turn.
+//! lengths. The resumable enumeration underneath both is also driven
+//! directly: `RuleConfirmer::resume` over a growing payload — cut at every
+//! seam, fed a byte at a time — must decide, call by call, what the naive
+//! evaluator decides on each prefix, for contents from one byte (first and
+//! last prescreen byte coincide) to longer than a prescreen block.
+//! `MPM_FORCE_BACKEND` pins the confirmation backend the same way it pins
+//! the engines, which is how the CI matrix drives this suite through the
+//! scalar, AVX2 and AVX-512 `prescreen` / `eq_window` paths in turn.
 
 use std::sync::Arc;
-use vpatch_suite::patterns::rule::naive_rule_find_all;
+use vpatch_suite::patterns::rule::{naive_rule_find_all, naive_rule_first_end};
 use vpatch_suite::prelude::*;
 use vpatch_suite::simd::ScalarBackend;
 
@@ -48,8 +53,25 @@ fn bytes_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// the oracle implements the same semantics.
 #[allow(clippy::type_complexity)]
 fn content_strategy() -> impl Strategy<Value = RuleContent> {
+    content_strategy_over(bytes_strategy(6))
+}
+
+/// Content bytes at the lengths the prescreen treats differently: a single
+/// byte, the usual few, and longer than one prescreen block.
+fn any_length_bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        bytes_strategy(6).prop_map(|b| b[..1].to_vec()),
+        bytes_strategy(6),
+        bytes_strategy(6).prop_map(|b| b.iter().copied().cycle().take(64 + b.len()).collect()),
+    ]
+}
+
+#[allow(clippy::type_complexity)]
+fn content_strategy_over(
+    bytes: impl Strategy<Value = Vec<u8>>,
+) -> impl Strategy<Value = RuleContent> {
     (
-        (bytes_strategy(6), any::<bool>()),
+        (bytes, any::<bool>()),
         (
             prop_oneof![Just(None), (0u32..40).prop_map(Some)],
             prop_oneof![Just(None), (2u32..48).prop_map(Some)],
@@ -78,16 +100,25 @@ fn content_strategy() -> impl Strategy<Value = RuleContent> {
 }
 
 fn ruleset_strategy() -> impl Strategy<Value = RuleSet> {
-    proptest::collection::vec(proptest::collection::vec(content_strategy(), 1..4), 1..5).prop_map(
-        |rules| {
-            RuleSet::new(
-                rules
-                    .into_iter()
-                    .map(|contents| Rule::new(ProtocolGroup::Any, contents))
-                    .collect(),
-            )
-        },
-    )
+    ruleset_strategy_over(content_strategy())
+}
+
+/// Rule sets whose contents span every prescreen length class.
+fn any_length_ruleset_strategy() -> impl Strategy<Value = RuleSet> {
+    ruleset_strategy_over(content_strategy_over(any_length_bytes_strategy()))
+}
+
+fn ruleset_strategy_over(
+    content: impl Strategy<Value = RuleContent>,
+) -> impl Strategy<Value = RuleSet> {
+    proptest::collection::vec(proptest::collection::vec(content, 1..4), 1..5).prop_map(|rules| {
+        RuleSet::new(
+            rules
+                .into_iter()
+                .map(|contents| Rule::new(ProtocolGroup::Any, contents))
+                .collect(),
+        )
+    })
 }
 
 /// Splice directives: `(rule, content, position)` triples, reduced modulo
@@ -197,6 +228,49 @@ proptest! {
                 "{} streamed confirmation diverged under chunking {:?}",
                 name, &chunks
             );
+        }
+    }
+
+    #[test]
+    fn resumed_confirmation_decides_every_prefix_like_the_naive_evaluator(
+        set in any_length_ruleset_strategy(),
+        payload in bytes_strategy(260),
+        plan in splice_strategy(),
+    ) {
+        let mut payload = payload;
+        splice(&set, &mut payload, &plan);
+        let confirmer = RuleConfirmer::build(&set);
+        for (id, rule) in set.iter() {
+            let expected = naive_rule_first_end(rule, &payload);
+            prop_assert_eq!(confirmer.confirm(&payload, id), expected, "one-shot, rule {}", id);
+            // Two calls, cut at every seam: the first decides the prefix,
+            // and a rule still pending after it is decided by the second.
+            for cut in 0..=payload.len() {
+                let mut progress = ConfirmProgress::default();
+                let early = confirmer.resume(&payload[..cut], id, &mut progress);
+                prop_assert_eq!(
+                    early, naive_rule_first_end(rule, &payload[..cut]),
+                    "rule {} on the prefix cut at {}", id, cut
+                );
+                if early.is_none() {
+                    prop_assert_eq!(
+                        confirmer.resume(&payload, id, &mut progress), expected,
+                        "rule {} resumed past the cut at {}", id, cut
+                    );
+                }
+            }
+            // A byte at a time: pending until the call that completes the
+            // minimal prefix, which reports exactly that prefix.
+            let mut progress = ConfirmProgress::default();
+            let mut confirmed = None;
+            for end in 1..=payload.len() {
+                if let Some(at) = confirmer.resume(&payload[..end], id, &mut progress) {
+                    prop_assert_eq!(at, end, "rule {} confirmed late", id);
+                    confirmed = Some(at);
+                    break;
+                }
+            }
+            prop_assert_eq!(confirmed, expected, "rule {} a byte at a time", id);
         }
     }
 
