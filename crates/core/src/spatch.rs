@@ -5,6 +5,7 @@ use crate::scratch::{self, Scratch};
 use crate::tables::SPatchTables;
 use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
 use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Scalar S-PATCH engine.
@@ -172,8 +173,21 @@ impl Matcher for SPatch {
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
         scratch::with_cached_scratch(|scratch| {
-            mpm_graph::scan(self, haystack, DEFAULT_CHUNK, scratch, out)
+            mpm_graph::scan(
+                self,
+                haystack,
+                0..haystack.len(),
+                DEFAULT_CHUNK,
+                scratch,
+                out,
+            )
         });
+    }
+
+    /// Filters only `starts`, and reads the resume point off the candidate
+    /// array the last chunk left behind (see [`SPatchTables`]).
+    fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
+        self.tables.find_in(self, haystack, starts, out)
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {

@@ -1,6 +1,11 @@
 //! The compiled filter/table state shared by S-PATCH and V-PATCH.
 
-use mpm_patterns::{PatternArena, PatternSet};
+use crate::scratch::{self, Scratch};
+use mpm_graph::{TwoRound, DEFAULT_CHUNK};
+use mpm_patterns::matcher::resume_horizon;
+use mpm_patterns::{MatchEvent, PatternArena, PatternSet};
+use std::ops::Range;
+
 use mpm_verify::{
     direct_filter_bits_for, direct_filter_window_count, DirectFilter, HashedFilter,
     MergedDirectFilters, Verifier, DIRECT_FILTER_FULL_BITS,
@@ -38,6 +43,12 @@ pub struct SPatchTables {
     /// `max_pattern_len - 1`; see `mpm-stream`).
     max_pattern_len: usize,
 }
+
+/// Most tail candidates the resume walk of [`SPatchTables::find_in`] examines
+/// before it settles for the first one it has not looked at: bounds a push's resume
+/// walk on input built to saturate the filters (a long run of one byte that
+/// also heads a pattern), where every tail position is a candidate.
+const RESUME_WALK_BUDGET: usize = 16;
 
 impl SPatchTables {
     /// Compiles the filters and verification tables for `set` using the
@@ -143,6 +154,79 @@ impl SPatchTables {
     /// by `max_pattern_len - 1` bytes to keep boundary matches.
     pub fn max_pattern_len(&self) -> usize {
         self.max_pattern_len
+    }
+
+    /// [`mpm_patterns::Matcher::find_in`] for `engine`, an engine built on
+    /// these tables: filters only `starts` in the thread's cached scratch,
+    /// then reads the resume point off the candidate array the last chunk
+    /// left there (`resume_point`).
+    pub(crate) fn find_in<E: TwoRound<Pad = Scratch>>(
+        &self,
+        engine: &E,
+        haystack: &[u8],
+        starts: Range<usize>,
+        out: &mut Vec<MatchEvent>,
+    ) -> usize {
+        scratch::with_cached_scratch(|scratch| {
+            let last_chunk = mpm_graph::scan(
+                engine,
+                haystack,
+                starts.clone(),
+                DEFAULT_CHUNK,
+                scratch,
+                out,
+            );
+            self.resume_point(haystack, &starts, last_chunk, &scratch.a_long)
+        })
+    }
+
+    /// The resume point of [`mpm_patterns::Matcher::find_in`], from what the
+    /// scan that just ran over `starts` already knows: `a_long` is the long
+    /// candidate array its last chunk (which began at `last_chunk`) left in
+    /// the scratch, in ascending order.
+    ///
+    /// Only starts at or after the horizon `len - (max_pattern_len - 1)` can
+    /// run off the end at all. Of those,
+    ///
+    /// * a start with a whole 4-byte window (`pos + 4 <= len`) can only be a
+    ///   long pattern in progress if it passed filters 2 + 3 — so it is in
+    ///   `a_long` — **and** a pattern in its verify bucket is longer than
+    ///   the bytes left and agrees with all of them
+    ///   ([`mpm_verify::CompactHashTable::prefix_live_at`]); short patterns
+    ///   (1–3 bytes) reach at most two bytes past their start, so they never
+    ///   run off the end from there;
+    /// * the last three starts have no whole window and were never filtered
+    ///   for long patterns: they always count as in progress.
+    ///
+    /// The answer is therefore the first live entry of `a_long` at or after
+    /// the horizon, else `len - 3`. The walk examines at most
+    /// `RESUME_WALK_BUDGET` entries and then returns the first one it did
+    /// not examine — earlier than necessary, never later, so the bound costs
+    /// carried bytes, not exactness. When the last chunk began after the
+    /// horizon, the candidates of the chunk before it are gone and the
+    /// horizon itself is returned.
+    fn resume_point(
+        &self,
+        haystack: &[u8],
+        starts: &Range<usize>,
+        last_chunk: usize,
+        a_long: &[u32],
+    ) -> usize {
+        let horizon = resume_horizon(haystack.len(), self.max_pattern_len, starts);
+        // An empty range ran no filter round: `a_long` is another scan's.
+        if starts.is_empty() || last_chunk > horizon {
+            return horizon;
+        }
+        let in_tail = a_long.partition_point(|&pos| (pos as usize) < horizon);
+        for (examined, &pos) in a_long[in_tail..].iter().enumerate() {
+            let pos = pos as usize;
+            if examined == RESUME_WALK_BUDGET
+                || self.verifier.long_table().prefix_live_at(haystack, pos)
+            {
+                return pos;
+            }
+        }
+        haystack.len().saturating_sub(3).clamp(horizon, starts.end)
     }
 
     /// Resident size of the filtering-round structures (must stay cache

@@ -19,6 +19,7 @@ use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
 use mpm_simd::VectorBackend;
 use mpm_verify::HASH_MULTIPLIER;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which variant of the filtering-only measurement to run
@@ -394,8 +395,21 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
         scratch::with_cached_scratch(|scratch| {
-            mpm_graph::scan(self, haystack, DEFAULT_CHUNK, scratch, out)
+            mpm_graph::scan(
+                self,
+                haystack,
+                0..haystack.len(),
+                DEFAULT_CHUNK,
+                scratch,
+                out,
+            )
         });
+    }
+
+    /// Filters only `starts`, and reads the resume point off the candidate
+    /// array the last chunk left behind (see [`SPatchTables`]).
+    fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
+        self.tables.find_in(self, haystack, starts, out)
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {

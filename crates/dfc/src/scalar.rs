@@ -61,7 +61,9 @@ impl Matcher for Dfc {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        with_drain_buffers(|pad| mpm_graph::scan(self, haystack, DEFAULT_CHUNK, pad, out));
+        with_drain_buffers(|pad| {
+            mpm_graph::scan(self, haystack, 0..haystack.len(), DEFAULT_CHUNK, pad, out)
+        });
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {

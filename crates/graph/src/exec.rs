@@ -1,29 +1,40 @@
 //! The scan loop itself.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use mpm_patterns::{MatchEvent, MatcherStats};
 
 use crate::{Chunk, TwoRound, CHUNK_ALIGN};
 
-/// Scans `haystack` with `engine`, `chunk_size` positions at a time,
-/// appending matches to `out`. Reads no clock and allocates nothing beyond
-/// what the engine's rounds push into `pad` and `out`.
+/// Scans the positions `starts` of `haystack` with `engine`, `chunk_size`
+/// positions at a time, appending the matches that start there to `out`
+/// (`0..haystack.len()` is a whole-input scan; the rounds read past
+/// `starts.end` exactly as they read past a chunk seam). Reads no clock and
+/// allocates nothing beyond what the engine's rounds push into `pad` and
+/// `out`.
+///
+/// Returns the first position of the last chunk (`starts.start` when there
+/// was none): on return `pad` still holds that chunk's candidates, and an
+/// engine that reads them back (the resume point of
+/// `Matcher::find_in`) needs to know which positions they cover.
 ///
 /// Engines pass [`DEFAULT_CHUNK`](crate::DEFAULT_CHUNK); the seam tests pass
 /// small values.
 ///
 /// # Panics
-/// Panics if `chunk_size` is not a positive multiple of [`CHUNK_ALIGN`], or
-/// if `haystack` is too long for `u32` candidate positions.
+/// Panics if `chunk_size` is not a positive multiple of [`CHUNK_ALIGN`], if
+/// `starts` does not lie inside `haystack`, or if `haystack` is too long for
+/// `u32` candidate positions.
 pub fn scan<E: TwoRound>(
     engine: &E,
     haystack: &[u8],
+    starts: Range<usize>,
     chunk_size: usize,
     pad: &mut E::Pad,
     out: &mut Vec<MatchEvent>,
-) {
-    run::<E, false>(engine, haystack, chunk_size, pad, out);
+) -> usize {
+    run::<E, false>(engine, haystack, starts, chunk_size, pad, out).1
 }
 
 /// [`scan`] with the two rounds timed: returns the bytes scanned, the
@@ -36,34 +47,41 @@ pub fn scan_with_stats<E: TwoRound>(
     pad: &mut E::Pad,
     out: &mut Vec<MatchEvent>,
 ) -> MatcherStats {
-    run::<E, true>(engine, haystack, chunk_size, pad, out)
+    run::<E, true>(engine, haystack, 0..haystack.len(), chunk_size, pad, out).0
 }
 
 #[inline(always)]
 fn run<E: TwoRound, const TIMED: bool>(
     engine: &E,
     haystack: &[u8],
+    starts: Range<usize>,
     chunk_size: usize,
     pad: &mut E::Pad,
     out: &mut Vec<MatchEvent>,
-) -> MatcherStats {
+) -> (MatcherStats, usize) {
     assert!(
         chunk_size > 0 && chunk_size.is_multiple_of(CHUNK_ALIGN),
         "chunk size {chunk_size} is not a positive multiple of {CHUNK_ALIGN}"
     );
-    let n = haystack.len();
     assert!(
-        n < u32::MAX as usize,
+        haystack.len() < u32::MAX as usize,
         "haystack too large for u32 candidate positions"
+    );
+    assert!(
+        starts.start <= starts.end && starts.end <= haystack.len(),
+        "start range {starts:?} outside a haystack of {} bytes",
+        haystack.len()
     );
     let matches_before = out.len();
     let mut stats = MatcherStats {
-        bytes_scanned: n as u64,
+        bytes_scanned: starts.len() as u64,
         ..MatcherStats::default()
     };
-    let mut start = 0;
-    while start < n {
-        let end = n.min(start + chunk_size);
+    let mut start = starts.start;
+    let mut last_chunk = start;
+    while start < starts.end {
+        let end = starts.end.min(start + chunk_size);
+        last_chunk = start;
         let chunk = Chunk {
             haystack,
             start,
@@ -80,7 +98,7 @@ fn run<E: TwoRound, const TIMED: bool>(
         start = end;
     }
     stats.matches = (out.len() - matches_before) as u64;
-    stats
+    (stats, last_chunk)
 }
 
 #[cfg(test)]
@@ -118,7 +136,14 @@ mod tests {
         let mut out = Vec::new();
         let stats = scan_with_stats(&Toy, hay, chunk_size, &mut Vec::new(), &mut out);
         let mut untimed = Vec::new();
-        scan(&Toy, hay, chunk_size, &mut Vec::new(), &mut untimed);
+        scan(
+            &Toy,
+            hay,
+            0..hay.len(),
+            chunk_size,
+            &mut Vec::new(),
+            &mut untimed,
+        );
         assert_eq!(untimed, out, "timing must not change the output");
         (out, stats)
     }
@@ -184,8 +209,53 @@ mod tests {
             fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) {}
         }
         let mut seen = Vec::new();
-        scan(&Tails, &[0u8; 70], 32, &mut seen, &mut Vec::new());
+        let last = scan(&Tails, &[0u8; 70], 0..70, 32, &mut seen, &mut Vec::new());
         assert_eq!(seen, vec![(0, 32, false), (32, 32, false), (64, 6, true)]);
+        assert_eq!(last, 64);
+    }
+
+    #[test]
+    fn a_start_range_bounds_what_the_rounds_originate() {
+        // Chunks tile the range, not the haystack: nothing before
+        // `starts.start` or from `starts.end` on is originated, and a range
+        // that stops short of the input's end leaves the tail unowned.
+        let data = hay(300);
+        let mut got = Vec::new();
+        let last = scan(&Toy, &data, 90..200, 32, &mut Vec::new(), &mut got);
+        assert_eq!(last, 186);
+        let (whole, _) = run_toy(&data, 32);
+        let mut expected: Vec<_> = whole
+            .into_iter()
+            .filter(|m| (90..200).contains(&m.start))
+            .collect();
+        assert!(!expected.is_empty());
+        mpm_patterns::matcher::normalize_matches(&mut expected);
+        mpm_patterns::matcher::normalize_matches(&mut got);
+        assert_eq!(got, expected);
+
+        struct Tails;
+        impl TwoRound for Tails {
+            type Pad = Vec<bool>;
+            fn filter(&self, c: Chunk<'_>, pad: &mut Self::Pad, _: &mut Vec<MatchEvent>) -> u64 {
+                pad.push(c.is_last());
+                0
+            }
+            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) {}
+        }
+        let mut seen = Vec::new();
+        let last = scan(&Tails, &[0u8; 70], 10..50, 32, &mut seen, &mut Vec::new());
+        assert_eq!((seen, last), (vec![false, false], 42));
+        assert_eq!(
+            scan(
+                &Tails,
+                &[0u8; 70],
+                7..7,
+                32,
+                &mut Vec::new(),
+                &mut Vec::new()
+            ),
+            7
+        );
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! of at most one chunk the loop is exactly one filter round and one verify
 //! round. [`scan_with_stats`] is the same loop with the two rounds timed.
 //!
+//! [`scan`] takes the range of positions to originate matches from
+//! (`0..haystack.len()` for a whole-input scan): the chunks tile that range,
+//! while every round still sees — and reads into — the whole haystack. That
+//! is what lets a streaming caller filter only the few carried-over starts
+//! of a staged buffer instead of the buffer (`Matcher::find_in`).
+//!
 //! See DEVELOPMENT.md § "Scan loop" for the contract and the add-an-engine
 //! recipe.
 

@@ -11,6 +11,7 @@
 
 use crate::pattern::{PatternId, PatternSet};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A single reported occurrence of a pattern in the input.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -139,16 +140,55 @@ pub trait Matcher {
     /// Length in bytes of the longest pattern this engine was compiled for
     /// (`0` for an empty pattern set).
     ///
-    /// Streaming callers need this to size the chunk overlap: a scanner that
-    /// processes a stream in chunks must carry over the last
-    /// `max_pattern_len - 1` bytes of the previous chunk, otherwise matches
-    /// straddling a chunk boundary are lost (see `mpm-stream`).
+    /// Streaming callers need this to bound what they carry between chunks:
+    /// a match straddling a chunk boundary starts within the last
+    /// `max_pattern_len - 1` bytes of the previous chunk, so those bytes —
+    /// or the fewer a resume point allows ([`Matcher::find_in`]) — must be
+    /// kept (see `mpm-stream`).
     fn max_pattern_len(&self) -> usize;
 
     /// Scans `haystack` and appends every occurrence of every pattern to
     /// `out`. Occurrences may be appended in any order; callers that need a
     /// canonical order sort the vector (see [`normalize_matches`]).
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>);
+
+    /// Appends to `out` exactly the occurrences that **start in `starts`**
+    /// and lie inside `haystack` (bytes past `starts.end` are read, never
+    /// originated from), and returns a **resume point** `r`, in `starts` and
+    /// at or after [`resume_horizon`]: whatever bytes are later appended
+    /// to `haystack`, no occurrence starts in `starts.start..r` and ends
+    /// past `haystack.len()`. A streaming caller therefore only has to keep
+    /// `haystack[r..]` to find every occurrence the appended bytes complete
+    /// (see `mpm-stream`).
+    ///
+    /// This default is the definition and is exact for every engine: scan
+    /// from `starts.start`, keep the starts below `starts.end`, and return
+    /// the horizon `haystack.len() - (max_pattern_len - 1)` (clamped into
+    /// `starts`) — the earliest start from which the longest pattern could
+    /// still run off the end. No resume point may be earlier than that, so
+    /// `haystack[r..]` is at most `max_pattern_len - 1` bytes and callers
+    /// may rely on the bound. An engine overrides this method only to
+    /// return a later point it can prove from state its scan already holds,
+    /// and only with a test against the contract
+    /// (`tests/resume_contract.rs`).
+    ///
+    /// # Panics
+    /// Panics unless `starts.start <= starts.end <= haystack.len()`.
+    fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
+        assert!(starts.start <= starts.end && starts.end <= haystack.len());
+        let first = out.len();
+        self.find_into(&haystack[starts.start..], out);
+        let mut kept = first;
+        for i in first..out.len() {
+            let start = out[i].start + starts.start;
+            if start < starts.end {
+                out[kept] = MatchEvent::new(start, out[i].pattern);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+        resume_horizon(haystack.len(), self.max_pattern_len(), &starts)
+    }
 
     /// Scans `haystack` and returns all matches in canonical
     /// (position, pattern) order.
@@ -203,6 +243,16 @@ pub trait Matcher {
             other_bytes: self.heap_bytes(),
         }
     }
+}
+
+/// The resume point every engine may fall back on (see
+/// [`Matcher::find_in`]): the earliest start in `starts` from which a
+/// pattern of `max_pattern_len` bytes would run past a haystack of `len`
+/// bytes, i.e. `len - (max_pattern_len - 1)` clamped into `starts`.
+pub fn resume_horizon(len: usize, max_pattern_len: usize, starts: &Range<usize>) -> usize {
+    (len + 1)
+        .saturating_sub(max_pattern_len)
+        .clamp(starts.start, starts.end)
 }
 
 /// Asserts the memory-accounting honesty contract for one engine: the

@@ -83,6 +83,7 @@ use mpm_patterns::rule::{RuleMatch, RuleSet};
 use mpm_patterns::stats::{LatencyHistogram, LatencySummary};
 use mpm_patterns::{MatchEvent, MatcherStats, PatternSet};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -305,6 +306,33 @@ struct FlowSlot {
     /// The ruleset epoch the flow's scanner was minted from.
     epoch: u64,
 }
+
+/// Hasher of a worker's flow table: flow ids are already run through
+/// [`mix64`] to pick the worker, and the same finalizer spreads them over the
+/// table's buckets for a few cycles where SipHash spends tens of ns per
+/// packet. It is a bijection on `u64`, so distinct ids never share a hash.
+#[derive(Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = mix64(self.0 ^ id);
+    }
+
+    /// Not reached by `u64` keys; folds byte-wise so any other key still
+    /// hashes all of its bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+}
+
+type FlowTable = HashMap<u64, FlowSlot, BuildHasherDefault<FlowIdHasher>>;
 
 /// Everything [`PipelineScanner::spawn`] needs, bundled so the builder and
 /// the respawn path construct workers identically.
@@ -896,10 +924,10 @@ impl PipelineScanner {
         }
     }
 
-    /// Blocking ring push with deadlock-free backpressure: while the job
-    /// ring is full, drain that worker's output ring (the worker may itself
-    /// be stalled on it) and retry. Used for control jobs and for packet
-    /// dispatch under the `Block` policy.
+    /// Blocking ring push with deadlock-free backpressure: on a full job
+    /// ring, wait for the worker to free a batch of slots
+    /// ([`PipelineScanner::wait_for_slots`]) and retry. Used for control jobs
+    /// and for packet dispatch under the `Block` policy.
     fn push_job(&mut self, worker: usize, job: PipeJob) {
         let mut job = job;
         loop {
@@ -908,10 +936,32 @@ impl PipelineScanner {
                 Err(back) => {
                     job = back;
                     self.backpressure_waits += 1;
-                    self.pump_worker(worker);
-                    std::thread::yield_now();
+                    self.wait_for_slots(worker);
                 }
             }
+        }
+    }
+
+    /// Waits until the worker has freed an eighth of its job ring (at least
+    /// one slot), draining its output ring meanwhile — the worker may itself
+    /// be stalled on it — and returning early if it died (the retry then
+    /// recovers it). A full ring is the steady state of a saturated worker:
+    /// retrying after every freed slot would re-read the worker's `head`
+    /// line and yield once per packet, and no push would ever run against
+    /// the producer's cached head. After a batch wait the next pushes do.
+    fn wait_for_slots(&mut self, worker: usize) {
+        let batch = (self.ring_capacity / 8).max(1);
+        loop {
+            self.pump_worker(worker);
+            // Invariant: see `try_push`.
+            let jobs = self.workers[worker]
+                .jobs
+                .as_ref()
+                .expect("producer present outside recovery");
+            if jobs.is_closed() || jobs.capacity() - jobs.len() >= batch {
+                return;
+            }
+            std::thread::yield_now();
         }
     }
 
@@ -967,7 +1017,7 @@ struct PipelineWorker {
     idle_after: Option<Duration>,
     max_flow_buffer: Option<usize>,
     plan: Arc<FaultPlan>,
-    flows: HashMap<u64, FlowSlot>,
+    flows: FlowTable,
     /// seq → flow, maintained when any eviction policy is active. Push
     /// order == recency order, so the least-recently-pushed flow is the
     /// first entry and the idle sweep never looks past a fresh flow.
@@ -1001,7 +1051,7 @@ impl PipelineWorker {
             idle_after: config.idle_after,
             max_flow_buffer: config.max_flow_buffer,
             plan: config.plan,
-            flows: HashMap::new(),
+            flows: FlowTable::default(),
             recency: BTreeMap::new(),
             next_seq: 0,
             stats: MatcherStats::default(),
@@ -1028,10 +1078,16 @@ impl PipelineWorker {
         // dispatcher unparks on push-to-empty-ring, the timeout is the
         // safety net.
         let mut idle = 0u32;
+        // One clock read per job while the ring stays non-empty: the read
+        // that ends a job (closing its latency sample and busy interval)
+        // starts the next. Only a job popped after an idle spell reads its
+        // own start.
+        let mut previous_end: Option<Instant> = None;
         loop {
             match self.jobs.pop() {
                 Some(job) => {
                     idle = 0;
+                    let started = previous_end.take().unwrap_or_else(Instant::now);
                     if matches!(job, PipeJob::Packet { .. }) {
                         self.lifetime_packets += 1;
                         if self.plan.should_exit(self.index, self.lifetime_packets) {
@@ -1047,17 +1103,22 @@ impl PipelineWorker {
                     // AssertUnwindSafe: on Err we only read flow ids and
                     // buffer sizes for the death report, then the whole
                     // worker state is discarded.
-                    let unwound =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(job)));
-                    if let Err(payload) = unwound {
-                        self.report_death(panic_message(payload.as_ref()));
-                        return;
+                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.handle(job, started)
+                    }));
+                    match unwound {
+                        Ok(ended) => previous_end = Some(ended),
+                        Err(payload) => {
+                            self.report_death(panic_message(payload.as_ref()));
+                            return;
+                        }
                     }
                 }
                 None => {
                     if self.jobs.is_closed() {
                         break;
                     }
+                    previous_end = None;
                     idle += 1;
                     if idle < 64 {
                         std::hint::spin_loop();
@@ -1087,19 +1148,19 @@ impl PipelineWorker {
         );
     }
 
-    fn handle(&mut self, job: PipeJob) {
-        let started = Instant::now();
+    /// Processes one job that began at `started`; returns when it ended.
+    fn handle(&mut self, job: PipeJob, started: Instant) -> Instant {
         // The eviction clock: equal to `started` in production, offset
         // under an injected mock-clock advance. Only `last_seen`/idle
         // eviction observe it — latency and utilization stay real-time.
         let now = self.plan.clock(started);
+        let mut dispatched = None;
         match job {
             PipeJob::Packet { packet, enqueued } => {
                 self.plan.maybe_panic(self.index, self.lifetime_packets);
                 self.sweep_idle(now);
                 self.scan_packet(packet, now);
-                // Latency is measured dispatch→scanned: ring wait + scan.
-                self.latency.record(enqueued.elapsed().as_nanos() as u64);
+                dispatched = Some(enqueued);
             }
             PipeJob::CloseFlow(flow) => {
                 if let Some(slot) = self.flows.remove(&flow) {
@@ -1117,7 +1178,14 @@ impl PipelineWorker {
                 self.flush(token, started);
             }
         }
-        self.busy_nanos += started.elapsed().as_nanos() as u64;
+        let ended = Instant::now();
+        if let Some(enqueued) = dispatched {
+            // Latency is measured dispatch→scanned: ring wait + scan.
+            self.latency
+                .record(ended.saturating_duration_since(enqueued).as_nanos() as u64);
+        }
+        self.busy_nanos += ended.saturating_duration_since(started).as_nanos() as u64;
+        ended
     }
 
     /// Evicts flows idle past the timeout, scanning only the (push-ordered)

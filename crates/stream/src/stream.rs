@@ -4,25 +4,57 @@
 //! A NIDS never sees a flow as one contiguous buffer: payload arrives in
 //! reassembled chunks of arbitrary size. A pattern may straddle any chunk
 //! boundary, so per-chunk scanning alone loses matches. `StreamScanner`
-//! wraps any [`Matcher`] engine and restores one-shot semantics:
+//! wraps any [`Matcher`] engine and restores one-shot semantics by
+//! **resuming** instead of re-scanning: between [`StreamScanner::push`]
+//! calls it keeps the *live suffix* of the stream — the bytes from the
+//! engine's last resume point on ([`Matcher::find_in`]), i.e. from the
+//! earliest start a pattern can still be in progress over. For the
+//! filtering engines that is typically the last three bytes; it is never
+//! more than `max_pattern_len - 1`, which is also what an engine without a
+//! resume point of its own keeps.
 //!
-//! * it **carries over** the last `max_pattern_len - 1` bytes of the stream
-//!   between [`StreamScanner::push`] calls and re-scans only that boundary
-//!   region together with the next chunk's prefix, so a straddling match is
-//!   found exactly once;
-//! * it **de-duplicates** overlap re-reports: a match wholly contained in the
-//!   carried-over bytes was already reported by an earlier push and is
-//!   dropped;
-//! * it **translates** every reported position to the absolute offset in the
-//!   stream, so downstream consumers never see chunk-local coordinates.
+//! A push does three things, the same for every engine and chunk size:
+//!
+//! 1. **Carried starts.** If the carry is non-empty, stage `carry` followed
+//!    by the chunk's first `min(len, overlap)` bytes and ask the engine for
+//!    the matches that *start in the carry* (`find_in(staged,
+//!    0..carry.len())`). Only those starts are filtered — the staged chunk
+//!    bytes are read, never originated from. Matches that end inside the
+//!    carry are dropped: the push that delivered their last byte reported
+//!    them.
+//! 2. **Fresh starts.** Scan the chunk in place for the matches that start
+//!    in it (`find_in(chunk, 0..len)`), translated to absolute stream
+//!    offsets.
+//! 3. **New carry.** If a carried start is still in progress (possible only
+//!    when the chunk was shorter than `overlap`), keep the carry from that
+//!    start on and append the chunk; otherwise keep the chunk from its own
+//!    resume point on.
+//!
+//! Why this is exact: a match that lies wholly inside the stream seen so far
+//! starts either in the carry (step 1 finds it, and reports it iff this push
+//! delivered its last byte) or in the chunk (step 2), and a match that
+//! starts before the carry ended before the carry did — that is what a
+//! resume point promises — so an earlier push reported it. Every match that
+//! needs bytes not yet seen starts at or after a resume point, so its start
+//! is still in the carry when its last byte arrives.
 //!
 //! The invariant (property-tested in `tests/stream_equivalence.rs`): for any
 //! chunking of any input — including 1-byte chunks and cuts inside every
 //! pattern — the union of the events reported by the pushes equals the match
-//! set of a one-shot scan of the whole input.
+//! set of a one-shot scan of the whole input, and every reported position is
+//! an absolute stream offset.
 
 use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The staging buffer of step 1 (`carry` + chunk prefix), per thread
+    /// like the engines' cached scratch: it is scratch, not flow state, and
+    /// never holds more than `2 * overlap` bytes of the widest engine the
+    /// thread has pushed through.
+    static STAGED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A shareable, `Send + Sync` matching engine, as produced by
 /// `mpm_vpatch::build_auto` and friends.
@@ -54,16 +86,15 @@ pub type SharedMatcher = Arc<dyn Matcher + Send + Sync>;
 pub struct StreamScanner {
     engine: SharedMatcher,
     /// Pattern length per [`mpm_patterns::PatternId`] — needed to decide
-    /// whether a boundary-region match extends into fresh bytes.
+    /// whether a match that starts in the carry ends in fresh bytes.
     lengths: Arc<[u32]>,
-    /// Bytes of history to keep: `max_pattern_len - 1`.
+    /// Upper bound of the carry: `max_pattern_len - 1`.
     overlap: usize,
-    /// Up to `overlap` trailing bytes of the stream pushed so far.
+    /// The live suffix of the stream pushed so far: the bytes from the last
+    /// resume point on (at most `overlap`). Grows on demand; a flow that
+    /// never has a pattern in progress across a push never allocates more
+    /// than a few bytes here.
     carry: Vec<u8>,
-    /// Reusable buffer for the boundary scan (`carry` + chunk prefix).
-    boundary: Vec<u8>,
-    /// Reusable per-push event buffer.
-    local: Vec<MatchEvent>,
     /// Absolute stream offset of the next byte to be pushed.
     position: usize,
     stats: MatcherStats,
@@ -74,6 +105,7 @@ impl std::fmt::Debug for StreamScanner {
         f.debug_struct("StreamScanner")
             .field("engine", &self.engine.name())
             .field("overlap", &self.overlap)
+            .field("carried", &self.carry.len())
             .field("position", &self.position)
             .finish_non_exhaustive()
     }
@@ -83,13 +115,13 @@ impl StreamScanner {
     /// Creates a scanner for one stream.
     ///
     /// `set` must be the pattern set `engine` was compiled for; the scanner
-    /// keeps only the per-pattern lengths (to classify boundary matches) and
-    /// the maximum length (to size the carry-over).
+    /// keeps only the per-pattern lengths (to classify matches that start in
+    /// the carry) and the maximum length (to bound the carry).
     ///
     /// # Panics
     /// Panics if the engine disagrees with `set` about the longest pattern —
     /// the symptom of passing the wrong set, which would silently corrupt
-    /// the carry-over invariant.
+    /// the live-suffix invariant.
     pub fn new(engine: SharedMatcher, set: &PatternSet) -> Self {
         let lengths: Arc<[u32]> = set.patterns().iter().map(|p| p.len() as u32).collect();
         let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
@@ -110,9 +142,7 @@ impl StreamScanner {
             engine,
             lengths,
             overlap,
-            carry: Vec::with_capacity(overlap),
-            boundary: Vec::with_capacity(2 * overlap),
-            local: Vec::new(),
+            carry: Vec::new(),
             position: 0,
             stats: MatcherStats::default(),
         }
@@ -123,10 +153,16 @@ impl StreamScanner {
         self.position
     }
 
-    /// The number of history bytes carried between pushes
+    /// The most history bytes ever carried between pushes
     /// (`max_pattern_len - 1`).
     pub fn overlap(&self) -> usize {
         self.overlap
+    }
+
+    /// Bytes carried right now: the length of the stream's live suffix,
+    /// at most [`StreamScanner::overlap`].
+    pub fn carried(&self) -> usize {
+        self.carry.len()
     }
 
     /// The wrapped engine.
@@ -154,6 +190,7 @@ impl StreamScanner {
     /// Matches are appended in no particular order (sort with
     /// [`mpm_patterns::matcher::normalize_matches`] if a canonical order is
     /// needed); across pushes every occurrence is reported exactly once.
+    /// The module docs walk through the three steps and why they are exact.
     pub fn push(&mut self, chunk: &[u8], out: &mut Vec<MatchEvent>) {
         if chunk.is_empty() {
             return;
@@ -161,48 +198,48 @@ impl StreamScanner {
         let reported_before = out.len();
         let carry_len = self.carry.len();
 
-        // 1. Boundary region: matches that *start* inside the carried-over
-        //    bytes. Any such match ends within `carry + chunk[..overlap]`
-        //    (its start is ≥ position - overlap and its length ≤ overlap+1),
-        //    so scanning that small buffer sees all of them. Matches wholly
-        //    inside the carry were reported by an earlier push and are
-        //    dropped; matches starting at or after the carry/chunk seam are
-        //    left to the chunk scan below.
+        // 1. Matches that start in the carry and end in this chunk.
+        // `live_from` is the first carried start still in progress after
+        // this chunk. A carried start reaches at most `overlap` bytes into
+        // the chunk, so there is one only if the chunk is shorter: otherwise
+        // the horizon of the staged bytes — which no resume point precedes —
+        // is already `carry_len`.
+        let mut live_from = carry_len;
         if carry_len > 0 {
-            self.boundary.clear();
-            self.boundary.extend_from_slice(&self.carry);
-            let prefix = chunk.len().min(self.overlap);
-            self.boundary.extend_from_slice(&chunk[..prefix]);
-            self.local.clear();
-            self.engine.find_into(&self.boundary, &mut self.local);
+            live_from = STAGED.with_borrow_mut(|staged| {
+                staged.clear();
+                staged.extend_from_slice(&self.carry);
+                staged.extend_from_slice(&chunk[..chunk.len().min(self.overlap)]);
+                self.engine.find_in(staged, 0..carry_len, out)
+            });
             let base = self.position - carry_len;
-            for m in &self.local {
-                let len = self.lengths[m.pattern.index()] as usize;
-                if m.start < carry_len && m.start + len > carry_len {
-                    out.push(MatchEvent::new(base + m.start, m.pattern));
+            let mut kept = reported_before;
+            for i in reported_before..out.len() {
+                let m = out[i];
+                if m.start + self.lengths[m.pattern.index()] as usize > carry_len {
+                    out[kept] = MatchEvent::new(base + m.start, m.pattern);
+                    kept += 1;
                 }
             }
+            out.truncate(kept);
         }
 
-        // 2. Fresh bytes: matches starting inside this chunk.
-        self.local.clear();
-        self.engine.find_into(chunk, &mut self.local);
-        for m in &self.local {
-            out.push(MatchEvent::new(self.position + m.start, m.pattern));
+        // 2. Matches that start in this chunk, scanned in place.
+        let fresh = out.len();
+        let resume = self.engine.find_in(chunk, 0..chunk.len(), out);
+        for m in &mut out[fresh..] {
+            m.start += self.position;
         }
 
-        // 3. Advance the carry to the last `overlap` bytes of the stream.
-        if self.overlap > 0 {
-            if chunk.len() >= self.overlap {
-                self.carry.clear();
-                self.carry
-                    .extend_from_slice(&chunk[chunk.len() - self.overlap..]);
-            } else {
-                let excess = (carry_len + chunk.len()).saturating_sub(self.overlap);
-                self.carry.drain(..excess);
-                self.carry.extend_from_slice(chunk);
-            }
+        // 3. The new live suffix.
+        if live_from < carry_len {
+            self.carry.drain(..live_from);
+            self.carry.extend_from_slice(chunk);
+        } else {
+            self.carry.clear();
+            self.carry.extend_from_slice(&chunk[resume..]);
         }
+        debug_assert!(self.carry.len() <= self.overlap);
 
         self.position += chunk.len();
         self.stats.bytes_scanned += chunk.len() as u64;

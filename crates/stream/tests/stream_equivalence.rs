@@ -3,15 +3,26 @@
 //! inside every pattern — [`StreamScanner`] over the chunks reports a
 //! byte-identical match set to a one-shot scan, for S-PATCH, V-PATCH and
 //! DFC on every available backend.
+//!
+//! The deterministic half looks where random chunkings rarely do: a pattern
+//! kept in progress across many pushes, a carry that shrinks and regrows,
+//! `reset()`/`clone()` mid-pattern, how few bytes benign traffic carries
+//! (so a silent fall-back to the conservative resume point cannot pass), and
+//! the adversarial bound — input on which every tail position is a filter
+//! candidate still carries at most `overlap` bytes and hands the engine at
+//! most `chunk + 2 * overlap` bytes per push.
 
 use mpm_dfc::{Dfc, VectorDfc};
 use mpm_patterns::matcher::normalize_matches;
 use mpm_patterns::naive::naive_find_all;
-use mpm_patterns::{MatchEvent, Pattern, PatternSet};
+use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, Pattern, PatternSet, SyntheticRuleset};
 use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend};
 use mpm_stream::{SharedMatcher, StreamScanner};
+use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::{SPatch, VPatch};
 use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn bytes_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -158,6 +169,275 @@ fn every_cut_inside_every_pattern_is_found() {
                     got, expected,
                     "{name}: pattern {id} cut at {cut} lost a match"
                 );
+            }
+        }
+    }
+}
+
+/// Pushes `hay` in `packet`-byte pieces, checking after every push that the
+/// carry respects its bound and still holds every byte of an occurrence of
+/// `live` (at stream offset `live.start`) that has begun but not ended.
+fn push_in_packets(
+    scanner: &mut StreamScanner,
+    hay: &[u8],
+    packet: usize,
+    live: Range<usize>,
+    got: &mut Vec<MatchEvent>,
+) {
+    for piece in hay.chunks(packet) {
+        scanner.push(piece, got);
+        assert!(scanner.carried() <= scanner.overlap());
+        let seen = scanner.position();
+        if live.contains(&seen) {
+            assert!(
+                scanner.carried() >= seen - live.start,
+                "{}: {} bytes of a pattern in progress, {} carried",
+                scanner.engine().name(),
+                seen - live.start,
+                scanner.carried()
+            );
+        }
+    }
+}
+
+/// A pattern longer than four packets stays in progress across five or more
+/// pushes, and is then completed — or broken on its very last byte.
+#[test]
+fn a_pattern_longer_than_four_packets_stays_live_until_its_last_byte() {
+    let long: Vec<u8> = (0..70u8).map(|i| b'a' + i % 23).collect();
+    let set = PatternSet::new(vec![
+        Pattern::literal(long.clone()),
+        Pattern::literal(long[..9].to_vec()),
+        Pattern::literal(*b"GET /"),
+        Pattern::literal(*b"jk"),
+        Pattern::literal(*b"x"),
+    ]);
+    for last in [long[69], b'#'] {
+        let mut hay = b"..x GET ".to_vec();
+        let start = hay.len();
+        hay.extend_from_slice(&long[..69]);
+        hay.push(last);
+        hay.extend_from_slice(b"/x GET /..");
+        let expected = naive_find_all(&set, &hay);
+        assert_eq!(
+            expected.iter().any(|m| m.pattern.index() == 0),
+            last == long[69]
+        );
+        for packet in [16, 13, 5, 1] {
+            for engine in engines(&set) {
+                let name = engine.name();
+                let mut scanner = StreamScanner::new(engine, &set);
+                let mut got = Vec::new();
+                // In progress from its second byte until its last arrives.
+                let live = start + 1..start + 70;
+                push_in_packets(&mut scanner, &hay, packet, live, &mut got);
+                normalize_matches(&mut got);
+                assert_eq!(got, expected, "{name}: {packet}-byte packets");
+            }
+        }
+    }
+}
+
+/// Every cut of every pattern, after a long first push and followed by
+/// 1-byte pushes: the carry shrinks to the pattern's head, then regrows one
+/// byte at a time until the match completes.
+#[test]
+fn every_cut_survives_a_long_push_followed_by_one_byte_pushes() {
+    let set = PatternSet::new(vec![
+        Pattern::literal(*b"GET /index.html HTTP/1.1"),
+        Pattern::literal_nocase(*b"User-Agent: sqlmap"),
+        Pattern::literal(*b"passwd"),
+        Pattern::literal(*b"aaaa"),
+        Pattern::literal(*b"ab"),
+        Pattern::literal(*b"x"),
+    ]);
+    let filler: Vec<u8> = b"Host: example.org\r\nAccept: */*\r\n"
+        .iter()
+        .cycle()
+        .take(300)
+        .copied()
+        .collect();
+    for (id, pattern) in set.iter() {
+        let needle = pattern.bytes().to_ascii_uppercase();
+        let needle = if pattern.is_nocase() {
+            &needle[..]
+        } else {
+            pattern.bytes()
+        };
+        let mut hay = filler.clone();
+        hay.extend_from_slice(needle);
+        hay.extend_from_slice(b" aaab");
+        let expected = naive_find_all(&set, &hay);
+        for cut in 1..needle.len() {
+            let boundary = filler.len() + cut;
+            for engine in engines(&set) {
+                let name = engine.name();
+                let mut scanner = StreamScanner::new(engine, &set);
+                let mut got = Vec::new();
+                let live = filler.len() + 1..filler.len() + needle.len();
+                push_in_packets(
+                    &mut scanner,
+                    &hay[..boundary],
+                    boundary,
+                    live.clone(),
+                    &mut got,
+                );
+                push_in_packets(&mut scanner, &hay[boundary..], 1, live, &mut got);
+                normalize_matches(&mut got);
+                assert_eq!(
+                    got, expected,
+                    "{name}: pattern {id} cut at {cut} lost a match"
+                );
+            }
+        }
+    }
+}
+
+/// `reset()` forgets a pattern in progress and restarts offsets at zero; a
+/// clone taken mid-pattern finishes the stream exactly as the original does.
+#[test]
+fn reset_and_clone_mid_pattern() {
+    let set = PatternSet::from_literals(&["GET /index.html", "passwd", "ab"]);
+    let stream = b"..GET /index.html?passwd=ab";
+    let expected = naive_find_all(&set, stream);
+    for engine in engines(&set) {
+        let name = engine.name();
+        let mut scanner = StreamScanner::new(engine, &set);
+        let mut got = Vec::new();
+        scanner.push(b"xx GET /ind", &mut got);
+        assert!(scanner.carried() >= 8, "{name}");
+        scanner.reset();
+        assert_eq!((scanner.carried(), scanner.position()), (0, 0), "{name}");
+        // The tail of the old stream must not complete against the new one.
+        scanner.push(b"ex.html ", &mut got);
+        assert!(got.is_empty(), "{name}: {got:?}");
+
+        scanner.reset();
+        scanner.push(&stream[..9], &mut got);
+        let mut twin = scanner.clone();
+        let mut twin_got = got.clone();
+        scanner.push(&stream[9..], &mut got);
+        twin.push(&stream[9..], &mut twin_got);
+        normalize_matches(&mut got);
+        normalize_matches(&mut twin_got);
+        assert_eq!(got, expected, "{name}");
+        assert_eq!(twin_got, expected, "{name}: clone");
+        assert!(format!("{scanner:?}").contains("StreamScanner"));
+    }
+}
+
+/// The engines that read a resume point off their own candidate array
+/// (S-PATCH and V-PATCH): what `build_auto` returns and the pipeline runs.
+fn patch_engines(set: &PatternSet) -> Vec<SharedMatcher> {
+    engines(set)
+        .into_iter()
+        .filter(|engine| matches!(engine.name(), "S-PATCH" | "V-PATCH"))
+        .collect()
+}
+
+/// On benign traffic almost no position is a pattern in progress, so the
+/// carry is the three unfiltered tail bytes and now and then a pattern's
+/// head. An engine that silently fell back to the conservative resume point
+/// would carry `overlap` (~250) bytes here.
+#[test]
+fn benign_traffic_carries_a_few_bytes() {
+    let set = SyntheticRuleset::snort_like_s1().http();
+    let flow = TraceGenerator::generate(&TraceSpec::new(TraceKind::IscxDay2, 16 << 10), Some(&set));
+    for engine in patch_engines(&set) {
+        let name = engine.name();
+        let mut scanner = StreamScanner::new(engine, &set);
+        assert!(scanner.overlap() > 100);
+        let mut got = Vec::new();
+        let (mut carried, mut pushes) = (0usize, 0usize);
+        for packet in flow.chunks(64) {
+            scanner.push(packet, &mut got);
+            carried += scanner.carried();
+            pushes += 1;
+        }
+        assert!(
+            carried < 16 * pushes,
+            "{name}: mean carry {:.1} bytes over {pushes} pushes",
+            carried as f64 / pushes as f64
+        );
+        normalize_matches(&mut got);
+        assert_eq!(got, naive_find_all(&set, &flow), "{name}");
+    }
+}
+
+/// Forwards to an engine, adding up the bytes of every haystack handed over.
+struct Counting {
+    inner: SharedMatcher,
+    handed: AtomicUsize,
+}
+
+impl Matcher for Counting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn max_pattern_len(&self) -> usize {
+        self.inner.max_pattern_len()
+    }
+
+    fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
+        self.handed.fetch_add(haystack.len(), Ordering::Relaxed);
+        self.inner.find_into(haystack, out);
+    }
+
+    fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
+        self.handed.fetch_add(haystack.len(), Ordering::Relaxed);
+        self.inner.find_in(haystack, starts, out)
+    }
+}
+
+/// The worst case is bounded: a ~250-byte one-letter pattern against a
+/// stream of that letter keeps every tail position genuinely in progress,
+/// and a stream of 4-byte patterns makes every tail position a filter
+/// candidate that is *not* in progress (so the resume walk runs out of
+/// budget). Either way the output is the naive one, the carry never exceeds
+/// `overlap`, and a push never hands the engine more than the
+/// `chunk + 2 * overlap` bytes the re-scanning scanner did.
+#[test]
+fn saturating_input_stays_within_the_carry_and_work_bounds() {
+    let set = PatternSet::new(vec![
+        Pattern::literal(vec![b'A'; 250]),
+        Pattern::literal(*b"ABAB"),
+        Pattern::literal(*b"BABA"),
+        Pattern::literal_nocase(*b"abba"),
+        Pattern::literal(*b"AA"),
+        Pattern::literal(*b"B"),
+    ]);
+    let all_a = vec![b'A'; 1200];
+    let saturating: Vec<u8> = b"AB".iter().cycle().take(1200).copied().collect();
+    let mut mixed = saturating[..300].to_vec();
+    mixed.extend_from_slice(&all_a[..620]);
+    mixed.extend_from_slice(b"BBABBA");
+    for hay in [&all_a, &saturating, &mixed] {
+        let expected = NaiveMatcher::new(&set).find_all(hay);
+        let mut tested: Vec<SharedMatcher> = patch_engines(&set);
+        tested.push(Arc::from(NaiveMatcher::new(&set)));
+        for engine in tested {
+            for packet in [1, 7, 64] {
+                let counting = Arc::new(Counting {
+                    inner: engine.clone(),
+                    handed: AtomicUsize::new(0),
+                });
+                let mut scanner = StreamScanner::new(counting.clone(), &set);
+                let bound = packet + 2 * scanner.overlap();
+                let mut got = Vec::new();
+                for piece in hay.chunks(packet) {
+                    counting.handed.store(0, Ordering::Relaxed);
+                    scanner.push(piece, &mut got);
+                    assert!(scanner.carried() <= scanner.overlap());
+                    let handed = counting.handed.load(Ordering::Relaxed);
+                    assert!(
+                        handed <= bound,
+                        "{}: {handed} bytes handed over for a {packet}-byte push",
+                        engine.name()
+                    );
+                }
+                normalize_matches(&mut got);
+                assert_eq!(got, expected, "{}: {packet}-byte packets", engine.name());
             }
         }
     }

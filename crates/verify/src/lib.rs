@@ -445,6 +445,48 @@ impl CompactHashTable {
         comparisons
     }
 
+    /// True if an occurrence starting at `pos` may still be **in progress**
+    /// at the end of `haystack`: some pattern in the bucket the window at
+    /// `pos` selects is longer than the `haystack.len() - pos` bytes left
+    /// and agrees with all of them under its own case rule (byte-exact, or
+    /// ASCII-case-insensitive for `nocase` entries). Appending the rest of
+    /// such a pattern completes a match that starts at `pos`; when this
+    /// returns false, no appended bytes can (for the patterns this table
+    /// holds). The lengths are compared before any byte, so the common
+    /// bucket — patterns that would have ended inside the haystack — costs
+    /// no byte compare.
+    ///
+    /// Returns false when the index window at `pos` does not fit in the
+    /// haystack: such a position was never indexed, so the caller must treat
+    /// it as in progress on its own (as the resume walk in `mpm-vpatch` does).
+    #[inline]
+    pub fn prefix_live_at(&self, haystack: &[u8], pos: usize) -> bool {
+        if self.entries.is_empty() || pos + self.prefix_len > haystack.len() {
+            return false;
+        }
+        let bucket = Self::index_of(
+            &haystack[pos..],
+            self.prefix_len,
+            self.bucket_bits,
+            self.folded,
+        ) as usize;
+        let start = self.bucket_starts[bucket] as usize;
+        let end = self.bucket_starts[bucket + 1] as usize;
+        let arena = self.arena.bytes();
+        let seen = &haystack[pos..];
+        self.entries[start..end].iter().any(|entry| {
+            if entry.len as usize <= seen.len() {
+                return false;
+            }
+            let prefix = &arena[entry.offset as usize..entry.offset as usize + seen.len()];
+            if entry.nocase {
+                seen.eq_ignore_ascii_case(prefix)
+            } else {
+                seen == prefix
+            }
+        })
+    }
+
     /// **Batched, software-pipelined verification** of a whole candidate
     /// array: semantically identical to calling
     /// [`CompactHashTable::verify_at`] for every position in order (same

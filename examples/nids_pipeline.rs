@@ -52,7 +52,7 @@ fn main() {
     // Each flow is an independent byte stream: an injected occurrence that
     // happens to straddle a flow-slice boundary belongs to neither flow and
     // is correctly not reported — within a flow, packet boundaries lose
-    // nothing (that is the StreamScanner carry-over invariant).
+    // nothing (that is the StreamScanner live-suffix invariant).
     let trace_len = if fast_mode() {
         512 * 1024
     } else {

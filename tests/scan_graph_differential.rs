@@ -95,7 +95,14 @@ where
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
         let mut pad = E::Pad::default();
-        mpm_graph::scan(&self.engine, haystack, self.chunk, &mut pad, out);
+        mpm_graph::scan(
+            &self.engine,
+            haystack,
+            0..haystack.len(),
+            self.chunk,
+            &mut pad,
+            out,
+        );
     }
 }
 
@@ -158,7 +165,7 @@ fn check_engine<E>(
         }
         // The pad is reusable: a second scan on it changes nothing.
         let mut again = Vec::new();
-        mpm_graph::scan(&engine, &hay, chunk, &mut pad, &mut again);
+        mpm_graph::scan(&engine, &hay, 0..hay.len(), chunk, &mut pad, &mut again);
         assert_eq!(sorted(again), oracle, "{what}: reused pad");
 
         let engine = build();
