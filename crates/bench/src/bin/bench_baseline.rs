@@ -120,8 +120,8 @@ struct RulesetRow {
 /// port, scanned grouped (per-flow group selection over the
 /// `GroupedRuleSet` partitioning, engines sharing one pattern arena) vs
 /// monolithic (one engine + confirmer over all `scale × base` rules, every
-/// flow scanning everything). `memory_ratio` is the CI budget gauge
-/// (`--scaling-only --mem-budget`).
+/// flow scanning everything). `memory_ratio` is gated by the
+/// `grouped_memory_stays_under_twice_monolithic` test in `workload.rs`.
 #[derive(Clone, Debug, Serialize)]
 struct ScalingRow {
     /// Replication factor (== number of single-port groups).
@@ -372,38 +372,6 @@ fn measure_ruleset<B: VectorBackend<W>, const W: usize>(
     });
 }
 
-/// Replicates a base pattern subset `scale` times, each replica addressed
-/// to its own destination port (`2000 + r`, outside the default
-/// `$HTTP_PORTS`). A deterministic ~20% of each replica's contents get a
-/// replica-unique tail, so replicas are structurally distinct (no trivial
-/// whole-engine sharing) while the remaining ~80% stay byte-identical
-/// across replicas — which is exactly the regime the grouped design is
-/// for: the shared arena stores those bytes once, and per-group tables
-/// keep buckets 1-deep where the monolithic table piles `scale` duplicate
-/// entries into every shared bucket.
-fn scaled_grouped_rules(
-    base: &mpm_patterns::PatternSet,
-    scale: usize,
-) -> Vec<(mpm_patterns::RuleHeader, mpm_patterns::Rule)> {
-    use mpm_patterns::{PortSpec, Proto, RuleHeader};
-    let mut out = Vec::with_capacity(base.len() * scale);
-    for r in 0..scale {
-        let port = 2000 + r as u16;
-        for (i, p) in base.patterns().iter().enumerate() {
-            let mut bytes = p.bytes().to_vec();
-            if i % 5 == 0 {
-                bytes.extend_from_slice(&[b'-', b'0' + (r % 10) as u8, b'0' + (r / 10) as u8]);
-            }
-            let content = mpm_patterns::RuleContent::new(bytes).with_nocase(p.is_nocase());
-            out.push((
-                RuleHeader::new(Proto::Tcp, PortSpec::any(), PortSpec::single(port)),
-                mpm_patterns::Rule::new(p.group(), vec![content]),
-            ));
-        }
-    }
-    out
-}
-
 /// Measures grouped vs monolithic scanning of the scaled rulesets. Traffic
 /// is the trace cut into one flow per port group, each flow addressed to
 /// its group's port — the realistic shape where grouping pays: every flow
@@ -419,7 +387,7 @@ fn measure_ruleset_scaling(workload: &Workload, runs: usize) -> Vec<ScalingRow> 
     let trace = &workload.traces[0].1;
     let mut rows = Vec::new();
     for scale in [10usize, 30] {
-        let grouped = GroupedRuleSet::new(scaled_grouped_rules(&base, scale));
+        let grouped = GroupedRuleSet::new(mpm_bench::workload::scaled_grouped_rules(&base, scale));
         let mono_set = grouped.monolithic().clone();
         let rules = grouped.len();
         let engines = Arc::new(GroupedEngineSet::build_with(grouped, |set, arena| {
@@ -521,22 +489,6 @@ fn memory_section(workload: &Workload) -> Vec<MemoryRow> {
     rows
 }
 
-/// Enforces the grouped-memory budget on the scaling rows; returns true if
-/// every row is within budget.
-fn scaling_within_budget(rows: &[ScalingRow], budget: f64) -> bool {
-    let mut ok = true;
-    for row in rows {
-        if row.memory_ratio > budget {
-            eprintln!(
-                "MEMORY BUDGET EXCEEDED at scale {}: grouped {} B / monolithic {} B = {:.3} > {:.3}",
-                row.scale, row.grouped_bytes, row.monolithic_bytes, row.memory_ratio, budget
-            );
-            ok = false;
-        }
-    }
-    ok
-}
-
 fn main() {
     let options = Options::from_env();
     let workload =
@@ -557,17 +509,6 @@ fn main() {
         let resilience =
             multicore::run_resilience_auto(&workload.patterns, trace, 4, 2, options.runs);
         println!("{}", report::to_json(&resilience));
-        return;
-    }
-
-    if options.scaling_only {
-        // CI memory-regression gate: just the grouped-vs-monolithic section,
-        // budget-checked, nonzero exit on regression.
-        let ruleset_scaling = measure_ruleset_scaling(&workload, options.runs);
-        println!("{}", report::to_json(&ruleset_scaling));
-        if !scaling_within_budget(&ruleset_scaling, options.mem_budget) {
-            std::process::exit(1);
-        }
         return;
     }
 

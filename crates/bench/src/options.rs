@@ -16,10 +16,6 @@ pub struct Options {
     pub runs: usize,
     /// Emit results as JSON instead of a text table.
     pub json: bool,
-    /// `bench_baseline` only: run just the `ruleset_scaling` section
-    /// (grouped vs monolithic) and enforce `mem_budget` — the fast CI
-    /// memory-regression gate.
-    pub scaling_only: bool,
     /// `bench_baseline` only: run just the pipeline-latency section
     /// (per-packet percentiles vs worker count) and emit it as JSON — the
     /// CI latency artifact.
@@ -28,10 +24,6 @@ pub struct Options {
     /// (Block vs Shed dispatch at tiny ring capacities) and emit it as
     /// JSON.
     pub resilience_only: bool,
-    /// `bench_baseline` only: maximum allowed grouped/monolithic memory
-    /// ratio in the `ruleset_scaling` section; exceeded ⇒ nonzero exit when
-    /// `scaling_only` is set.
-    pub mem_budget: f64,
 }
 
 impl Default for Options {
@@ -41,10 +33,8 @@ impl Default for Options {
             trace_mib: 8,
             runs: 3,
             json: false,
-            scaling_only: false,
             latency_only: false,
             resilience_only: false,
-            mem_budget: 2.0,
         }
     }
 }
@@ -81,22 +71,12 @@ impl Options {
                         .map_err(|_| format!("bad --runs value {value:?}"))?;
                 }
                 "--json" => options.json = true,
-                "--scaling-only" => options.scaling_only = true,
                 "--latency-only" => options.latency_only = true,
                 "--resilience-only" => options.resilience_only = true,
-                "--mem-budget" => {
-                    let value = args.next().ok_or("--mem-budget needs a value")?;
-                    options.mem_budget = value
-                        .parse()
-                        .map_err(|_| format!("bad --mem-budget value {value:?}"))?;
-                    if options.mem_budget <= 0.0 || options.mem_budget.is_nan() {
-                        return Err("--mem-budget must be positive".to_string());
-                    }
-                }
                 "--help" | "-h" => {
                     return Err(
                         "usage: <figure> [--ruleset s1|s2|full] [--mb N] [--runs N] [--json] \
-                         [--scaling-only] [--latency-only] [--resilience-only] [--mem-budget X]"
+                         [--latency-only] [--resilience-only]"
                             .to_string(),
                     )
                 }
@@ -154,18 +134,6 @@ mod tests {
         assert!(parse(&["--ruleset", "s9"]).is_err());
         assert!(parse(&["--mb", "abc"]).is_err());
         assert!(parse(&["--mb", "0"]).is_err());
-        assert!(parse(&["--mem-budget", "0"]).is_err());
-        assert!(parse(&["--mem-budget", "x"]).is_err());
-    }
-
-    #[test]
-    fn parses_scaling_gate_options() {
-        let o = parse(&["--scaling-only", "--mem-budget", "1.5"]).unwrap();
-        assert!(o.scaling_only);
-        assert!((o.mem_budget - 1.5).abs() < 1e-12);
-        let d = parse(&[]).unwrap();
-        assert!(!d.scaling_only);
-        assert!((d.mem_budget - 2.0).abs() < 1e-12);
     }
 
     #[test]

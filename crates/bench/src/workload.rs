@@ -203,6 +203,40 @@ impl Workload {
     }
 }
 
+/// Replicates a base pattern subset `scale` times, each replica addressed
+/// to its own destination port (`2000 + r`, outside the default
+/// `$HTTP_PORTS`). A deterministic ~20% of each replica's contents get a
+/// replica-unique tail, so replicas are structurally distinct (no trivial
+/// whole-engine sharing) while the remaining ~80% stay byte-identical
+/// across replicas — which is exactly the regime the grouped design is
+/// for: the shared arena stores those bytes once, and per-group tables
+/// keep buckets 1-deep where the monolithic table piles `scale` duplicate
+/// entries into every shared bucket. Shared by `bench_baseline`'s
+/// `ruleset_scaling` section and the grouped-memory gate in this module's
+/// tests.
+pub fn scaled_grouped_rules(
+    base: &mpm_patterns::PatternSet,
+    scale: usize,
+) -> Vec<(mpm_patterns::RuleHeader, mpm_patterns::Rule)> {
+    use mpm_patterns::{PortSpec, Proto, RuleHeader};
+    let mut out = Vec::with_capacity(base.len() * scale);
+    for r in 0..scale {
+        let port = 2000 + r as u16;
+        for (i, p) in base.patterns().iter().enumerate() {
+            let mut bytes = p.bytes().to_vec();
+            if i % 5 == 0 {
+                bytes.extend_from_slice(&[b'-', b'0' + (r % 10) as u8, b'0' + (r / 10) as u8]);
+            }
+            let content = mpm_patterns::RuleContent::new(bytes).with_nocase(p.is_nocase());
+            out.push((
+                RuleHeader::new(Proto::Tcp, PortSpec::any(), PortSpec::single(port)),
+                mpm_patterns::Rule::new(p.group(), vec![content]),
+            ));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,6 +334,37 @@ mod tests {
             adv_stats.matches,
             adv_stats.candidates
         );
+    }
+
+    /// The grouped-memory gate: the port-grouped compile product (one engine
+    /// per port group + the shared arena once + one shared confirmer) must
+    /// stay under twice the monolithic footprint on the 10x and 30x
+    /// replicated rulesets. Resident bytes are deterministic, so this is a
+    /// hard bound, not a measurement.
+    #[test]
+    fn grouped_memory_stays_under_twice_monolithic() {
+        use mpm_patterns::{GroupedRuleSet, Matcher};
+        use mpm_stream::GroupedEngineSet;
+        use std::sync::Arc;
+        let base = Workload::build_with_traces(RulesetChoice::S1, 1, &[]).pattern_subset(600);
+        for scale in [10usize, 30] {
+            let grouped = GroupedRuleSet::new(scaled_grouped_rules(&base, scale));
+            let mono_set = grouped.monolithic().clone();
+            let engines = GroupedEngineSet::build_with(grouped, |set, arena| {
+                Arc::from(mpm_vpatch::build_auto_with_arena(set, arena))
+            });
+            let mono_engine: Arc<dyn Matcher + Send + Sync> =
+                Arc::from(mpm_vpatch::build_auto(mono_set.anchors()));
+            let monolithic = mono_engine.memory_footprint().total()
+                + mpm_verify::RuleScanner::new(mono_engine, &mono_set)
+                    .confirmer()
+                    .heap_bytes();
+            let grouped = engines.memory_footprint().total();
+            assert!(
+                grouped < 2 * monolithic,
+                "scale {scale}: grouped {grouped} B vs monolithic {monolithic} B"
+            );
+        }
     }
 
     #[test]

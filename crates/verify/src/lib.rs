@@ -43,25 +43,23 @@ pub use filters::{
 };
 
 use mpm_patterns::{MatchEvent, PatternArena, PatternId, PatternSet};
-use mpm_simd::{prefetch_read, VectorBackend, GATHER_PADDING};
+use mpm_simd::{ascii_lower_u32, prefetch_read, ScalarBackend, VectorBackend, GATHER_PADDING};
 use std::sync::Arc;
 
 /// Prefetch distance `K` of the batched verification pipeline: the
 /// `bucket_starts` slot of candidate `i + K` is prefetched while candidate
-/// `i` is being verified, the entry row at `i + K/2` (its bucket offset is
-/// cached by then) and the pattern-arena line at `i + 2` (its entry row is
-/// cached by then). Eight candidates ahead covers a memory-latency's worth
-/// of verification work for typical bucket sizes without evicting lines
-/// before use; see DEVELOPMENT.md for the contract.
+/// `i` is being verified, and the entry row at `i + K/2` (its bucket offset
+/// is cached by then). The pattern arena is not prefetched: an entry is
+/// rejected from its own row, by its suffix fingerprint, so only true
+/// matches and the rare fingerprint collision read the arena. Eight
+/// candidates ahead covers a memory-latency's worth of verification work
+/// for typical bucket sizes without evicting lines before use; see
+/// DEVELOPMENT.md for the contract.
 pub const PREFETCH_DISTANCE: usize = 8;
 
 /// Prefetch distance of the entry-row stage (reads `bucket_starts`, which
 /// the [`PREFETCH_DISTANCE`] stage requested earlier).
 const ENTRY_PREFETCH_DISTANCE: usize = PREFETCH_DISTANCE / 2;
-
-/// Prefetch distance of the arena stage (reads the first entry of the
-/// bucket, which the entry stage requested earlier).
-const ARENA_PREFETCH_DISTANCE: usize = 2;
 
 /// Candidates per index-computation block of the batched verifier: bucket
 /// indices for a whole block are computed SIMD-first into a stack buffer,
@@ -90,15 +88,101 @@ pub fn hash32(value: u32, bits: u32) -> u32 {
     value.wrapping_mul(HASH_MULTIPLIER) >> (32 - bits)
 }
 
-/// One pattern reference inside a bucket: where the pattern's bytes live in
-/// the arena, which pattern id to report, and how to compare it against the
-/// input (byte-exact vs ASCII-case-insensitive).
+/// Bit of [`Entry::len_nocase`] that marks a `nocase` entry; the length is
+/// the 31 bits below it. Arena offsets are `u32`, so no pattern the table
+/// can address is cut short by the flag.
+const NOCASE_BIT: u32 = 1 << 31;
+
+/// Haystack-word masks of the suffix fingerprint of a pattern shorter than
+/// the word, indexed by its length: the fingerprint covers that many bytes
+/// (a pattern of four bytes or more is covered by the whole word).
+const SUFFIX_MASK: [u32; 4] = [0, 0xff, 0xffff, 0x00ff_ffff];
+
+/// The unaligned little-endian `u32` of `haystack` at `at`, ASCII-case-folded
+/// when `FOLD` (as the fingerprints of a folded table are); `None` if it
+/// would cross the end of the slice.
+#[inline(always)]
+fn haystack_word<const FOLD: bool>(haystack: &[u8], at: usize) -> Option<u32> {
+    let word = haystack.get(at..at + 4)?;
+    let word = u32::from_le_bytes(word.try_into().expect("a 4-byte slice"));
+    Some(if FOLD { ascii_lower_u32(word) } else { word })
+}
+
+/// One pattern reference inside a bucket — 16 bytes, four to a cache line,
+/// and enough to *reject* a candidate without leaving the row: where the
+/// pattern's bytes live in the arena, which pattern id to report, its length
+/// and case rule, and a **suffix fingerprint** (the pattern's last
+/// `min(len, 4)` bytes, little-endian, ASCII-case-folded in a folded table).
+/// The bucket index already vouches for the pattern's first bytes, so the
+/// bytes that tell bucket-mates apart are at the other end: rules that share
+/// `Content-Type: ` differ in how they finish.
+///
+/// The fingerprint only ever rejects. A window that passes it is still
+/// settled by the full compare against the arena.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     offset: u32,
-    len: u32,
     id: PatternId,
-    nocase: bool,
+    /// Pattern length, with [`NOCASE_BIT`] set for `nocase` patterns (only
+    /// ever in a folded table).
+    len_nocase: u32,
+    suffix: u32,
+}
+
+impl Entry {
+    fn new(offset: u32, id: PatternId, pattern: &mpm_patterns::Pattern, folded: bool) -> Self {
+        let bytes = pattern.bytes();
+        assert!(
+            bytes.len() < NOCASE_BIT as usize,
+            "pattern {id} does not fit a u32-addressed arena"
+        );
+        let mut suffix = [0u8; 4];
+        let covered = bytes.len().min(4);
+        for (slot, &b) in suffix.iter_mut().zip(&bytes[bytes.len() - covered..]) {
+            *slot = mpm_patterns::fold_byte(b, folded);
+        }
+        Entry {
+            offset,
+            id,
+            len_nocase: bytes.len() as u32 | if pattern.is_nocase() { NOCASE_BIT } else { 0 },
+            suffix: u32::from_le_bytes(suffix),
+        }
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        (self.len_nocase & !NOCASE_BIT) as usize
+    }
+
+    #[inline(always)]
+    fn is_nocase(&self) -> bool {
+        self.len_nocase & NOCASE_BIT != 0
+    }
+}
+
+/// A table's arena-compare count ([`CompactHashTable::arena_compares`]).
+/// Atomic because tables are shared across worker threads; it publishes
+/// nothing, so `Relaxed`.
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Default)]
+struct WorkCount(std::sync::atomic::AtomicU64);
+
+#[cfg(any(test, debug_assertions))]
+impl WorkCount {
+    fn add_one(&self) {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+#[cfg(any(test, debug_assertions))]
+impl Clone for WorkCount {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// Where a table's pattern bytes live: a private buffer the table owns, or
@@ -132,12 +216,15 @@ impl ArenaStorage {
     }
 }
 
-/// Bucket-bits sizing for hashed-prefix tables built per port group: about
-/// two entries per bucket on average (`ceil_log2(entries) + 1`), clamped to
-/// `[6, 16]`. A monolithic 30K-pattern set still gets its 2^16 buckets, but
-/// a 40-rule port group gets 2^6 — 256 bytes of bucket offsets instead of
-/// 256 KiB — which is what keeps per-group fixed overhead from multiplying
-/// by the group count.
+/// The one bucket-count rule for hashed-prefix verification tables:
+/// `ceil_log2(entries) + 1` bits, clamped to `[6, 16]` — at least two
+/// **buckets per entry** (a load factor of at most ½; 600 entries get
+/// 2 048 buckets) until the clamp at 2^16, so a bucket holds more than one
+/// entry only when patterns really share their index prefix. A 30K-pattern
+/// set gets 2^16 buckets, the 1 867 long patterns of an HTTP ruleset 2^12
+/// (16 KB of offsets instead of 256 KB), a 40-rule port group 2^7 — the
+/// bucket array follows the entry count, so neither a small monolithic set
+/// nor N port groups pay for buckets no pattern can reach.
 pub fn bucket_bits_for_entries(entries: usize) -> u32 {
     let ceil_log2 = usize::BITS - entries.max(1).next_power_of_two().leading_zeros() - 1;
     (ceil_log2 + 1).clamp(6, 16)
@@ -163,6 +250,8 @@ pub struct CompactHashTable {
     arena: ArenaStorage,
     /// Smallest pattern length stored (for the caller's bookkeeping).
     min_pattern_len: usize,
+    #[cfg(any(test, debug_assertions))]
+    arena_compares: WorkCount,
 }
 
 impl CompactHashTable {
@@ -205,32 +294,16 @@ impl CompactHashTable {
         Self::build_inner(set, prefix_len, bucket_bits, folded, select, None)
     }
 
-    /// Builds a table whose pattern bytes are **offset references into a
-    /// shared [`PatternArena`]** instead of a privately owned buffer — the
-    /// port-group build, where many per-group tables would otherwise each
-    /// copy the same `content:` bytes. Every selected pattern must already
-    /// be interned in `arena` (the two-pass protocol: intern everything,
-    /// freeze, then build tables).
-    ///
-    /// The table holds a clone of the arena's `Arc` and reports zero arena
-    /// bytes in [`CompactHashTable::heap_bytes`]; the owner of the group
-    /// collection counts the arena once. Lookup semantics are bit-identical
-    /// to the owned build.
+    /// The one table builder. With `shared`, pattern bytes are **offset
+    /// references into the [`PatternArena`]** instead of a privately owned
+    /// buffer: the table holds a clone of the arena's `Arc` and reports zero
+    /// arena bytes in [`CompactHashTable::heap_bytes`]. Lookup semantics are
+    /// bit-identical either way.
     ///
     /// # Panics
-    /// Panics if a selected pattern was never interned (a build-order bug),
-    /// plus everything [`CompactHashTable::build_with_fold`] panics on.
-    pub fn build_shared_with_fold<F: Fn(&mpm_patterns::Pattern) -> bool>(
-        set: &PatternSet,
-        prefix_len: usize,
-        bucket_bits: u32,
-        folded: bool,
-        select: F,
-        arena: &PatternArena,
-    ) -> Self {
-        Self::build_inner(set, prefix_len, bucket_bits, folded, select, Some(arena))
-    }
-
+    /// Panics if a selected pattern was never interned in `shared` (a
+    /// build-order bug), plus everything
+    /// [`CompactHashTable::build_with_fold`] panics on.
     fn build_inner<F: Fn(&mpm_patterns::Pattern) -> bool>(
         set: &PatternSet,
         prefix_len: usize,
@@ -282,9 +355,9 @@ impl CompactHashTable {
         let mut entries = vec![
             Entry {
                 offset: 0,
-                len: 0,
                 id: PatternId(0),
-                nocase: false,
+                len_nocase: 0,
+                suffix: 0,
             };
             total
         ];
@@ -308,12 +381,7 @@ impl CompactHashTable {
                     offset
                 }
             };
-            entries[slot] = Entry {
-                offset,
-                len: p.len() as u32,
-                id: *id,
-                nocase: p.is_nocase(),
-            };
+            entries[slot] = Entry::new(offset, *id, p, folded);
             min_pattern_len = min_pattern_len.min(p.len());
         }
         if selected.is_empty() {
@@ -331,6 +399,8 @@ impl CompactHashTable {
                 None => ArenaStorage::Owned(owned),
             },
             min_pattern_len,
+            #[cfg(any(test, debug_assertions))]
+            arena_compares: WorkCount::default(),
         }
     }
 
@@ -380,9 +450,8 @@ impl CompactHashTable {
     }
 
     /// Resident size of the table in bytes. Tables built over a shared
-    /// arena ([`CompactHashTable::build_shared_with_fold`]) do **not**
-    /// count the arena here — the owner of the group collection counts it
-    /// exactly once.
+    /// arena ([`Verifier::build_with_arena`]) do **not** count the arena
+    /// here — the owner of the group collection counts it exactly once.
     pub fn heap_bytes(&self) -> usize {
         self.bucket_starts.len() * 4
             + self.entries.len() * std::mem::size_of::<Entry>()
@@ -409,40 +478,107 @@ impl CompactHashTable {
     /// instrumentation and the cache model).
     #[inline]
     pub fn verify_at(&self, haystack: &[u8], pos: usize, out: &mut Vec<MatchEvent>) -> usize {
-        if self.entries.is_empty() || pos + self.prefix_len > haystack.len() {
+        let Some(bucket) = self.bucket_of(haystack, pos) else {
             return 0;
-        }
-        let bucket = Self::index_of(
-            &haystack[pos..],
-            self.prefix_len,
-            self.bucket_bits,
-            self.folded,
-        ) as usize;
+        };
+        (if self.folded {
+            self.verify_bucket::<ScalarBackend, 8, true>(haystack, pos, bucket, out)
+        } else {
+            self.verify_bucket::<ScalarBackend, 8, false>(haystack, pos, bucket, out)
+        }) as usize
+    }
+
+    /// The one bucket walk: compares the window at `pos` against every entry
+    /// of `bucket` and appends the matches to `out`. Returns the number of
+    /// **comparisons** — entries whose length fits the haystack; an entry
+    /// that would run off the end is skipped without comparing a byte, so
+    /// candidates near the end of the buffer do not inflate the statistic.
+    ///
+    /// An entry that fits is first tested from its own row: one unaligned
+    /// `u32` of the haystack ([`haystack_word`]: folded when `FOLD`, as the
+    /// fingerprint was) against the suffix fingerprint. For a pattern of
+    /// four bytes or more that is the word the pattern would end on, whole
+    /// and always inside the window; a shorter pattern is covered from `pos`
+    /// under [`SUFFIX_MASK`], and when its word would cross the end of the
+    /// haystack the fingerprint is skipped, never the bounds. The two cases
+    /// are one predictable branch, which keeps the mask load and the
+    /// end-of-slice test off the long patterns' walk (−12% verify time on
+    /// `bulk_http`, −8% on `verify_heavy`). A case-sensitive entry in a
+    /// folded table is tested on folded bytes too — weaker, still
+    /// reject-only. Only a window that passes reads the arena, and the full
+    /// compare ([`CompactHashTable::confirm`]) has the last word.
+    #[inline(always)]
+    fn verify_bucket<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
+        &self,
+        haystack: &[u8],
+        pos: usize,
+        bucket: usize,
+        out: &mut Vec<MatchEvent>,
+    ) -> u64 {
         let start = self.bucket_starts[bucket] as usize;
         let end = self.bucket_starts[bucket + 1] as usize;
-        let arena = self.arena.bytes();
-        let mut comparisons = 0;
-        for entry in &self.entries[start..end] {
-            let len = entry.len as usize;
-            if pos + len > haystack.len() {
-                // Skipped by the bounds check: no pattern bytes were compared,
-                // so nothing is counted (candidates near the end of the buffer
-                // must not inflate the comparison statistics).
+        let entries = &self.entries[start..end];
+        // Counted on the rare path (an entry running off the end) so the hot
+        // loop carries no counter from one entry to the next.
+        let mut skipped = 0usize;
+        for entry in entries {
+            let len = entry.len();
+            let window_end = pos + len;
+            if window_end > haystack.len() {
+                skipped += 1;
                 continue;
             }
-            comparisons += 1;
-            let pattern = &arena[entry.offset as usize..entry.offset as usize + len];
-            let window = &haystack[pos..pos + len];
-            let hit = if entry.nocase {
-                window.eq_ignore_ascii_case(pattern)
+            let rejected = if len >= 4 {
+                haystack_word::<FOLD>(haystack, window_end - 4)
+                    .is_some_and(|word| word != entry.suffix)
             } else {
-                window == pattern
+                haystack_word::<FOLD>(haystack, pos)
+                    .is_some_and(|word| (word ^ entry.suffix) & SUFFIX_MASK[len] != 0)
             };
-            if hit {
-                out.push(MatchEvent::new(pos, entry.id));
+            if rejected {
+                continue;
             }
+            self.confirm::<B, W, FOLD>(entry, &haystack[pos..window_end], pos, out);
         }
-        comparisons
+        (entries.len() - skipped) as u64
+    }
+
+    /// The last word on an entry whose fingerprint passed: the full compare
+    /// of `window` (the haystack at `pos`) against the pattern's bytes in the
+    /// arena. Out of line and cold: matches are rare next to candidates, and
+    /// with the vector compare inlined the rejecting walk spilled its
+    /// counters every entry (`core.rounds.delta_ns` −8% on `bulk_http`,
+    /// −10% on `verify_heavy` from this attribute alone).
+    #[cold]
+    #[inline(never)]
+    fn confirm<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
+        &self,
+        entry: &Entry,
+        window: &[u8],
+        pos: usize,
+        out: &mut Vec<MatchEvent>,
+    ) {
+        #[cfg(any(test, debug_assertions))]
+        self.arena_compares.add_one();
+        let offset = entry.offset as usize;
+        let pattern = &self.arena.bytes()[offset..offset + window.len()];
+        let hit = if FOLD && entry.is_nocase() {
+            B::eq_window_nocase(window, pattern)
+        } else {
+            B::eq_window(window, pattern)
+        };
+        if hit {
+            out.push(MatchEvent::new(pos, entry.id));
+        }
+    }
+
+    /// Entries that passed their fingerprint and were compared against the
+    /// pattern arena, over the life of this table (a clone starts from
+    /// zero). Test and debug builds only: it exists so tests can bound the
+    /// work a false candidate costs, which no timing on a shared host can.
+    #[cfg(any(test, debug_assertions))]
+    pub fn arena_compares(&self) -> u64 {
+        self.arena_compares.get()
     }
 
     /// True if an occurrence starting at `pos` may still be **in progress**
@@ -461,25 +597,19 @@ impl CompactHashTable {
     /// it as in progress on its own (as the resume walk in `mpm-vpatch` does).
     #[inline]
     pub fn prefix_live_at(&self, haystack: &[u8], pos: usize) -> bool {
-        if self.entries.is_empty() || pos + self.prefix_len > haystack.len() {
+        let Some(bucket) = self.bucket_of(haystack, pos) else {
             return false;
-        }
-        let bucket = Self::index_of(
-            &haystack[pos..],
-            self.prefix_len,
-            self.bucket_bits,
-            self.folded,
-        ) as usize;
+        };
         let start = self.bucket_starts[bucket] as usize;
         let end = self.bucket_starts[bucket + 1] as usize;
         let arena = self.arena.bytes();
         let seen = &haystack[pos..];
         self.entries[start..end].iter().any(|entry| {
-            if entry.len as usize <= seen.len() {
+            if entry.len() <= seen.len() {
                 return false;
             }
             let prefix = &arena[entry.offset as usize..entry.offset as usize + seen.len()];
-            if entry.nocase {
+            if entry.is_nocase() {
                 seen.eq_ignore_ascii_case(prefix)
             } else {
                 seen == prefix
@@ -502,13 +632,15 @@ impl CompactHashTable {
     ///    [`VectorBackend::hash_mul_shift`] computes the bucket indices —
     ///    `W` candidates per iteration, no scalar byte assembly.
     /// 2. **K-deep prefetch pipeline** — while candidate `i` is verified,
-    ///    the `bucket_starts` slot of candidate `i + K`, the entry row of
-    ///    candidate `i + K/2` and the arena line of candidate `i + 2` are
-    ///    prefetched ([`PREFETCH_DISTANCE`]), so the three dependent loads
-    ///    of each lookup overlap the compares of earlier candidates.
-    /// 3. **Vector compares** — each surviving entry is compared with
-    ///    [`VectorBackend::eq_window`] / [`VectorBackend::eq_window_nocase`]
-    ///    instead of the byte loop.
+    ///    the `bucket_starts` slot of candidate `i + K` and the entry row of
+    ///    candidate `i + K/2` are prefetched ([`PREFETCH_DISTANCE`]), so the
+    ///    two dependent loads of each lookup overlap the work on earlier
+    ///    candidates.
+    /// 3. **Reject in the row, confirm with vector compares** — an entry's
+    ///    suffix fingerprint is tested against one haystack word before
+    ///    anything else; the few that pass are compared against the arena
+    ///    with [`VectorBackend::eq_window`] /
+    ///    [`VectorBackend::eq_window_nocase`] instead of the byte loop.
     ///
     /// Candidates whose 4-byte gather window would cross the end of the
     /// haystack are detoured through the scalar index computation (and a
@@ -611,16 +743,8 @@ impl CompactHashTable {
     /// (block tails and positions within [`GATHER_PADDING`] of the end).
     #[inline]
     fn scalar_bucket(&self, haystack: &[u8], pos: usize) -> u32 {
-        if pos + self.prefix_len > haystack.len() {
-            SKIP_BUCKET
-        } else {
-            Self::index_of(
-                &haystack[pos..],
-                self.prefix_len,
-                self.bucket_bits,
-                self.folded,
-            )
-        }
+        self.bucket_of(haystack, pos)
+            .map_or(SKIP_BUCKET, |bucket| bucket as u32)
     }
 
     /// Drains one block of candidates through the K-deep prefetch pipeline.
@@ -633,7 +757,6 @@ impl CompactHashTable {
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
         let len = block.len();
-        let arena = self.arena.bytes();
         // Prologue: request the bucket offsets of the first K candidates so
         // the steady-state stages below find them resident.
         for &b in buckets.iter().take(PREFETCH_DISTANCE.min(len)) {
@@ -661,44 +784,14 @@ impl CompactHashTable {
                     }
                 }
             }
-            // Stage 3 (distance 2): arena line of candidate i + 2's first
-            // entry; the entry row is resident from stage 2.
-            if i + ARENA_PREFETCH_DISTANCE < len {
-                let b = buckets[i + ARENA_PREFETCH_DISTANCE];
-                if b != SKIP_BUCKET {
-                    let start = self.bucket_starts[b as usize] as usize;
-                    let end = self.bucket_starts[b as usize + 1] as usize;
-                    if start < end {
-                        prefetch_read(&arena[self.entries[start].offset as usize]);
-                    }
-                }
-            }
-            // Stage 0: verify candidate i — every load it performs was
-            // requested stages ago.
+            // Stage 0: verify candidate i — the loads every candidate
+            // performs (bucket offsets, entry row) were requested stages ago.
             let b = buckets[i];
             if b == SKIP_BUCKET {
                 continue;
             }
-            let start = self.bucket_starts[b as usize] as usize;
-            let end = self.bucket_starts[b as usize + 1] as usize;
-            let pos = block[i] as usize;
-            for entry in &self.entries[start..end] {
-                let elen = entry.len as usize;
-                if pos + elen > haystack.len() {
-                    continue;
-                }
-                comparisons += 1;
-                let pattern = &arena[entry.offset as usize..entry.offset as usize + elen];
-                let window = &haystack[pos..pos + elen];
-                let hit = if FOLD && entry.nocase {
-                    B::eq_window_nocase(window, pattern)
-                } else {
-                    B::eq_window(window, pattern)
-                };
-                if hit {
-                    out.push(MatchEvent::new(pos, entry.id));
-                }
-            }
+            comparisons +=
+                self.verify_bucket::<B, W, FOLD>(haystack, block[i] as usize, b as usize, out);
         }
         comparisons
     }
@@ -740,51 +833,39 @@ pub struct Verifier {
     long: CompactHashTable,
 }
 
-/// Default bucket bits for the long-pattern table (2^16 buckets ≈ what DFC
-/// sizes its compact tables to for tens of thousands of patterns).
-pub const DEFAULT_LONG_BUCKET_BITS: u32 = 16;
-
 impl Verifier {
-    /// Builds the verifier for `set`. When the set contains any `nocase`
-    /// pattern both tables are built in folded mode (the engines fold their
-    /// filter tables and input windows to match); a case-sensitive-only set
-    /// gets exactly the byte-exact tables it always had.
+    /// Builds the verifier for `set`, each table owning its pattern bytes.
+    /// When the set contains any `nocase` pattern both tables are built in
+    /// folded mode (the engines fold their filter tables and input windows
+    /// to match); a case-sensitive-only set gets byte-exact tables. The
+    /// long-pattern table's bucket count follows its entry count
+    /// ([`bucket_bits_for_entries`]).
     pub fn build(set: &PatternSet) -> Self {
-        let folded = set.has_nocase();
-        Verifier {
-            short: CompactHashTable::build_with_fold(set, 1, 8, folded, |p| p.len() < 4),
-            long: CompactHashTable::build_with_fold(
-                set,
-                4,
-                DEFAULT_LONG_BUCKET_BITS,
-                folded,
-                |p| p.len() >= 4,
-            ),
-        }
+        Self::build_inner(set, None)
     }
 
     /// Builds the verifier for one port group against a shared
-    /// [`PatternArena`]: pattern bytes are offset references into the arena
-    /// (see [`CompactHashTable::build_shared_with_fold`]) and the
-    /// long-pattern table's bucket count is sized to the group's actual
-    /// entry count ([`bucket_bits_for_entries`]) instead of the monolithic
-    /// [`DEFAULT_LONG_BUCKET_BITS`]. Lookup semantics are identical to
-    /// [`Verifier::build`]; only the memory layout changes.
+    /// [`PatternArena`] — the port-group build, where many per-group tables
+    /// would otherwise each copy the same `content:` bytes. Pattern bytes
+    /// are offset references into the arena; the tables hold a clone of its
+    /// `Arc` and report zero arena bytes, and the owner of the group
+    /// collection counts the arena once. Lookup semantics and table sizing
+    /// are identical to [`Verifier::build`]; only where the pattern bytes
+    /// live changes.
     ///
-    /// Every pattern of `set` must already be interned in `arena`.
+    /// # Panics
+    /// Panics if a pattern of `set` was never interned in `arena` (the
+    /// two-pass protocol: intern everything, freeze, then build tables).
     pub fn build_with_arena(set: &PatternSet, arena: &PatternArena) -> Self {
+        Self::build_inner(set, Some(arena))
+    }
+
+    fn build_inner(set: &PatternSet, arena: Option<&PatternArena>) -> Self {
         let folded = set.has_nocase();
         let long_count = set.iter().filter(|(_, p)| p.len() >= 4).count();
         Verifier {
-            short: CompactHashTable::build_shared_with_fold(
-                set,
-                1,
-                8,
-                folded,
-                |p| p.len() < 4,
-                arena,
-            ),
-            long: CompactHashTable::build_shared_with_fold(
+            short: CompactHashTable::build_inner(set, 1, 8, folded, |p| p.len() < 4, arena),
+            long: CompactHashTable::build_inner(
                 set,
                 4,
                 bucket_bits_for_entries(long_count),
@@ -1209,11 +1290,153 @@ mod tests {
         let owned = Verifier::build(&set);
         let shared = Verifier::build_with_arena(&set, &arena);
         let owned_pattern_bytes: usize = set.patterns().iter().map(|p| p.len()).sum();
-        // The shared build drops the pattern bytes from both tables (they
-        // are charged to the arena owner) and shrinks the long table's
-        // bucket array to the entry count.
-        assert!(shared.heap_bytes() + owned_pattern_bytes <= owned.heap_bytes());
-        assert!(shared.long_table().bucket_bits() < DEFAULT_LONG_BUCKET_BITS);
+        // Both builds size their tables by the one rule; the shared build
+        // differs by exactly the pattern bytes, which are charged to the
+        // arena owner.
+        assert_eq!(
+            shared.long_table().bucket_bits(),
+            owned.long_table().bucket_bits()
+        );
+        assert_eq!(
+            shared.heap_bytes() + owned_pattern_bytes,
+            owned.heap_bytes()
+        );
+    }
+
+    #[test]
+    fn an_entry_is_sixteen_bytes() {
+        // Four to a cache line; `bucket_offset_bytes` and the memory rows
+        // are stated in this unit.
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    /// SplitMix64, for the work-count constructions below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Verifies every start of `hay` whose 4-byte window heads a pattern of
+    /// `set`, batched and one lookup at a time, and asserts the bound this
+    /// table exists for: a false candidate is rejected from the entry row,
+    /// so arena compares stay within the matches plus 1% of comparisons.
+    /// Returns `(candidates, comparisons)`.
+    fn assert_false_candidates_skip_the_arena(set: &PatternSet, hay: &[u8]) -> (usize, u64) {
+        let fold = set.has_nocase();
+        let head =
+            |w: &[u8]| -> [u8; 4] { std::array::from_fn(|i| mpm_patterns::fold_byte(w[i], fold)) };
+        let heads: std::collections::HashSet<[u8; 4]> =
+            set.patterns().iter().map(|p| head(p.bytes())).collect();
+        let positions: Vec<u32> = (0..hay.len() - 3)
+            .filter(|&i| heads.contains(&head(&hay[i..])))
+            .map(|i| i as u32)
+            .collect();
+        let v = Verifier::build(set);
+        let mut batched = Vec::new();
+        let comparisons = v.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut batched);
+        let batch_compares = v.long_table().arena_compares();
+        assert!(!batched.is_empty(), "the construction plants true matches");
+        assert!(
+            batch_compares <= batched.len() as u64 + comparisons / 100,
+            "{batch_compares} arena compares for {} matches in {comparisons} comparisons",
+            batched.len()
+        );
+
+        // The one-candidate lookup walks buckets through the same entry
+        // test: same matches, same comparisons, same arena compares.
+        let mut single = Vec::new();
+        let mut single_comparisons = 0u64;
+        for &p in &positions {
+            single_comparisons += v.verify_long(hay, p as usize, &mut single) as u64;
+        }
+        assert_eq!(single, batched);
+        assert_eq!(single_comparisons, comparisons);
+        assert_eq!(v.long_table().arena_compares(), 2 * batch_compares);
+        (positions.len(), comparisons)
+    }
+
+    #[test]
+    fn hot_heads_with_random_tails_are_rejected_in_the_entry_row() {
+        // The `verify_heavy` shape: traffic made of a small vocabulary, every
+        // hot 4-gram heading several patterns whose tails are random bytes —
+        // nearly every start is a candidate and nearly none is a match.
+        let words: [&[u8]; 8] = [
+            b"GET /index.html HTTP/1.1\r\n",
+            b"Host: www.example.com\r\n",
+            b"Accept-Encoding: gzip, deflate\r\n",
+            b"Content-Type: text/html\r\n",
+            b"Connection: keep-alive\r\n",
+            b"User-Agent: Mozilla/5.0\r\n",
+            b"Cache-Control: no-cache\r\n",
+            b"Content-Length: 1024\r\n",
+        ];
+        let mut state = 0x7665_7269_6679u64;
+        let mut patterns = Vec::new();
+        for word in words {
+            for gram in word.windows(4) {
+                for _ in 0..4 {
+                    let mut bytes = gram.to_vec();
+                    for _ in 0..4 + splitmix(&mut state) % 9 {
+                        bytes.push(splitmix(&mut state) as u8);
+                    }
+                    patterns.push(Pattern::literal(bytes));
+                }
+            }
+        }
+        let mut hay = Vec::new();
+        while hay.len() < 128 * 1024 {
+            hay.extend_from_slice(words[(splitmix(&mut state) % 8) as usize]);
+            if splitmix(&mut state).is_multiple_of(64) {
+                let planted = &patterns[(splitmix(&mut state) as usize) % patterns.len()];
+                hay.extend_from_slice(planted.bytes());
+            }
+        }
+        let (candidates, comparisons) =
+            assert_false_candidates_skip_the_arena(&PatternSet::new(patterns), &hay);
+        assert!(candidates >= 100_000, "{candidates}");
+        assert!(comparisons > 3 * candidates as u64, "{comparisons}");
+    }
+
+    #[test]
+    fn a_shared_header_name_is_rejected_by_the_suffix() {
+        // The shape real HTTP rules have: 24 `nocase` patterns sharing their
+        // first 14 bytes, so one bucket holds them all and a fingerprint over
+        // the bytes after the index prefix ("ent-") could not tell them
+        // apart. The suffix can.
+        let mut state = 0x636f_6e74_656e_7473_u64;
+        let tail = |state: &mut u64| -> Vec<u8> {
+            (0..6 + splitmix(state) % 9)
+                .map(|_| b'a' + (splitmix(state) % 26) as u8)
+                .collect()
+        };
+        let patterns: Vec<Pattern> = (0..24)
+            .map(|_| {
+                let mut bytes = b"Content-Type: ".to_vec();
+                bytes.extend(tail(&mut state));
+                Pattern::literal_nocase(bytes)
+            })
+            .collect();
+        let mut hay = Vec::new();
+        for line in 0..6000usize {
+            hay.extend_from_slice(if line.is_multiple_of(2) {
+                b"Content-Type: "
+            } else {
+                b"CONTENT-TYPE: "
+            });
+            if line.is_multiple_of(16) {
+                hay.extend_from_slice(&patterns[line / 16 % patterns.len()].bytes()[14..]);
+            } else {
+                hay.extend(tail(&mut state));
+            }
+            hay.extend_from_slice(b"\r\nHost: example\r\n");
+        }
+        let (candidates, comparisons) =
+            assert_false_candidates_skip_the_arena(&PatternSet::new(patterns), &hay);
+        assert_eq!(candidates, 6000);
+        assert_eq!(comparisons, 24 * 6000, "one bucket, every entry walked");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! semantics engage), the suite asserts that the batched path reports
 //!
 //! * the same **match set** (element-for-element after normalization),
-//! * the same **order after sort** (normalized vectors compared directly),
+//! * the same **order** (table by table, the batched path appends exactly
+//!   what one lookup per candidate appends, in that order),
 //! * the same **comparison counts** (the instrumentation the cache model
 //!   and the figure-5 analysis consume)
 //!
@@ -126,37 +127,60 @@ fn assert_engine_paths_agree(set: &PatternSet, hay: &[u8]) {
     assert_eq!(batched_cmp, reference_cmp, "S-PATCH comparison count");
 }
 
+/// Both tables' batched passes over `positions` on one backend: the short
+/// and long tables' appended matches, unsorted, and the comparisons.
+fn verifier_batch<B: VectorBackend<W>, const W: usize>(
+    v: &Verifier,
+    hay: &[u8],
+    positions: &[u32],
+) -> (Vec<MatchEvent>, Vec<MatchEvent>, u64) {
+    let (mut short, mut long) = (Vec::new(), Vec::new());
+    let comparisons = v.verify_short_batch::<B, W>(hay, positions, &mut short)
+        + v.verify_long_batch::<B, W>(hay, positions, &mut long);
+    (short, long, comparisons)
+}
+
 /// Asserts `Verifier` batched ≡ lookup-per-candidate for an explicit
-/// candidate array on every dispatchable backend.
+/// candidate array on every dispatchable backend: per table the same
+/// matches in the same append order, and the same comparison count.
 fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) {
     let v = Verifier::build(set);
-    let mut expected = Vec::new();
-    let mut expected_cmp = 0u64;
+    let (mut short, mut long) = (Vec::new(), Vec::new());
+    let mut comparisons = 0u64;
     for &p in positions {
-        expected_cmp += v.verify_short(hay, p as usize, &mut expected) as u64;
-        expected_cmp += v.verify_long(hay, p as usize, &mut expected) as u64;
+        comparisons += v.verify_short(hay, p as usize, &mut short) as u64;
+        comparisons += v.verify_long(hay, p as usize, &mut long) as u64;
     }
-    normalize_matches(&mut expected);
+    let expected = (short, long, comparisons);
     for kind in available_backends() {
-        let mut got = Vec::new();
-        let got_cmp = match kind {
-            BackendKind::Scalar => {
-                v.verify_short_batch::<ScalarBackend, 8>(hay, positions, &mut got)
-                    + v.verify_long_batch::<ScalarBackend, 8>(hay, positions, &mut got)
-            }
-            BackendKind::Avx2 => {
-                v.verify_short_batch::<Avx2Backend, 8>(hay, positions, &mut got)
-                    + v.verify_long_batch::<Avx2Backend, 8>(hay, positions, &mut got)
-            }
-            BackendKind::Avx512 => {
-                v.verify_short_batch::<Avx512Backend, 16>(hay, positions, &mut got)
-                    + v.verify_long_batch::<Avx512Backend, 16>(hay, positions, &mut got)
-            }
+        let got = match kind {
+            BackendKind::Scalar => verifier_batch::<ScalarBackend, 8>(&v, hay, positions),
+            BackendKind::Avx2 => verifier_batch::<Avx2Backend, 8>(&v, hay, positions),
+            BackendKind::Avx512 => verifier_batch::<Avx512Backend, 16>(&v, hay, positions),
         };
-        normalize_matches(&mut got);
-        assert_eq!(got, expected, "Verifier/{kind} match set");
-        assert_eq!(got_cmp, expected_cmp, "Verifier/{kind} comparison count");
+        assert_eq!(got, expected, "Verifier/{kind} (short, long, comparisons)");
     }
+}
+
+/// With **every** position a candidate, verification alone must reproduce
+/// the naive matcher (the two tables partition the set), and the batched
+/// path must agree with the lookups on the way there.
+fn assert_all_positions_equal_naive(set: &PatternSet, hay: &[u8]) {
+    let positions: Vec<u32> = (0..hay.len() as u32).collect();
+    assert_verifier_paths_agree(set, hay, &positions);
+    let v = Verifier::build(set);
+    let mut out = Vec::new();
+    for &p in &positions {
+        v.verify_short(hay, p as usize, &mut out);
+        v.verify_long(hay, p as usize, &mut out);
+    }
+    normalize_matches(&mut out);
+    assert_eq!(
+        out,
+        vpatch_suite::patterns::naive::naive_find_all(set, hay),
+        "lookups vs naive on {:?}",
+        String::from_utf8_lossy(hay)
+    );
 }
 
 proptest! {
@@ -232,8 +256,46 @@ fn clustered_candidates_at_block_boundaries_and_buffer_end() {
 }
 
 /// DFC's batched drain (`classify_and_verify_batch`) ≡ one
-/// `classify_and_verify` per candidate, including the progressive-filter gate for
-/// the long class, on every dispatchable backend.
+/// `classify_and_verify` per position, including the progressive-filter
+/// gate for the long class, on every dispatchable backend.
+fn assert_dfc_paths_agree(set: &PatternSet, hay: &[u8]) {
+    let tables = DfcTables::build(set);
+    let positions: Vec<u32> = (0..hay.len() as u32).collect();
+    let mut expected = Vec::new();
+    let mut expected_cmp = 0u64;
+    for &p in &positions {
+        expected_cmp += tables.classify_and_verify(hay, p as usize, &mut expected) as u64;
+    }
+    normalize_matches(&mut expected);
+    let mut long_scratch = Vec::new();
+    for kind in available_backends() {
+        let mut got = Vec::new();
+        let got_cmp = match kind {
+            BackendKind::Scalar => tables.classify_and_verify_batch::<ScalarBackend, 8>(
+                hay,
+                &positions,
+                &mut long_scratch,
+                &mut got,
+            ),
+            BackendKind::Avx2 => tables.classify_and_verify_batch::<Avx2Backend, 8>(
+                hay,
+                &positions,
+                &mut long_scratch,
+                &mut got,
+            ),
+            BackendKind::Avx512 => tables.classify_and_verify_batch::<Avx512Backend, 16>(
+                hay,
+                &positions,
+                &mut long_scratch,
+                &mut got,
+            ),
+        };
+        normalize_matches(&mut got);
+        assert_eq!(got, expected, "DFC/{kind} match set");
+        assert_eq!(got_cmp, expected_cmp, "DFC/{kind} comparison count");
+    }
+}
+
 #[test]
 fn dfc_batched_drain_equals_per_candidate_classification() {
     let sets = [
@@ -246,42 +308,86 @@ fn dfc_batched_drain_equals_per_candidate_classification() {
             Pattern::literal(*b"ghij"),
         ]),
     ];
+    let hay = b"a bc def ghij attack attach klmnopqr CMD.EXE cmd.exe AB x gh".repeat(6);
     for set in &sets {
-        let tables = DfcTables::build(set);
-        let hay = b"a bc def ghij attack attach klmnopqr CMD.EXE cmd.exe AB x gh".repeat(6);
-        let positions: Vec<u32> = (0..hay.len() as u32).collect();
-        let mut expected = Vec::new();
-        let mut expected_cmp = 0u64;
-        for &p in &positions {
-            expected_cmp += tables.classify_and_verify(&hay, p as usize, &mut expected) as u64;
-        }
-        normalize_matches(&mut expected);
-        let mut long_scratch = Vec::new();
-        for kind in available_backends() {
-            let mut got = Vec::new();
-            let got_cmp = match kind {
-                BackendKind::Scalar => tables.classify_and_verify_batch::<ScalarBackend, 8>(
-                    &hay,
-                    &positions,
-                    &mut long_scratch,
-                    &mut got,
-                ),
-                BackendKind::Avx2 => tables.classify_and_verify_batch::<Avx2Backend, 8>(
-                    &hay,
-                    &positions,
-                    &mut long_scratch,
-                    &mut got,
-                ),
-                BackendKind::Avx512 => tables.classify_and_verify_batch::<Avx512Backend, 16>(
-                    &hay,
-                    &positions,
-                    &mut long_scratch,
-                    &mut got,
-                ),
-            };
-            normalize_matches(&mut got);
-            assert_eq!(got, expected, "DFC/{kind} match set");
-            assert_eq!(got_cmp, expected_cmp, "DFC/{kind} comparison count");
+        assert_dfc_paths_agree(set, &hay);
+    }
+}
+
+/// Sets built against the suffix fingerprint in the verification entries,
+/// which may reject a candidate but must never decide a match:
+///
+/// * members sharing their first 4 **and** last 4 bytes and differing only
+///   in the middle — every bucket-mate passes the fingerprint and the full
+///   compare has to tell them apart;
+/// * lengths 1–8, where the fingerprint overlaps the index prefix (below 4
+///   bytes it *is* the pattern, and its haystack word reaches past the
+///   pattern's end);
+/// * a `nocase` pattern beside its case-sensitive twin in a folded table —
+///   the fingerprint is folded for both, the compare is not.
+fn fingerprint_adversaries() -> Vec<PatternSet> {
+    vec![
+        PatternSet::from_literals(&[
+            "HEADTAIL",
+            "HEADxTAIL",
+            "HEADyTAIL",
+            "HEADxxTAIL",
+            "HEADxyTAIL",
+            "HEADxxxxxxxxTAIL",
+            "HEADxxxxyxxxTAIL",
+        ]),
+        PatternSet::from_literals(&[
+            "a", "ab", "aba", "abab", "ababa", "ababab", "abababa", "abababab", "b", "ba", "bab",
+            "abcb", "abcab", "abcbab",
+        ]),
+        PatternSet::new(vec![
+            Pattern::literal_nocase(*b"Content-Type"),
+            Pattern::literal(*b"Content-Type"),
+            Pattern::literal(*b"content-type"),
+            Pattern::literal_nocase(*b"HeadXXTail"),
+            Pattern::literal(*b"headxytail"),
+            Pattern::literal_nocase(*b"GeT"),
+            Pattern::literal(*b"GET"),
+            Pattern::literal_nocase(*b"t"),
+            Pattern::literal(*b"T"),
+        ]),
+    ]
+}
+
+/// Every adversary pattern, whole and cut short, at every distance 0..=8
+/// from the end of an **exact-size** allocation: a fingerprint word read
+/// past the slice would leave the allocation (the PR 5 `eq_window` / PR 13
+/// `prescreen` pattern). With every position a candidate, batched ≡
+/// lookups ≡ naive in matches, order and comparisons on every backend, for
+/// the verifier, the engines and DFC's four tables.
+#[test]
+fn fingerprint_adversaries_hard_against_the_end_of_the_allocation() {
+    for set in fingerprint_adversaries() {
+        for pattern in set.patterns() {
+            let bytes = pattern.bytes();
+            for cut in 0..bytes.len().min(5) {
+                for distance in 0..=8usize {
+                    // A case-flipped twin of the pattern first, so folded
+                    // tables see windows only the `nocase` entries accept.
+                    let mut hay: Vec<u8> = bytes
+                        .iter()
+                        .map(|b| {
+                            if b.is_ascii_lowercase() {
+                                b.to_ascii_uppercase()
+                            } else {
+                                b.to_ascii_lowercase()
+                            }
+                        })
+                        .collect();
+                    hay.extend_from_slice(b"HEADxyxTAIL ab ");
+                    hay.extend_from_slice(&bytes[..bytes.len() - cut]);
+                    hay.extend_from_slice(&b"TAILabab"[..distance]);
+                    let hay: Box<[u8]> = hay.into_boxed_slice();
+                    assert_all_positions_equal_naive(&set, &hay);
+                    assert_engine_paths_agree(&set, &hay);
+                    assert_dfc_paths_agree(&set, &hay);
+                }
+            }
         }
     }
 }
