@@ -190,6 +190,19 @@ impl Matcher for SPatch {
         self.tables.find_in(self, haystack, starts, out)
     }
 
+    /// One scan over the concatenated inputs (see [`SPatchTables`]).
+    fn find_in_segments(
+        &self,
+        haystack: &[u8],
+        ends: &[usize],
+        lengths: &[u32],
+        out: &mut Vec<MatchEvent>,
+        resumes: &mut Vec<usize>,
+    ) {
+        self.tables
+            .find_in_segments(self, haystack, ends, lengths, out, resumes)
+    }
+
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         scratch::with_cached_scratch(|scratch| {
             mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, scratch, &mut Vec::new())

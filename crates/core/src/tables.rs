@@ -2,8 +2,8 @@
 
 use crate::scratch::{self, Scratch};
 use mpm_graph::{TwoRound, DEFAULT_CHUNK};
-use mpm_patterns::matcher::resume_horizon;
-use mpm_patterns::{MatchEvent, PatternArena, PatternSet};
+use mpm_patterns::matcher::{find_in_each_segment, resume_horizon};
+use mpm_patterns::{MatchEvent, Matcher, PatternArena, PatternSet};
 use std::ops::Range;
 
 use mpm_verify::{
@@ -180,6 +180,72 @@ impl SPatchTables {
         })
     }
 
+    /// [`mpm_patterns::Matcher::find_in_segments`] for `engine`, an engine
+    /// built on these tables: **one** two-round scan over the concatenation
+    /// instead of one per input, so a run of packet-sized inputs pays the
+    /// scratch borrow, the dispatch region and the verify batch set-up once
+    /// and leaves only the run's last few positions to the scalar tail.
+    ///
+    /// Why one scan is exact. The filters are a superset at every position
+    /// whatever the bytes after it are: a position with its whole window
+    /// inside its input sees the bytes it would see alone, and one whose
+    /// window runs into the next input can only gain candidates (an input's
+    /// last byte passes filter 1 for every 1-byte pattern, which marks all
+    /// windows that begin with its byte). Verification compares whole
+    /// patterns against the concatenation, so what it confirms is a true
+    /// occurrence there — inside one input, or running over its end, which
+    /// `lengths` tells apart. Each input's resume point is then read off the
+    /// same `a_long` array ([`SPatchTables::resume_point`] on the haystack cut at the
+    /// input's end), which still holds every input's candidates because the
+    /// whole haystack was one chunk; a longer haystack goes input by input.
+    pub(crate) fn find_in_segments<E: TwoRound<Pad = Scratch> + Matcher>(
+        &self,
+        engine: &E,
+        haystack: &[u8],
+        ends: &[usize],
+        lengths: &[u32],
+        out: &mut Vec<MatchEvent>,
+        resumes: &mut Vec<usize>,
+    ) {
+        if haystack.len() > DEFAULT_CHUNK {
+            return find_in_each_segment(engine, haystack, ends, out, resumes);
+        }
+        assert_eq!(
+            ends.last().copied().unwrap_or(0),
+            haystack.len(),
+            "the last input must end where the haystack does"
+        );
+        scratch::with_cached_scratch(|scratch| {
+            let first = out.len();
+            let last_chunk = mpm_graph::scan(
+                engine,
+                haystack,
+                0..haystack.len(),
+                DEFAULT_CHUNK,
+                scratch,
+                out,
+            );
+            assert_eq!(last_chunk, 0, "a run is scanned as one chunk");
+            let mut kept = first;
+            for i in first..out.len() {
+                let m = out[i];
+                let end = ends[ends.partition_point(|&end| end <= m.start)];
+                if m.start + lengths[m.pattern.index()] as usize <= end {
+                    out[kept] = m;
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+            let mut start = 0;
+            for &end in ends {
+                assert!(start <= end, "input ends must ascend");
+                let resume = self.resume_point(&haystack[..end], &(start..end), 0, &scratch.a_long);
+                resumes.push(resume);
+                start = end;
+            }
+        });
+    }
+
     /// The resume point of [`mpm_patterns::Matcher::find_in`], from what the
     /// scan that just ran over `starts` already knows: `a_long` is the long
     /// candidate array its last chunk (which began at `last_chunk`) left in
@@ -205,6 +271,10 @@ impl SPatchTables {
     /// carried bytes, not exactness. When the last chunk began after the
     /// horizon, the candidates of the chunk before it are gone and the
     /// horizon itself is returned.
+    ///
+    /// `a_long` may run on past `haystack` (it does when `haystack` is one
+    /// input of a longer scan, [`SPatchTables::find_in_segments`]): the walk
+    /// stops at the first entry without a whole window inside `haystack`.
     fn resume_point(
         &self,
         haystack: &[u8],
@@ -220,6 +290,9 @@ impl SPatchTables {
         let in_tail = a_long.partition_point(|&pos| (pos as usize) < horizon);
         for (examined, &pos) in a_long[in_tail..].iter().enumerate() {
             let pos = pos as usize;
+            if pos + 4 > haystack.len() {
+                break;
+            }
             if examined == RESUME_WALK_BUDGET
                 || self.verifier.long_table().prefix_live_at(haystack, pos)
             {

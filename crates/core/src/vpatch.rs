@@ -412,6 +412,19 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
         self.tables.find_in(self, haystack, starts, out)
     }
 
+    /// One scan over the concatenated inputs (see [`SPatchTables`]).
+    fn find_in_segments(
+        &self,
+        haystack: &[u8],
+        ends: &[usize],
+        lengths: &[u32],
+        out: &mut Vec<MatchEvent>,
+        resumes: &mut Vec<usize>,
+    ) {
+        self.tables
+            .find_in_segments(self, haystack, ends, lengths, out, resumes)
+    }
+
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         scratch::with_cached_scratch(|scratch| {
             scratch.clear();

@@ -190,6 +190,42 @@ pub trait Matcher {
         resume_horizon(haystack.len(), self.max_pattern_len(), &starts)
     }
 
+    /// [`Matcher::find_in`] over several inputs in one call. `haystack` is
+    /// the inputs laid back to back and `ends[k]` is where input `k` ends
+    /// (ascending, the last one `haystack.len()`; input `k` begins where
+    /// input `k - 1` ended, input 0 at 0). Appends to `out`, in no particular
+    /// order, what `find_in(input, 0..input.len(), ..)` reports for every
+    /// input, and to `resumes` the resume point it returns, one per input in
+    /// order — both as offsets into `haystack`. Inputs are independent: an
+    /// occurrence that begins in one input and ends in the next is **not**
+    /// reported, and a resume point vouches only for bytes appended to its
+    /// own input.
+    ///
+    /// `lengths[id]` is the length of pattern `id`. The filtering engines
+    /// index their verification tables by prefix, not by id, and scan the
+    /// concatenation as one input; the lengths are what lets them drop an
+    /// occurrence that runs over its input's end.
+    ///
+    /// This default — one `find_in` per input — is the definition and is
+    /// exact for every engine. An engine overrides it only to pay its
+    /// per-call cost once for a batch of small inputs, and only with a test
+    /// against the contract (`tests/segment_contract.rs`).
+    ///
+    /// # Panics
+    /// Panics unless `ends` is ascending and ends at `haystack.len()`
+    /// (empty for an empty haystack).
+    fn find_in_segments(
+        &self,
+        haystack: &[u8],
+        ends: &[usize],
+        lengths: &[u32],
+        out: &mut Vec<MatchEvent>,
+        resumes: &mut Vec<usize>,
+    ) {
+        let _ = lengths;
+        find_in_each_segment(self, haystack, ends, out, resumes);
+    }
+
     /// Scans `haystack` and returns all matches in canonical
     /// (position, pattern) order.
     fn find_all(&self, haystack: &[u8]) -> Vec<MatchEvent> {
@@ -253,6 +289,37 @@ pub fn resume_horizon(len: usize, max_pattern_len: usize, starts: &Range<usize>)
     (len + 1)
         .saturating_sub(max_pattern_len)
         .clamp(starts.start, starts.end)
+}
+
+/// [`Matcher::find_in_segments`] by its definition: one
+/// [`Matcher::find_in`] per input, matches and resume points translated to
+/// offsets into `haystack`. The trait's default, and what an overriding
+/// engine falls back on for a haystack it cannot take in one round.
+///
+/// # Panics
+/// Panics unless `ends` is ascending and ends at `haystack.len()`.
+pub fn find_in_each_segment<M: Matcher + ?Sized>(
+    engine: &M,
+    haystack: &[u8],
+    ends: &[usize],
+    out: &mut Vec<MatchEvent>,
+    resumes: &mut Vec<usize>,
+) {
+    assert_eq!(
+        ends.last().copied().unwrap_or(0),
+        haystack.len(),
+        "the last input must end where the haystack does"
+    );
+    let mut start = 0;
+    for &end in ends {
+        let first = out.len();
+        let resume = engine.find_in(&haystack[start..end], 0..end - start, out);
+        for m in &mut out[first..] {
+            m.start += start;
+        }
+        resumes.push(start + resume);
+        start = end;
+    }
 }
 
 /// Asserts the memory-accounting honesty contract for one engine: the

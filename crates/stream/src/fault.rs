@@ -154,6 +154,20 @@ mod imp {
             }
         }
 
+        /// Worker-side hook: true iff a `panic_on` or `exit_on` trigger is
+        /// waiting for this packet. Consumes nothing: a worker that scans
+        /// several waiting packets as one run asks this to end the run
+        /// before such a packet, which then meets `should_exit` and
+        /// `maybe_panic` on its own, at the count the plan names.
+        pub(crate) fn armed(&self, worker: usize, packet: u64) -> bool {
+            [&self.panics, &self.exits].into_iter().any(|triggers| {
+                triggers
+                    .lock()
+                    .expect("fault plan lock")
+                    .contains(&(worker, packet))
+            })
+        }
+
         /// Dispatcher-side hook: true iff this push should be refused as
         /// ring-full. Decrements the worker's refusal budget.
         pub(crate) fn refuse_push(&self, worker: usize) -> bool {
@@ -239,6 +253,11 @@ mod imp {
         }
 
         #[inline(always)]
+        pub(crate) fn armed(&self, _worker: usize, _packet: u64) -> bool {
+            false
+        }
+
+        #[inline(always)]
         pub(crate) fn refuse_push(&self, _worker: usize) -> bool {
             false
         }
@@ -263,6 +282,16 @@ mod tests {
         assert!(!plan.should_exit(1, 2));
         assert!(plan.should_exit(1, 3));
         assert!(!plan.should_exit(1, 3), "trigger must be consumed");
+    }
+
+    #[test]
+    fn armed_sees_a_trigger_without_consuming_it() {
+        let plan = FaultPlan::new().exit_on(1, 3).panic_on(0, 2);
+        assert!(plan.armed(1, 3) && plan.armed(1, 3));
+        assert!(plan.armed(0, 2));
+        assert!(!plan.armed(0, 3) && !plan.armed(1, 2));
+        assert!(plan.should_exit(1, 3));
+        assert!(!plan.armed(1, 3), "a fired trigger is gone");
     }
 
     #[test]

@@ -320,8 +320,11 @@ impl GroupedFlowScanner {
             .into_iter()
             .map(|i| {
                 let parts = &set.engines[i];
-                let inner =
-                    StreamScanner::with_lengths(parts.engine.clone(), parts.lengths.clone());
+                let inner = StreamScanner::with_lengths(
+                    parts.engine.clone(),
+                    parts.lengths.clone(),
+                    parts.engine.max_pattern_len().saturating_sub(1),
+                );
                 RuleStreamScanner::with_parts(
                     inner,
                     set.confirmer.clone(),

@@ -77,7 +77,7 @@ use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
 use crate::ring::{self, Consumer, Producer, PushError};
 use crate::shard::{FlowMatch, FlowRuleMatch, Packet};
-use crate::stream::SharedMatcher;
+use crate::stream::{SharedMatcher, Staged, StreamScanner, STAGE_MAX};
 use crate::worker::{mix64, plain_mode, rule_parts, FlowScanner, WorkerMode};
 use mpm_patterns::rule::{RuleMatch, RuleSet};
 use mpm_patterns::stats::{LatencyHistogram, LatencySummary};
@@ -96,7 +96,9 @@ enum PipeJob {
     /// Drop a finished flow's stream state.
     CloseFlow(u64),
     /// Hot-swap: scan flows minted from here on with `mode` under `epoch`.
-    Swap { mode: WorkerMode, epoch: u64 },
+    /// Boxed: swaps are rare, and inline the mode would make every slot of
+    /// every job ring larger than a packet needs.
+    Swap { mode: Box<WorkerMode>, epoch: u64 },
     /// Collection point: emit a [`FlushReport`] for the interval since the
     /// last flush and reset the interval accumulators.
     Flush { token: u64 },
@@ -748,7 +750,7 @@ impl PipelineScanner {
             self.push_job(
                 w,
                 PipeJob::Swap {
-                    mode: mode.clone(),
+                    mode: Box::new(mode.clone()),
                     epoch: self.epoch,
                 },
             );
@@ -901,14 +903,14 @@ impl PipelineScanner {
                 .jobs
                 .as_mut()
                 .expect("producer present outside recovery");
-            let was_empty = jobs.is_empty();
+            // One read of the worker's `head` line per push: the occupancy
+            // after it and the unpark decision both follow from this count
+            // (the worker can only have popped since, which errs high).
+            let before = jobs.len();
             match jobs.push(job) {
                 Ok(()) => {
-                    let occupancy = jobs.len();
-                    if occupancy > handle.max_occupancy {
-                        handle.max_occupancy = occupancy;
-                    }
-                    if was_empty {
+                    handle.max_occupancy = handle.max_occupancy.max(before + 1);
+                    if before == 0 {
                         // The worker may be parked on an empty ring; wake it
                         // now rather than after its park timeout.
                         handle.thread.unpark();
@@ -1006,6 +1008,14 @@ impl Drop for PipelineScanner {
     }
 }
 
+/// Most packets a worker scans as one run ([`PipelineWorker::scan_run`]).
+const RUN_MAX_PACKETS: usize = 32;
+
+/// Most bytes a run stages, carries included (a run of one may exceed it):
+/// keeps the staged bytes and their candidates in L1 and far below the
+/// engines' chunk size.
+const RUN_MAX_BYTES: usize = 4096;
+
 /// The worker thread's state: per-flow scanners plus interval telemetry.
 struct PipelineWorker {
     index: usize,
@@ -1084,52 +1094,203 @@ impl PipelineWorker {
         // own start.
         let mut previous_end: Option<Instant> = None;
         loop {
-            match self.jobs.pop() {
-                Some(job) => {
-                    idle = 0;
-                    let started = previous_end.take().unwrap_or_else(Instant::now);
-                    if matches!(job, PipeJob::Packet { .. }) {
-                        self.lifetime_packets += 1;
-                        if self.plan.should_exit(self.index, self.lifetime_packets) {
-                            // Injected hard crash: exit with no death
-                            // report — the closed ring is the only signal
-                            // (surfaced as PipelineError::WorkerLost).
-                            return;
-                        }
-                    }
-                    // Supervision: a panic anywhere in job handling (a bad
-                    // engine, a poisoned flow, an injected fault) must not
-                    // strand the dispatcher against a silently dead ring.
-                    // AssertUnwindSafe: on Err we only read flow ids and
-                    // buffer sizes for the death report, then the whole
-                    // worker state is discarded.
-                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.handle(job, started)
-                    }));
-                    match unwound {
-                        Ok(ended) => previous_end = Some(ended),
-                        Err(payload) => {
-                            self.report_death(panic_message(payload.as_ref()));
-                            return;
-                        }
-                    }
+            if self.jobs.peek(0).is_none() {
+                if self.jobs.is_closed() {
+                    break;
                 }
-                None => {
-                    if self.jobs.is_closed() {
-                        break;
-                    }
-                    previous_end = None;
-                    idle += 1;
-                    if idle < 64 {
-                        std::hint::spin_loop();
-                    } else if idle < 128 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::park_timeout(Duration::from_micros(100));
-                    }
+                previous_end = None;
+                idle += 1;
+                if idle < 64 {
+                    std::hint::spin_loop();
+                } else if idle < 128 {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::park_timeout(Duration::from_micros(100));
+                }
+                continue;
+            }
+            idle = 0;
+            let started = previous_end.take().unwrap_or_else(Instant::now);
+            // Supervision: a panic anywhere in job handling (a bad engine, a
+            // poisoned flow, an injected fault) must not strand the
+            // dispatcher against a silently dead ring. AssertUnwindSafe: on
+            // Err we only read flow ids and buffer sizes for the death
+            // report, then the whole worker state is discarded.
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.step(started)));
+            match unwound {
+                Ok(Some(ended)) => previous_end = Some(ended),
+                // Injected hard crash: exit with no death report — the
+                // closed ring is the only signal (surfaced as
+                // PipelineError::WorkerLost).
+                Ok(None) => return,
+                Err(payload) => {
+                    self.report_death(panic_message(payload.as_ref()));
+                    return;
                 }
             }
         }
+    }
+
+    /// Processes what is at the head of the ring, which the caller saw is
+    /// not empty, from `started` on: the run of small packets waiting there
+    /// ([`PipelineWorker::scan_run`]) or else one job. Returns when it
+    /// ended, or `None` when an injected fault says to vanish.
+    fn step(&mut self, started: Instant) -> Option<Instant> {
+        // The eviction clock: equal to `started` in production, offset
+        // under an injected mock-clock advance. Only `last_seen`/idle
+        // eviction observe it — latency and utilization stay real-time.
+        let now = self.plan.clock(started);
+        if matches!(self.jobs.peek(0), Some(PipeJob::Packet { .. })) {
+            // Before any flow is looked up, once for a whole run.
+            self.sweep_idle(now);
+        }
+        if let Some(ended) = Staged::with(|run| self.scan_run(run, started, now)) {
+            return Some(ended);
+        }
+        let job = self.jobs.pop().expect("the caller saw a job");
+        if matches!(job, PipeJob::Packet { .. }) {
+            self.lifetime_packets += 1;
+            if self.plan.should_exit(self.index, self.lifetime_packets) {
+                return None;
+            }
+        }
+        Some(self.handle(job, started, now))
+    }
+
+    /// Scans the **run** at the head of the ring as one engine input, if
+    /// there is one: the packets already waiting there, in order, for as
+    /// long as each is a small ([`STAGE_MAX`]) packet of a plain-mode flow
+    /// of the current epoch that is not yet in the run — at most
+    /// [`RUN_MAX_PACKETS`] of them and [`RUN_MAX_BYTES`] staged. Anything
+    /// else ends the run and takes the one-job path when it reaches the
+    /// head: a control job, a large packet, a flow's second packet (its
+    /// carry is not known until the first is scanned), a flow minted under
+    /// an older epoch (another engine), a mint that would evict (possibly a
+    /// flow of the run), a packet an injected fault is waiting for. The run
+    /// never waits for more packets, so on an idle ring it is a run of one.
+    ///
+    /// Each flow stages `carry ‖ payload` behind the previous one's
+    /// ([`StreamScanner::stage`]), one engine call scans the lot
+    /// ([`Staged::scan`]), and each flow takes its matches and its new carry
+    /// back ([`StreamScanner::commit`]) — what [`StreamScanner::push`] does
+    /// for one small chunk, so the results are those of pushing the packets
+    /// one by one.
+    ///
+    /// The jobs are **peeked** while the run is staged and scanned and
+    /// popped only afterwards: if the engine panics, every job of the run
+    /// is still in the ring for the dispatcher to reclaim, and every flow of
+    /// the run is resident, so the death report quarantines it — what a
+    /// panic inside a single packet's scan leaves behind, at run size.
+    ///
+    /// One clock read closes the run: each packet's latency sample and the
+    /// busy interval end there. Returns it, or `None` (nothing touched) when
+    /// no run starts at the head. `now` is the eviction clock's reading at
+    /// `started`.
+    fn scan_run(&mut self, run: &mut Staged, started: Instant, now: Instant) -> Option<Instant> {
+        let tracks_recency = self.tracks_recency();
+        let WorkerMode::Plain {
+            engine,
+            lengths,
+            overlap,
+            rules: None,
+        } = &self.mode
+        else {
+            return None;
+        };
+        run.clear();
+        let first_seq = self.next_seq;
+        let mut staged = 0;
+        while staged < RUN_MAX_PACKETS {
+            let Some(PipeJob::Packet { packet, .. }) = self.jobs.peek(staged) else {
+                break;
+            };
+            let packet_no = self.lifetime_packets + staged as u64 + 1;
+            if packet.payload.len() > STAGE_MAX || self.plan.armed(self.index, packet_no) {
+                break;
+            }
+            let seq = first_seq + staged as u64;
+            let staged_with = |carried: usize| run.len() + carried + packet.payload.len();
+            match self.flows.get_mut(&packet.flow) {
+                Some(slot) => {
+                    let FlowScanner::Plain(scanner) = &slot.scanner else {
+                        break;
+                    };
+                    if slot.epoch != self.epoch
+                        || slot.seq >= first_seq
+                        || (staged > 0 && staged_with(scanner.carried()) > RUN_MAX_BYTES)
+                    {
+                        break;
+                    }
+                    scanner.stage(&packet.payload, run);
+                    if tracks_recency {
+                        self.recency.remove(&slot.seq);
+                    }
+                    slot.seq = seq;
+                    slot.last_seen = now;
+                }
+                None => {
+                    let at_cap = self.max_flows.is_some_and(|cap| self.flows.len() >= cap);
+                    if at_cap || (staged > 0 && staged_with(0) > RUN_MAX_BYTES) {
+                        break;
+                    }
+                    let scanner =
+                        StreamScanner::with_lengths(engine.clone(), lengths.clone(), *overlap);
+                    scanner.stage(&packet.payload, run);
+                    self.flows.insert(
+                        packet.flow,
+                        FlowSlot {
+                            scanner: FlowScanner::Plain(scanner),
+                            seq,
+                            last_seen: now,
+                            epoch: self.epoch,
+                        },
+                    );
+                }
+            }
+            if tracks_recency {
+                self.recency.insert(seq, packet.flow);
+            }
+            staged += 1;
+        }
+        if staged == 0 {
+            return None;
+        }
+        self.next_seq += staged as u64;
+        self.lifetime_packets += staged as u64;
+
+        run.scan(&**engine, lengths);
+
+        // The dispatch stamps, until the closing clock read turns them into
+        // latency samples.
+        let mut enqueued_at = [started; RUN_MAX_PACKETS];
+        for (k, stamp) in enqueued_at.iter_mut().enumerate().take(staged) {
+            let Some(PipeJob::Packet { packet, enqueued }) = self.jobs.pop() else {
+                unreachable!("the run's jobs were peeked in this order");
+            };
+            *stamp = enqueued;
+            let slot = self.flows.get_mut(&packet.flow);
+            let Some(FlowScanner::Plain(scanner)) = slot.map(|slot| &mut slot.scanner) else {
+                unreachable!("the run staged this flow's scanner");
+            };
+            self.events.clear();
+            scanner.commit(run, k, &mut self.events);
+            self.stats.bytes_scanned += packet.payload.len() as u64;
+            self.stats.matches += self.events.len() as u64;
+            self.bytes += packet.payload.len() as u64;
+            let flow = packet.flow;
+            for event in self.events.drain(..) {
+                push_out(&mut self.out, Out::Match(FlowMatch { flow, event }));
+            }
+        }
+        self.packets += staged as u64;
+        let ended = Instant::now();
+        for enqueued in &enqueued_at[..staged] {
+            self.latency
+                .record(ended.saturating_duration_since(*enqueued).as_nanos() as u64);
+        }
+        self.busy_nanos += ended.saturating_duration_since(started).as_nanos() as u64;
+        Some(ended)
     }
 
     /// Last words: every resident flow dies with this worker; tell the
@@ -1148,17 +1309,14 @@ impl PipelineWorker {
         );
     }
 
-    /// Processes one job that began at `started`; returns when it ended.
-    fn handle(&mut self, job: PipeJob, started: Instant) -> Instant {
-        // The eviction clock: equal to `started` in production, offset
-        // under an injected mock-clock advance. Only `last_seen`/idle
-        // eviction observe it — latency and utilization stay real-time.
-        let now = self.plan.clock(started);
+    /// Processes one job that began at `started` (`now` on the eviction
+    /// clock; [`PipelineWorker::step`] has swept the idle flows if it is a
+    /// packet); returns when it ended.
+    fn handle(&mut self, job: PipeJob, started: Instant, now: Instant) -> Instant {
         let mut dispatched = None;
         match job {
             PipeJob::Packet { packet, enqueued } => {
                 self.plan.maybe_panic(self.index, self.lifetime_packets);
-                self.sweep_idle(now);
                 self.scan_packet(packet, now);
                 dispatched = Some(enqueued);
             }
@@ -1170,7 +1328,7 @@ impl PipelineWorker {
             PipeJob::Swap { mode, epoch } => {
                 // Existing flows keep the scanners they were minted with
                 // (graceful drain); only new mints see the new mode.
-                self.mode = mode;
+                self.mode = *mode;
                 self.epoch = epoch;
             }
             PipeJob::Flush { token } => {
@@ -1354,5 +1512,18 @@ fn push_out(out: &mut Producer<Out>, mut item: Out) {
             }
             Err(PushError::Closed(_)) => return,
         }
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::PipeJob;
+
+    /// A job ring is `ring_capacity` of these, resident for the pipeline's
+    /// life, and every packet is written and read as one: a field that
+    /// grows the largest variant (a packet and its dispatch stamp) or a
+    /// control job that outgrows it costs each ring a cache line per slot.
+    #[test]
+    fn a_job_is_one_cache_line() {
+        assert!(std::mem::size_of::<PipeJob>() <= 64);
     }
 }

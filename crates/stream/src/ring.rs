@@ -208,6 +208,37 @@ impl<T> Consumer<T> {
         Some(item)
     }
 
+    /// Borrows the `k`-th oldest buffered item (`k = 0` is what
+    /// [`Consumer::pop`] would return) without popping it, or `None` if it
+    /// is not known to be there. Only `k = 0` re-reads the producer's tail,
+    /// exactly when `pop` would: a consumer that looks ahead costs the
+    /// producer's cache line nothing while the ring is busy, and sees at
+    /// least everything that was buffered when it last found the ring
+    /// empty-looking.
+    pub fn peek(&mut self, k: usize) -> Option<&T> {
+        let shared = &*self.shared;
+        let head = shared.head.0.load(Ordering::Relaxed);
+        if self.cached_tail.wrapping_sub(head) <= k {
+            if k > 0 {
+                return None;
+            }
+            // Acquire pairs with the producer's release tail store.
+            self.cached_tail = shared.tail.0.load(Ordering::Acquire);
+            if head == self.cached_tail {
+                return None;
+            }
+        }
+        // SAFETY: `head + k` lies in [head, cached_tail), so the producer
+        // published the slot (release/acquire on tail) and will not write it
+        // again before `head` passes it. Only this consumer moves `head`, in
+        // `pop`, which needs `&mut self` — and the returned borrow holds
+        // `&mut self` for as long as it lives, so the item can be neither
+        // popped (moved out) nor overwritten underneath it.
+        Some(unsafe {
+            (*shared.buffer[head.wrapping_add(k) & shared.mask].get()).assume_init_ref()
+        })
+    }
+
     /// Number of items currently buffered.
     pub fn len(&self) -> usize {
         let tail = self.shared.tail.0.load(Ordering::Relaxed);
@@ -280,6 +311,38 @@ mod tests {
     }
 
     #[test]
+    fn peek_borrows_in_fifo_order_without_consuming() {
+        let (mut tx, mut rx) = spsc::<String>(4);
+        assert!(rx.peek(0).is_none());
+        tx.push("a".into()).unwrap();
+        tx.push("b".into()).unwrap();
+        // Looking ahead never re-reads the tail: nothing is known yet.
+        assert!(rx.peek(1).is_none());
+        assert_eq!(rx.peek(0).map(String::as_str), Some("a"));
+        assert_eq!(rx.peek(1).map(String::as_str), Some("b"));
+        assert!(rx.peek(2).is_none());
+        // Pushed after the tail was last read: seen by `peek(0)` only once
+        // the known items are gone.
+        tx.push("c".into()).unwrap();
+        assert!(rx.peek(2).is_none());
+        assert_eq!(rx.len(), 3, "peeking pops nothing");
+        assert_eq!(rx.pop().as_deref(), Some("a"));
+        assert_eq!(rx.peek(0).map(String::as_str), Some("b"));
+        assert_eq!(rx.pop().as_deref(), Some("b"));
+        assert_eq!(rx.peek(0).map(String::as_str), Some("c"));
+        assert_eq!(rx.pop().as_deref(), Some("c"));
+        // Indices wrap the mask like pops do.
+        for round in 0..10 {
+            tx.push(format!("x{round}")).unwrap();
+            tx.push(format!("y{round}")).unwrap();
+            assert_eq!(rx.peek(0), Some(&format!("x{round}")));
+            assert_eq!(rx.peek(1), Some(&format!("y{round}")));
+            assert_eq!(rx.pop(), Some(format!("x{round}")));
+            assert_eq!(rx.pop(), Some(format!("y{round}")));
+        }
+    }
+
+    #[test]
     fn full_ring_returns_the_item() {
         let (mut tx, mut rx) = spsc::<String>(2);
         tx.push("a".into()).unwrap();
@@ -338,6 +401,40 @@ mod tests {
         drop(tx);
         drop(rx); // four still buffered: swept by the ring teardown
         assert_eq!(DROPS.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn cross_thread_look_ahead_sees_published_items_in_order() {
+        // The consumer looks as far ahead as it may before popping a batch:
+        // every borrowed item must already be the published value (a slot
+        // read before its tail store, or after the producer reused it,
+        // would show a stale or torn number).
+        const N: u64 = 100_000;
+        let (mut tx, mut rx) = spsc::<Box<u64>>(16);
+        let producer = std::thread::spawn(move || {
+            let mut next = 0u64;
+            while next < N {
+                match tx.push(Box::new(next)) {
+                    Ok(()) => next += 1,
+                    Err(PushError::Full(_)) => std::hint::spin_loop(),
+                    Err(PushError::Closed(_)) => panic!("consumer vanished"),
+                }
+            }
+        });
+        let mut expected = 0u64;
+        while expected < N {
+            let mut ahead = 0;
+            while let Some(item) = rx.peek(ahead) {
+                assert_eq!(**item, expected + ahead as u64, "look-ahead {ahead}");
+                ahead += 1;
+            }
+            for _ in 0..ahead {
+                assert_eq!(rx.pop().as_deref(), Some(&expected));
+                expected += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert!(rx.peek(0).is_none());
     }
 
     #[test]

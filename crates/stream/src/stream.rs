@@ -13,7 +13,23 @@
 //! more than `max_pattern_len - 1`, which is also what an engine without a
 //! resume point of its own keeps.
 //!
-//! A push does three things, the same for every engine and chunk size:
+//! A push takes one of two paths, chosen by the chunk's size alone.
+//!
+//! **A chunk of at most 256 bytes (`STAGE_MAX`) is staged**: `carry ‖ chunk` is
+//! written into the thread's staging buffer as one *input* and scanned whole
+//! in one engine call ([`Matcher::find_in_segments`]). A match is kept iff it
+//! ends in the fresh bytes — one that ends inside the carry was reported by
+//! the push that delivered its last byte — and the new carry is the input
+//! from its resume point on. A multi-core worker stages the waiting small
+//! packets of *several* flows back to back and scans them in the same one
+//! call (`Staged`; see DEVELOPMENT.md § "Runtime pipeline"), so a push is
+//! the run of one of that path, not a second implementation of it. Inputs
+//! are independent by the engine's contract: an occurrence that begins in
+//! one flow's bytes and runs into the next flow's is never reported, and
+//! each input's resume point vouches only for bytes appended to *it*.
+//!
+//! **A larger chunk is scanned in place**, in three steps (copying it behind
+//! the carry would cost more than the second engine call saves):
 //!
 //! 1. **Carried starts.** If the carry is non-empty, stage `carry` followed
 //!    by the chunk's first `min(len, overlap)` bytes and ask the engine for
@@ -30,13 +46,13 @@
 //!    start on and append the chunk; otherwise keep the chunk from its own
 //!    resume point on.
 //!
-//! Why this is exact: a match that lies wholly inside the stream seen so far
-//! starts either in the carry (step 1 finds it, and reports it iff this push
-//! delivered its last byte) or in the chunk (step 2), and a match that
-//! starts before the carry ended before the carry did — that is what a
-//! resume point promises — so an earlier push reported it. Every match that
-//! needs bytes not yet seen starts at or after a resume point, so its start
-//! is still in the carry when its last byte arrives.
+//! Why both are exact: a match that lies wholly inside the stream seen so far
+//! starts either in the carry (found, and reported iff this push delivered
+//! its last byte) or in the chunk, and a match that starts before the carry
+//! ended before the carry did — that is what a resume point promises — so an
+//! earlier push reported it. Every match that needs bytes not yet seen
+//! starts at or after a resume point, so its start is still in the carry
+//! when its last byte arrives.
 //!
 //! The invariant (property-tested in `tests/stream_equivalence.rs`): for any
 //! chunking of any input — including 1-byte chunks and cuts inside every
@@ -48,12 +64,75 @@ use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// Largest chunk that is staged behind its carry and scanned in one engine
+/// call; a larger one is scanned in place (see the module docs).
+pub(crate) const STAGE_MAX: usize = 256;
+
 thread_local! {
-    /// The staging buffer of step 1 (`carry` + chunk prefix), per thread
-    /// like the engines' cached scratch: it is scratch, not flow state, and
-    /// never holds more than `2 * overlap` bytes of the widest engine the
-    /// thread has pushed through.
-    static STAGED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The staging area, per thread like the engines' cached scratch: it is
+    /// scratch, not flow state.
+    static STAGED: RefCell<Staged> = const { RefCell::new(Staged::new()) };
+}
+
+/// A run of staged inputs — `carry ‖ chunk` of one small chunk each, back to
+/// back — and what one engine call over them found. [`StreamScanner::push`]
+/// stages a run of one; a pipeline worker stages the small packets waiting
+/// in its ring, one per flow. The protocol is `clear`, [`StreamScanner::stage`]
+/// per input, [`Staged::scan`] once, [`StreamScanner::commit`] per input.
+///
+/// `bytes` doubles as the buffer of the large-chunk path's step 1, where it
+/// never holds more than `2 * overlap` bytes.
+pub(crate) struct Staged {
+    bytes: Vec<u8>,
+    /// Where each input ends in `bytes`.
+    ends: Vec<usize>,
+    /// Each input's resume point, as an offset into `bytes`.
+    resumes: Vec<usize>,
+    /// The run's matches, starts as offsets into `bytes`, in start order.
+    events: Vec<MatchEvent>,
+}
+
+impl Staged {
+    const fn new() -> Self {
+        Staged {
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            resumes: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Runs `f` on this thread's staging area. Not re-entrant: `f` must not
+    /// push through a [`StreamScanner`].
+    pub(crate) fn with<R>(f: impl FnOnce(&mut Staged) -> R) -> R {
+        STAGED.with_borrow_mut(f)
+    }
+
+    /// Empties the run, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.resumes.clear();
+        self.events.clear();
+    }
+
+    /// Bytes staged so far.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The one engine call of the run. Every staged input must belong to a
+    /// scanner of this `engine`, whose per-pattern `lengths` these are.
+    pub(crate) fn scan(&mut self, engine: &dyn Matcher, lengths: &[u32]) {
+        engine.find_in_segments(
+            &self.bytes,
+            &self.ends,
+            lengths,
+            &mut self.events,
+            &mut self.resumes,
+        );
+        self.events.sort_unstable_by_key(|m| m.start);
+    }
 }
 
 /// A shareable, `Send + Sync` matching engine, as produced by
@@ -130,14 +209,14 @@ impl StreamScanner {
             max_len,
             "engine was compiled for a different pattern set"
         );
-        Self::with_lengths(engine, lengths)
+        Self::with_lengths(engine, lengths, max_len.saturating_sub(1))
     }
 
-    /// Internal constructor used by `ShardedScanner` to mint per-flow
-    /// scanners without re-walking the pattern set.
-    pub(crate) fn with_lengths(engine: SharedMatcher, lengths: Arc<[u32]>) -> Self {
-        let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-        let overlap = max_len.saturating_sub(1);
+    /// Internal constructor the multi-core scanners mint per-flow scanners
+    /// with: `lengths` and `overlap` (the longest of them, less one) were
+    /// worked out once for the engine, not once per flow.
+    pub(crate) fn with_lengths(engine: SharedMatcher, lengths: Arc<[u32]>, overlap: usize) -> Self {
+        debug_assert_eq!(overlap, engine.max_pattern_len().saturating_sub(1));
         StreamScanner {
             engine,
             lengths,
@@ -190,10 +269,18 @@ impl StreamScanner {
     /// Matches are appended in no particular order (sort with
     /// [`mpm_patterns::matcher::normalize_matches`] if a canonical order is
     /// needed); across pushes every occurrence is reported exactly once.
-    /// The module docs walk through the three steps and why they are exact.
+    /// The module docs walk through the two paths and why they are exact.
     pub fn push(&mut self, chunk: &[u8], out: &mut Vec<MatchEvent>) {
         if chunk.is_empty() {
             return;
+        }
+        if chunk.len() <= STAGE_MAX {
+            return Staged::with(|run| {
+                run.clear();
+                self.stage(chunk, run);
+                run.scan(&*self.engine, &self.lengths);
+                self.commit(run, 0, out);
+            });
         }
         let reported_before = out.len();
         let carry_len = self.carry.len();
@@ -206,7 +293,8 @@ impl StreamScanner {
         // is already `carry_len`.
         let mut live_from = carry_len;
         if carry_len > 0 {
-            live_from = STAGED.with_borrow_mut(|staged| {
+            live_from = Staged::with(|staged| {
+                let staged = &mut staged.bytes;
                 staged.clear();
                 staged.extend_from_slice(&self.carry);
                 staged.extend_from_slice(&chunk[..chunk.len().min(self.overlap)]);
@@ -243,6 +331,43 @@ impl StreamScanner {
 
         self.position += chunk.len();
         self.stats.bytes_scanned += chunk.len() as u64;
+        self.stats.matches += (out.len() - reported_before) as u64;
+    }
+
+    /// Stages `carry ‖ chunk` as the next input of `run`. The staging buffer
+    /// grows to exactly what the largest run needed, never by doubling.
+    pub(crate) fn stage(&self, chunk: &[u8], run: &mut Staged) {
+        run.bytes.reserve_exact(self.carry.len() + chunk.len());
+        run.bytes.extend_from_slice(&self.carry);
+        run.bytes.extend_from_slice(chunk);
+        run.ends.push(run.bytes.len());
+    }
+
+    /// Takes this scanner's share of a scanned run — it staged input `k` —
+    /// appending to `out`, at absolute stream offsets, the input's matches
+    /// that end in its fresh bytes, and keeping the input from its resume
+    /// point on as the new carry.
+    pub(crate) fn commit(&mut self, run: &Staged, k: usize, out: &mut Vec<MatchEvent>) {
+        let start = if k == 0 { 0 } else { run.ends[k - 1] };
+        let end = run.ends[k];
+        let carry_len = self.carry.len();
+        let base = self.position - carry_len;
+        let reported_before = out.len();
+        let first = run.events.partition_point(|m| m.start < start);
+        for m in run.events[first..].iter().take_while(|m| m.start < end) {
+            let at = m.start - start;
+            if at + self.lengths[m.pattern.index()] as usize > carry_len {
+                out.push(MatchEvent::new(base + at, m.pattern));
+            }
+        }
+        let fresh = end - start - carry_len;
+        self.carry.clear();
+        self.carry
+            .extend_from_slice(&run.bytes[run.resumes[k]..end]);
+        debug_assert!(self.carry.len() <= self.overlap);
+
+        self.position += fresh;
+        self.stats.bytes_scanned += fresh as u64;
         self.stats.matches += (out.len() - reported_before) as u64;
     }
 

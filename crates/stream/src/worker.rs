@@ -36,6 +36,8 @@ pub(crate) enum WorkerMode {
     Plain {
         engine: SharedMatcher,
         lengths: Arc<[u32]>,
+        /// The longest of `lengths`, less one: what a flow carries at most.
+        overlap: usize,
         rules: Option<RuleParts>,
     },
     /// Port-grouped rule scanning: each flow is scanned only against the
@@ -61,6 +63,7 @@ pub(crate) fn plain_mode(
     WorkerMode::Plain {
         engine,
         lengths,
+        overlap: max_len.saturating_sub(1),
         rules,
     }
 }
@@ -109,9 +112,10 @@ impl FlowScanner {
             WorkerMode::Plain {
                 engine,
                 lengths,
+                overlap,
                 rules,
             } => {
-                let inner = StreamScanner::with_lengths(engine.clone(), lengths.clone());
+                let inner = StreamScanner::with_lengths(engine.clone(), lengths.clone(), *overlap);
                 match rules {
                     Some(parts) => FlowScanner::Rules(RuleStreamScanner::with_parts(
                         inner,

@@ -7,10 +7,14 @@
 //! quarantined), silent worker exits (surfaced as `PipelineError::WorkerLost`
 //! instead of a hang), forced ring-full (exact shed accounting), buffer-cap
 //! degradation counters, and idle eviction driven by a mock clock instead
-//! of wall-time sleeps.
+//! of wall-time sleeps. One scenario needs no plan: an engine that really
+//! panics while the worker is scanning a *run* of waiting packets.
 
+mod common;
+
+use common::{Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
+use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, PatternSet, ProtocolGroup};
 use mpm_stream::{
     BackpressurePolicy, EvictionPolicy, FaultPlan, FlowMatch, Packet, PipelineError,
     ScannerBuilder, SharedMatcher,
@@ -314,4 +318,121 @@ fn mock_clock_drives_idle_eviction_without_sleeping() {
     let after = pipeline.drain().expect("workers alive");
     assert_eq!(after.evicted_flows, 5, "all flows idle past the timeout");
     assert_eq!(after.resident_flows, 0);
+}
+
+/// Forwards to an engine — unless the haystack holds `marker`: then it
+/// panics, the way a bug in an engine would, in the middle of a scan.
+struct PanicsOn {
+    inner: SharedMatcher,
+    marker: u8,
+}
+
+impl PanicsOn {
+    fn check(&self, haystack: &[u8]) {
+        assert!(
+            !haystack.contains(&self.marker),
+            "engine bug on the marker byte"
+        );
+    }
+}
+
+impl Matcher for PanicsOn {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn max_pattern_len(&self) -> usize {
+        self.inner.max_pattern_len()
+    }
+
+    fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
+        self.check(haystack);
+        self.inner.find_into(haystack, out);
+    }
+
+    fn find_in(
+        &self,
+        haystack: &[u8],
+        starts: std::ops::Range<usize>,
+        out: &mut Vec<MatchEvent>,
+    ) -> usize {
+        self.check(haystack);
+        self.inner.find_in(haystack, starts, out)
+    }
+
+    fn find_in_segments(
+        &self,
+        haystack: &[u8],
+        ends: &[usize],
+        lengths: &[u32],
+        out: &mut Vec<MatchEvent>,
+        resumes: &mut Vec<usize>,
+    ) {
+        self.check(haystack);
+        self.inner
+            .find_in_segments(haystack, ends, lengths, out, resumes);
+    }
+}
+
+/// A real panic inside a run. Forty small packets of forty flows wait in the
+/// ring; the worker stages the first 32 as one run and the engine panics on
+/// the marker in the 21st. The run's jobs were only peeked, so all forty are
+/// reclaimed: the 32 flows of the run were resident (minted while the run was
+/// staged) and are quarantined with their packets, the other eight are
+/// replayed on the fresh worker and report as if nothing had happened — and
+/// `drain()` returns.
+#[test]
+fn a_panic_inside_a_run_quarantines_the_run_and_replays_the_rest() {
+    const MARKER: u8 = 0xFF;
+    let set = PatternSet::from_literals(&["attack"]);
+    let engine = Gated::open(Arc::new(PanicsOn {
+        inner: engine_for(&set),
+        marker: MARKER,
+    }));
+    let mut pipeline = ScannerBuilder::new()
+        .engine(engine.clone(), &set)
+        .workers(1)
+        .ring_capacity(64)
+        .build()
+        .expect("valid build");
+    let payload = |flow: u64| {
+        let mut bytes = b"..attack..".to_vec();
+        bytes.resize(64, if flow == 20 { MARKER } else { b'.' });
+        bytes
+    };
+    let hold = engine.arm();
+    hold.hold(&mut pipeline);
+    for flow in 0..40 {
+        pipeline.dispatch(Packet::new(flow, payload(flow)));
+    }
+    hold.release();
+    let stats = pipeline.drain().expect("supervised drain completes");
+
+    assert_eq!(stats.worker_restarts.len(), 1);
+    assert!(
+        stats.worker_restarts[0].message.contains("marker byte"),
+        "restart carries the panic message: {}",
+        stats.worker_restarts[0].message
+    );
+    let mut quarantined: Vec<u64> = stats.flow_errors.iter().map(|e| e.flow).collect();
+    quarantined.sort_unstable();
+    let mut expected: Vec<u64> = (0..32).collect();
+    expected.push(HOLD_FLOW);
+    assert_eq!(quarantined, expected, "every flow of the run, and the hold");
+    // Nothing of the run was reported, everything behind it was.
+    let reported: Vec<(u64, usize)> = stats
+        .matches
+        .iter()
+        .map(|m| (m.flow, m.event.start))
+        .collect();
+    let replayed: Vec<(u64, usize)> = (32..40).map(|flow| (flow, 2)).collect();
+    assert_eq!(reported, replayed);
+    assert_eq!(stats.resident_flows, 8);
+
+    // The pipeline stays functional, and a quarantined flow starts afresh.
+    pipeline.dispatch(Packet::new(20, b"..attack..".to_vec()));
+    let after = pipeline.drain().expect("workers alive");
+    assert!(after.worker_restarts.is_empty());
+    assert_eq!(of_flow(&after.matches, 20).len(), 1);
+    assert_eq!(after.matches[0].event.start, 2);
 }

@@ -11,9 +11,17 @@
 //! confirmed the flow: `end == 7` ⇒ epoch A, `end == 16` ⇒ epoch B. A torn
 //! read (a flow scanned partly under each ruleset) would surface as a flow
 //! with both ends, or with the wrong one for its mint time.
+//!
+//! The last test swaps a *plain* engine while small packets of old and new
+//! flows wait in one backed-up ring, where the worker scans runs of flows in
+//! one engine call: a run belongs to one engine, so an old flow's packet
+//! must not be staged into it.
 
+mod common;
+
+use common::{Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-use mpm_patterns::{NaiveMatcher, ProtocolGroup};
+use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
 use mpm_stream::{FlowRuleMatch, Packet, PipelineScanner, ScannerBuilder, SharedMatcher};
 use std::sync::Arc;
 
@@ -159,4 +167,58 @@ fn swapped_in_ruleset_governs_flows_that_outlive_several_epochs() {
     matches.sort_by_key(|m| m.flow);
     let ends: Vec<(u64, usize)> = matches.iter().map(|m| (m.flow, m.end)).collect();
     assert_eq!(ends, vec![(0, END_ALPHA), (1, END_BRAVO), (2, END_ALPHA)]);
+}
+
+/// Old-epoch and new-epoch flows interleaved in one backlog, behind the swap
+/// marker: the old flows finish under the engine they were minted with, one
+/// packet at a time; the new flows are scanned as runs of the new engine —
+/// which is handed the new flows' bytes and not one byte more.
+#[test]
+fn an_old_epoch_flow_in_the_backlog_never_joins_a_run_of_the_new_engine() {
+    const FLOWS: u64 = 6;
+    let set_a = PatternSet::from_literals(&["alpha"]);
+    let set_b = PatternSet::from_literals(&["bravo"]);
+    let engine_a = Gated::open(Arc::from(mpm_vpatch::build_auto(&set_a)));
+    let engine_b = Gated::open(Arc::from(mpm_vpatch::build_auto(&set_b)));
+    let mut pipeline = ScannerBuilder::new()
+        .engine(engine_a.clone(), &set_a)
+        .workers(1)
+        .ring_capacity(64)
+        .build()
+        .expect("valid build");
+    let hold = engine_a.arm();
+    hold.hold(&mut pipeline);
+    for f in 0..FLOWS {
+        pipeline.dispatch(Packet::new(f, PACKET_A.to_vec()));
+    }
+    assert_eq!(pipeline.swap_engine(engine_b.clone(), &set_b), 1);
+    let whole = [PACKET_A, PACKET_B].concat();
+    for f in 0..FLOWS {
+        pipeline.dispatch(Packet::new(f, PACKET_B.to_vec()));
+        pipeline.dispatch(Packet::new(100 + f, whole.clone()));
+    }
+    hold.release();
+    let stats = pipeline.drain().expect("workers alive");
+    assert_eq!(
+        stats.old_epoch_flows as u64,
+        FLOWS + 1,
+        "the old flows and the hold"
+    );
+    // Both sets name their one pattern 0; the offset tells them apart.
+    let got: Vec<(u64, usize)> = stats
+        .matches
+        .iter()
+        .filter(|m| m.flow != HOLD_FLOW)
+        .map(|m| (m.flow, m.event.start))
+        .collect();
+    let expected: Vec<(u64, usize)> = (0..FLOWS)
+        .map(|f| (f, END_ALPHA - 5))
+        .chain((0..FLOWS).map(|f| (100 + f, END_BRAVO - 5)))
+        .collect();
+    assert_eq!(got, expected);
+    assert_eq!(
+        engine_b.handed.load(std::sync::atomic::Ordering::Relaxed),
+        FLOWS as usize * whole.len(),
+        "the new engine saw bytes of a flow that is not its own"
+    );
 }

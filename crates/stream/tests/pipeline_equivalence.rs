@@ -4,8 +4,14 @@
 //! (plain / rules / grouped), at every worker count, under backpressure
 //! (rings far smaller than the batch) and under flow eviction — while also
 //! producing the latency and utilization telemetry the barrier scanner
-//! cannot.
+//! cannot. The last test backs the ring up with small packets, which the
+//! worker then scans as **runs** (several flows, one engine call), and
+//! replays the same script on the barrier scanner, which pushes one packet
+//! at a time.
 
+mod common;
+
+use common::{Gated, HOLD_FLOW};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -442,4 +448,103 @@ fn close_flow_retires_stream_state_in_flight() {
     );
     assert_eq!(stats.matches[0].event.start, 3);
     assert_eq!(stats.resident_flows, 1);
+}
+
+/// 64-byte packets of 40 flows waiting in a backed-up ring — six busy flows
+/// that come round every twelfth packet and 34 quiet ones — with everything
+/// that ends a run written into the backlog: the same flow twice in a row
+/// (and again a few packets on), a `close_flow` between two packets of the
+/// flows a run is made of — the closed flow's next packet is already waiting
+/// behind it and must start a fresh stream — and, on the second pass,
+/// `max_flows` at the cap, so that a quiet flow's mint evicts the least
+/// recently pushed flow, which the order of the run's own pushes decides,
+/// while the busy flows stay resident and keep joining runs.
+#[test]
+fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
+    enum Step<'a> {
+        Packet(u64, &'a [u8]),
+        Close(u64),
+    }
+    let rules = PatternSet::from_literals(&["GET /", "passwd", "needle", "ab", "aaaa", "x"]);
+    let inner: SharedMatcher = Arc::from(build_auto(&rules));
+    let trace = TraceGenerator::generate(
+        &TraceSpec::new(TraceKind::IscxDay2, 12 * 1024),
+        Some(&rules),
+    );
+    let mut script = Vec::new();
+    for (n, payload) in trace.chunks(64).enumerate() {
+        let flow_of = |n: usize| if n.is_multiple_of(2) { n / 2 % 6 } else { 6 + n / 2 % 34 } as u64;
+        script.push(Step::Packet(
+            flow_of(if n % 13 == 12 { n - 1 } else { n }),
+            payload,
+        ));
+        if n % 29 == 5 {
+            // Its next packet is three jobs behind this one.
+            script.push(Step::Close(flow_of(n + 3)));
+        }
+    }
+    let hold_packet = || Packet::new(HOLD_FLOW, b".".to_vec());
+    for cap in [None, Some(8)] {
+        let build = |engine: SharedMatcher| {
+            let builder = ScannerBuilder::new()
+                .engine(engine, &rules)
+                .workers(1)
+                .ring_capacity(256);
+            match cap {
+                Some(cap) => builder.max_flows(cap),
+                None => builder,
+            }
+        };
+        // The barrier sees the packet that holds the pipeline's worker too:
+        // its flow takes a slot under the cap.
+        let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
+        let mut expected = barrier.scan_batch([hold_packet()]);
+        for step in &script {
+            let result = match *step {
+                Step::Packet(flow, payload) => {
+                    barrier.scan_batch([Packet::new(flow, payload.to_vec())])
+                }
+                Step::Close(flow) => {
+                    barrier.close_flow(flow);
+                    continue;
+                }
+            };
+            expected.matches.extend(result.matches);
+            expected.stats.merge(&result.stats);
+            expected.resident_flows = result.resident_flows;
+        }
+        expected.matches.sort_unstable();
+
+        let engine = Gated::open(inner.clone());
+        let mut pipeline = build(engine.clone()).build().expect("valid build");
+        let hold = engine.arm();
+        hold.hold(&mut pipeline);
+        engine.reset_counts();
+        let mut packets = 0;
+        for step in &script {
+            match *step {
+                Step::Packet(flow, payload) => {
+                    packets += 1;
+                    pipeline.dispatch(Packet::new(flow, payload.to_vec()));
+                }
+                Step::Close(flow) => pipeline.close_flow(flow),
+            }
+        }
+        hold.release();
+        let got = pipeline.drain().expect("worker alive");
+        assert_eq!(got.matches, expected.matches, "cap {cap:?}");
+        assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
+        assert_eq!(got.stats.matches, expected.stats.matches);
+        assert_eq!(got.resident_flows, expected.resident_flows, "cap {cap:?}");
+        assert_eq!(got.latency.count, packets + 1, "one sample per packet");
+        // The backlog really went through runs: far fewer engine calls than
+        // packets, even with everything above cutting runs short.
+        let calls = engine.calls.load(std::sync::atomic::Ordering::Relaxed);
+        if cap.is_some() {
+            assert!(got.evicted_flows > 32, "{} evictions", got.evicted_flows);
+            assert!(calls < packets as usize, "{calls} calls");
+        } else {
+            assert!(calls * 3 < packets as usize, "{calls} calls");
+        }
+    }
 }

@@ -11,18 +11,30 @@
 //! the adversarial bound — input on which every tail position is a filter
 //! candidate still carries at most `overlap` bytes and hands the engine at
 //! most `chunk + 2 * overlap` bytes per push.
+//!
+//! The last part pushes **several flows through runs**: a pipeline worker
+//! whose ring is backed up stages the waiting small packets of distinct
+//! flows back to back and scans them in one engine call. Any interleaving of
+//! the flows must report, per flow, what the flow pushed alone reports and
+//! what a one-shot scan does — at every cut, with 1-byte chunks, with chunks
+//! on both sides of the staging limit in one flow — and a backlog of N small
+//! packets must cost ⌈N/32⌉ engine calls over no more than the payload and
+//! carried bytes (work asserted as counts, not nanoseconds).
 
+mod common;
+
+use common::{Gated, HOLD_FLOW};
 use mpm_dfc::{Dfc, VectorDfc};
 use mpm_patterns::matcher::normalize_matches;
 use mpm_patterns::naive::naive_find_all;
 use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, Pattern, PatternSet, SyntheticRuleset};
 use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend};
-use mpm_stream::{SharedMatcher, StreamScanner};
+use mpm_stream::{Packet, ScannerBuilder, SharedMatcher, StreamScanner};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::{SPatch, VPatch};
 use proptest::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn bytes_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -81,6 +93,19 @@ fn engines(set: &PatternSet) -> Vec<SharedMatcher> {
     engines
 }
 
+/// Cuts `hay` following the chunking plan (sizes taken round-robin).
+fn cut<'a>(hay: &'a [u8], plan: &[usize]) -> Vec<&'a [u8]> {
+    let mut chunks = Vec::new();
+    let (mut pos, mut step) = (0, 0);
+    while pos < hay.len() {
+        let take = plan[step % plan.len()].min(hay.len() - pos);
+        chunks.push(&hay[pos..pos + take]);
+        pos += take;
+        step += 1;
+    }
+    chunks
+}
+
 /// Streams `hay` through `scanner` following the chunking plan and returns
 /// the normalized match set.
 fn streamed_matches(
@@ -91,13 +116,8 @@ fn streamed_matches(
 ) -> Vec<MatchEvent> {
     let mut scanner = StreamScanner::new(engine, set);
     let mut got = Vec::new();
-    let mut pos = 0;
-    let mut step = 0;
-    while pos < hay.len() {
-        let take = plan[step % plan.len()].min(hay.len() - pos);
-        scanner.push(&hay[pos..pos + take], &mut got);
-        pos += take;
-        step += 1;
+    for chunk in cut(hay, plan) {
+        scanner.push(chunk, &mut got);
     }
     assert_eq!(scanner.position(), hay.len());
     normalize_matches(&mut got);
@@ -364,32 +384,6 @@ fn benign_traffic_carries_a_few_bytes() {
     }
 }
 
-/// Forwards to an engine, adding up the bytes of every haystack handed over.
-struct Counting {
-    inner: SharedMatcher,
-    handed: AtomicUsize,
-}
-
-impl Matcher for Counting {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn max_pattern_len(&self) -> usize {
-        self.inner.max_pattern_len()
-    }
-
-    fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        self.handed.fetch_add(haystack.len(), Ordering::Relaxed);
-        self.inner.find_into(haystack, out);
-    }
-
-    fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
-        self.handed.fetch_add(haystack.len(), Ordering::Relaxed);
-        self.inner.find_in(haystack, starts, out)
-    }
-}
-
 /// The worst case is bounded: a ~250-byte one-letter pattern against a
 /// stream of that letter keeps every tail position genuinely in progress,
 /// and a stream of 4-byte patterns makes every tail position a filter
@@ -418,15 +412,12 @@ fn saturating_input_stays_within_the_carry_and_work_bounds() {
         tested.push(Arc::from(NaiveMatcher::new(&set)));
         for engine in tested {
             for packet in [1, 7, 64] {
-                let counting = Arc::new(Counting {
-                    inner: engine.clone(),
-                    handed: AtomicUsize::new(0),
-                });
+                let counting = Gated::open(engine.clone());
                 let mut scanner = StreamScanner::new(counting.clone(), &set);
                 let bound = packet + 2 * scanner.overlap();
                 let mut got = Vec::new();
                 for piece in hay.chunks(packet) {
-                    counting.handed.store(0, Ordering::Relaxed);
+                    counting.reset_counts();
                     scanner.push(piece, &mut got);
                     assert!(scanner.carried() <= scanner.overlap());
                     let handed = counting.handed.load(Ordering::Relaxed);
@@ -440,5 +431,216 @@ fn saturating_input_stays_within_the_carry_and_work_bounds() {
                 assert_eq!(got, expected, "{}: {packet}-byte packets", engine.name());
             }
         }
+    }
+}
+
+/// Pushes every flow's chunks through a one-worker pipeline **whose ring is
+/// backed up** (the worker is held while everything is dispatched), so the
+/// small packets are scanned as runs. `order` names the flow whose next chunk
+/// goes next. Returns each flow's normalized match set.
+fn through_runs(
+    engine: SharedMatcher,
+    set: &PatternSet,
+    flows: &[Vec<&[u8]>],
+    order: impl IntoIterator<Item = usize>,
+) -> Vec<Vec<MatchEvent>> {
+    let engine = Gated::open(engine);
+    let packets: usize = flows.iter().map(Vec::len).sum();
+    let mut pipeline = ScannerBuilder::new()
+        .engine(engine.clone(), set)
+        .workers(1)
+        .ring_capacity((packets + 2).next_power_of_two())
+        .build()
+        .expect("valid build");
+    let hold = engine.arm();
+    hold.hold(&mut pipeline);
+    let mut next = vec![0; flows.len()];
+    for flow in order {
+        let chunk = flows[flow][next[flow]];
+        next[flow] += 1;
+        pipeline.dispatch(Packet::new(flow as u64, chunk.to_vec()));
+    }
+    assert!(
+        next.iter().zip(flows).all(|(n, chunks)| *n == chunks.len()),
+        "the order must dispatch every chunk"
+    );
+    hold.release();
+    let stats = pipeline.drain().expect("worker alive");
+    let mut per_flow = vec![Vec::new(); flows.len()];
+    for m in stats.matches {
+        if m.flow != HOLD_FLOW {
+            per_flow[m.flow as usize].push(m.event);
+        }
+    }
+    per_flow
+}
+
+/// Round-robin over the flows that still have a chunk: consecutive packets
+/// belong to distinct flows, so runs are as long as they get.
+fn round_robin(flows: &[Vec<&[u8]>]) -> Vec<usize> {
+    let rounds = flows.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|round| (0..flows.len()).filter(move |&f| round < flows[f].len()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any interleaving of a few flows, each with its own chunking.
+    #[test]
+    fn any_interleaving_through_runs_equals_each_flow_alone(
+        set in pattern_set_strategy(),
+        streams in proptest::collection::vec((bytes_strategy(300), chunk_plan_strategy()), 2..7),
+        picks in proptest::collection::vec(any::<usize>(), 0..400),
+    ) {
+        let flows: Vec<Vec<&[u8]>> = streams.iter().map(|(hay, plan)| cut(hay, plan)).collect();
+        // A random order that keeps each flow's chunks in sequence; what the
+        // picks leave over goes round-robin.
+        let mut left: Vec<usize> = flows.iter().map(Vec::len).collect();
+        let mut order = Vec::new();
+        for pick in picks {
+            let open: Vec<usize> = (0..flows.len()).filter(|&f| left[f] > 0).collect();
+            if open.is_empty() {
+                break;
+            }
+            let flow = open[pick % open.len()];
+            left[flow] -= 1;
+            order.push(flow);
+        }
+        let rounds = left.iter().copied().max().unwrap_or(0);
+        for round in 0..rounds {
+            order.extend((0..flows.len()).filter(|&f| round < left[f]));
+        }
+        for engine in engines(&set) {
+            let name = engine.name();
+            let got = through_runs(engine.clone(), &set, &flows, order.iter().copied());
+            for (f, (hay, plan)) in streams.iter().enumerate() {
+                let expected = naive_find_all(&set, hay);
+                let mut flow_got = got[f].clone();
+                normalize_matches(&mut flow_got);
+                prop_assert_eq!(&flow_got, &expected, "{}: flow {} through runs", name, f);
+                let alone = streamed_matches(engine.clone(), &set, hay, plan);
+                prop_assert_eq!(&alone, &expected, "{}: flow {} alone", name, f);
+            }
+        }
+    }
+}
+
+/// Every cut of every pattern is its own flow, and all of them go through
+/// the same backlog: the first halves are scanned as runs of distinct
+/// flows, then the second halves. Beside them run a flow of 1-byte chunks
+/// and a flow whose chunks lie on both sides of the staging limit (so it
+/// leaves and rejoins the runs mid-stream).
+#[test]
+fn every_cut_through_runs_is_found() {
+    let set = PatternSet::new(vec![
+        Pattern::literal(*b"GET /index.html HTTP/1.1"),
+        Pattern::literal_nocase(*b"User-Agent: sqlmap"),
+        Pattern::literal(*b"passwd"),
+        Pattern::literal(*b"aaaa"),
+        Pattern::literal(*b"ab"),
+        Pattern::literal(*b"x"),
+    ]);
+    let mut streams: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
+    for (_, pattern) in set.iter() {
+        let needle = if pattern.is_nocase() {
+            pattern.bytes().to_ascii_uppercase()
+        } else {
+            pattern.bytes().to_vec()
+        };
+        let hay = [&b"Host: a\r\n"[..], &needle, b" aaab"].concat();
+        for at in 1..needle.len() {
+            streams.push((hay.clone(), vec![9 + at, hay.len()]));
+        }
+    }
+    let text: Vec<u8> = b"GET /index.html HTTP/1.1\r\nuser-agent: SQLMAP\r\nx=passwd aaaaab\r\n"
+        .iter()
+        .cycle()
+        .take(1500)
+        .copied()
+        .collect();
+    streams.push((text[..150].to_vec(), vec![1]));
+    // STAGE_MAX is 256: at it, one past it, far past it, far below it.
+    streams.push((text.clone(), vec![200, 256, 257, 1, 300, 255, 3]));
+    let flows: Vec<Vec<&[u8]>> = streams.iter().map(|(hay, plan)| cut(hay, plan)).collect();
+    for engine in engines(&set) {
+        let name = engine.name();
+        let got = through_runs(engine, &set, &flows, round_robin(&flows));
+        for (f, (hay, _)) in streams.iter().enumerate() {
+            let mut flow_got = got[f].clone();
+            normalize_matches(&mut flow_got);
+            assert_eq!(flow_got, naive_find_all(&set, hay), "{name}: flow {f}");
+        }
+    }
+}
+
+/// What a backlog costs, counted: N small packets of distinct flows waiting
+/// in the ring are ⌈N/32⌉ engine calls (two per packet before runs), and the
+/// engine is handed each packet's payload and its flow's carried bytes once,
+/// nothing more.
+#[test]
+fn a_backlog_of_small_packets_costs_one_engine_call_per_run() {
+    const FLOWS: usize = 100;
+    const PACKET: usize = 64;
+    let set = SyntheticRuleset::snort_like_s1().http();
+    let trace = TraceGenerator::generate(
+        &TraceSpec::new(TraceKind::IscxDay2, 2 * FLOWS * PACKET),
+        Some(&set),
+    );
+    let flow_bytes = |f: usize| &trace[2 * f * PACKET..2 * (f + 1) * PACKET];
+    let mut tested = patch_engines(&set);
+    tested.push(Arc::from(NaiveMatcher::new(&set)));
+    for inner in tested {
+        let name = inner.name();
+        // What each flow carries after its first packet, from the flow alone.
+        let carried: usize = (0..FLOWS)
+            .map(|f| {
+                let mut alone = StreamScanner::new(inner.clone(), &set);
+                alone.push(&flow_bytes(f)[..PACKET], &mut Vec::new());
+                alone.carried()
+            })
+            .sum();
+        let engine = Gated::open(inner);
+        let mut pipeline = ScannerBuilder::new()
+            .engine(engine.clone(), &set)
+            .workers(1)
+            .ring_capacity((2 * FLOWS).next_power_of_two())
+            .build()
+            .expect("valid build");
+        let mut got = Vec::new();
+        for wave in 0..2 {
+            let hold = engine.arm();
+            hold.hold(&mut pipeline);
+            engine.reset_counts();
+            for f in 0..FLOWS {
+                let payload = &flow_bytes(f)[wave * PACKET..(wave + 1) * PACKET];
+                pipeline.dispatch(Packet::new(f as u64, payload.to_vec()));
+            }
+            hold.release();
+            got.extend(pipeline.drain().expect("worker alive").matches);
+            let calls = engine.calls.load(Ordering::Relaxed);
+            assert_eq!(calls, FLOWS.div_ceil(32), "{name}: wave {wave}");
+            let handed = engine.handed.load(Ordering::Relaxed);
+            let bound = FLOWS * PACKET + wave * carried;
+            assert!(
+                handed <= bound,
+                "{name}: wave {wave} handed {handed} > {bound}"
+            );
+        }
+        let mut expected = Vec::new();
+        for f in 0..FLOWS {
+            for event in naive_find_all(&set, flow_bytes(f)) {
+                expected.push((f as u64, event));
+            }
+        }
+        let mut got: Vec<_> = got
+            .into_iter()
+            .filter(|m| m.flow != HOLD_FLOW)
+            .map(|m| (m.flow, m.event))
+            .collect();
+        got.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(got, expected, "{name}");
     }
 }

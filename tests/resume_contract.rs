@@ -29,14 +29,15 @@
 //! `MPM_FORCE_BACKEND` narrows the backend list; CI runs the suite once per
 //! forced backend.
 
-use std::ops::Range;
-use std::sync::Arc;
+mod common;
 
+use std::ops::Range;
+
+use common::all_engines;
 use vpatch_suite::graph::DEFAULT_CHUNK;
 use vpatch_suite::patterns::matcher::{normalize_matches, resume_horizon};
 use vpatch_suite::patterns::naive::naive_find_all;
 use vpatch_suite::prelude::*;
-use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
 
 use proptest::prelude::*;
 
@@ -85,35 +86,6 @@ fn set_strategy() -> impl Strategy<Value = PatternSet> {
             patterns.push(Pattern::literal(long).with_nocase(long_nocase));
             PatternSet::new(patterns)
         })
-}
-
-/// Every engine in the workspace, on every backend this run can dispatch to.
-fn all_engines(rules: &PatternSet) -> Vec<SharedMatcher> {
-    let mut engines: Vec<SharedMatcher> = vec![
-        Arc::from(NaiveMatcher::new(rules)),
-        Arc::from(NfaMatcher::build(rules)),
-        Arc::from(DfaMatcher::build(rules)),
-        Arc::from(WuManber::build(rules)),
-        Arc::from(Dfc::build(rules)),
-        Arc::from(VectorDfc::<ScalarBackend, 8>::build(rules)),
-        Arc::from(SPatch::build(rules)),
-        Arc::from(VPatch::<ScalarBackend, 8>::build(rules)),
-        Arc::from(VPatch::<ScalarBackend, 16>::build(rules)),
-    ];
-    for kind in available_backends() {
-        match kind {
-            BackendKind::Scalar => {}
-            BackendKind::Avx2 => {
-                engines.push(Arc::from(VPatch::<Avx2Backend, 8>::build(rules)));
-                engines.push(Arc::from(VectorDfc::<Avx2Backend, 8>::build(rules)));
-            }
-            BackendKind::Avx512 => {
-                engines.push(Arc::from(VPatch::<Avx512Backend, 16>::build(rules)));
-                engines.push(Arc::from(VectorDfc::<Avx512Backend, 16>::build(rules)));
-            }
-        }
-    }
-    engines
 }
 
 fn flip_case(bytes: &[u8]) -> Vec<u8> {
