@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn every_engine_reports_a_consistent_memory_footprint() {
-        // The uniform contract behind the bench snapshot's memory section:
+        // The uniform contract behind the benchmark's memory rows:
         // footprint.total() == heap_bytes() for every engine, and the
         // filtering engines attribute their bytes to the filter/verify split.
         let set = PatternSet::from_literals(&["GET", "abcd", "x", "/etc/passwd", "attack"]);

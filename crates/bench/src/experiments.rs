@@ -422,7 +422,6 @@ mod tests {
             trace_mib: 1,
             runs: 1,
             json: false,
-            ..Options::default()
         }
     }
 

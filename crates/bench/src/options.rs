@@ -16,14 +16,6 @@ pub struct Options {
     pub runs: usize,
     /// Emit results as JSON instead of a text table.
     pub json: bool,
-    /// `bench_baseline` only: run just the pipeline-latency section
-    /// (per-packet percentiles vs worker count) and emit it as JSON — the
-    /// CI latency artifact.
-    pub latency_only: bool,
-    /// `bench_baseline` only: run just the overload-resilience section
-    /// (Block vs Shed dispatch at tiny ring capacities) and emit it as
-    /// JSON.
-    pub resilience_only: bool,
 }
 
 impl Default for Options {
@@ -33,8 +25,6 @@ impl Default for Options {
             trace_mib: 8,
             runs: 3,
             json: false,
-            latency_only: false,
-            resilience_only: false,
         }
     }
 }
@@ -71,12 +61,9 @@ impl Options {
                         .map_err(|_| format!("bad --runs value {value:?}"))?;
                 }
                 "--json" => options.json = true,
-                "--latency-only" => options.latency_only = true,
-                "--resilience-only" => options.resilience_only = true,
                 "--help" | "-h" => {
                     return Err(
-                        "usage: <figure> [--ruleset s1|s2|full] [--mb N] [--runs N] [--json] \
-                         [--latency-only] [--resilience-only]"
+                        "usage: <figure> [--ruleset s1|s2|full] [--mb N] [--runs N] [--json]"
                             .to_string(),
                     )
                 }
@@ -134,17 +121,5 @@ mod tests {
         assert!(parse(&["--ruleset", "s9"]).is_err());
         assert!(parse(&["--mb", "abc"]).is_err());
         assert!(parse(&["--mb", "0"]).is_err());
-    }
-
-    #[test]
-    fn parses_latency_only() {
-        assert!(parse(&["--latency-only"]).unwrap().latency_only);
-        assert!(!parse(&[]).unwrap().latency_only);
-    }
-
-    #[test]
-    fn parses_resilience_only() {
-        assert!(parse(&["--resilience-only"]).unwrap().resilience_only);
-        assert!(!parse(&[]).unwrap().resilience_only);
     }
 }

@@ -81,49 +81,6 @@ impl Workload {
         self.full_ruleset.random_subset(n, 0x5eed)
     }
 
-    /// A **mixed-case** variant of this workload for the `nocase`
-    /// benchmarks: a deterministic ~1/3 of the patterns are marked
-    /// case-insensitive (forcing every engine onto the folded filter path)
-    /// and ~1/4 of the alphabetic trace bytes get their ASCII case toggled,
-    /// so case-varied occurrences of the `nocase` rules actually appear in
-    /// the traffic. Real Snort rulesets mark a comparable share of contents
-    /// `nocase;`, so this is the realistic shape of the folded path's cost.
-    pub fn mixed_case_variant(&self, seed: u64) -> Workload {
-        let mut state = seed ^ 0x6e6f_6361_7365; // "nocase"
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mark = |set: &PatternSet, next: &mut dyn FnMut() -> u64| -> PatternSet {
-            set.patterns()
-                .iter()
-                .map(|p| p.clone().with_nocase(next().is_multiple_of(3)))
-                .collect()
-        };
-        let patterns = mark(&self.patterns, &mut next);
-        let full_ruleset = mark(&self.full_ruleset, &mut next);
-        let traces = self
-            .traces
-            .iter()
-            .map(|(kind, trace)| {
-                let mut mutated = trace.clone();
-                for b in mutated.iter_mut() {
-                    if b.is_ascii_alphabetic() && next().is_multiple_of(4) {
-                        *b ^= 0x20;
-                    }
-                }
-                (*kind, mutated)
-            })
-            .collect();
-        Workload {
-            patterns,
-            full_ruleset,
-            traces,
-        }
-    }
     /// A **verify-heavy adversarial** variant of this workload: the traces
     /// are unchanged, but the pattern set is replaced with patterns built
     /// from the *hottest 4-grams actually present in the trace*, each
@@ -139,8 +96,8 @@ impl Workload {
     /// the shared-prefix patterns pile into shared buckets and each short
     /// candidate pays multiple comparisons).
     ///
-    /// This is the workload the `post_pr5` snapshot and the `verify_round`
-    /// Criterion bench measure the batched verification path on.
+    /// This is the workload the `verify_round` Criterion bench measures the
+    /// batched verification path on.
     pub fn verify_heavy_variant(&self, seed: u64) -> Workload {
         const HOT_GRAMS: usize = 6000;
         const LONG_PATTERNS: usize = 24000;
@@ -211,9 +168,8 @@ impl Workload {
 /// across replicas — which is exactly the regime the grouped design is
 /// for: the shared arena stores those bytes once, and per-group tables
 /// keep buckets 1-deep where the monolithic table piles `scale` duplicate
-/// entries into every shared bucket. Shared by `bench_baseline`'s
-/// `ruleset_scaling` section and the grouped-memory gate in this module's
-/// tests.
+/// entries into every shared bucket. The input of the grouped-memory gate
+/// in this module's tests.
 pub fn scaled_grouped_rules(
     base: &mpm_patterns::PatternSet,
     scale: usize,
@@ -270,36 +226,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 100);
         assert_eq!(w.pattern_subset(1_000).len(), 1_000);
-    }
-
-    #[test]
-    fn mixed_case_variant_marks_patterns_and_mutates_traces() {
-        let w = Workload::build_with_traces(RulesetChoice::S1, 1, &[TraceKind::IscxDay2]);
-        let mixed = w.mixed_case_variant(7);
-        assert!(mixed.patterns.has_nocase());
-        let nocase = mixed
-            .patterns
-            .patterns()
-            .iter()
-            .filter(|p| p.is_nocase())
-            .count();
-        let frac = nocase as f64 / mixed.patterns.len() as f64;
-        assert!((0.25..0.45).contains(&frac), "nocase fraction {frac}");
-        // Same bytes modulo case; a meaningful share actually toggled.
-        let (orig, mutated) = (&w.traces[0].1, &mixed.traces[0].1);
-        assert_eq!(orig.len(), mutated.len());
-        let toggled = orig
-            .iter()
-            .zip(mutated.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert!(toggled > orig.len() / 50, "only {toggled} bytes toggled");
-        assert!(orig
-            .iter()
-            .zip(mutated.iter())
-            .all(|(a, b)| a.eq_ignore_ascii_case(b)));
-        // Deterministic.
-        assert_eq!(mixed.traces[0].1, w.mixed_case_variant(7).traces[0].1);
     }
 
     #[test]

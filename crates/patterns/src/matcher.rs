@@ -269,9 +269,9 @@ pub trait Matcher {
 
     /// Phase-attributed breakdown of [`Matcher::heap_bytes`]. Engines with a
     /// filter/verify split override this; the default attributes everything
-    /// to [`MemoryFootprint::other_bytes`]. The `bench_baseline` snapshot
-    /// emits one row per engine from this, so every perf trajectory entry
-    /// carries its memory cost.
+    /// to [`MemoryFootprint::other_bytes`]. The benchmark's
+    /// `core.filter_bytes` / `verify.table_bytes` rows read this, so every
+    /// perf trajectory entry carries its memory cost.
     fn memory_footprint(&self) -> MemoryFootprint {
         MemoryFootprint {
             filter_bytes: 0,

@@ -125,7 +125,7 @@ pub struct PortSpec {
     /// Whole-spec negation (`!80`, `![..]`).
     negated: bool,
     /// Lower-cased `$VAR` names this spec referenced (for protocol
-    /// classification; unknown variables resolve to `any`).
+    /// classification; a spec naming an unknown variable is `any`).
     vars: Vec<String>,
 }
 
@@ -231,6 +231,8 @@ impl PortSpec {
     /// Accepted syntax: `any`, `N`, `N:M`, `:M`, `N:`, `$VAR`, `!spec`,
     /// and bracketed comma-separated lists `[item,item,...]` where each
     /// item is any of the above except another list (nesting is rejected).
+    /// A spec that names a variable `vars` does not define matches every
+    /// port, wherever the variable stands (`!$X`, `[$X]`, `[80,!$X]`).
     pub fn parse(token: &str, vars: &PortVars) -> Result<PortSpec, String> {
         let token = token.trim();
         if token.is_empty() {
@@ -251,12 +253,13 @@ impl PortSpec {
             }
             return Ok(spec);
         }
-        if let Some(inner) = rest.strip_prefix('[') {
+        let mut included = Vec::new();
+        let mut excluded = Vec::new();
+        let list = rest.strip_prefix('[');
+        if let Some(inner) = list {
             let inner = inner
                 .strip_suffix(']')
                 .ok_or_else(|| format!("unterminated port list {token:?}"))?;
-            let mut included = Vec::new();
-            let mut excluded = Vec::new();
             for item in inner.split(',') {
                 let item = item.trim();
                 if item.is_empty() {
@@ -276,16 +279,23 @@ impl PortSpec {
                 };
                 Self::parse_item(item, vars, target, &mut spec.vars)?;
             }
-            if included.is_empty() && excluded.is_empty() {
-                return Err(format!("empty port list {token:?}"));
-            }
-            spec.included = normalize(included);
-            spec.excluded = normalize(excluded);
-            return Ok(spec);
+        } else {
+            Self::parse_item(rest, vars, &mut included, &mut spec.vars)?;
         }
-        let mut included = Vec::new();
-        Self::parse_item(rest, vars, &mut included, &mut spec.vars)?;
+        if spec.vars.iter().any(|name| vars.lookup(name).is_none()) {
+            // An unresolved variable could stand for any port, so nothing
+            // built around it (a negation, an exclusion, a list) may rule a
+            // port out — never drop a rule from a flow it might apply to.
+            return Ok(PortSpec {
+                vars: spec.vars,
+                ..PortSpec::any()
+            });
+        }
+        if list.is_some() && included.is_empty() && excluded.is_empty() {
+            return Err(format!("empty port list {token:?}"));
+        }
         spec.included = normalize(included);
+        spec.excluded = normalize(excluded);
         Ok(spec)
     }
 
@@ -304,9 +314,8 @@ impl PortSpec {
             if let Some(ranges) = vars.lookup(&lower) {
                 out.extend_from_slice(ranges);
             }
-            // Unknown variables contribute no ranges: the spec stays `any`
-            // (or, inside a list, the other items decide) — conservative,
-            // never drops a rule from a flow it might apply to.
+            // An unknown variable contributes no ranges; `parse` widens a
+            // spec that names one to `any`.
             seen_vars.push(lower);
             return Ok(());
         }
@@ -584,6 +593,28 @@ mod tests {
         assert!(s.is_any());
         assert!(s.matches(80) && s.matches(12345));
         assert_eq!(s.var_names(), &["no_such_var".to_string()]);
+    }
+
+    #[test]
+    fn an_unknown_var_makes_the_spec_any_wherever_it_stands() {
+        for token in [
+            "$NOPE",
+            "!$NOPE",
+            "[$NOPE]",
+            "[!$NOPE]",
+            "![$NOPE]",
+            "[80,$NOPE]",
+            "[1:100,!$NOPE]",
+            "![$HTTP_PORTS,$NOPE]",
+        ] {
+            let s = spec(token);
+            assert!(s.is_any(), "{token} must not rule any port out");
+            assert!(s.matches(0) && s.matches(80) && s.matches(u16::MAX));
+            assert!(s.var_names().contains(&"nope".to_string()), "{token}");
+        }
+        // A resolved variable keeps its negation and its place in a list.
+        assert!(!spec("!$HTTP_PORTS").matches(80));
+        assert!(!spec("[$HTTP_PORTS,!8080]").matches(8080));
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! [`ScannerBuilder`]: one entry point for every multi-core scanner
 //! configuration.
 //!
-//! PRs 3–7 accreted a six-way constructor matrix on
-//! [`crate::ShardedScanner`] (`new` / `with_rules` / `with_groups`, each
-//! crossed with `*_max_flows`); every new knob doubled it. The builder
-//! collapses the matrix into orthogonal axes — *what to scan with*
+//! The builder's axes are orthogonal — *what to scan with*
 //! ([`ScannerBuilder::engine`] / [`ScannerBuilder::rules`] /
 //! [`ScannerBuilder::groups`]), *how wide* ([`ScannerBuilder::workers`],
 //! [`ScannerBuilder::ring_capacity`]), *how long flows live*
 //! ([`ScannerBuilder::max_flows`], [`ScannerBuilder::eviction`]), and *how
 //! overload and memory pressure are handled*
 //! ([`ScannerBuilder::backpressure`], [`ScannerBuilder::max_flow_buffer`])
-//! — and offers two terminal shapes: [`ScannerBuilder::build`] for the
+//! — and it offers two terminal shapes: [`ScannerBuilder::build`] for the
 //! continuously-running [`PipelineScanner`] (the production runtime) and
-//! [`ScannerBuilder::build_barrier`] for the batch-and-join
-//! [`crate::ShardedScanner`] (differential oracles and batch benchmarks).
-//! The pre-builder constructors lived on as `#[deprecated]` shims for one
-//! release and were removed in PR 9; the builder is the only entry point.
+//! [`ScannerBuilder::build_barrier`] for the inline
+//! [`crate::BarrierScanner`] (the differential oracle).
 //!
 //! Configuration mistakes are reported as a typed [`BuildError`] from the
 //! terminal methods, not mid-setter panics: setters store what they are
@@ -25,10 +20,10 @@
 //! ever route around: setting two scan sources, and pairing an engine with
 //! a pattern set it was not compiled for.
 
+use crate::barrier::BarrierScanner;
 use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
 use crate::pipeline::{PipelineConfig, PipelineScanner};
-use crate::shard::ShardedScanner;
 use crate::stream::SharedMatcher;
 use crate::worker::{plain_mode, rule_parts, WorkerMode};
 use mpm_patterns::rule::RuleSet;
@@ -49,7 +44,7 @@ pub struct EvictionPolicy {
     /// Retire a flow once no packet has arrived for it for this long,
     /// swept lazily on the owning worker. `None` = no idle timeout.
     /// Only the pipeline honours this ([`ScannerBuilder::build`]); the
-    /// barrier scanner has no clock between batches.
+    /// barrier scanner has no clock.
     pub idle_after: Option<Duration>,
 }
 
@@ -128,11 +123,12 @@ pub enum BuildError {
     /// `max_flow_buffer(0)`: a zero-byte buffer would degrade every rule
     /// flow on its first payload byte.
     ZeroMaxFlowBuffer,
-    /// `idle_after` eviction needs a clock between batches, which only the
-    /// pipeline has; use [`ScannerBuilder::build`].
+    /// `idle_after` eviction needs a clock, which only the pipeline has;
+    /// use [`ScannerBuilder::build`].
     IdleEvictionUnsupported,
     /// Non-default backpressure needs bounded rings, which only the
-    /// pipeline has; the barrier scanner's intake is an unbounded channel.
+    /// pipeline has; the barrier scanner scans each packet as it is handed
+    /// over.
     BackpressureUnsupported,
 }
 
@@ -161,14 +157,6 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// What the scanner scans with — set exactly once, by
-/// [`ScannerBuilder::engine`], [`ScannerBuilder::rules`] or
-/// [`ScannerBuilder::groups`].
-enum Source {
-    Unset,
-    Mode(WorkerMode),
-}
-
 /// Builder for both multi-core scanners; see the module docs.
 ///
 /// ```
@@ -188,7 +176,9 @@ enum Source {
 /// assert_eq!(pipeline.drain().expect("workers alive").matches.len(), 1);
 /// ```
 pub struct ScannerBuilder {
-    source: Source,
+    /// What the scanner scans with — set exactly once, by `engine`, `rules`
+    /// or `groups`.
+    source: Option<WorkerMode>,
     workers: usize,
     ring_capacity: usize,
     eviction: EvictionPolicy,
@@ -208,7 +198,7 @@ impl ScannerBuilder {
     /// eviction, blocking backpressure, unbounded rule buffers.
     pub fn new() -> Self {
         ScannerBuilder {
-            source: Source::Unset,
+            source: None,
             workers: 1,
             ring_capacity: 1024,
             eviction: EvictionPolicy::none(),
@@ -252,8 +242,9 @@ impl ScannerBuilder {
         self
     }
 
-    /// Number of worker threads (default 1). Zero is rejected at build
-    /// time ([`BuildError::ZeroWorkers`]).
+    /// Number of worker threads (default 1; the barrier scanner shards its
+    /// flow table this many ways instead). Zero is rejected at build time
+    /// ([`BuildError::ZeroWorkers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -312,11 +303,10 @@ impl ScannerBuilder {
         self
     }
 
-    /// Validates the knobs shared by both terminal shapes.
-    fn validate(&self) -> Result<(), BuildError> {
-        if matches!(self.source, Source::Unset) {
-            return Err(BuildError::NoSource);
-        }
+    /// Validates the knobs shared by both terminal shapes and hands over
+    /// the scan source.
+    fn validate(&mut self) -> Result<WorkerMode, BuildError> {
+        let mode = self.source.take().ok_or(BuildError::NoSource)?;
         if self.workers == 0 {
             return Err(BuildError::ZeroWorkers);
         }
@@ -334,7 +324,7 @@ impl ScannerBuilder {
         if self.max_flow_buffer == Some(0) {
             return Err(BuildError::ZeroMaxFlowBuffer);
         }
-        Ok(())
+        Ok(mode)
     }
 
     /// Builds the continuously-running [`PipelineScanner`] — bounded SPSC
@@ -344,48 +334,38 @@ impl ScannerBuilder {
     ///
     /// # Errors
     /// A [`BuildError`] describing the first invalid knob.
-    pub fn build(self) -> Result<PipelineScanner, BuildError> {
-        self.validate()?;
-        let plan = self.resolve_plan();
-        let ScannerBuilder {
-            source,
-            workers,
-            ring_capacity,
-            eviction,
-            backpressure,
-            max_flow_buffer,
-            ..
-        } = self;
+    pub fn build(mut self) -> Result<PipelineScanner, BuildError> {
+        let mode = self.validate()?;
         Ok(PipelineScanner::spawn(PipelineConfig {
-            mode: take_mode(source),
-            workers,
-            ring_capacity,
-            max_flows: eviction.max_flows,
-            idle_after: eviction.idle_after,
-            backpressure,
-            max_flow_buffer,
-            plan,
+            mode,
+            workers: self.workers,
+            ring_capacity: self.ring_capacity,
+            max_flows: self.eviction.max_flows,
+            idle_after: self.eviction.idle_after,
+            backpressure: self.backpressure,
+            max_flow_buffer: self.max_flow_buffer,
+            plan: self.resolve_plan(),
         }))
     }
 
-    /// Builds the batch-and-join [`crate::ShardedScanner`] — every
-    /// `scan_batch` is a full barrier; results arrive as one deterministic
-    /// unit. The differential-testing and batch-benchmark shape.
+    /// Builds the inline [`crate::BarrierScanner`] — packets are scanned on
+    /// the caller's thread, in order, and every `scan_batch` returns its
+    /// results as one deterministic unit. The differential-testing shape.
     ///
     /// # Errors
     /// A [`BuildError`] describing the first invalid knob; additionally
     /// rejects pipeline-only knobs ([`BuildError::IdleEvictionUnsupported`],
     /// [`BuildError::BackpressureUnsupported`]).
-    pub fn build_barrier(self) -> Result<ShardedScanner, BuildError> {
-        self.validate()?;
+    pub fn build_barrier(mut self) -> Result<BarrierScanner, BuildError> {
+        let mode = self.validate()?;
         if self.eviction.idle_after.is_some() {
             return Err(BuildError::IdleEvictionUnsupported);
         }
         if self.backpressure != BackpressurePolicy::Block {
             return Err(BuildError::BackpressureUnsupported);
         }
-        Ok(ShardedScanner::spawn(
-            take_mode(self.source),
+        Ok(BarrierScanner::new(
+            mode,
             self.workers,
             self.eviction.max_flows,
             self.max_flow_buffer,
@@ -407,21 +387,10 @@ impl ScannerBuilder {
 
     fn set_source(&mut self, mode: WorkerMode) {
         assert!(
-            matches!(self.source, Source::Unset),
+            self.source.is_none(),
             "scan source already set: call exactly one of engine()/rules()/groups()"
         );
-        self.source = Source::Mode(mode);
-    }
-}
-
-fn take_mode(source: Source) -> WorkerMode {
-    match source {
-        Source::Mode(mode) => mode,
-        // Unreachable after validate(), but keep the message for anyone
-        // who re-plumbs build paths.
-        Source::Unset => {
-            panic!("no scan source: call one of engine()/rules()/groups() before building")
-        }
+        self.source = Some(mode);
     }
 }
 

@@ -15,7 +15,7 @@
 //! * [`ScannerBuilder`] — the one entry point for multi-core scanning:
 //!   pick a source (`engine`/`rules`/`groups`), a width (`workers`,
 //!   `ring_capacity`) and an [`EvictionPolicy`], then [`build`] the
-//!   continuously-running pipeline or [`build_barrier`] the batch oracle.
+//!   continuously-running pipeline or [`build_barrier`] the inline oracle.
 //!
 //! * [`PipelineScanner`] — the production runtime: bounded lock-free SPSC
 //!   rings per worker, **flow-affine dispatch with no per-batch barrier**,
@@ -34,16 +34,12 @@
 //!   forced ring-full, a mock eviction clock) behind the `fault-inject`
 //!   cargo feature; without the feature every hook is an inlined no-op.
 //!
-//! * [`ShardedScanner`] — the batch-and-join harness the pipeline grew out
-//!   of: fans batches of [`Packet`]s out over N worker threads with
-//!   **flow-affine sharding** (same flow id ⇒ same worker, so per-flow
-//!   stream state stays coherent), merging matches and
-//!   [`mpm_patterns::MatcherStats`] deterministically: 1 worker and N
-//!   workers produce identical output for the same batch — and the
-//!   pipeline produces byte-identical sorted match sets to it
-//!   (`tests/pipeline_equivalence.rs`). Per-flow state is retired by
-//!   [`ShardedScanner::close_flow`] or bounded wholesale by an
-//!   [`EvictionPolicy`] flow cap (least-recently-pushed eviction).
+//! * [`BarrierScanner`] — the pipeline's differential oracle: the same
+//!   flow-affine routing, flow caps and per-flow scanners run **inline on
+//!   the caller's thread**, one packet at a time, with no ring, thread or
+//!   clock. The pipeline must report byte-identical sorted match sets to it
+//!   (`tests/pipeline_equivalence.rs`); that N workers report what one
+//!   does is proven on the pipeline itself (`tests/shard_determinism.rs`).
 //!
 //! [`build`]: ScannerBuilder::build
 //! [`build_barrier`]: ScannerBuilder::build_barrier
@@ -54,7 +50,7 @@
 //!   flow exactly as `mpm_verify::RuleScanner::scan_rules` would confirm
 //!   them over the concatenated payload. Rule mode ([`ScannerBuilder::rules`])
 //!   runs it per flow across workers, reporting confirmed rules in
-//!   [`BatchResult::rule_matches`].
+//!   [`PipelineStats::rule_matches`].
 //!
 //! * [`GroupedEngineSet`] / [`GroupedFlowScanner`] — **port-grouped**
 //!   scanning: a `mpm_patterns::GroupedRuleSet` partitions the ruleset by
@@ -79,16 +75,18 @@
 
 #![warn(missing_docs)]
 
+pub mod barrier;
 pub mod builder;
 pub mod fault;
 pub mod group;
 pub mod pipeline;
 pub mod ring;
 pub mod rules;
-pub mod shard;
 pub mod stream;
+pub mod types;
 mod worker;
 
+pub use barrier::BarrierScanner;
 pub use builder::{BackpressurePolicy, BuildError, EvictionPolicy, ScannerBuilder};
 pub use fault::FaultPlan;
 pub use group::{GroupedEngineSet, GroupedFlowScanner};
@@ -96,5 +94,5 @@ pub use pipeline::{
     FlowError, PipelineError, PipelineScanner, PipelineStats, WorkerRestart, WorkerStats,
 };
 pub use rules::RuleStreamScanner;
-pub use shard::{BatchResult, FlowMatch, FlowRuleMatch, Packet, ShardedScanner};
 pub use stream::{SharedMatcher, StreamScanner};
+pub use types::{BatchResult, FlowMatch, FlowRuleMatch, Packet};

@@ -1,19 +1,16 @@
-//! [`PipelineScanner`]: the continuously-running successor to the
-//! batch-and-join [`crate::ShardedScanner`].
+//! [`PipelineScanner`]: the continuously-running multi-core scanner.
 //!
-//! Where the barrier scanner stalls every worker on the slowest shard once
-//! per batch (unbounded mpsc in, rendezvous channel back), the pipeline
-//! runs its workers free: each worker owns a **bounded SPSC job ring**
-//! ([`crate::ring`]) it drains continuously and a bounded SPSC output ring
-//! it streams matches into. Dispatch is flow-affine exactly as before (same
-//! flow ⇒ same worker ⇒ coherent stream state), but nothing joins: a slow
-//! shard only delays its own flows, and a full job ring pushes back on the
-//! dispatcher ([`PipelineScanner::dispatch`] blocks, draining that worker's
-//! output ring while it waits, so backpressure can never deadlock) instead
-//! of queueing unboundedly.
+//! Each worker thread owns a **bounded SPSC job ring** ([`crate::ring`]) it
+//! drains continuously and a bounded SPSC output ring it streams matches
+//! into. Dispatch is flow-affine (same flow ⇒ same worker ⇒ coherent stream
+//! state) and nothing joins: a slow shard only delays its own flows, and a
+//! full job ring pushes back on the dispatcher
+//! ([`PipelineScanner::dispatch`] blocks, draining that worker's output
+//! ring while it waits, so backpressure can never deadlock) instead of
+//! queueing unboundedly.
 //!
 //! On top of the free-running workers this module adds what a production
-//! runtime needs and a batch harness cannot express:
+//! runtime needs:
 //!
 //! * **Latency observability** — every packet is stamped at dispatch; the
 //!   owning worker records queue+scan latency into a per-worker
@@ -22,8 +19,8 @@
 //!   per-worker utilization and ring-occupancy high-water marks
 //!   ([`PipelineStats`], [`WorkerStats`]).
 //! * **Time+LRU hybrid eviction** — [`crate::ScannerBuilder::max_flows`]
-//!   bounds resident flows with least-recently-pushed eviction (as the
-//!   barrier scanner did), and [`crate::EvictionPolicy::idle_after`] adds
+//!   bounds resident flows with least-recently-pushed eviction, and
+//!   [`crate::EvictionPolicy::idle_after`] adds
 //!   an idle timeout: flows whose last packet is older than the timeout are
 //!   swept lazily (the recency index is push-ordered, so the sweep only
 //!   ever inspects the front), the NIDS analogue of a reassembly idle
@@ -69,16 +66,19 @@
 //!
 //! Equivalence contract: for the same packets, `dispatch* + drain` (or
 //! [`PipelineScanner::scan_batch`]) under the default `Block` policy
-//! reports byte-identical sorted `matches`/`rule_matches` to the barrier
-//! scanner's `scan_batch` (`tests/pipeline_equivalence.rs`).
+//! reports byte-identical sorted `matches`/`rule_matches` to the inline
+//! oracle's `scan_batch` ([`crate::BarrierScanner`],
+//! `tests/pipeline_equivalence.rs`).
 
 use crate::builder::BackpressurePolicy;
 use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
 use crate::ring::{self, Consumer, Producer, PushError};
-use crate::shard::{FlowMatch, FlowRuleMatch, Packet};
 use crate::stream::{SharedMatcher, Staged, StreamScanner, STAGE_MAX};
-use crate::worker::{mix64, plain_mode, rule_parts, FlowScanner, WorkerMode};
+use crate::types::{FlowMatch, FlowRuleMatch, Packet};
+use crate::worker::{
+    flow_cap_share, mix64, plain_mode, rule_parts, worker_of, FlowScanner, WorkerMode,
+};
 use mpm_patterns::rule::{RuleMatch, RuleSet};
 use mpm_patterns::stats::{LatencyHistogram, LatencySummary};
 use mpm_patterns::{MatchEvent, MatcherStats, PatternSet};
@@ -243,9 +243,8 @@ impl std::error::Error for PipelineError {}
 
 /// Result of one [`PipelineScanner::drain`]: everything the pipeline
 /// produced since the previous drain (minus what
-/// [`PipelineScanner::poll`] already handed out), plus the latency and
-/// utilization telemetry the barrier-era `BatchResult` had no way to
-/// express.
+/// [`PipelineScanner::poll`] already handed out), plus latency and
+/// utilization telemetry.
 #[derive(Clone, Debug)]
 pub struct PipelineStats {
     /// All matches of the interval, sorted by `(flow, start, pattern)` —
@@ -449,9 +448,7 @@ impl PipelineScanner {
     pub(crate) fn spawn(config: PipelineConfig) -> Self {
         // Invariant: `ScannerBuilder` validated the count (BuildError::ZeroWorkers).
         assert!(config.workers > 0, "need at least one worker");
-        // Same split as the barrier scanner: div_ceil so small caps never
-        // round below the requested bound.
-        let per_worker_cap = config.max_flows.map(|m| m.div_ceil(config.workers).max(1));
+        let per_worker_cap = flow_cap_share(config.max_flows, config.workers);
         let ring_capacity = config.ring_capacity.max(2).next_power_of_two();
         let workers = (0..config.workers)
             .map(|index| {
@@ -509,7 +506,7 @@ impl PipelineScanner {
     /// The worker a flow is pinned to — same mixer, same determinism
     /// contract as the barrier scanner.
     pub fn worker_of(&self, flow: u64) -> usize {
-        (mix64(flow) % self.workers.len() as u64) as usize
+        worker_of(flow, self.workers.len())
     }
 
     /// Sends one packet to its flow's worker; returns `false` iff the
@@ -1419,23 +1416,13 @@ impl PipelineWorker {
         } else {
             0
         };
-        match &mut slot.scanner {
-            FlowScanner::Plain(scanner) => scanner.push(&packet.payload, &mut self.events),
-            FlowScanner::Rules(scanner) => {
-                scanner.push(&packet.payload, &mut self.events, &mut self.rule_events)
-            }
-            FlowScanner::Grouped(scanner) => scanner.push(&packet.payload, &mut self.rule_events),
-        }
+        self.stats.matches +=
+            slot.scanner
+                .push(&packet.payload, &mut self.events, &mut self.rule_events);
         if self.max_flow_buffer.is_some() {
             self.truncated += slot.scanner.truncated_bytes() - truncated_before;
         }
         self.stats.bytes_scanned += packet.payload.len() as u64;
-        // Same accounting as the barrier scanner: grouped mode counts
-        // confirmed rules (group-local pattern ids would be ambiguous).
-        self.stats.matches += match &slot.scanner {
-            FlowScanner::Grouped(_) => self.rule_events.len() as u64,
-            _ => self.events.len() as u64,
-        };
         self.packets += 1;
         self.bytes += packet.payload.len() as u64;
         for event in self.events.drain(..) {

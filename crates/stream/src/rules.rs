@@ -186,8 +186,8 @@ impl RuleStreamScanner {
         )
     }
 
-    /// Internal constructor used by `ShardedScanner` and the grouped path
-    /// to mint per-flow scanners from shared, pre-built parts.
+    /// Internal constructor used by the multi-core scanners and the grouped
+    /// path to mint per-flow scanners from shared, pre-built parts.
     /// `confirm_ids` translates scanner-local rule indices to the
     /// confirmer's ids when the confirmer is shared across groups.
     pub(crate) fn with_parts(

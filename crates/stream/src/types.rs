@@ -1,0 +1,99 @@
+//! The vocabulary both multi-core scanners speak: what goes in
+//! ([`Packet`]) and what comes out ([`FlowMatch`], [`FlowRuleMatch`], and
+//! the barrier's [`BatchResult`]).
+
+use mpm_patterns::ports::FlowTuple;
+use mpm_patterns::rule::RuleId;
+use mpm_patterns::{MatchEvent, MatcherStats};
+
+/// One unit of work: a payload chunk belonging to a flow.
+#[derive(Clone, Debug)]
+pub struct Packet {
+    /// Flow identifier (e.g. a 5-tuple hash). Packets with equal ids are
+    /// scanned in submission order on one worker, as one logical stream.
+    pub flow: u64,
+    /// The payload bytes of this packet.
+    pub payload: Vec<u8>,
+    /// Protocol + ports of the flow, used by grouped scanning
+    /// ([`crate::ScannerBuilder::groups`]) to select which port groups scan
+    /// the flow. Group selection happens once per flow, from the **first**
+    /// packet's tuple; tuples on later packets of the same flow are ignored
+    /// (a flow's 5-tuple does not change mid-flow). `None` scans the flow
+    /// against every group, exactly like a monolithic scan. Plain and rule
+    /// mode ignore this field.
+    pub tuple: Option<FlowTuple>,
+}
+
+impl Packet {
+    /// Creates a packet with no flow tuple (grouped scanners fall back to
+    /// scanning all groups for it).
+    pub fn new(flow: u64, payload: impl Into<Vec<u8>>) -> Self {
+        Packet {
+            flow,
+            payload: payload.into(),
+            tuple: None,
+        }
+    }
+
+    /// Creates a packet carrying the flow's protocol/port tuple (see
+    /// [`Packet::tuple`]). Grouped scanning needs the tuple on the flow's
+    /// **first** packet — taking it as a constructor argument (rather than
+    /// a post-hoc builder) keeps a grouped scan from silently dropping it
+    /// and degrading to scan-every-group.
+    pub fn new_with_tuple(flow: u64, payload: impl Into<Vec<u8>>, tuple: FlowTuple) -> Self {
+        Packet {
+            flow,
+            payload: payload.into(),
+            tuple: Some(tuple),
+        }
+    }
+}
+
+/// A match, tagged with the flow it occurred in. `event.start` is the
+/// absolute byte offset within that flow's stream.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct FlowMatch {
+    /// The flow the pattern occurred in.
+    pub flow: u64,
+    /// The occurrence, with `start` in flow-stream coordinates.
+    pub event: MatchEvent,
+}
+
+/// A confirmed rule, tagged with the flow it was confirmed in. `end` is the
+/// minimal prefix length of that flow's stream at which the rule's
+/// constraints became satisfiable (flow-stream coordinates, like
+/// [`FlowMatch`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct FlowRuleMatch {
+    /// The flow the rule was confirmed in.
+    pub flow: u64,
+    /// The confirmed rule.
+    pub rule: RuleId,
+    /// Minimal satisfiable prefix length of the flow's stream.
+    pub end: usize,
+}
+
+/// Result of one [`crate::BarrierScanner::scan_batch`] call.
+#[derive(Clone, Debug, Default)]
+pub struct BatchResult {
+    /// All matches of the batch, sorted by `(flow, start, pattern)`. In
+    /// rule mode ([`crate::ScannerBuilder::rules`]) these are the anchor hits.
+    pub matches: Vec<FlowMatch>,
+    /// Rules confirmed during the batch, sorted by `(flow, rule, end)`;
+    /// each rule at most once per flow-stream. Empty unless the scanner was
+    /// built in rule mode.
+    pub rule_matches: Vec<FlowRuleMatch>,
+    /// Per-batch statistics (`bytes_scanned` and `matches` are exact and
+    /// deterministic; the timing fields are zero — wall-clock belongs to
+    /// the caller).
+    pub stats: MatcherStats,
+    /// Flows whose stream state is resident at flush time. With a
+    /// [`crate::ScannerBuilder::max_flows`] cap this never exceeds the cap
+    /// (rounded up to a whole number of flows per worker).
+    pub resident_flows: usize,
+    /// Total bytes of rule-confirmation payload buffered across all
+    /// resident flows at flush time — the gauge the
+    /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds. Zero in
+    /// pattern-only mode.
+    pub buffered_bytes: u64,
+}

@@ -1,21 +1,22 @@
 //! Shared worker machinery: the per-flow state machine and the immutable
-//! compile product both multi-core harnesses scan with.
+//! compile product both executors scan with.
 //!
-//! [`WorkerMode`] is the read-only, `Arc`-shared bundle a worker thread is
-//! handed at spawn (and, in the pipeline, at hot-swap): the engine(s), the
-//! anchor lengths, and the rule-confirmation parts. [`FlowScanner`] is the
-//! per-flow state machine minted from it — plain streaming, anchors + rule
-//! confirmation, or port-grouped confirmation. The batch-oriented
-//! [`crate::ShardedScanner`] and the continuously-running
-//! [`crate::PipelineScanner`] share both, so a mode built once (including
-//! one built off-thread for a hot-swap) drives either harness identically.
+//! [`WorkerMode`] is the read-only, `Arc`-shared bundle a pipeline worker
+//! is handed at spawn and at hot-swap: the engine(s), the anchor lengths,
+//! and the rule-confirmation parts. [`FlowScanner`] is the per-flow state
+//! machine minted from it — plain streaming, anchors + rule confirmation,
+//! or port-grouped confirmation — and [`FlowScanner::push`] is the only
+//! place that knows the three modes apart. The pipeline's worker threads
+//! ([`crate::PipelineScanner`]) and the inline oracle
+//! ([`crate::BarrierScanner`]) share both, so a mode built once drives
+//! either identically.
 
 use crate::group::{GroupedEngineSet, GroupedFlowScanner};
 use crate::rules::RuleStreamScanner;
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::RuleSet;
-use mpm_patterns::PatternSet;
+use mpm_patterns::rule::{RuleMatch, RuleSet};
+use mpm_patterns::{MatchEvent, PatternSet};
 use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
@@ -89,6 +90,19 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The worker a flow is pinned to. Deterministic for a given worker count:
+/// a flow's packets always share a worker (and therefore its per-flow
+/// stream state), and both executors route alike.
+pub(crate) fn worker_of(flow: u64, workers: usize) -> usize {
+    (mix64(flow) % workers as u64) as usize
+}
+
+/// One worker's share of a flow cap: div_ceil, so the total never rounds
+/// below the requested bound for small caps.
+pub(crate) fn flow_cap_share(max_flows: Option<usize>, workers: usize) -> Option<usize> {
+    max_flows.map(|m| m.div_ceil(workers).max(1))
+}
+
 /// One flow's scanning state: pattern-only, anchors + rule confirmation, or
 /// port-grouped rule confirmation.
 pub(crate) enum FlowScanner {
@@ -131,6 +145,30 @@ impl FlowScanner {
                 GroupedFlowScanner::with_max_buffer(engines.clone(), tuple, max_buffer),
             ),
         }
+    }
+
+    /// Pushes the flow's next payload chunk, appending anchor/pattern
+    /// matches to `events` and newly confirmed rules to `rule_events` (both
+    /// in flow-stream coordinates; the caller hands them over empty).
+    /// Returns what the push adds to `MatcherStats::matches`: grouped mode
+    /// reports no anchor events (group-local pattern ids would be
+    /// ambiguous) and counts confirmed rules instead.
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        payload: &[u8],
+        events: &mut Vec<MatchEvent>,
+        rule_events: &mut Vec<RuleMatch>,
+    ) -> u64 {
+        match self {
+            FlowScanner::Plain(scanner) => scanner.push(payload, events),
+            FlowScanner::Rules(scanner) => scanner.push(payload, events, rule_events),
+            FlowScanner::Grouped(scanner) => {
+                scanner.push(payload, rule_events);
+                return rule_events.len() as u64;
+            }
+        }
+        events.len() as u64
     }
 
     /// Bytes buffered for rule confirmation (zero for pattern-only flows

@@ -1,6 +1,6 @@
 //! The pipeline's core contract: for the same packets, the
 //! continuously-running `PipelineScanner` reports **byte-identical** sorted
-//! match sets to the batch-and-join `ShardedScanner`, in every mode
+//! match sets to the inline `BarrierScanner`, in every mode
 //! (plain / rules / grouped), at every worker count, under backpressure
 //! (rings far smaller than the batch) and under flow eviction — while also
 //! producing the latency and utilization telemetry the barrier scanner
@@ -17,7 +17,9 @@ use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::snort::{parse_grouped, ParseOptions};
 use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
-use mpm_stream::{EvictionPolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
+use mpm_stream::{
+    BackpressurePolicy, EvictionPolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher,
+};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
 use std::sync::Arc;
@@ -219,6 +221,67 @@ fn backpressure_on_tiny_rings_loses_nothing() {
 }
 
 #[test]
+fn shed_drops_whole_packets_counts_them_and_block_drops_none() {
+    // 2-slot rings under `Shed`: a full ring drops the packet, `dispatch`
+    // says so, and everything else is scanned as if the dropped packets had
+    // never been sent. Every packet is the same self-contained payload, so
+    // whichever ones a flow loses, what it reports is a prefix of what the
+    // barrier reports for the full batch.
+    let rules = PatternSet::from_literals(&["needle", "ab"]);
+    let inner: SharedMatcher = Arc::from(build_auto(&rules));
+    let payload = b"..needle..ab..";
+    let packets: Vec<Packet> = (0..3000u64)
+        .map(|i| Packet::new(i % 17, payload.to_vec()))
+        .collect();
+    let build = |engine: SharedMatcher| {
+        ScannerBuilder::new()
+            .engine(engine, &rules)
+            .workers(1)
+            .ring_capacity(2)
+    };
+    let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
+    let expected = barrier.scan_batch(packets.clone());
+
+    let engine = Gated::open(inner.clone());
+    let mut shedding = build(engine.clone())
+        .backpressure(BackpressurePolicy::Shed)
+        .build()
+        .expect("valid build");
+    // With the worker held inside the engine the ring cannot drain: of the
+    // first 16 packets at most 2 find a slot, whatever the host does.
+    let hold = engine.arm();
+    hold.hold(&mut shedding);
+    let mut send = |packets: &[Packet]| {
+        let sent = packets.iter().filter(|p| shedding.dispatch((*p).clone()));
+        sent.count() as u64
+    };
+    let held = send(&packets[..16]);
+    assert!(held <= 2, "{held} packets fit a held 2-slot ring");
+    hold.release();
+    let accepted = held + send(&packets[16..]);
+    let got = shedding.drain().expect("worker alive");
+    assert_eq!(got.shed_packets, packets.len() as u64 - accepted);
+    assert!(got.shed_packets >= 14);
+    // The packet that held the worker is one more byte, and no match.
+    assert_eq!(got.stats.bytes_scanned, 1 + accepted * payload.len() as u64);
+    assert_eq!(got.latency.count, 1 + accepted);
+    assert_eq!(got.matches.len() as u64, 2 * accepted);
+    assert!(got
+        .matches
+        .iter()
+        .all(|m| expected.matches.binary_search(m).is_ok()));
+
+    let mut blocking = build(inner).build().expect("valid build");
+    for packet in &packets {
+        assert!(blocking.dispatch(packet.clone()), "Block never sheds");
+    }
+    let got = blocking.drain().expect("worker alive");
+    assert_eq!(got.shed_packets, 0);
+    assert_eq!(got.matches, expected.matches);
+    assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
+}
+
+#[test]
 fn max_flows_lru_eviction_matches_barrier_semantics() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
@@ -262,19 +325,20 @@ fn max_flows_lru_eviction_matches_barrier_semantics() {
 fn idle_flows_are_swept_and_fresh_flows_are_kept() {
     let rules = PatternSet::from_literals(&["needle"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
-    // Evicting side: a 1 ms timeout and a 60 ms quiet period — the next
-    // drain must have swept the idle flows.
+    // Evicting side: a 25 ms timeout (room for a descheduled worker between
+    // a dispatch and its drain) and a 150 ms quiet period — the next drain
+    // must have swept the idle flows.
     let mut fast = ScannerBuilder::new()
         .engine(engine.clone(), &rules)
         .workers(2)
-        .eviction(EvictionPolicy::idle_after(Duration::from_millis(1)))
+        .eviction(EvictionPolicy::idle_after(Duration::from_millis(25)))
         .build()
         .expect("valid build");
     for f in 0..10u64 {
         fast.dispatch(Packet::new(f, b"..needle..".to_vec()));
     }
     assert_eq!(fast.drain().expect("workers alive").resident_flows, 10);
-    std::thread::sleep(Duration::from_millis(60));
+    std::thread::sleep(Duration::from_millis(150));
     // A packet on one flow triggers the sweep on its worker; drain flushes
     // (and sweeps) the rest.
     fast.dispatch(Packet::new(0, b"x".to_vec()));

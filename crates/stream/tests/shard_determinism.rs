@@ -1,11 +1,16 @@
-//! Sharding must not change results: the same packet batch scanned with 1
-//! worker and with N workers yields an identical merged match set and
-//! identical summed (deterministic) statistics, and the merged set equals a
-//! per-flow one-shot scan of the reassembled streams.
+//! Sharding must not change results: the same packet batch scanned by a
+//! pipeline of 1 worker and of N workers yields an identical merged match
+//! set and identical summed (deterministic) statistics, in every mode, and
+//! the merged set equals a per-flow one-shot scan of the reassembled
+//! streams.
 
+use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::naive::naive_find_all;
-use mpm_patterns::PatternSet;
-use mpm_stream::{FlowMatch, Packet, ScannerBuilder, SharedMatcher};
+use mpm_patterns::ports::{FlowTuple, Proto};
+use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
+use mpm_patterns::snort::{parse_grouped, ParseOptions};
+use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
+use mpm_stream::{FlowMatch, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
 use std::collections::BTreeMap;
@@ -69,12 +74,12 @@ fn one_worker_and_n_workers_agree() {
 
     let mut baseline: Option<Vec<FlowMatch>> = None;
     for workers in worker_counts(&[1, 2, 4, 7]) {
-        let mut scanner = ScannerBuilder::new()
+        let mut pipeline = ScannerBuilder::new()
             .engine(engine.clone(), &rules)
             .workers(workers)
-            .build_barrier()
+            .build()
             .expect("valid build");
-        let result = scanner.scan_batch(packets.clone());
+        let result = pipeline.scan_batch(packets.clone()).expect("workers alive");
         assert_eq!(
             result.stats.bytes_scanned, total_bytes,
             "{workers} workers: every payload byte scanned exactly once"
@@ -84,21 +89,7 @@ fn one_worker_and_n_workers_agree() {
             result.matches.len() as u64,
             "{workers} workers: stats.matches consistent with the match set"
         );
-        // The continuously-running pipeline must report the byte-identical
-        // sorted match set the barrier scanner does, with a latency sample
-        // for every packet.
-        let mut pipeline = ScannerBuilder::new()
-            .engine(engine.clone(), &rules)
-            .workers(workers)
-            .build()
-            .expect("valid build");
-        let piped = pipeline.scan_batch(packets.clone()).expect("workers alive");
-        assert_eq!(
-            piped.matches, result.matches,
-            "{workers} workers: pipeline diverged from the barrier scanner"
-        );
-        assert_eq!(piped.stats.bytes_scanned, total_bytes);
-        assert_eq!(piped.latency.count, packets.len() as u64);
+        assert_eq!(result.latency.count, packets.len() as u64);
         match &baseline {
             None => baseline = Some(result.matches),
             Some(expected) => assert_eq!(
@@ -137,15 +128,78 @@ fn repeated_batches_are_deterministic_and_stateful() {
         let mut scanner = ScannerBuilder::new()
             .engine(engine.clone(), &rules)
             .workers(workers)
-            .build_barrier()
+            .build()
             .expect("valid build");
-        let a = scanner.scan_batch(first.clone());
+        let a = scanner.scan_batch(first.clone()).expect("workers alive");
         assert_eq!(a.matches.len(), 1, "{workers} workers");
         assert_eq!(a.matches[0].flow, 4);
-        let b = scanner.scan_batch(second.clone());
+        let b = scanner.scan_batch(second.clone()).expect("workers alive");
         assert_eq!(b.matches.len(), 1, "{workers} workers");
         assert_eq!(b.matches[0].flow, 3);
         assert_eq!(b.matches[0].event.start, 3);
         assert_eq!(engine.max_pattern_len(), 7);
     }
+}
+
+#[test]
+fn rule_mode_determinism_across_worker_counts() {
+    let set = RuleSet::new(vec![Rule::new(
+        ProtocolGroup::Any,
+        vec![
+            RuleContent::new(*b"attack"),
+            RuleContent::new(*b"body").with_distance(0),
+        ],
+    )]);
+    let packets: Vec<Packet> = (0..20u64)
+        .map(|f| Packet::new(f, format!("attack {f} body").into_bytes()))
+        .collect();
+    let run = |workers: usize| {
+        let mut scanner = ScannerBuilder::new()
+            .rules(Arc::new(NaiveMatcher::new(set.anchors())), &set)
+            .workers(workers)
+            .build()
+            .expect("valid build");
+        scanner.scan_batch(packets.clone()).expect("workers alive")
+    };
+    let one = run(1);
+    let four = run(4);
+    assert_eq!(one.rule_matches, four.rule_matches);
+    assert_eq!(one.matches, four.matches);
+    assert_eq!(one.rule_matches.len(), 20);
+}
+
+#[test]
+fn grouped_mode_determinism_across_worker_counts() {
+    let text = r#"
+alert tcp any any -> any 80 (msg:"web"; content:"GET /admin"; sid:1;)
+alert udp any any -> any 53 (msg:"dns"; content:"querydata"; sid:2;)
+alert ip any any -> any any (msg:"any"; content:"evil-bytes"; sid:3;)
+"#;
+    let grouped = GroupedRuleSet::new(parse_grouped(text, ParseOptions::default()).unwrap());
+    let engines = Arc::new(GroupedEngineSet::build_with(grouped, |set, _| {
+        Arc::from(NaiveMatcher::new(set))
+    }));
+    let packets: Vec<Packet> = (0..24u64)
+        .map(|f| {
+            let tuple = if f % 2 == 0 {
+                FlowTuple::new(Proto::Tcp, 40000 + f as u16, 80)
+            } else {
+                FlowTuple::new(Proto::Udp, 1000 + f as u16, 53)
+            };
+            Packet::new_with_tuple(f, b"GET /admin querydata evil-bytes".to_vec(), tuple)
+        })
+        .collect();
+    let run = |workers: usize| {
+        let mut scanner = ScannerBuilder::new()
+            .groups(engines.clone())
+            .workers(workers)
+            .build()
+            .expect("valid build");
+        scanner.scan_batch(packets.clone()).expect("workers alive")
+    };
+    let one = run(1);
+    let four = run(4);
+    assert_eq!(one.rule_matches, four.rule_matches);
+    // Every flow fires its protocol's rule plus the ip-any rule.
+    assert_eq!(one.rule_matches.len(), 48);
 }

@@ -81,9 +81,9 @@ pub mod prelude {
         available_backends, detect_best, forced_backend, BackendKind, VectorBackend,
     };
     pub use mpm_stream::{
-        EvictionPolicy, FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner, Packet,
-        PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, ShardedScanner,
-        SharedMatcher, StreamScanner, WorkerStats,
+        BarrierScanner, EvictionPolicy, FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner,
+        Packet, PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher,
+        StreamScanner, WorkerStats,
     };
     pub use mpm_traffic::{
         ChunkedStream, MatchDensityGenerator, TraceGenerator, TraceKind, TraceSpec,

@@ -303,3 +303,24 @@ alert ip any any -> any any (msg:"any"; content:"evil-bytes"; sid:4;)
     assert!(fp.total() > 0);
     assert!(fp.verify_bytes >= engines.arena_bytes());
 }
+
+/// A header that names a port variable the deployment never defined pins
+/// the rule to no port at all, so it stays applicable to every flow: the
+/// `!` in front of the variable must not turn "could be any port" into
+/// "matches no port" and silently disarm the rule.
+#[test]
+fn a_rule_behind_an_undefined_port_variable_still_confirms() {
+    let text = r#"
+alert tcp $EXTERNAL_NET any -> $HOME_NET !$UNDEFINED (msg:"armed"; content:"attack"; content:"body"; distance:0; sid:1;)
+alert tcp $EXTERNAL_NET any -> $HOME_NET [$UNDEFINED] (msg:"armed too"; content:"attack"; sid:2;)
+"#;
+    let rules = vpatch_suite::patterns::snort::parse_grouped(text, Default::default()).unwrap();
+    assert_eq!(rules.len(), 2, "neither header is rejected");
+    let engines = vpatch_suite::build_grouped_engines(GroupedRuleSet::new(rules));
+    for port in [80, 9999] {
+        let flow = FlowTuple::new(Proto::Tcp, 40000, port);
+        let got = engines.scan_flow(Some(flow), b"..attack..body..");
+        let confirmed: Vec<RuleId> = got.iter().map(|m| m.rule).collect();
+        assert_eq!(confirmed, vec![RuleId(0), RuleId(1)], "port {port}");
+    }
+}
