@@ -1,8 +1,8 @@
 //! The experiment runners: one function per figure of the paper.
 //!
 //! Each function returns a serialisable result structure; the figure binaries
-//! print them as text tables (or JSON with `--json`) and EXPERIMENTS.md
-//! records representative runs.
+//! print them as text tables (or JSON with `--json`); README § "Reproducing
+//! the paper's figures" shows how to run them.
 
 use crate::engines::{build_engine, EngineKind, Platform};
 use crate::measure::{measure_closure, measure_throughput, Measurement};

@@ -4,18 +4,16 @@
 //! The engines never allocate inside the filtering loop; all growth happens
 //! in these vectors, which callers can reuse across chunks of a stream
 //! (`Scratch::clear` keeps the capacity). The counters feed Figure 5b
-//! (filtering-time ratio, useful-lane occupancy) and the EXPERIMENTS.md
-//! analysis.
+//! (useful-lane occupancy).
 //!
 //! Two lifecycle methods serve the two reuse patterns:
 //!
 //! * [`Scratch::clear`] — full reset (candidates **and** counters), the
 //!   start-of-measurement entry point;
 //! * [`Scratch::begin_chunk`] — clears only the candidate arrays, keeping
-//!   the phase counters accumulating. `scan_with_scratch` uses this, so a
-//!   streaming caller that feeds many chunks through one scratch reads
-//!   whole-stream totals (`filter_nanos`, `verify_nanos`, lane occupancy)
-//!   at the end instead of the last chunk's values.
+//!   the lane counters accumulating. The engines' filter rounds call it once
+//!   per chunk, so a scan of many chunks through one scratch reads
+//!   whole-scan lane occupancy at the end instead of the last chunk's.
 //!
 //! Capacity hints are **engine-aware**: the compiled tables know whether a
 //! ruleset contains short and/or long patterns, and an array that can never
@@ -35,12 +33,6 @@ pub struct Scratch {
     /// Total lanes that were genuinely active (had passed filter 2) over all
     /// third-filter evaluations.
     pub useful_lanes: u64,
-    /// Nanoseconds spent in filtering rounds since the last [`Scratch::clear`]
-    /// (accumulates across `scan_with_scratch` calls for streaming use).
-    pub filter_nanos: u64,
-    /// Nanoseconds spent in verification rounds since the last
-    /// [`Scratch::clear`].
-    pub verify_nanos: u64,
 }
 
 /// Fraction of input positions the capacity hints assume can become
@@ -90,12 +82,10 @@ impl Scratch {
         self.begin_chunk();
         self.filter3_blocks = 0;
         self.useful_lanes = 0;
-        self.filter_nanos = 0;
-        self.verify_nanos = 0;
     }
 
     /// Clears the candidate arrays for the next chunk of a stream while the
-    /// phase counters keep accumulating. Capacity is kept.
+    /// lane counters keep accumulating. Capacity is kept.
     pub fn begin_chunk(&mut self) {
         self.a_short.clear();
         self.a_long.clear();
@@ -183,11 +173,11 @@ mod tests {
     fn begin_chunk_keeps_counters_accumulating() {
         let mut s = Scratch::new();
         s.a_short.push(1);
-        s.filter_nanos = 10;
+        s.filter3_blocks = 10;
         s.useful_lanes = 3;
         s.begin_chunk();
         assert_eq!(s.candidates(), 0);
-        assert_eq!(s.filter_nanos, 10);
+        assert_eq!(s.filter3_blocks, 10);
         assert_eq!(s.useful_lanes, 3);
     }
 

@@ -6,7 +6,6 @@ use crate::tables::SPatchTables;
 use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
 use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Scalar S-PATCH engine.
 #[derive(Clone, Debug)]
@@ -122,27 +121,6 @@ impl SPatch {
         let v = self.tables.verifier();
         v.verify_short_batch::<ScalarBackend, 8>(haystack, &scratch.a_short, out)
             + v.verify_long_batch::<ScalarBackend, 8>(haystack, &scratch.a_long, out)
-    }
-
-    /// Full scan reusing caller-provided scratch (no allocation in the steady
-    /// state). Candidate arrays are reset per call; the phase counters
-    /// **accumulate** across calls (reset with [`Scratch::clear`]), so a
-    /// streaming caller that pushes many chunks through one scratch reads
-    /// whole-stream totals at the end.
-    pub fn scan_with_scratch(
-        &self,
-        haystack: &[u8],
-        scratch: &mut Scratch,
-        out: &mut Vec<MatchEvent>,
-    ) {
-        scratch.begin_chunk();
-        let t0 = Instant::now();
-        self.filter_round(haystack, scratch);
-        let t1 = Instant::now();
-        self.verify_round(haystack, scratch, out);
-        let t2 = Instant::now();
-        scratch.filter_nanos += (t1 - t0).as_nanos() as u64;
-        scratch.verify_nanos += (t2 - t1).as_nanos() as u64;
     }
 }
 
@@ -301,7 +279,14 @@ mod tests {
         let inputs: Vec<&[u8]> = vec![b"GET abcd", b"no hits here!!", b"attack attribute"];
         for hay in inputs {
             let mut out = Vec::new();
-            engine.scan_with_scratch(hay, &mut scratch, &mut out);
+            mpm_graph::scan(
+                &engine,
+                hay,
+                0..hay.len(),
+                DEFAULT_CHUNK,
+                &mut scratch,
+                &mut out,
+            );
             mpm_patterns::matcher::normalize_matches(&mut out);
             assert_eq!(out, naive_find_all(&set, hay));
         }

@@ -20,7 +20,6 @@ use mpm_simd::VectorBackend;
 use mpm_verify::HASH_MULTIPLIER;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Which variant of the filtering-only measurement to run
 /// (Figure 6 of the paper).
@@ -346,26 +345,6 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         v.verify_short_batch::<B, W>(haystack, &scratch.a_short, out)
             + v.verify_long_batch::<B, W>(haystack, &scratch.a_long, out)
     }
-
-    /// Full scan reusing caller-provided scratch. Candidate arrays are reset
-    /// per call; the phase counters **accumulate** across calls (reset with
-    /// [`Scratch::clear`]), so a streaming caller that pushes many chunks
-    /// through one scratch reads whole-stream totals at the end.
-    pub fn scan_with_scratch(
-        &self,
-        haystack: &[u8],
-        scratch: &mut Scratch,
-        out: &mut Vec<MatchEvent>,
-    ) {
-        scratch.begin_chunk();
-        let t0 = Instant::now();
-        self.filter_round(haystack, scratch);
-        let t1 = Instant::now();
-        self.verify_round(haystack, scratch, out);
-        let t2 = Instant::now();
-        scratch.filter_nanos += (t1 - t0).as_nanos() as u64;
-        scratch.verify_nanos += (t2 - t1).as_nanos() as u64;
-    }
 }
 
 /// The two rounds of Algorithm 2 over one chunk, on a [`Scratch`].
@@ -578,23 +557,6 @@ mod tests {
         assert_eq!(first.filter3_blocks, second.filter3_blocks);
         assert_eq!(first.useful_lanes, second.useful_lanes);
         assert_eq!(first.candidates, second.candidates);
-    }
-
-    #[test]
-    fn scan_with_scratch_accumulates_counters_across_chunks() {
-        let set = mixed_set();
-        let vp = VPatch::<ScalarBackend, 8>::build(&set);
-        let hay = sample_input();
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        vp.scan_with_scratch(&hay, &mut scratch, &mut out);
-        let after_one = (scratch.filter3_blocks, scratch.useful_lanes);
-        vp.scan_with_scratch(&hay, &mut scratch, &mut out);
-        assert_eq!(scratch.filter3_blocks, 2 * after_one.0);
-        assert_eq!(scratch.useful_lanes, 2 * after_one.1);
-        // ... until the caller resets the stream counters explicitly.
-        scratch.clear();
-        assert_eq!(scratch.filter3_blocks, 0);
     }
 
     #[test]

@@ -230,8 +230,7 @@ impl fmt::Display for Pattern {
     }
 }
 
-/// Summary statistics of a pattern set, used by the experiment harness and
-/// reported in EXPERIMENTS.md.
+/// Summary statistics of a pattern set, used by the experiment harness.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PatternSetSummary {
     /// Number of patterns.

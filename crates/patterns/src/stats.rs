@@ -1,6 +1,6 @@
 //! Pattern-length histograms and small statistics helpers shared by the
-//! synthetic generators, the experiment harness, and EXPERIMENTS.md
-//! reporting.
+//! synthetic generators and the experiment harness (README § "Reproducing
+//! the paper's figures").
 
 use crate::pattern::PatternSet;
 use serde::{Deserialize, Serialize};

@@ -23,9 +23,9 @@
 use crate::barrier::BarrierScanner;
 use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
-use crate::pipeline::{PipelineConfig, PipelineScanner};
+use crate::pipeline::{Limits, PipelineScanner};
 use crate::stream::SharedMatcher;
-use crate::worker::{plain_mode, rule_parts, WorkerMode};
+use crate::worker::{flow_cap_share, plain_mode, rule_parts, WorkerMode};
 use mpm_patterns::rule::RuleSet;
 use mpm_patterns::PatternSet;
 use std::sync::Arc;
@@ -336,16 +336,20 @@ impl ScannerBuilder {
     /// A [`BuildError`] describing the first invalid knob.
     pub fn build(mut self) -> Result<PipelineScanner, BuildError> {
         let mode = self.validate()?;
-        Ok(PipelineScanner::spawn(PipelineConfig {
-            mode,
-            workers: self.workers,
-            ring_capacity: self.ring_capacity,
-            max_flows: self.eviction.max_flows,
+        let limits = Limits {
+            max_flows: flow_cap_share(self.eviction.max_flows, self.workers),
             idle_after: self.eviction.idle_after,
-            backpressure: self.backpressure,
             max_flow_buffer: self.max_flow_buffer,
-            plan: self.resolve_plan(),
-        }))
+            // No explicit plan: an inert one.
+            plan: self.plan.take().unwrap_or_default(),
+        };
+        Ok(PipelineScanner::spawn(
+            mode,
+            self.workers,
+            self.ring_capacity,
+            self.backpressure,
+            limits,
+        ))
     }
 
     /// Builds the inline [`crate::BarrierScanner`] — packets are scanned on
@@ -370,19 +374,6 @@ impl ScannerBuilder {
             self.eviction.max_flows,
             self.max_flow_buffer,
         ))
-    }
-
-    /// The fault plan to run with: explicit > environment > inert. The
-    /// environment hook (`MPM_FAULT_PLAN`) only exists under the
-    /// `fault-inject` feature; see [`crate::fault`].
-    fn resolve_plan(&self) -> Arc<FaultPlan> {
-        if let Some(plan) = &self.plan {
-            return plan.clone();
-        }
-        match FaultPlan::from_env() {
-            Some(plan) => Arc::new(plan),
-            None => Arc::new(FaultPlan::new()),
-        }
     }
 
     fn set_source(&mut self, mode: WorkerMode) {

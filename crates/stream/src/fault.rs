@@ -18,11 +18,6 @@
 //! Faults are **one-shot**: once a trigger fires it is removed from the
 //! plan, so a respawned worker (whose packet sequence restarts at zero)
 //! does not re-trip the same fault in an infinite supervision loop.
-//!
-//! With the feature enabled, `FaultPlan::from_env` parses the
-//! `MPM_FAULT_PLAN` environment variable so a plan can be injected into an
-//! unmodified binary: a `;`-separated list of `panic:W@N`, `exit:W@N`, and
-//! `ring_full:WxC` clauses (worker `W`, packet `N`, refusal count `C`).
 
 #[cfg(feature = "fault-inject")]
 mod imp {
@@ -102,35 +97,6 @@ mod imp {
             self.clock_offset.fetch_add(nanos, Ordering::Relaxed);
         }
 
-        /// Parses a plan from the `MPM_FAULT_PLAN` environment variable
-        /// (`;`-separated `panic:W@N` / `exit:W@N` / `ring_full:WxC`
-        /// clauses). Returns `None` when the variable is unset or empty;
-        /// malformed clauses are ignored.
-        pub fn from_env() -> Option<Self> {
-            let spec = std::env::var("MPM_FAULT_PLAN").ok()?;
-            if spec.trim().is_empty() {
-                return None;
-            }
-            let mut plan = Self::new();
-            for clause in spec.split(';') {
-                let clause = clause.trim();
-                if let Some(rest) = clause.strip_prefix("panic:") {
-                    if let Some((w, n)) = parse_at(rest) {
-                        plan = plan.panic_on(w, n);
-                    }
-                } else if let Some(rest) = clause.strip_prefix("exit:") {
-                    if let Some((w, n)) = parse_at(rest) {
-                        plan = plan.exit_on(w, n);
-                    }
-                } else if let Some(rest) = clause.strip_prefix("ring_full:") {
-                    if let Some((w, c)) = parse_x(rest) {
-                        plan.force_ring_full(w, c);
-                    }
-                }
-            }
-            Some(plan)
-        }
-
         /// Worker-side hook: panics iff a `panic_on` trigger matches
         /// (one-shot — the trigger is consumed).
         pub(crate) fn maybe_panic(&self, worker: usize, packet: u64) {
@@ -193,16 +159,6 @@ mod imp {
             real + Duration::from_nanos(offset)
         }
     }
-
-    fn parse_at(spec: &str) -> Option<(usize, u64)> {
-        let (w, n) = spec.split_once('@')?;
-        Some((w.trim().parse().ok()?, n.trim().parse().ok()?))
-    }
-
-    fn parse_x(spec: &str) -> Option<(usize, u64)> {
-        let (w, c) = spec.split_once('x')?;
-        Some((w.trim().parse().ok()?, c.trim().parse().ok()?))
-    }
 }
 
 #[cfg(not(feature = "fault-inject"))]
@@ -238,11 +194,6 @@ mod imp {
 
         /// No-op without the `fault-inject` feature.
         pub fn advance_clock(&self, _delta: Duration) {}
-
-        /// Always `None` without the `fault-inject` feature.
-        pub fn from_env() -> Option<Self> {
-            None
-        }
 
         #[inline(always)]
         pub(crate) fn maybe_panic(&self, _worker: usize, _packet: u64) {}

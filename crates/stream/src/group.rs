@@ -4,14 +4,14 @@
 //! group of a [`GroupedRuleSet`], all referencing one shared
 //! [`PatternArena`] so the per-group verification tables do not multiply
 //! pattern storage (see `mpm_patterns::arena`). [`GroupedFlowScanner`] is
-//! the per-flow state: minted with the flow's [`FlowTuple`], it streams the
-//! flow's payload through only the groups
-//! [`GroupedRuleSet::groups_for`] selects, re-checks exact header
-//! applicability before reporting, and deduplicates rules confirmed by more
-//! than one selected group — which together make grouped scanning report
-//! **exactly** the rules a monolithic scan filtered post-hoc to the flow's
-//! applicable rules would report (property-tested in
-//! `tests/grouped_differential.rs`).
+//! the per-flow state: minted with the flow's [`FlowTuple`], it clones the
+//! never-pushed prototype [`StreamScanner`] of each group
+//! [`GroupedRuleSet::groups_for`] selects, streams the flow's payload
+//! through only those groups, re-checks exact header applicability before
+//! reporting, and deduplicates rules confirmed by more than one selected
+//! group — which together make grouped scanning report **exactly** the rules
+//! a monolithic scan filtered post-hoc to the flow's applicable rules would
+//! report (property-tested in `tests/grouped_differential.rs`).
 //!
 //! Cross-group deduplication, on two levels:
 //!
@@ -46,11 +46,10 @@ use std::sync::Arc;
 /// the group (and, via identical-group deduplication, by every group with
 /// the same rules).
 struct GroupEngine {
-    engine: SharedMatcher,
+    /// Never pushed; each flow that selects the group scans with a clone.
+    prototype: StreamScanner,
     /// Anchor pattern index → group-local rule index.
     rule_of: Arc<[u32]>,
-    /// Anchor pattern lengths (the streaming carry needs them).
-    lengths: Arc<[u32]>,
 }
 
 impl GroupEngine {
@@ -59,23 +58,14 @@ impl GroupEngine {
         F: Fn(&PatternSet, &PatternArena) -> SharedMatcher,
     {
         let anchors = set.anchors();
-        let lengths: Arc<[u32]> = anchors.patterns().iter().map(|p| p.len() as u32).collect();
-        let engine = build(anchors, arena);
-        let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-        assert_eq!(
-            engine.max_pattern_len(),
-            max_len,
-            "group engine was compiled for a different anchor set"
-        );
         GroupEngine {
-            engine,
+            prototype: StreamScanner::new(build(anchors, arena), anchors),
             // Invariant: group anchor sets come from `RuleSet::anchors()`,
             // which always attaches one rule binding per anchor pattern.
             rule_of: anchors
                 .rule_bindings()
                 .expect("RuleSet::anchors is always rule-bound")
                 .into(),
-            lengths,
         }
     }
 }
@@ -237,11 +227,12 @@ impl GroupedEngineSet {
                 continue;
             }
             seen.push(ptr);
-            let fp = engine.engine.memory_footprint();
+            let fp = engine.prototype.engine().memory_footprint();
             total.filter_bytes += fp.filter_bytes;
             total.verify_bytes += fp.verify_bytes;
-            total.other_bytes +=
-                fp.other_bytes + engine.rule_of.len() * 4 + engine.lengths.len() * 4;
+            // Two `u32` per anchor pattern: its rule and, in the prototype,
+            // its length.
+            total.other_bytes += fp.other_bytes + engine.rule_of.len() * 8;
         }
         total.other_bytes += self.confirmer.heap_bytes();
         total.other_bytes += self
@@ -320,13 +311,8 @@ impl GroupedFlowScanner {
             .into_iter()
             .map(|i| {
                 let parts = &set.engines[i];
-                let inner = StreamScanner::with_lengths(
-                    parts.engine.clone(),
-                    parts.lengths.clone(),
-                    parts.engine.max_pattern_len().saturating_sub(1),
-                );
                 RuleStreamScanner::with_parts(
-                    inner,
+                    parts.prototype.clone(),
                     set.confirmer.clone(),
                     parts.rule_of.clone(),
                     Some(set.global_ids[i].clone()),

@@ -7,10 +7,11 @@
 //! without touching the engines themselves:
 //!
 //! * [`StreamScanner`] — wraps any [`mpm_patterns::Matcher`] and makes
-//!   chunked scanning equivalent to a one-shot scan: it carries the last
-//!   `max_pattern_len - 1` bytes between [`StreamScanner::push`] calls,
-//!   drops overlap re-reports, and translates match positions to absolute
-//!   stream offsets. Property-tested: any chunking (down to 1-byte chunks)
+//!   chunked scanning equivalent to a one-shot scan: between
+//!   [`StreamScanner::push`] calls it keeps the stream's live suffix — the
+//!   bytes from the engine's resume point on, typically three and never
+//!   more than `max_pattern_len - 1` — reports each occurrence once, and
+//!   translates match positions to absolute stream offsets. Property-tested: any chunking (down to 1-byte chunks)
 //!   reports byte-identical match sets to `find_all` on the whole input.
 //! * [`ScannerBuilder`] — the one entry point for multi-core scanning:
 //!   pick a source (`engine`/`rules`/`groups`), a width (`workers`,
@@ -78,6 +79,7 @@
 pub mod barrier;
 pub mod builder;
 pub mod fault;
+mod flows;
 pub mod group;
 pub mod pipeline;
 pub mod ring;

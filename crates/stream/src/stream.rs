@@ -122,12 +122,12 @@ impl Staged {
     }
 
     /// The one engine call of the run. Every staged input must belong to a
-    /// scanner of this `engine`, whose per-pattern `lengths` these are.
-    pub(crate) fn scan(&mut self, engine: &dyn Matcher, lengths: &[u32]) {
-        engine.find_in_segments(
+    /// clone of `scanner` (same engine, same per-pattern lengths).
+    pub(crate) fn scan(&mut self, scanner: &StreamScanner) {
+        scanner.engine.find_in_segments(
             &self.bytes,
             &self.ends,
-            lengths,
+            &scanner.lengths,
             &mut self.events,
             &mut self.resumes,
         );
@@ -195,7 +195,10 @@ impl StreamScanner {
     ///
     /// `set` must be the pattern set `engine` was compiled for; the scanner
     /// keeps only the per-pattern lengths (to classify matches that start in
-    /// the carry) and the maximum length (to bound the carry).
+    /// the carry) and the maximum length (to bound the carry). A clone of a
+    /// never-pushed scanner is a fresh scanner of the same engine (two `Arc`
+    /// clones): the multi-core scanners validate one here and clone it per
+    /// flow.
     ///
     /// # Panics
     /// Panics if the engine disagrees with `set` about the longest pattern —
@@ -209,18 +212,10 @@ impl StreamScanner {
             max_len,
             "engine was compiled for a different pattern set"
         );
-        Self::with_lengths(engine, lengths, max_len.saturating_sub(1))
-    }
-
-    /// Internal constructor the multi-core scanners mint per-flow scanners
-    /// with: `lengths` and `overlap` (the longest of them, less one) were
-    /// worked out once for the engine, not once per flow.
-    pub(crate) fn with_lengths(engine: SharedMatcher, lengths: Arc<[u32]>, overlap: usize) -> Self {
-        debug_assert_eq!(overlap, engine.max_pattern_len().saturating_sub(1));
         StreamScanner {
             engine,
             lengths,
-            overlap,
+            overlap: max_len.saturating_sub(1),
             carry: Vec::new(),
             position: 0,
             stats: MatcherStats::default(),
@@ -278,7 +273,7 @@ impl StreamScanner {
             return Staged::with(|run| {
                 run.clear();
                 self.stage(chunk, run);
-                run.scan(&*self.engine, &self.lengths);
+                run.scan(self);
                 self.commit(run, 0, out);
             });
         }

@@ -2,11 +2,13 @@
 //! compile product both executors scan with.
 //!
 //! [`WorkerMode`] is the read-only, `Arc`-shared bundle a pipeline worker
-//! is handed at spawn and at hot-swap: the engine(s), the anchor lengths,
-//! and the rule-confirmation parts. [`FlowScanner`] is the per-flow state
-//! machine minted from it — plain streaming, anchors + rule confirmation,
-//! or port-grouped confirmation — and [`FlowScanner::push`] is the only
-//! place that knows the three modes apart. The pipeline's worker threads
+//! is handed at spawn and at hot-swap: a never-pushed prototype
+//! [`StreamScanner`] (or the grouped engine set) and the rule-confirmation
+//! parts. [`FlowScanner`] is the per-flow state machine minted from it —
+//! plain streaming, anchors + rule confirmation, or port-grouped
+//! confirmation: [`FlowScanner::mint`] is the only place a flow's scanner is
+//! created and [`FlowScanner::push`] the only one that knows the three modes
+//! apart. The pipeline's worker threads
 //! ([`crate::PipelineScanner`]) and the inline oracle
 //! ([`crate::BarrierScanner`]) share both, so a mode built once drives
 //! either identically.
@@ -35,10 +37,9 @@ pub(crate) enum WorkerMode {
     /// One engine for every flow: pattern-only, or (with `rules`) anchor +
     /// rule confirmation over one monolithic rule set.
     Plain {
-        engine: SharedMatcher,
-        lengths: Arc<[u32]>,
-        /// The longest of `lengths`, less one: what a flow carries at most.
-        overlap: usize,
+        /// Never pushed; a flow's scanner is a clone of it (two `Arc`
+        /// clones and an empty carry).
+        prototype: StreamScanner,
         rules: Option<RuleParts>,
     },
     /// Port-grouped rule scanning: each flow is scanned only against the
@@ -46,25 +47,16 @@ pub(crate) enum WorkerMode {
     Grouped(Arc<GroupedEngineSet>),
 }
 
-/// Builds a plain/rule [`WorkerMode`], validating the engine/set pairing
-/// once, on the caller's thread, so a mismatch panics here instead of
-/// inside a worker.
+/// Builds a plain/rule [`WorkerMode`]; [`StreamScanner::new`] validates the
+/// engine/set pairing once, on the caller's thread, so a mismatch panics
+/// here instead of inside a worker.
 pub(crate) fn plain_mode(
     engine: SharedMatcher,
     set: &PatternSet,
     rules: Option<RuleParts>,
 ) -> WorkerMode {
-    let lengths: Arc<[u32]> = set.patterns().iter().map(|p| p.len() as u32).collect();
-    let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-    assert_eq!(
-        engine.max_pattern_len(),
-        max_len,
-        "engine was compiled for a different pattern set"
-    );
     WorkerMode::Plain {
-        engine,
-        lengths,
-        overlap: max_len.saturating_sub(1),
+        prototype: StreamScanner::new(engine, set),
         rules,
     }
 }
@@ -123,24 +115,16 @@ impl FlowScanner {
         max_buffer: Option<usize>,
     ) -> Self {
         match mode {
-            WorkerMode::Plain {
-                engine,
-                lengths,
-                overlap,
-                rules,
-            } => {
-                let inner = StreamScanner::with_lengths(engine.clone(), lengths.clone(), *overlap);
-                match rules {
-                    Some(parts) => FlowScanner::Rules(RuleStreamScanner::with_parts(
-                        inner,
-                        parts.confirmer.clone(),
-                        parts.rule_of.clone(),
-                        None,
-                        max_buffer,
-                    )),
-                    None => FlowScanner::Plain(inner),
-                }
-            }
+            WorkerMode::Plain { prototype, rules } => match rules {
+                Some(parts) => FlowScanner::Rules(RuleStreamScanner::with_parts(
+                    prototype.clone(),
+                    parts.confirmer.clone(),
+                    parts.rule_of.clone(),
+                    None,
+                    max_buffer,
+                )),
+                None => FlowScanner::Plain(prototype.clone()),
+            },
             WorkerMode::Grouped(engines) => FlowScanner::Grouped(
                 GroupedFlowScanner::with_max_buffer(engines.clone(), tuple, max_buffer),
             ),

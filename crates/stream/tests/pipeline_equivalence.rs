@@ -282,6 +282,40 @@ fn shed_drops_whole_packets_counts_them_and_block_drops_none() {
 }
 
 #[test]
+fn a_block_timeout_without_a_representable_deadline_waits_like_block() {
+    // `Instant::now() + Duration::MAX` overflows, so "wait as long as it
+    // takes, through the timeout path" has no deadline to compute: dispatch
+    // must wait like `Block` — on a 2-slot ring it waits often — and shed
+    // nothing, not panic the capture thread on its first packet.
+    let rules = PatternSet::from_literals(&["needle", "ab"]);
+    let engine: SharedMatcher = Arc::from(build_auto(&rules));
+    let packets: Vec<Packet> = (0..3000u64)
+        .map(|i| Packet::new(i % 17, b"..needle..ab..".to_vec()))
+        .collect();
+    let build = || {
+        ScannerBuilder::new()
+            .engine(engine.clone(), &rules)
+            .workers(1)
+            .ring_capacity(2)
+    };
+    let expected = build()
+        .build_barrier()
+        .expect("valid build")
+        .scan_batch(packets.clone());
+    let mut pipeline = build()
+        .backpressure(BackpressurePolicy::BlockTimeout(Duration::MAX))
+        .build()
+        .expect("valid build");
+    for packet in &packets {
+        assert!(pipeline.dispatch(packet.clone()), "nothing is shed");
+    }
+    let got = pipeline.drain().expect("worker alive");
+    assert_eq!(got.shed_packets, 0);
+    assert_eq!(got.matches, expected.matches);
+    assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
+}
+
+#[test]
 fn max_flows_lru_eviction_matches_barrier_semantics() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
