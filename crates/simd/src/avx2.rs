@@ -256,14 +256,6 @@ mod imp {
         _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32
     }
 
-    /// # Safety: AVX2 required.
-    #[target_feature(enable = "avx2")]
-    unsafe fn nonzero_mask_avx2(v: __m256i) -> u32 {
-        let zero = _mm256_setzero_si256();
-        let eq = _mm256_cmpeq_epi32(v, zero);
-        (!(_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32)) & 0xff
-    }
-
     /// Left-packing candidate store (see the module docs).
     ///
     /// # Safety: AVX2 required.
@@ -434,12 +426,6 @@ mod imp {
         }
 
         #[inline(always)]
-        fn nonzero_mask(v: __m256i) -> u32 {
-            // SAFETY: availability checked at engine construction.
-            unsafe { nonzero_mask_avx2(v) }
-        }
-
-        #[inline(always)]
         fn compress_store(mask: u32, base: u32, out: &mut Vec<u32>) {
             // SAFETY: availability checked at engine construction; the kernel
             // reserves the spare capacity it over-stores into.
@@ -591,11 +577,6 @@ mod tests {
                 <A8 as VectorBackend<8>>::from_array(windows)
             ),
             <S8 as VectorBackend<8>>::test_window_bits(bytes, windows)
-        );
-        let v = [0u32, 1, 0, 2, 0, 0, 3, 0];
-        assert_eq!(
-            <A8 as VectorBackend<8>>::nonzero_mask(<A8 as VectorBackend<8>>::from_array(v)),
-            <S8 as VectorBackend<8>>::nonzero_mask(v)
         );
     }
 

@@ -204,12 +204,6 @@ mod imp {
         mask as u32
     }
 
-    /// # Safety: AVX-512F required.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn nonzero_mask_avx512(v: __m512i) -> u32 {
-        _mm512_cmpneq_epi32_mask(v, _mm512_setzero_si512()) as u32
-    }
-
     /// `vpcompressd` candidate store (see the module docs).
     ///
     /// # Safety: AVX-512F required.
@@ -363,12 +357,6 @@ mod imp {
         }
 
         #[inline(always)]
-        fn nonzero_mask(v: __m512i) -> u32 {
-            // SAFETY: availability checked at engine construction.
-            unsafe { nonzero_mask_avx512(v) }
-        }
-
-        #[inline(always)]
         fn compress_store(mask: u32, base: u32, out: &mut Vec<u32>) {
             // SAFETY: availability checked at engine construction; the kernel
             // reserves the spare capacity it over-stores into.
@@ -496,14 +484,6 @@ mod tests {
                 <A16 as VectorBackend<16>>::from_array(windows)
             ),
             <S16 as VectorBackend<16>>::test_window_bits(bytes, windows)
-        );
-        let mut v = [0u32; 16];
-        v[0] = 1;
-        v[9] = 2;
-        v[15] = 3;
-        assert_eq!(
-            <A16 as VectorBackend<16>>::nonzero_mask(<A16 as VectorBackend<16>>::from_array(v)),
-            <S16 as VectorBackend<16>>::nonzero_mask(v)
         );
     }
 

@@ -437,18 +437,6 @@ pub trait VectorBackend<const W: usize>: Copy + Clone + Default + Send + Sync + 
         mask
     }
 
-    /// Returns the bitmask of lanes whose value is non-zero.
-    fn nonzero_mask(v: Self::Vec) -> u32 {
-        let v = Self::to_array(v);
-        let mut mask = 0u32;
-        for (j, &x) in v.iter().enumerate() {
-            if x != 0 {
-                mask |= 1 << j;
-            }
-        }
-        mask
-    }
-
     /// Appends `base + j` to `out` for every set bit `j` of
     /// `mask & full_mask()`, in ascending lane order.
     ///
@@ -511,17 +499,6 @@ mod trait_tests {
         windows[3] = 5; // bit 5 not set in the byte
         let mask = <ScalarWide8 as VectorBackend<8>>::test_window_bits(bytes, windows);
         assert_eq!(mask, 0xff & !(1 << 3));
-    }
-
-    #[test]
-    fn default_nonzero_mask() {
-        let mut v = [0u32; 8];
-        v[1] = 7;
-        v[6] = 1;
-        assert_eq!(
-            <ScalarWide8 as VectorBackend<8>>::nonzero_mask(v),
-            (1 << 1) | (1 << 6)
-        );
     }
 
     #[test]

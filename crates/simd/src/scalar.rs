@@ -8,7 +8,7 @@
 //!
 //! Its register type [`VectorBackend::Vec`] is the plain `[u32; W]` lane
 //! array, so the trait's array-based default implementations (`gather_u16`,
-//! `test_window_bits`, `nonzero_mask`, `compress_store`) *are* the scalar
+//! `test_window_bits`, `compress_store`) *are* the scalar
 //! implementations.
 
 use crate::{VectorBackend, GATHER_PADDING};

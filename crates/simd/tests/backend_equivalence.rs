@@ -96,10 +96,6 @@ proptest! {
             <ScalarBackend as VectorBackend<8>>::and_const(v, mask),
             <A8 as VectorBackend<8>>::to_array(<A8 as VectorBackend<8>>::and_const(reg, mask))
         );
-        prop_assert_eq!(
-            <ScalarBackend as VectorBackend<8>>::nonzero_mask(v),
-            <A8 as VectorBackend<8>>::nonzero_mask(reg)
-        );
     }
 
     #[test]
@@ -110,10 +106,6 @@ proptest! {
         prop_assert_eq!(
             <ScalarBackend as VectorBackend<16>>::hash_mul_shift(v, mul, shift, mask),
             <A16 as VectorBackend<16>>::to_array(<A16 as VectorBackend<16>>::hash_mul_shift(reg, mul, shift, mask))
-        );
-        prop_assert_eq!(
-            <ScalarBackend as VectorBackend<16>>::nonzero_mask(v),
-            <A16 as VectorBackend<16>>::nonzero_mask(reg)
         );
     }
 

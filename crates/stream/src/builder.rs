@@ -5,7 +5,7 @@
 //! ([`ScannerBuilder::engine`] / [`ScannerBuilder::rules`] /
 //! [`ScannerBuilder::groups`]), *how wide* ([`ScannerBuilder::workers`],
 //! [`ScannerBuilder::ring_capacity`]), *how long flows live*
-//! ([`ScannerBuilder::max_flows`], [`ScannerBuilder::eviction`]), and *how
+//! ([`ScannerBuilder::max_flows`], [`ScannerBuilder::idle_after`]), and *how
 //! overload and memory pressure are handled*
 //! ([`ScannerBuilder::backpressure`], [`ScannerBuilder::max_flow_buffer`])
 //! — and it offers two terminal shapes: [`ScannerBuilder::build`] for the
@@ -31,54 +31,11 @@ use mpm_patterns::PatternSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// When per-flow stream state is retired without an explicit
-/// `close_flow`. Both knobs compose: a cap bounds worst-case memory, the
-/// idle timeout retires quiet flows long before the cap forces them out —
-/// the NIDS reassembly idiom of "table size limit + idle timer".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EvictionPolicy {
-    /// Bound on resident flows across all workers (rounded up to a whole
-    /// number per worker); at the bound, the least-recently-pushed flow on
-    /// the receiving worker is evicted. `None` = unbounded.
-    pub max_flows: Option<usize>,
-    /// Retire a flow once no packet has arrived for it for this long,
-    /// swept lazily on the owning worker. `None` = no idle timeout.
-    /// Only the pipeline honours this ([`ScannerBuilder::build`]); the
-    /// barrier scanner has no clock.
-    pub idle_after: Option<Duration>,
-}
-
-impl EvictionPolicy {
-    /// Keep every flow until it is closed explicitly.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Cap resident flows at `max_flows` (least-recently-pushed eviction).
-    pub fn max_flows(max_flows: usize) -> Self {
-        EvictionPolicy {
-            max_flows: Some(max_flows),
-            idle_after: None,
-        }
-    }
-
-    /// Retire flows idle for `idle_after` or longer.
-    pub fn idle_after(idle_after: Duration) -> Self {
-        EvictionPolicy {
-            max_flows: None,
-            idle_after: Some(idle_after),
-        }
-    }
-
-    /// Adds an idle timeout to this policy (builder-style).
-    pub fn and_idle_after(mut self, idle_after: Duration) -> Self {
-        self.idle_after = Some(idle_after);
-        self
-    }
-}
-
 /// What [`PipelineScanner::dispatch`](crate::PipelineScanner::dispatch)
-/// does when the target worker's job ring is full.
+/// does when the target worker's job ring is full: how long it may wait
+/// for a slot before it sheds the packet. The three policies are three
+/// spellings of that one patience — for ever, at most a bound, not at all
+/// — and one bounded-wait push serves them all.
 ///
 /// `Block` is the default and the only policy with the full determinism
 /// contract (no packet is ever dropped, so the pipeline stays
@@ -181,7 +138,8 @@ pub struct ScannerBuilder {
     source: Option<WorkerMode>,
     workers: usize,
     ring_capacity: usize,
-    eviction: EvictionPolicy,
+    max_flows: Option<usize>,
+    idle_after: Option<Duration>,
     backpressure: BackpressurePolicy,
     max_flow_buffer: Option<usize>,
     plan: Option<Arc<FaultPlan>>,
@@ -201,7 +159,8 @@ impl ScannerBuilder {
             source: None,
             workers: 1,
             ring_capacity: 1024,
-            eviction: EvictionPolicy::none(),
+            max_flows: None,
+            idle_after: None,
             backpressure: BackpressurePolicy::Block,
             max_flow_buffer: None,
             plan: None,
@@ -259,18 +218,24 @@ impl ScannerBuilder {
         self
     }
 
-    /// Caps resident flows at `max_flows` — sugar for the corresponding
-    /// [`ScannerBuilder::eviction`] field, kept as its own axis because it
-    /// is by far the most common policy. Zero is rejected at build time
-    /// ([`BuildError::ZeroMaxFlows`]).
+    /// Caps resident flows at `max_flows` across all workers (rounded up to
+    /// a whole number per worker); at the cap the least-recently-pushed
+    /// flow on the receiving worker is evicted. Zero is rejected at build
+    /// time ([`BuildError::ZeroMaxFlows`]).
     pub fn max_flows(mut self, max_flows: usize) -> Self {
-        self.eviction.max_flows = Some(max_flows);
+        self.max_flows = Some(max_flows);
         self
     }
 
-    /// Sets the whole eviction policy (cap and/or idle timeout) at once.
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction = policy;
+    /// Retires a flow once no packet has arrived for it for `idle_after`,
+    /// swept lazily on the owning worker. Composes with
+    /// [`ScannerBuilder::max_flows`] in either order: the cap bounds
+    /// worst-case memory, the timer retires quiet flows long before the cap
+    /// forces them out. Only the pipeline has a clock
+    /// ([`BuildError::IdleEvictionUnsupported`] from
+    /// [`ScannerBuilder::build_barrier`]).
+    pub fn idle_after(mut self, idle_after: Duration) -> Self {
+        self.idle_after = Some(idle_after);
         self
     }
 
@@ -296,8 +261,8 @@ impl ScannerBuilder {
     }
 
     /// Attaches a deterministic fault-injection plan (test harnesses
-    /// only; see [`crate::fault`]). Without the `fault-inject` cargo
-    /// feature the plan is an inert unit type and this is a no-op.
+    /// only; see [`crate::fault`]). A pipeline built without one never
+    /// consults the harness.
     pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.plan = Some(plan);
         self
@@ -318,7 +283,7 @@ impl ScannerBuilder {
                 requested: self.ring_capacity,
             });
         }
-        if self.eviction.max_flows == Some(0) {
+        if self.max_flows == Some(0) {
             return Err(BuildError::ZeroMaxFlows);
         }
         if self.max_flow_buffer == Some(0) {
@@ -337,17 +302,22 @@ impl ScannerBuilder {
     pub fn build(mut self) -> Result<PipelineScanner, BuildError> {
         let mode = self.validate()?;
         let limits = Limits {
-            max_flows: flow_cap_share(self.eviction.max_flows, self.workers),
-            idle_after: self.eviction.idle_after,
+            max_flows: flow_cap_share(self.max_flows, self.workers),
+            idle_after: self.idle_after,
             max_flow_buffer: self.max_flow_buffer,
-            // No explicit plan: an inert one.
-            plan: self.plan.take().unwrap_or_default(),
+            plan: self.plan.take(),
+        };
+        // How long a dispatch may wait for a slot; `None` waits for ever.
+        let patience = match self.backpressure {
+            BackpressurePolicy::Block => None,
+            BackpressurePolicy::BlockTimeout(limit) => Some(limit),
+            BackpressurePolicy::Shed => Some(Duration::ZERO),
         };
         Ok(PipelineScanner::spawn(
             mode,
             self.workers,
             self.ring_capacity,
-            self.backpressure,
+            patience,
             limits,
         ))
     }
@@ -362,7 +332,7 @@ impl ScannerBuilder {
     /// [`BuildError::BackpressureUnsupported`]).
     pub fn build_barrier(mut self) -> Result<BarrierScanner, BuildError> {
         let mode = self.validate()?;
-        if self.eviction.idle_after.is_some() {
+        if self.idle_after.is_some() {
             return Err(BuildError::IdleEvictionUnsupported);
         }
         if self.backpressure != BackpressurePolicy::Block {
@@ -371,7 +341,7 @@ impl ScannerBuilder {
         Ok(BarrierScanner::new(
             mode,
             self.workers,
-            self.eviction.max_flows,
+            self.max_flows,
             self.max_flow_buffer,
         ))
     }
@@ -469,7 +439,7 @@ mod tests {
         let (set, engine) = set_and_engine();
         let err = ScannerBuilder::new()
             .engine(engine, &set)
-            .eviction(EvictionPolicy::idle_after(Duration::from_secs(1)))
+            .idle_after(Duration::from_secs(1))
             .build_barrier()
             .err();
         assert_eq!(err, Some(BuildError::IdleEvictionUnsupported));
@@ -495,11 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn eviction_policy_composes() {
-        let policy = EvictionPolicy::max_flows(64).and_idle_after(Duration::from_secs(30));
-        assert_eq!(policy.max_flows, Some(64));
-        assert_eq!(policy.idle_after, Some(Duration::from_secs(30)));
-        assert_eq!(EvictionPolicy::none(), EvictionPolicy::default());
+    fn flow_limits_compose_in_either_order() {
+        let idle = Duration::from_secs(30);
+        let cap_first = ScannerBuilder::new().max_flows(64).idle_after(idle);
+        let idle_first = ScannerBuilder::new().idle_after(idle).max_flows(64);
+        for builder in [cap_first, idle_first] {
+            assert_eq!(builder.max_flows, Some(64));
+            assert_eq!(builder.idle_after, Some(idle));
+        }
     }
 
     #[test]

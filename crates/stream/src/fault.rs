@@ -9,220 +9,155 @@
 //! that worker), a plan reproduces the same failure at the same point on
 //! every run, independent of thread scheduling.
 //!
-//! The real implementation only exists under the `fault-inject` cargo
-//! feature. Without the feature this module still compiles and exports the
-//! same API surface, but every hook is an inlined no-op and every
-//! configuration method does nothing — production builds pay nothing for
-//! the harness.
+//! A pipeline holds a plan only when [`crate::ScannerBuilder::fault_plan`]
+//! attached one; without it no hook is reached, so a production pipeline
+//! takes no lock and reads no extra clock for the harness.
 //!
 //! Faults are **one-shot**: once a trigger fires it is removed from the
 //! plan, so a respawned worker (whose packet sequence restarts at zero)
 //! does not re-trip the same fault in an infinite supervision loop.
 
-#[cfg(feature = "fault-inject")]
-mod imp {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-    /// A deterministic script of injected failures, shared (via `Arc`)
-    /// between the test driving the faults and the pipeline under test.
-    ///
-    /// All mutation goes through `&self` so a single plan can be armed
-    /// from the test thread while the dispatcher and workers consult it.
-    /// The lock `expect`s can never see poison: the one panicking path
-    /// (`maybe_panic`) drops its guard before unwinding.
-    #[derive(Debug, Default)]
-    pub struct FaultPlan {
-        /// One-shot (worker, packet-seq) pairs that panic the worker.
-        panics: Mutex<Vec<(usize, u64)>>,
-        /// One-shot (worker, packet-seq) pairs that make the worker exit
-        /// silently (no death report — models a hard crash).
-        exits: Mutex<Vec<(usize, u64)>>,
-        /// Per-worker budget of dispatch pushes to refuse as if the job
-        /// ring were full. `u64::MAX` is effectively "refuse forever".
-        ring_full: Mutex<HashMap<usize, u64>>,
-        /// Nanoseconds added to the eviction clock.
-        clock_offset: AtomicU64,
+/// A deterministic script of injected failures, shared (via `Arc`)
+/// between the test driving the faults and the pipeline under test.
+///
+/// All mutation goes through `&self` so a single plan can be armed
+/// from the test thread while the dispatcher and workers consult it.
+/// The lock `expect`s can never see poison: the one panicking path
+/// (`maybe_panic`) drops its guard before unwinding.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    /// One-shot (worker, packet-seq) pairs that panic the worker.
+    panics: Mutex<Vec<(usize, u64)>>,
+    /// One-shot (worker, packet-seq) pairs that make the worker exit
+    /// silently (no death report — models a hard crash).
+    exits: Mutex<Vec<(usize, u64)>>,
+    /// Per-worker budget of dispatch pushes to refuse as if the job
+    /// ring were full. `u64::MAX` is effectively "refuse forever".
+    ring_full: Mutex<HashMap<usize, u64>>,
+    /// Nanoseconds added to the eviction clock.
+    clock_offset: AtomicU64,
+}
+
+impl FaultPlan {
+    /// Creates an empty plan (no faults armed).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    impl FaultPlan {
-        /// Creates an empty plan (no faults armed).
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// Arms a one-shot panic on `worker` when it processes its
+    /// `packet`-th packet (1-based, counted per worker lifetime).
+    #[must_use]
+    pub fn panic_on(self, worker: usize, packet: u64) -> Self {
+        self.panics
+            .lock()
+            .expect("fault plan lock")
+            .push((worker, packet));
+        self
+    }
 
-        /// Arms a one-shot panic on `worker` when it processes its
-        /// `packet`-th packet (1-based, counted per worker lifetime).
-        #[must_use]
-        pub fn panic_on(self, worker: usize, packet: u64) -> Self {
-            self.panics
+    /// Arms a one-shot silent exit (no death report) on `worker` when
+    /// it receives its `packet`-th packet.
+    #[must_use]
+    pub fn exit_on(self, worker: usize, packet: u64) -> Self {
+        self.exits
+            .lock()
+            .expect("fault plan lock")
+            .push((worker, packet));
+        self
+    }
+
+    /// Makes the next `count` dispatch pushes to `worker` behave as if
+    /// the job ring were full. `count == 0` disarms; `u64::MAX` is
+    /// effectively unbounded. Only a push with a patience to run out
+    /// consults this — packets under `Shed`/`BlockTimeout`; an endless
+    /// wait (`Block`, the differential oracle, and every control job)
+    /// would hang on an unbounded refusal.
+    pub fn force_ring_full(&self, worker: usize, count: u64) {
+        let mut map = self.ring_full.lock().expect("fault plan lock");
+        if count == 0 {
+            map.remove(&worker);
+        } else {
+            map.insert(worker, count);
+        }
+    }
+
+    /// Advances the mock eviction clock by `delta`. Only idle-eviction
+    /// timestamps observe the offset; latency/throughput telemetry
+    /// stays on the real clock.
+    pub fn advance_clock(&self, delta: Duration) {
+        let nanos = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
+        self.clock_offset.fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Worker-side hook: panics iff a `panic_on` trigger matches
+    /// (one-shot — the trigger is consumed).
+    pub(crate) fn maybe_panic(&self, worker: usize, packet: u64) {
+        let mut panics = self.panics.lock().expect("fault plan lock");
+        if let Some(pos) = panics.iter().position(|&(w, n)| w == worker && n == packet) {
+            panics.swap_remove(pos);
+            drop(panics);
+            panic!("fault-inject: forced panic on worker {worker} at packet {packet}");
+        }
+    }
+
+    /// Worker-side hook: true iff an `exit_on` trigger matches
+    /// (one-shot — the trigger is consumed).
+    pub(crate) fn should_exit(&self, worker: usize, packet: u64) -> bool {
+        let mut exits = self.exits.lock().expect("fault plan lock");
+        if let Some(pos) = exits.iter().position(|&(w, n)| w == worker && n == packet) {
+            exits.swap_remove(pos);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Worker-side hook: true iff a `panic_on` or `exit_on` trigger is
+    /// waiting for this packet. Consumes nothing: a worker that scans
+    /// several waiting packets as one run asks this to end the run
+    /// before such a packet, which then meets `should_exit` and
+    /// `maybe_panic` on its own, at the count the plan names.
+    pub(crate) fn armed(&self, worker: usize, packet: u64) -> bool {
+        [&self.panics, &self.exits].into_iter().any(|triggers| {
+            triggers
                 .lock()
                 .expect("fault plan lock")
-                .push((worker, packet));
-            self
-        }
+                .contains(&(worker, packet))
+        })
+    }
 
-        /// Arms a one-shot silent exit (no death report) on `worker` when
-        /// it receives its `packet`-th packet.
-        #[must_use]
-        pub fn exit_on(self, worker: usize, packet: u64) -> Self {
-            self.exits
-                .lock()
-                .expect("fault plan lock")
-                .push((worker, packet));
-            self
-        }
-
-        /// Makes the next `count` dispatch pushes to `worker` behave as if
-        /// the job ring were full. `count == 0` disarms; `u64::MAX` is
-        /// effectively unbounded. Only `Shed`/`BlockTimeout` dispatch
-        /// consults this (the blocking `Block` path would deadlock against
-        /// an unbounded refusal, and it is the differential oracle).
-        pub fn force_ring_full(&self, worker: usize, count: u64) {
-            let mut map = self.ring_full.lock().expect("fault plan lock");
-            if count == 0 {
-                map.remove(&worker);
-            } else {
-                map.insert(worker, count);
-            }
-        }
-
-        /// Advances the mock eviction clock by `delta`. Only idle-eviction
-        /// timestamps observe the offset; latency/throughput telemetry
-        /// stays on the real clock.
-        pub fn advance_clock(&self, delta: Duration) {
-            let nanos = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
-            self.clock_offset.fetch_add(nanos, Ordering::Relaxed);
-        }
-
-        /// Worker-side hook: panics iff a `panic_on` trigger matches
-        /// (one-shot — the trigger is consumed).
-        pub(crate) fn maybe_panic(&self, worker: usize, packet: u64) {
-            let mut panics = self.panics.lock().expect("fault plan lock");
-            if let Some(pos) = panics.iter().position(|&(w, n)| w == worker && n == packet) {
-                panics.swap_remove(pos);
-                drop(panics);
-                panic!("fault-inject: forced panic on worker {worker} at packet {packet}");
-            }
-        }
-
-        /// Worker-side hook: true iff an `exit_on` trigger matches
-        /// (one-shot — the trigger is consumed).
-        pub(crate) fn should_exit(&self, worker: usize, packet: u64) -> bool {
-            let mut exits = self.exits.lock().expect("fault plan lock");
-            if let Some(pos) = exits.iter().position(|&(w, n)| w == worker && n == packet) {
-                exits.swap_remove(pos);
-                true
-            } else {
-                false
-            }
-        }
-
-        /// Worker-side hook: true iff a `panic_on` or `exit_on` trigger is
-        /// waiting for this packet. Consumes nothing: a worker that scans
-        /// several waiting packets as one run asks this to end the run
-        /// before such a packet, which then meets `should_exit` and
-        /// `maybe_panic` on its own, at the count the plan names.
-        pub(crate) fn armed(&self, worker: usize, packet: u64) -> bool {
-            [&self.panics, &self.exits].into_iter().any(|triggers| {
-                triggers
-                    .lock()
-                    .expect("fault plan lock")
-                    .contains(&(worker, packet))
-            })
-        }
-
-        /// Dispatcher-side hook: true iff this push should be refused as
-        /// ring-full. Decrements the worker's refusal budget.
-        pub(crate) fn refuse_push(&self, worker: usize) -> bool {
-            let mut map = self.ring_full.lock().expect("fault plan lock");
-            match map.get_mut(&worker) {
-                Some(budget) => {
-                    if *budget != u64::MAX {
-                        *budget -= 1;
-                        if *budget == 0 {
-                            map.remove(&worker);
-                        }
+    /// Dispatcher-side hook: true iff this push should be refused as
+    /// ring-full. Decrements the worker's refusal budget.
+    pub(crate) fn refuse_push(&self, worker: usize) -> bool {
+        let mut map = self.ring_full.lock().expect("fault plan lock");
+        match map.get_mut(&worker) {
+            Some(budget) => {
+                if *budget != u64::MAX {
+                    *budget -= 1;
+                    if *budget == 0 {
+                        map.remove(&worker);
                     }
-                    true
                 }
-                None => false,
+                true
             }
+            None => false,
         }
+    }
 
-        /// Shifts a real timestamp by the mock clock offset. The result
-        /// feeds `last_seen`/idle-eviction comparisons only.
-        pub(crate) fn clock(&self, real: Instant) -> Instant {
-            let offset = self.clock_offset.load(Ordering::Relaxed);
-            real + Duration::from_nanos(offset)
-        }
+    /// Shifts a real timestamp by the mock clock offset. The result
+    /// feeds `last_seen`/idle-eviction comparisons only.
+    pub(crate) fn clock(&self, real: Instant) -> Instant {
+        let offset = self.clock_offset.load(Ordering::Relaxed);
+        real + Duration::from_nanos(offset)
     }
 }
 
-#[cfg(not(feature = "fault-inject"))]
-mod imp {
-    use std::time::{Duration, Instant};
-
-    /// No-op stand-in for the fault plan; the real implementation lives
-    /// behind the `fault-inject` cargo feature. Every method compiles to
-    /// nothing so the hooks vanish from release builds.
-    #[derive(Debug, Default)]
-    pub struct FaultPlan;
-
-    impl FaultPlan {
-        /// Creates an (inert) plan.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// No-op without the `fault-inject` feature.
-        #[must_use]
-        pub fn panic_on(self, _worker: usize, _packet: u64) -> Self {
-            self
-        }
-
-        /// No-op without the `fault-inject` feature.
-        #[must_use]
-        pub fn exit_on(self, _worker: usize, _packet: u64) -> Self {
-            self
-        }
-
-        /// No-op without the `fault-inject` feature.
-        pub fn force_ring_full(&self, _worker: usize, _count: u64) {}
-
-        /// No-op without the `fault-inject` feature.
-        pub fn advance_clock(&self, _delta: Duration) {}
-
-        #[inline(always)]
-        pub(crate) fn maybe_panic(&self, _worker: usize, _packet: u64) {}
-
-        #[inline(always)]
-        pub(crate) fn should_exit(&self, _worker: usize, _packet: u64) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub(crate) fn armed(&self, _worker: usize, _packet: u64) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub(crate) fn refuse_push(&self, _worker: usize) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub(crate) fn clock(&self, real: Instant) -> Instant {
-            real
-        }
-    }
-}
-
-pub use imp::FaultPlan;
-
-#[cfg(all(test, feature = "fault-inject"))]
+#[cfg(test)]
 mod tests {
     use super::FaultPlan;
     use std::time::{Duration, Instant};

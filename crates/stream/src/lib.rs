@@ -15,8 +15,9 @@
 //!   reports byte-identical match sets to `find_all` on the whole input.
 //! * [`ScannerBuilder`] — the one entry point for multi-core scanning:
 //!   pick a source (`engine`/`rules`/`groups`), a width (`workers`,
-//!   `ring_capacity`) and an [`EvictionPolicy`], then [`build`] the
-//!   continuously-running pipeline or [`build_barrier`] the inline oracle.
+//!   `ring_capacity`) and flow limits (`max_flows`, `idle_after`), then
+//!   [`build`] the continuously-running pipeline or [`build_barrier`] the
+//!   inline oracle.
 //!
 //! * [`PipelineScanner`] — the production runtime: bounded lock-free SPSC
 //!   rings per worker, **flow-affine dispatch with no per-batch barrier**,
@@ -32,8 +33,8 @@
 //!   [`PipelineStats`].
 //!
 //! * [`fault`] — a deterministic fault-injection harness (worker panics,
-//!   forced ring-full, a mock eviction clock) behind the `fault-inject`
-//!   cargo feature; without the feature every hook is an inlined no-op.
+//!   forced ring-full, a mock eviction clock), consulted only by a pipeline
+//!   built with [`ScannerBuilder::fault_plan`].
 //!
 //! * [`BarrierScanner`] — the pipeline's differential oracle: the same
 //!   flow-affine routing, flow caps and per-flow scanners run **inline on
@@ -89,7 +90,7 @@ pub mod types;
 mod worker;
 
 pub use barrier::BarrierScanner;
-pub use builder::{BackpressurePolicy, BuildError, EvictionPolicy, ScannerBuilder};
+pub use builder::{BackpressurePolicy, BuildError, ScannerBuilder};
 pub use fault::FaultPlan;
 pub use group::{GroupedEngineSet, GroupedFlowScanner};
 pub use pipeline::{

@@ -20,13 +20,12 @@
 //!   ([`PipelineStats`], [`WorkerStats`]).
 //! * **Time+LRU hybrid eviction** — [`crate::ScannerBuilder::max_flows`]
 //!   bounds resident flows with least-recently-pushed eviction, and
-//!   [`crate::EvictionPolicy::idle_after`] adds
-//!   an idle timeout: flows whose last packet is older than the timeout are
-//!   swept lazily (the recency index is push-ordered, so the sweep only
-//!   ever inspects the front), the NIDS analogue of a reassembly idle
-//!   timer. Both are enforced in one place, the worker's flow table
-//!   (`flows.rs`): a packet finds, admits, stamps and retires its flow
-//!   there.
+//!   [`crate::ScannerBuilder::idle_after`] adds an idle timeout: flows
+//!   whose last packet is older than the timeout are swept lazily (the
+//!   recency index is push-ordered, so the sweep only ever inspects the
+//!   front), the NIDS analogue of a reassembly idle timer. Both are
+//!   enforced in one place, the worker's flow table (`flows.rs`): a packet
+//!   finds, admits, stamps and retires its flow there.
 //! * **Graceful ruleset hot-swap** — [`PipelineScanner::swap_rules`] (and
 //!   `swap_engine`/`swap_groups`) builds the new compile product on the
 //!   caller's thread, then flips it under the workers via an epoch-stamped
@@ -51,13 +50,14 @@
 //!   [`PipelineScanner::drain`]/[`PipelineScanner::poll`] — those methods
 //!   return `Result` precisely so supervision can never turn into a silent
 //!   hang.
-//! * **Overload policy** — [`crate::BackpressurePolicy`] picks what a full
-//!   job ring means: `Block` (the default and the differential oracle)
-//!   waits, `Shed` drops the packet and counts it
-//!   ([`PipelineStats::shed_packets`]), `BlockTimeout` waits a bounded
-//!   time and then sheds. Shedding loses payload bytes by design — an
-//!   overloaded IDS that sheds predictably beats one that stalls its
-//!   capture loop.
+//! * **Overload policy** — [`crate::BackpressurePolicy`] sets how long a
+//!   dispatch may wait for a slot in a full job ring before it drops the
+//!   packet and counts it ([`PipelineStats::shed_packets`]): for ever
+//!   (`Block`, the default and the differential oracle), at most a bound
+//!   (`BlockTimeout`) or not at all (`Shed`). One bounded-wait push serves
+//!   all three and every control job. Shedding loses payload bytes by
+//!   design — an overloaded IDS that sheds predictably beats one that
+//!   stalls its capture loop.
 //! * **Bounded rule buffers** — [`crate::ScannerBuilder::max_flow_buffer`]
 //!   caps each flow's rule-confirmation payload buffer; over the cap a
 //!   flow degrades to anchor-only reporting
@@ -72,7 +72,6 @@
 //! oracle's `scan_batch` ([`crate::BarrierScanner`],
 //! `tests/pipeline_equivalence.rs`).
 
-use crate::builder::BackpressurePolicy;
 use crate::fault::FaultPlan;
 use crate::flows::{FlowTable, Seen};
 use crate::group::GroupedEngineSet;
@@ -133,8 +132,6 @@ struct FlushReport {
     latency: LatencyHistogram,
     busy_nanos: u64,
     wall_nanos: u64,
-    packets: u64,
-    bytes: u64,
     evicted: u64,
     resident_flows: usize,
     old_epoch_flows: usize,
@@ -304,7 +301,9 @@ pub(crate) struct Limits {
     pub(crate) max_flows: Option<usize>,
     pub(crate) idle_after: Option<Duration>,
     pub(crate) max_flow_buffer: Option<usize>,
-    pub(crate) plan: Arc<FaultPlan>,
+    /// Set only by [`crate::ScannerBuilder::fault_plan`]; every fault hook
+    /// is reached through it, so a pipeline without one skips them all.
+    pub(crate) plan: Option<Arc<FaultPlan>>,
 }
 
 /// Continuously-running multi-core scanner: bounded rings, flow-affine
@@ -348,7 +347,10 @@ pub struct PipelineScanner {
     lost: Vec<usize>,
     backpressure_waits: u64,
     ring_capacity: usize,
-    backpressure: BackpressurePolicy,
+    /// How long a packet dispatch may wait for a slot (`None`: for ever) —
+    /// the [`crate::BackpressurePolicy`], as [`PipelineScanner::push`]
+    /// takes it.
+    patience: Option<Duration>,
     limits: Limits,
 }
 
@@ -373,7 +375,7 @@ impl PipelineScanner {
         mode: WorkerMode,
         workers: usize,
         ring_capacity: usize,
-        backpressure: BackpressurePolicy,
+        patience: Option<Duration>,
         limits: Limits,
     ) -> Self {
         // Invariant: `ScannerBuilder` validated the count (BuildError::ZeroWorkers).
@@ -390,8 +392,8 @@ impl PipelineScanner {
             pending_flow_errors: Vec::new(),
             lost: Vec::new(),
             backpressure_waits: 0,
-            ring_capacity: ring_capacity.max(2).next_power_of_two(),
-            backpressure,
+            ring_capacity,
+            patience,
             limits,
         };
         scanner.workers = (0..workers).map(|w| scanner.spawn_worker(w)).collect();
@@ -425,7 +427,7 @@ impl PipelineScanner {
         self.workers.len()
     }
 
-    /// Capacity of each worker's job ring (rounded to a power of two).
+    /// Capacity of each worker's job ring, as configured.
     pub fn ring_capacity(&self) -> usize {
         self.ring_capacity
     }
@@ -443,16 +445,14 @@ impl PipelineScanner {
     }
 
     /// Sends one packet to its flow's worker; returns `false` iff the
-    /// packet was shed. What a full job ring means depends on the
-    /// [`crate::BackpressurePolicy`]:
-    ///
-    /// * `Block` (default): waits for a slot, draining that worker's
-    ///   output ring while it waits so backpressure can never deadlock —
-    ///   the pipeline's bounded-memory guarantee. Always returns `true`.
-    /// * `Shed`: one push attempt; on a full ring the packet is dropped,
-    ///   counted ([`PipelineStats::shed_packets`]) and `false` returned.
-    /// * `BlockTimeout(limit)`: like `Block` for up to `limit`, then like
-    ///   `Shed`.
+    /// packet was shed. A full job ring makes dispatch wait for a slot,
+    /// draining that worker's output ring meanwhile so backpressure can
+    /// never deadlock — the pipeline's bounded-memory guarantee — for as
+    /// long as the [`crate::BackpressurePolicy`] allows: for ever under
+    /// `Block` (the default; always `true`), at most `limit` under
+    /// `BlockTimeout(limit)`, not at all under `Shed`. A packet that runs
+    /// out of patience is dropped and counted
+    /// ([`PipelineStats::shed_packets`]).
     ///
     /// A dead worker encountered here is recovered transparently (see the
     /// module docs on supervision); dispatch itself never errors.
@@ -462,41 +462,7 @@ impl PipelineScanner {
             packet,
             enqueued: Instant::now(),
         };
-        match self.backpressure {
-            BackpressurePolicy::Block => {
-                self.push_job(worker, job);
-                true
-            }
-            BackpressurePolicy::Shed => {
-                if !self.limits.plan.refuse_push(worker) && self.try_push(worker, job).is_ok() {
-                    return true;
-                }
-                self.workers[worker].shed += 1;
-                self.pump_worker(worker);
-                false
-            }
-            BackpressurePolicy::BlockTimeout(limit) => {
-                // No representable deadline: wait as long as it takes.
-                let deadline = Instant::now().checked_add(limit);
-                let mut job = job;
-                loop {
-                    if !self.limits.plan.refuse_push(worker) {
-                        match self.try_push(worker, job) {
-                            Ok(()) => return true,
-                            Err(back) => job = back,
-                        }
-                    }
-                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                        self.workers[worker].shed += 1;
-                        self.pump_worker(worker);
-                        return false;
-                    }
-                    self.backpressure_waits += 1;
-                    self.pump_worker(worker);
-                    std::thread::yield_now();
-                }
-            }
-        }
+        self.push(worker, job, self.patience)
     }
 
     /// Retires a finished flow, freeing its stream state on the owning
@@ -504,7 +470,7 @@ impl PipelineScanner {
     /// barrier scanner's `close_flow`). Never shed, regardless of policy.
     pub fn close_flow(&mut self, flow: u64) {
         let worker = self.worker_of(flow);
-        self.push_job(worker, PipeJob::CloseFlow(flow));
+        self.push(worker, PipeJob::CloseFlow(flow), None);
     }
 
     /// Non-blocking result pump: drains whatever the workers have pushed so
@@ -549,7 +515,7 @@ impl PipelineScanner {
         let token = self.flush_token;
         self.flush_token += 1;
         for w in 0..self.workers.len() {
-            self.push_job(w, PipeJob::Flush { token });
+            self.push(w, PipeJob::Flush { token }, None);
         }
         while self.pending_reports.len() < self.workers.len() {
             for w in 0..self.workers.len() {
@@ -568,7 +534,7 @@ impl PipelineScanner {
                 }
                 let flush_resent = self.recover_worker(w);
                 if !flush_resent && !self.pending_reports.iter().any(|r| r.worker == w) {
-                    self.push_job(w, PipeJob::Flush { token });
+                    self.push(w, PipeJob::Flush { token }, None);
                 }
             }
             std::thread::yield_now();
@@ -601,8 +567,8 @@ impl PipelineScanner {
             shed_packets += shed;
             result_workers.push(WorkerStats {
                 worker: report.worker,
-                packets: report.packets,
-                bytes: report.bytes,
+                packets: report.latency.count(),
+                bytes: report.stats.bytes_scanned,
                 busy_nanos: report.busy_nanos,
                 wall_nanos: report.wall_nanos,
                 max_ring_occupancy: handle.max_occupancy,
@@ -678,13 +644,11 @@ impl PipelineScanner {
         self.epoch += 1;
         self.mode = mode.clone();
         for w in 0..self.workers.len() {
-            self.push_job(
-                w,
-                PipeJob::Swap {
-                    mode: Box::new(mode.clone()),
-                    epoch: self.epoch,
-                },
-            );
+            let swap = PipeJob::Swap {
+                mode: Box::new(mode.clone()),
+                epoch: self.epoch,
+            };
+            self.push(w, swap, None);
         }
         self.epoch
     }
@@ -725,26 +689,8 @@ impl PipelineScanner {
     /// meaningful. Returns true iff a reclaimed `Flush` was re-enqueued
     /// (the drain loop uses this to avoid double-flushing).
     fn recover_worker(&mut self, worker: usize) -> bool {
-        // Wait for the thread to actually finish, pumping its output so a
-        // death report queued behind matches gets through, then join. The
-        // join is the happens-before edge `Producer::reclaim` requires.
-        loop {
-            self.pump_worker(worker);
-            let finished = self.workers[worker]
-                .handle
-                .as_ref()
-                .is_none_or(|h| h.is_finished());
-            if finished {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        if let Some(handle) = self.workers[worker].handle.take() {
-            // The panic payload (if any) already surfaced as a DeathReport;
-            // nothing to learn from the join result.
-            let _ = handle.join();
-        }
-        self.pump_worker(worker);
+        // The join is the happens-before edge `Producer::reclaim` requires.
+        self.join_worker(worker);
         let died = self.workers[worker].died.take();
         let reclaimed = match self.workers[worker].jobs.take() {
             Some(mut producer) => producer.reclaim(),
@@ -797,11 +743,11 @@ impl PipelineScanner {
                     // Packets of non-quarantined flows had no state on the
                     // dead worker (their flow was never minted there), so
                     // replaying them starts correct fresh streams, in order.
-                    self.push_job(worker, job);
+                    self.push(worker, job, None);
                 }
                 PipeJob::Swap { .. } => {}
                 PipeJob::Flush { token } => {
-                    self.push_job(worker, PipeJob::Flush { token });
+                    self.push(worker, PipeJob::Flush { token }, None);
                     flush_resent = true;
                 }
             }
@@ -846,32 +792,53 @@ impl PipelineScanner {
         }
     }
 
-    /// Blocking ring push with deadlock-free backpressure: on a full job
-    /// ring, wait for the worker to free a batch of slots
-    /// ([`PipelineScanner::wait_for_slots`]) and retry. Used for control jobs
-    /// and for packet dispatch under the `Block` policy.
-    fn push_job(&mut self, worker: usize, job: PipeJob) {
-        let mut job = job;
+    /// Pushes `job` to `worker`'s ring, waiting at most `patience` for a
+    /// slot (`None`: for as long as it takes — control jobs and `Block`
+    /// packets). Returns `false` iff the patience ran out: the job is then
+    /// shed, counted against the worker and dropped. The deadline is taken
+    /// at the first refusal, so a push that lands reads no clock; a fault
+    /// plan may refuse a push only where there is a patience to run out
+    /// (an endless wait would hang on an unbounded refusal).
+    fn push(&mut self, worker: usize, mut job: PipeJob, patience: Option<Duration>) -> bool {
+        // Set at the first refusal; an inner `None` is a patience too long
+        // to end (`Instant` cannot represent the deadline).
+        let mut deadline: Option<Option<Instant>> = None;
         loop {
-            match self.try_push(worker, job) {
-                Ok(()) => return,
-                Err(back) => {
-                    job = back;
-                    self.backpressure_waits += 1;
-                    self.wait_for_slots(worker);
+            let refused = patience.is_some()
+                && self
+                    .limits
+                    .plan
+                    .as_ref()
+                    .is_some_and(|plan| plan.refuse_push(worker));
+            if !refused {
+                match self.try_push(worker, job) {
+                    Ok(()) => return true,
+                    Err(back) => job = back,
                 }
             }
+            if let Some(patience) = patience {
+                let now = Instant::now();
+                let until = *deadline.get_or_insert_with(|| now.checked_add(patience));
+                if until.is_some_and(|until| now >= until) {
+                    self.workers[worker].shed += 1;
+                    self.pump_worker(worker);
+                    return false;
+                }
+            }
+            self.backpressure_waits += 1;
+            self.wait_for_slots(worker, deadline.flatten());
         }
     }
 
     /// Waits until the worker has freed an eighth of its job ring (at least
-    /// one slot), draining its output ring meanwhile — the worker may itself
-    /// be stalled on it — and returning early if it died (the retry then
-    /// recovers it). A full ring is the steady state of a saturated worker:
-    /// retrying after every freed slot would re-read the worker's `head`
-    /// line and yield once per packet, and no push would ever run against
-    /// the producer's cached head. After a batch wait the next pushes do.
-    fn wait_for_slots(&mut self, worker: usize) {
+    /// one slot) or `deadline` has passed, draining its output ring
+    /// meanwhile — the worker may itself be stalled on it — and returning
+    /// early if it died (the retry then recovers it). A full ring is the
+    /// steady state of a saturated worker: retrying after every freed slot
+    /// would re-read the worker's `head` line and yield once per packet, and
+    /// no push would ever run against the producer's cached head. After a
+    /// batch wait the next pushes do.
+    fn wait_for_slots(&mut self, worker: usize, deadline: Option<Instant>) {
         let batch = (self.ring_capacity / 8).max(1);
         loop {
             self.pump_worker(worker);
@@ -880,11 +847,37 @@ impl PipelineScanner {
                 .jobs
                 .as_ref()
                 .expect("producer present outside recovery");
-            if jobs.is_closed() || jobs.capacity() - jobs.len() >= batch {
+            if jobs.is_closed()
+                || jobs.capacity() - jobs.len() >= batch
+                || deadline.is_some_and(|deadline| Instant::now() >= deadline)
+            {
                 return;
             }
             std::thread::yield_now();
         }
+    }
+
+    /// Waits for `worker`'s thread to finish, pumping its output ring so a
+    /// worker stalled pushing results — or a death report queued behind
+    /// them — gets through, then joins it and takes what it pushed last.
+    fn join_worker(&mut self, worker: usize) {
+        loop {
+            self.pump_worker(worker);
+            let finished = self.workers[worker]
+                .handle
+                .as_ref()
+                .is_none_or(|h| h.is_finished());
+            if finished {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        if let Some(handle) = self.workers[worker].handle.take() {
+            // A panic payload already surfaced as a DeathReport; nothing to
+            // learn from the join result.
+            let _ = handle.join();
+        }
+        self.pump_worker(worker);
     }
 
     /// Drains one worker's output ring into the pending buffers.
@@ -910,20 +903,7 @@ impl Drop for PipelineScanner {
             worker.thread.unpark();
         }
         for w in 0..self.workers.len() {
-            loop {
-                self.pump_worker(w);
-                let finished = self.workers[w]
-                    .handle
-                    .as_ref()
-                    .is_none_or(|h| h.is_finished());
-                if finished {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            if let Some(handle) = self.workers[w].handle.take() {
-                let _ = handle.join();
-            }
+            self.join_worker(w);
         }
     }
 }
@@ -949,8 +929,6 @@ struct PipelineWorker {
     latency: LatencyHistogram,
     busy_nanos: u64,
     interval_start: Instant,
-    packets: u64,
-    bytes: u64,
     /// Interval counter of bytes truncated past flow buffer caps.
     truncated: u64,
     /// Packets received over the worker's lifetime (not reset at flush) —
@@ -981,8 +959,6 @@ impl PipelineWorker {
             latency: LatencyHistogram::new(),
             busy_nanos: 0,
             interval_start: Instant::now(),
-            packets: 0,
-            bytes: 0,
             truncated: 0,
             lifetime_packets: 0,
             events: Vec::new(),
@@ -1048,7 +1024,10 @@ impl PipelineWorker {
         // The eviction clock: equal to `started` in production, offset
         // under an injected mock-clock advance. Only `last_seen`/idle
         // eviction observe it — latency and utilization stay real-time.
-        let now = self.limits.plan.clock(started);
+        let now = match &self.limits.plan {
+            Some(plan) => plan.clock(started),
+            None => started,
+        };
         if matches!(self.jobs.peek(0), Some(PipeJob::Packet { .. })) {
             // Before any flow is looked up, once for a whole run.
             self.flows.sweep_idle(now);
@@ -1059,12 +1038,11 @@ impl PipelineWorker {
         let job = self.jobs.pop().expect("the caller saw a job");
         if matches!(job, PipeJob::Packet { .. }) {
             self.lifetime_packets += 1;
-            if self
-                .limits
-                .plan
-                .should_exit(self.index, self.lifetime_packets)
-            {
-                return None;
+            if let Some(plan) = &self.limits.plan {
+                if plan.should_exit(self.index, self.lifetime_packets) {
+                    return None;
+                }
+                plan.maybe_panic(self.index, self.lifetime_packets);
             }
         }
         Some(self.handle(job, started, now))
@@ -1116,7 +1094,8 @@ impl PipelineWorker {
                 break;
             };
             let packet_no = self.lifetime_packets + staged as u64 + 1;
-            if packet.payload.len() > STAGE_MAX || self.limits.plan.armed(self.index, packet_no) {
+            let armed = |plan: &Arc<FaultPlan>| plan.armed(self.index, packet_no);
+            if packet.payload.len() > STAGE_MAX || self.limits.plan.as_ref().is_some_and(armed) {
                 break;
             }
             let fits = |carried: usize| {
@@ -1200,9 +1179,6 @@ impl PipelineWorker {
         let mut dispatched = None;
         match job {
             PipeJob::Packet { packet, enqueued } => {
-                self.limits
-                    .plan
-                    .maybe_panic(self.index, self.lifetime_packets);
                 self.scan_packet(packet, now);
                 dispatched = Some(enqueued);
             }
@@ -1267,8 +1243,6 @@ impl PipelineWorker {
     fn ship(&mut self, flow: u64, len: usize, matches: u64) {
         self.stats.matches += matches;
         self.stats.bytes_scanned += len as u64;
-        self.packets += 1;
-        self.bytes += len as u64;
         for event in self.events.drain(..) {
             push_out(&mut self.out, Out::Match(FlowMatch { flow, event }));
         }
@@ -1302,8 +1276,6 @@ impl PipelineWorker {
             latency: std::mem::replace(&mut self.latency, LatencyHistogram::new()),
             busy_nanos: std::mem::take(&mut self.busy_nanos),
             wall_nanos: now.duration_since(self.interval_start).as_nanos() as u64,
-            packets: std::mem::take(&mut self.packets),
-            bytes: std::mem::take(&mut self.bytes),
             evicted: self.flows.take_evicted(),
             resident_flows: self.flows.len(),
             old_epoch_flows,

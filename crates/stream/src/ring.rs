@@ -84,9 +84,9 @@ pub struct Consumer<T> {
 }
 
 /// Creates a bounded SPSC ring holding at most `capacity` items.
-/// `capacity` is rounded up to the next power of two (minimum 2).
+/// `capacity` is rounded up to the next power of two (minimum 1).
 pub fn spsc<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    let capacity = capacity.max(2).next_power_of_two();
+    let capacity = capacity.next_power_of_two();
     let buffer = (0..capacity)
         .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
         .collect();
@@ -357,6 +357,26 @@ mod tests {
         assert_eq!(rx.pop().as_deref(), Some("b"));
         assert_eq!(rx.pop().as_deref(), Some("c"));
         assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn a_one_slot_ring_is_exact() {
+        // `mask == 0`: every index maps to the one slot, and the monotonic
+        // indices alone tell full from empty.
+        let (mut tx, mut rx) = spsc::<u32>(1);
+        assert_eq!(tx.capacity(), 1);
+        for round in 0..5 {
+            tx.push(round).unwrap();
+            assert!(matches!(tx.push(99), Err(PushError::Full(99))));
+            assert_eq!(rx.peek(0), Some(&round));
+            assert!(rx.peek(1).is_none());
+            assert_eq!(rx.pop(), Some(round));
+            assert!(rx.peek(0).is_none());
+        }
+        tx.push(7).unwrap();
+        drop(rx);
+        assert_eq!(tx.reclaim(), vec![7]);
+        assert!(tx.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Deterministic fault-injection suite for the pipeline's supervision and
-//! overload machinery (requires `--features fault-inject`).
+//! overload machinery.
 //!
 //! Every scenario scripts its failure through a [`FaultPlan`] keyed on
 //! per-worker packet sequence numbers, so the same fault fires at the same
@@ -16,8 +16,7 @@ use common::{Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, PatternSet, ProtocolGroup};
 use mpm_stream::{
-    BackpressurePolicy, EvictionPolicy, FaultPlan, FlowMatch, Packet, PipelineError,
-    ScannerBuilder, SharedMatcher,
+    BackpressurePolicy, FaultPlan, FlowMatch, Packet, PipelineError, ScannerBuilder, SharedMatcher,
 };
 use mpm_vpatch::build_auto;
 use std::sync::Arc;
@@ -303,7 +302,7 @@ fn mock_clock_drives_idle_eviction_without_sleeping() {
     let mut pipeline = ScannerBuilder::new()
         .engine(engine.clone(), &set)
         .workers(1)
-        .eviction(EvictionPolicy::idle_after(Duration::from_secs(60)))
+        .idle_after(Duration::from_secs(60))
         .fault_plan(plan.clone())
         .build()
         .expect("valid build");

@@ -17,13 +17,11 @@ use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::snort::{parse_grouped, ParseOptions};
 use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
-use mpm_stream::{
-    BackpressurePolicy, EvictionPolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher,
-};
+use mpm_stream::{BackpressurePolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn worker_counts(default: &[usize]) -> Vec<usize> {
     match std::env::var("MPM_WORKERS") {
@@ -316,6 +314,87 @@ fn a_block_timeout_without_a_representable_deadline_waits_like_block() {
 }
 
 #[test]
+fn a_block_timeout_sheds_at_its_deadline_on_a_really_full_ring() {
+    // The worker is held inside the engine, so its 2-slot ring (one slot
+    // still holding the packet it is scanning) really is full: a dispatch
+    // that finds it so waits out its 5 ms and sheds. Released, the worker
+    // keeps up and nothing more is shed.
+    let rules = PatternSet::from_literals(&["needle", "ab"]);
+    let inner: SharedMatcher = Arc::from(build_auto(&rules));
+    let packets: Vec<Packet> = (0..64u64)
+        .map(|i| Packet::new(i % 17, b"..needle..ab..".to_vec()))
+        .collect();
+    let build = |engine: SharedMatcher| {
+        ScannerBuilder::new()
+            .engine(engine, &rules)
+            .workers(1)
+            .ring_capacity(2)
+    };
+    let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
+    let expected = barrier.scan_batch(packets.clone());
+    let patience = Duration::from_millis(5);
+    let engine = Gated::open(inner);
+    let mut pipeline = build(engine.clone())
+        .backpressure(BackpressurePolicy::BlockTimeout(patience))
+        .build()
+        .expect("valid build");
+    let hold = engine.arm();
+    hold.hold(&mut pipeline);
+    let mut shed = 0;
+    for packet in &packets[..4] {
+        let started = Instant::now();
+        if !pipeline.dispatch(packet.clone()) {
+            let waited = started.elapsed();
+            assert!(waited >= patience, "shed after {waited:?}");
+            assert!(waited < Duration::from_secs(2), "shed after {waited:?}");
+            shed += 1;
+        }
+    }
+    assert!(shed >= 2, "at most 2 of 4 packets fit a held 2-slot ring");
+    hold.release();
+    for packet in &packets[4..] {
+        assert!(
+            pipeline.dispatch(packet.clone()),
+            "a released worker keeps up"
+        );
+    }
+    let got = pipeline.drain().expect("worker alive");
+    assert_eq!(got.shed_packets, shed);
+    assert_eq!(got.workers[0].shed_packets, shed);
+    assert!(got
+        .matches
+        .iter()
+        .all(|m| expected.matches.binary_search(m).is_ok()));
+}
+
+#[test]
+fn a_one_slot_ring_holds_one_job_and_loses_nothing() {
+    // 1 is a power of two, so the builder accepts it: the ring must then
+    // hold one job, not silently two, and a burst through it must still
+    // equal the barrier.
+    let rules = PatternSet::from_literals(&["needle", "ab"]);
+    let engine: SharedMatcher = Arc::from(build_auto(&rules));
+    let packets: Vec<Packet> = (0..3000u64)
+        .map(|i| Packet::new(i % 17, b"..needle..ab..".to_vec()))
+        .collect();
+    let build = || {
+        ScannerBuilder::new()
+            .engine(engine.clone(), &rules)
+            .workers(1)
+            .ring_capacity(1)
+    };
+    let mut barrier = build().build_barrier().expect("valid build");
+    let expected = barrier.scan_batch(packets.clone());
+    let mut pipeline = build().build().expect("valid build");
+    assert_eq!(pipeline.ring_capacity(), 1);
+    let got = pipeline.scan_batch(packets).expect("worker alive");
+    assert_eq!(got.matches, expected.matches);
+    assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
+    assert_eq!(got.workers[0].ring_capacity, 1);
+    assert!(got.backpressure_waits > 0, "a one-slot ring must push back");
+}
+
+#[test]
 fn max_flows_lru_eviction_matches_barrier_semantics() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
@@ -365,7 +444,7 @@ fn idle_flows_are_swept_and_fresh_flows_are_kept() {
     let mut fast = ScannerBuilder::new()
         .engine(engine.clone(), &rules)
         .workers(2)
-        .eviction(EvictionPolicy::idle_after(Duration::from_millis(25)))
+        .idle_after(Duration::from_millis(25))
         .build()
         .expect("valid build");
     for f in 0..10u64 {
@@ -386,7 +465,8 @@ fn idle_flows_are_swept_and_fresh_flows_are_kept() {
     let mut slow = ScannerBuilder::new()
         .engine(engine.clone(), &rules)
         .workers(2)
-        .eviction(EvictionPolicy::max_flows(100).and_idle_after(Duration::from_secs(600)))
+        .max_flows(100)
+        .idle_after(Duration::from_secs(600))
         .build()
         .expect("valid build");
     for f in 0..10u64 {
@@ -435,7 +515,7 @@ fn zero_idle_timeout_makes_every_packet_a_fresh_stream() {
     let mut pipeline = ScannerBuilder::new()
         .engine(engine, &rules)
         .workers(1)
-        .eviction(EvictionPolicy::idle_after(Duration::ZERO))
+        .idle_after(Duration::ZERO)
         .build()
         .expect("valid build");
     pipeline.dispatch(Packet::new(1, b"..spl".to_vec()));

@@ -81,8 +81,8 @@ pub mod prelude {
         available_backends, detect_best, forced_backend, BackendKind, VectorBackend,
     };
     pub use mpm_stream::{
-        BarrierScanner, EvictionPolicy, FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner,
-        Packet, PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher,
+        BarrierScanner, FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner, Packet,
+        PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher,
         StreamScanner, WorkerStats,
     };
     pub use mpm_traffic::{
