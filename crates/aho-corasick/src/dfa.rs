@@ -6,12 +6,12 @@
 //! input byte and never walks failure links. The price is memory: with
 //! thousands of patterns the table spans tens of megabytes — far larger than
 //! L2/L3 — which is precisely the cache-locality problem the paper's
-//! filtering approaches attack. [`DfaMatcher::heap_bytes`] and
+//! filtering approaches attack. [`DfaMatcher::memory_footprint`] and
 //! [`DfaMatcher::table_rows`] expose that footprint for the memory-growth
 //! analysis and the cache-simulation experiments.
 
 use crate::nfa::AcAutomaton;
-use mpm_patterns::{MatchEvent, Matcher, PatternId, PatternSet};
+use mpm_patterns::{MatchEvent, Matcher, MemoryFootprint, PatternId, PatternSet};
 
 /// Dense Aho-Corasick matcher (one 256-wide row per state).
 #[derive(Clone, Debug)]
@@ -163,18 +163,21 @@ impl Matcher for DfaMatcher {
         count
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
-            + self
-                .outputs
-                .iter()
-                .map(|o| {
-                    o.len() * std::mem::size_of::<PatternId>()
-                        + std::mem::size_of::<Vec<PatternId>>()
-                })
-                .sum::<usize>()
-            + self.pattern_lens.len() * 4
-            + self.pattern_nocase.len()
+    fn memory_footprint(&self) -> MemoryFootprint {
+        MemoryFootprint {
+            other_bytes: self.table.len() * std::mem::size_of::<u32>()
+                + self
+                    .outputs
+                    .iter()
+                    .map(|o| {
+                        o.len() * std::mem::size_of::<PatternId>()
+                            + std::mem::size_of::<Vec<PatternId>>()
+                    })
+                    .sum::<usize>()
+                + self.pattern_lens.len() * 4
+                + self.pattern_nocase.len(),
+            ..MemoryFootprint::default()
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Aho-Corasick trie construction and the goto/fail (NFA) execution engine.
 
-use mpm_patterns::{MatchEvent, Matcher, PatternId, PatternSet};
+use mpm_patterns::{MatchEvent, Matcher, MemoryFootprint, PatternId, PatternSet};
 
 /// Sentinel for "no state".
 const NO_STATE: u32 = u32::MAX;
@@ -261,8 +261,11 @@ impl Matcher for NfaMatcher {
         count
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.automaton.heap_bytes()
+    fn memory_footprint(&self) -> MemoryFootprint {
+        MemoryFootprint {
+            other_bytes: self.automaton.heap_bytes(),
+            ..MemoryFootprint::default()
+        }
     }
 }
 

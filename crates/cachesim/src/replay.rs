@@ -8,7 +8,9 @@
 //! terms of the automaton / filters / hash tables.
 //!
 //! Each data structure is placed in its own region of the simulated address
-//! space so structures never falsely share cache lines.
+//! space so structures never falsely share cache lines. S-PATCH and V-PATCH
+//! share one replay: both store filters 1 and 2 once, interleaved, and read
+//! them there, so their access streams are the same.
 
 use crate::model::{CacheConfig, CacheReport, CacheSim};
 use mpm_aho_corasick::DfaMatcher;
@@ -109,15 +111,18 @@ pub fn replay_dfc(dfc: &Dfc, input: &[u8], config: CacheConfig) -> ReplayOutcome
     }
 }
 
-/// Replays an S-PATCH / V-PATCH scan: merged-filter access per window,
-/// third-filter access for windows that pass filter 2, and verification
-/// accesses only for positions that pass the third filter.
+/// Replays an S-PATCH / V-PATCH scan — the two kernels read the same
+/// structures in the same order: merged-filter access per window (filters 1
+/// and 2 are stored only interleaved), third-filter access for windows that
+/// pass filter 2, and verification accesses only for positions that pass
+/// the third filter.
 pub fn replay_vpatch(engine: &SPatch, input: &[u8], config: CacheConfig) -> ReplayOutcome {
     let mut sim = CacheSim::new(config);
     let merged_base = REGION;
     let filter3_base = 2 * REGION;
     let table_base = 3 * REGION;
     let tables = engine.tables();
+    let merged = tables.merged();
     let verifier = tables.verifier();
     if input.is_empty() {
         return ReplayOutcome {
@@ -128,12 +133,13 @@ pub fn replay_vpatch(engine: &SPatch, input: &[u8], config: CacheConfig) -> Repl
     let n = input.len();
     for i in 0..n - 1 {
         let window = u16::from_le_bytes([input[i], input[i + 1]]);
-        // One gather touches the two interleaved filter bytes.
+        // One gather (or one scalar lookup) touches the two interleaved
+        // filter bytes.
         sim.access_range(merged_base + 2 * (window >> 3) as u64, 2);
-        if tables.filter1().contains(window) {
+        if merged.contains_f1(window) {
             touch_table(&mut sim, table_base, verifier.short_table(), input, i);
         }
-        if tables.filter2().contains(window) && i + 4 <= n {
+        if merged.contains_f2(window) && i + 4 <= n {
             let w4 = u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
             let h = mpm_verify::hash32(w4, tables.filter3().bits_log2());
             sim.access_range(filter3_base + (h >> 3) as u64, 1);

@@ -26,9 +26,20 @@
 //! sliding windows are built with shuffles, both 2-byte filters are fetched
 //! with a *single* gather thanks to the merged-filter layout, the third
 //! filter is evaluated speculatively for all lanes and masked, and candidate
-//! positions are extracted from the lane masks. Verification stays scalar
-//! and runs afterwards, so no scalar/vector mixing happens inside the hot
-//! loop. The main loop is unrolled two vectors deep, as in the paper.
+//! positions are extracted from the lane masks. Verification runs
+//! afterwards, so no scalar/vector mixing happens inside the hot loop. The
+//! main loop is unrolled two vectors deep, as in the paper.
+//!
+//! # One engine, two filter kernels
+//!
+//! Both are the one [`SPatchTables`] engine: the filters and tables, the
+//! scalar filter loop, the verification round and the
+//! [`mpm_patterns::Matcher`] body are written once there. Filters 1 and 2
+//! are stored once, interleaved as V-PATCH gathers them, and S-PATCH's
+//! scalar lookups read the same bytes. S-PATCH runs the scalar loop over
+//! the whole input; V-PATCH runs its vector blocks and leaves the last few
+//! positions to the same loop. The two produce identical candidate arrays
+//! (`tests/engine_equivalence.rs`) and differ only in how they compute them.
 //!
 //! # Choosing an engine
 //!
@@ -78,13 +89,13 @@ pub type VPatchScalar16 = VPatch<ScalarBackend, 16>;
 /// under `MPM_FORCE_BACKEND=scalar` this returns S-PATCH even on AVX-512
 /// hardware, which is how CI deterministically exercises every code path.
 pub fn build_auto(set: &PatternSet) -> Box<dyn Matcher + Send + Sync> {
-    build_for(set, mpm_simd::detect_best()).expect("detect_best returns an available backend")
+    engine_for(SPatchTables::build(set), mpm_simd::detect_best())
 }
 
 /// [`build_auto`] for one port group compiled against a shared
 /// [`mpm_patterns::PatternArena`]: the engine's verification tables
-/// reference the arena by offset and its hashed filter is sized to the
-/// group ([`SPatchTables::build_with_arena`]). The returned engine's
+/// reference the arena by offset and its filters are sized to the group
+/// ([`SPatchTables::build_with_arena`]). The returned engine's
 /// `memory_footprint` therefore excludes the arena bytes, which the owner
 /// of the group collection counts exactly once. Every pattern of `set`
 /// must already be interned in `arena`.
@@ -92,53 +103,29 @@ pub fn build_auto_with_arena(
     set: &PatternSet,
     arena: &mpm_patterns::PatternArena,
 ) -> Box<dyn Matcher + Send + Sync> {
-    let tables = SPatchTables::build_with_arena(set, arena);
-    match mpm_simd::detect_best() {
-        BackendKind::Avx512 if BackendKind::Avx512.is_available() => {
-            Box::new(VPatchAvx512::from_tables(tables))
-        }
-        BackendKind::Avx2 if BackendKind::Avx2.is_available() => {
-            Box::new(VPatchAvx2::from_tables(tables))
-        }
-        _ => Box::new(SPatch::from_tables(tables)),
-    }
+    engine_for(
+        SPatchTables::build_with_arena(set, arena),
+        mpm_simd::detect_best(),
+    )
 }
 
 /// Builds the paper's engine for an explicit backend choice: V-PATCH at the
 /// backend's width for the SIMD backends, scalar S-PATCH for
 /// [`BackendKind::Scalar`]. Returns `None` if the backend is unavailable on
-/// this CPU. (Use [`build_vpatch_for`] to get V-PATCH compiled against the
-/// portable scalar backend instead of S-PATCH.)
+/// this CPU.
 pub fn build_for(set: &PatternSet, backend: BackendKind) -> Option<Box<dyn Matcher + Send + Sync>> {
-    match backend {
-        BackendKind::Avx512 if BackendKind::Avx512.is_available() => {
-            Some(Box::new(VPatchAvx512::build(set)))
-        }
-        BackendKind::Avx2 if BackendKind::Avx2.is_available() => {
-            Some(Box::new(VPatchAvx2::build(set)))
-        }
-        BackendKind::Scalar => Some(Box::new(SPatch::build(set))),
-        _ => None,
-    }
+    backend
+        .is_available()
+        .then(|| engine_for(SPatchTables::build(set), backend))
 }
 
-/// Builds the V-PATCH variant for an explicit backend choice (useful for the
-/// benchmark harness, which measures every variant regardless of what
-/// `detect_best` would pick). Returns `None` if the backend is unavailable
-/// on this CPU.
-pub fn build_vpatch_for(
-    set: &PatternSet,
-    backend: BackendKind,
-) -> Option<Box<dyn Matcher + Send + Sync>> {
+/// The one factory: `tables` as the engine `backend` (which must be
+/// available) runs them with.
+fn engine_for(tables: SPatchTables, backend: BackendKind) -> Box<dyn Matcher + Send + Sync> {
     match backend {
-        BackendKind::Avx512 if BackendKind::Avx512.is_available() => {
-            Some(Box::new(VPatchAvx512::build(set)))
-        }
-        BackendKind::Avx2 if BackendKind::Avx2.is_available() => {
-            Some(Box::new(VPatchAvx2::build(set)))
-        }
-        BackendKind::Scalar => Some(Box::new(VPatchScalar8::build(set))),
-        _ => None,
+        BackendKind::Avx512 => Box::new(VPatchAvx512::from_tables(tables)),
+        BackendKind::Avx2 => Box::new(VPatchAvx2::from_tables(tables)),
+        BackendKind::Scalar => Box::new(SPatch::from_tables(tables)),
     }
 }
 
@@ -158,10 +145,7 @@ mod tests {
     #[test]
     fn explicit_backend_construction() {
         let set = PatternSet::from_literals(&["abcd", "zz"]);
-        let scalar = build_vpatch_for(&set, BackendKind::Scalar).unwrap();
-        assert_eq!(scalar.find_all(b"zzabcd").len(), 2);
         for kind in mpm_simd::available_backends() {
-            assert!(build_vpatch_for(&set, kind).is_some());
             let engine = build_for(&set, kind).unwrap();
             assert_eq!(engine.find_all(b"zzabcd").len(), 2);
             assert_eq!(engine.max_pattern_len(), 4);
@@ -175,7 +159,7 @@ mod tests {
 
     #[test]
     fn arena_engine_is_exact_smaller_and_honestly_accounted() {
-        use mpm_patterns::{assert_footprint_consistent, ArenaBuilder};
+        use mpm_patterns::ArenaBuilder;
         let lits: Vec<String> = (0..500).map(|i| format!("needle-{i:04}-tail")).collect();
         let set = PatternSet::from_literals(&lits);
         let mut builder = ArenaBuilder::new();
@@ -191,8 +175,6 @@ mod tests {
         // The shared build drops the pattern bytes (charged to the arena
         // owner) and shrinks filter 3 + the long table to the set size.
         assert!(grouped.heap_bytes() + arena.len() < plain.heap_bytes());
-        assert_footprint_consistent(plain.as_ref());
-        assert_footprint_consistent(grouped.as_ref());
     }
 
     #[test]

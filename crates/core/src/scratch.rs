@@ -17,7 +17,7 @@
 //!
 //! Capacity hints are **engine-aware**: the compiled tables know whether a
 //! ruleset contains short and/or long patterns, and an array that can never
-//! receive a candidate is not pre-reserved (see [`Scratch::with_hints`]).
+//! receive a candidate is not pre-reserved (see [`Scratch::reserve_for`]).
 
 use std::cell::RefCell;
 
@@ -46,27 +46,21 @@ impl Scratch {
     }
 
     /// Creates a scratch with capacity hints derived from the input length,
-    /// assuming both candidate classes can occur. Prefer
-    /// [`Scratch::with_hints`] when the engine's tables are at hand.
+    /// assuming both candidate classes can occur.
     pub fn with_capacity_for(input_len: usize) -> Self {
-        Self::with_hints(input_len, true, true)
-    }
-
-    /// Creates a scratch with engine-aware capacity hints: only the
-    /// candidate arrays the ruleset can actually populate are pre-reserved
-    /// (`expect_short` ⇔ the ruleset has 1–3-byte patterns, `expect_long` ⇔
-    /// it has ≥ 4-byte ones). A short-only ruleset therefore allocates
-    /// nothing for `a_long`, and vice versa.
-    pub fn with_hints(input_len: usize, expect_short: bool, expect_long: bool) -> Self {
         let mut scratch = Scratch::default();
-        scratch.reserve_for(input_len, expect_short, expect_long);
+        scratch.reserve_for(input_len, true, true);
         scratch
     }
 
-    /// Grows the candidate arrays to the capacity [`Scratch::with_hints`]
-    /// would pick for `input_len`, without shrinking or discarding anything.
-    /// Cheap when the scratch is already warm — the common case for a cached
-    /// or streaming scratch.
+    /// Grows the candidate arrays to a capacity hint derived from
+    /// `input_len`, without shrinking or discarding anything. Hints are
+    /// engine-aware: only the arrays the ruleset can actually populate are
+    /// reserved (`expect_short` ⇔ the ruleset has 1–3-byte patterns,
+    /// `expect_long` ⇔ it has ≥ 4-byte ones), so a short-only ruleset
+    /// allocates nothing for `a_long`, and vice versa. Cheap when the
+    /// scratch is already warm — the common case for a cached or streaming
+    /// scratch.
     pub fn reserve_for(&mut self, input_len: usize, expect_short: bool, expect_long: bool) {
         let hint = input_len / CANDIDATE_FRACTION_DIV + 16;
         if expect_short && self.a_short.capacity() < hint {
@@ -148,10 +142,12 @@ mod tests {
 
     #[test]
     fn hints_skip_impossible_candidate_classes() {
-        let short_only = Scratch::with_hints(1 << 20, true, false);
+        let mut short_only = Scratch::new();
+        short_only.reserve_for(1 << 20, true, false);
         assert!(short_only.a_short.capacity() > 0);
         assert_eq!(short_only.a_long.capacity(), 0);
-        let long_only = Scratch::with_hints(1 << 20, false, true);
+        let mut long_only = Scratch::new();
+        long_only.reserve_for(1 << 20, false, true);
         assert_eq!(long_only.a_short.capacity(), 0);
         assert!(long_only.a_long.capacity() > 0);
     }

@@ -1,10 +1,12 @@
 //! S-PATCH: the scalar, vectorization-friendly two-round engine
-//! (Algorithm 1 of the paper).
+//! (Algorithm 1 of the paper) — the [`SPatchTables`] engine with scalar
+//! filter lookups.
 
-use crate::scratch::{self, Scratch};
+use crate::scratch::Scratch;
 use crate::tables::SPatchTables;
-use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
-use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
+use mpm_graph::{Chunk, TwoRound};
+use mpm_patterns::{MatchEvent, Matcher, MatcherStats, MemoryFootprint, PatternSet};
+use mpm_simd::ScalarBackend;
 use std::ops::Range;
 
 /// Scalar S-PATCH engine.
@@ -31,96 +33,36 @@ impl SPatch {
     }
 
     /// **Filtering round** (lines 3–14 of Algorithm 1): sweeps the input
-    /// through filters 1–3 and records candidate positions in
-    /// `scratch.a_short` / `scratch.a_long`.
-    ///
-    /// When the tables are folded (the set contains a `nocase` pattern) the
-    /// window bytes are ASCII-case-folded before every lookup; the two
-    /// variants are monomorphized separately so a case-sensitive-only set
-    /// runs exactly the historical byte-exact loop.
+    /// through filters 1–3 one position at a time and records candidate
+    /// positions in `scratch.a_short` / `scratch.a_long` — the scalar loop
+    /// V-PATCH runs on its tail, here over the whole input.
     pub fn filter_round(&self, haystack: &[u8], scratch: &mut Scratch) {
         self.filter_range(haystack, 0, haystack.len(), scratch);
     }
 
     /// [`SPatch::filter_round`] restricted to window positions
-    /// `start..end` — the per-chunk kernel of the engine's [`TwoRound`]
-    /// filter round. For any partition of `0..n` the concatenated candidate
-    /// arrays are identical to one whole-input round: window *bytes* are
-    /// read across `end` (the haystack is whole, only the window start set
-    /// is split).
-    pub fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
+    /// `start..end`, on the fold variant the tables were built for.
+    fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
         let t = &self.tables;
         if t.folded {
-            Self::filter_range_impl::<true>(t, haystack, start, end, scratch);
+            t.filter_scalar::<true>(haystack, start, end, scratch);
         } else {
-            Self::filter_range_impl::<false>(t, haystack, start, end, scratch);
-        }
-    }
-
-    fn filter_range_impl<const FOLD: bool>(
-        t: &SPatchTables,
-        haystack: &[u8],
-        start: usize,
-        end: usize,
-        scratch: &mut Scratch,
-    ) {
-        let n = haystack.len();
-        debug_assert!(start <= end && end <= n);
-        if n == 0 || start >= end {
-            return;
-        }
-        assert!(
-            n < u32::MAX as usize,
-            "scan chunks must be smaller than 4 GiB"
-        );
-        for i in start..end.min(n - 1) {
-            let b0 = fold_byte(haystack[i], FOLD);
-            let b1 = fold_byte(haystack[i + 1], FOLD);
-            let window = u16::from_le_bytes([b0, b1]);
-            if t.has_short && t.filter1.contains(window) {
-                scratch.a_short.push(i as u32);
-            }
-            if t.has_long && t.filter2.contains(window) && i + 4 <= n {
-                let window4 = u32::from_le_bytes([
-                    b0,
-                    b1,
-                    fold_byte(haystack[i + 2], FOLD),
-                    fold_byte(haystack[i + 3], FOLD),
-                ]);
-                if t.filter3.contains(window4) {
-                    scratch.a_long.push(i as u32);
-                }
-            }
-        }
-        // The final byte has no 2-byte window; only 1-byte patterns can start
-        // there, so it goes straight to the short candidate array (once, by
-        // whichever range ends at the input's end).
-        if end == n && t.has_short {
-            scratch.a_short.push((n - 1) as u32);
+            t.filter_scalar::<false>(haystack, start, end, scratch);
         }
     }
 
     /// **Verification round** (lines 15–20 of Algorithm 1): replays the
-    /// candidate arrays against the compact hash tables and appends confirmed
+    /// candidate arrays against the compact hash tables, batched and
+    /// prefetch-pipelined through the scalar backend, and appends confirmed
     /// matches to `out`. Returns the number of pattern comparisons performed.
-    ///
-    /// Since PR 5 the replay is **batched through the scalar backend**: the
-    /// dependent table loads (bucket offsets, entry rows, arena lines) are
-    /// software-prefetched `K` candidates ahead instead of serialising one
-    /// candidate at a time. S-PATCH stays the paper's scalar engine — the
-    /// index computation and compares use the scalar reference ops, no SIMD —
-    /// but verification throughput is memory-latency-bound, not compute
-    /// bound, so the pipeline alone recovers most of the batched win.
     pub fn verify_round(
         &self,
         haystack: &[u8],
         scratch: &Scratch,
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        use mpm_simd::ScalarBackend;
-        let v = self.tables.verifier();
-        v.verify_short_batch::<ScalarBackend, 8>(haystack, &scratch.a_short, out)
-            + v.verify_long_batch::<ScalarBackend, 8>(haystack, &scratch.a_long, out)
+        self.tables
+            .verify_round::<ScalarBackend, 8>(haystack, scratch, out)
     }
 }
 
@@ -140,6 +82,7 @@ impl TwoRound for SPatch {
     }
 }
 
+/// The [`SPatchTables`] engine's body (see there).
 impl Matcher for SPatch {
     fn name(&self) -> &'static str {
         "S-PATCH"
@@ -150,25 +93,13 @@ impl Matcher for SPatch {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        scratch::with_cached_scratch(|scratch| {
-            mpm_graph::scan(
-                self,
-                haystack,
-                0..haystack.len(),
-                DEFAULT_CHUNK,
-                scratch,
-                out,
-            )
-        });
+        self.tables.find_into(self, haystack, out);
     }
 
-    /// Filters only `starts`, and reads the resume point off the candidate
-    /// array the last chunk left behind (see [`SPatchTables`]).
     fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
         self.tables.find_in(self, haystack, starts, out)
     }
 
-    /// One scan over the concatenated inputs (see [`SPatchTables`]).
     fn find_in_segments(
         &self,
         haystack: &[u8],
@@ -182,27 +113,18 @@ impl Matcher for SPatch {
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        scratch::with_cached_scratch(|scratch| {
-            mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, scratch, &mut Vec::new())
-        })
+        self.tables.scan_with_stats(self, haystack)
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.memory_footprint().total()
-    }
-
-    fn memory_footprint(&self) -> mpm_patterns::MemoryFootprint {
-        mpm_patterns::MemoryFootprint {
-            filter_bytes: self.tables.filter_bytes(),
-            verify_bytes: self.tables.table_bytes(),
-            other_bytes: 0,
-        }
+    fn memory_footprint(&self) -> MemoryFootprint {
+        self.tables.memory_footprint()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpm_graph::DEFAULT_CHUNK;
     use mpm_patterns::naive::naive_find_all;
     use mpm_patterns::synthetic::{RulesetSpec, SyntheticRuleset};
 

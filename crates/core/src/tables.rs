@@ -1,9 +1,17 @@
-//! The compiled filter/table state shared by S-PATCH and V-PATCH.
+//! The one S-PATCH / V-PATCH engine: the filters and tables both compile
+//! to, the scalar filter loop, the verification round and the
+//! [`mpm_patterns::Matcher`] body. [`crate::SPatch`] and [`crate::VPatch`]
+//! are its two filter kernels — Algorithm 1's scalar lookups and
+//! Algorithm 2's `W`-lane gathers over the same merged filter — and differ
+//! in nothing else.
 
 use crate::scratch::{self, Scratch};
 use mpm_graph::{TwoRound, DEFAULT_CHUNK};
 use mpm_patterns::matcher::{find_in_each_segment, resume_horizon};
-use mpm_patterns::{MatchEvent, Matcher, PatternArena, PatternSet};
+use mpm_patterns::{
+    fold_byte, MatchEvent, Matcher, MatcherStats, MemoryFootprint, PatternArena, PatternSet,
+};
+use mpm_simd::VectorBackend;
 use std::ops::Range;
 
 use mpm_verify::{
@@ -15,17 +23,14 @@ use mpm_verify::{
 /// (Figure 1 of the paper).
 #[derive(Clone, Debug)]
 pub struct SPatchTables {
-    /// Filter 1: first two bytes of the short (1–3 byte) patterns.
-    /// 1-byte patterns set every window starting with their byte.
-    pub(crate) filter1: DirectFilter,
-    /// Filter 2: first two bytes of the long (≥ 4 byte) patterns.
-    pub(crate) filter2: DirectFilter,
+    /// Filters 1 and 2, interleaved (Figure 3): filter 1 holds the first
+    /// two bytes of the short (1–3 byte) patterns — a 1-byte pattern sets
+    /// every window starting with its byte — and filter 2 those of the long
+    /// (≥ 4 byte) patterns. Both kernels read them here and only here.
+    pub(crate) merged: MergedDirectFilters,
     /// Filter 3: hashed bitmap over the first four bytes of the long
     /// patterns.
     pub(crate) filter3: HashedFilter,
-    /// Filters 1 and 2 interleaved for the single-gather optimisation
-    /// (only V-PATCH reads this).
-    pub(crate) merged: MergedDirectFilters,
     /// Compact hash tables for the verification round.
     pub(crate) verifier: Verifier,
     /// True if the set contains any short pattern (lets the engines skip
@@ -94,11 +99,6 @@ impl SPatchTables {
     fn build_inner(set: &PatternSet, filter3_bits: u32, arena: Option<&PatternArena>) -> Self {
         let is_short = |p: &mpm_patterns::Pattern| p.len() < 4;
         let is_long = |p: &mpm_patterns::Pattern| p.len() >= 4;
-        // Case-folded tables if (and only if) the set contains a `nocase`
-        // pattern: folding the filters over every pattern lets one filter
-        // pass serve mixed sets, while a case-sensitive-only set compiles to
-        // exactly the byte-exact structures it always had.
-        let folded = set.has_nocase();
         // Per-group (arena-backed) tables size the direct filters to the
         // group's window population, just as filter 3 is sized to its
         // long-pattern count: a 40-rule port group gets a pair of ~1 KB
@@ -113,28 +113,26 @@ impl SPatchTables {
         } else {
             DIRECT_FILTER_FULL_BITS
         };
-        let filter1 = DirectFilter::build_sized_with_fold(set, direct_bits, folded, is_short);
-        let filter2 = DirectFilter::build_sized_with_fold(set, direct_bits, folded, is_long);
-        let filter3 = HashedFilter::build_with_fold(set, filter3_bits, folded, is_long);
-        let merged = MergedDirectFilters::merge(&filter1, &filter2);
+        // Every filter and table folds case if (and only if) the set has a
+        // `nocase` pattern, so the engines fold input windows on the same
+        // condition. The two direct filters live only as long as the merge.
+        let merged = MergedDirectFilters::merge(
+            &DirectFilter::build(set, direct_bits, is_short),
+            &DirectFilter::build(set, direct_bits, is_long),
+        );
         let verifier = match arena {
             Some(arena) => Verifier::build_with_arena(set, arena),
             None => Verifier::build(set),
         };
-        let has_short = set.patterns().iter().any(is_short);
-        let has_long = set.patterns().iter().any(is_long);
-        let max_pattern_len = set.patterns().iter().map(|p| p.len()).max().unwrap_or(0);
         SPatchTables {
-            filter1,
-            filter2,
-            filter3,
             merged,
+            filter3: HashedFilter::build(set, filter3_bits, is_long),
             verifier,
-            has_short,
-            has_long,
-            folded,
+            has_short: set.patterns().iter().any(is_short),
+            has_long: set.patterns().iter().any(is_long),
+            folded: set.has_nocase(),
             pattern_count: set.len(),
-            max_pattern_len,
+            max_pattern_len: set.patterns().iter().map(|p| p.len()).max().unwrap_or(0),
         }
     }
 
@@ -154,6 +152,133 @@ impl SPatchTables {
     /// by `max_pattern_len - 1` bytes to keep boundary matches.
     pub fn max_pattern_len(&self) -> usize {
         self.max_pattern_len
+    }
+
+    /// **Filtering round** over window positions `start..end` with scalar
+    /// lookups (lines 3–14 of Algorithm 1): each 2-byte window is tested
+    /// against filters 1 and 2 in the merged bytes, a filter-2 hit with a
+    /// whole 4-byte window against filter 3, and the survivors are appended
+    /// to `scratch.a_short` / `scratch.a_long`. Window *bytes* are read
+    /// across `end`, so any partition of `0..n` yields the candidate arrays
+    /// of one whole-input pass. The final byte has no 2-byte window; only
+    /// 1-byte patterns can start there, so it goes straight to the short
+    /// array — once, by whichever range ends at the input's end.
+    ///
+    /// S-PATCH runs it over the whole range, V-PATCH over the positions its
+    /// vector blocks leave. `FOLD` (the tables are folded) ASCII-case-folds
+    /// the window bytes before every lookup; the two variants are
+    /// monomorphized separately so a case-sensitive-only set runs the
+    /// byte-exact loop.
+    pub(crate) fn filter_scalar<const FOLD: bool>(
+        &self,
+        haystack: &[u8],
+        start: usize,
+        end: usize,
+        scratch: &mut Scratch,
+    ) {
+        let n = haystack.len();
+        debug_assert!(start <= end && end <= n);
+        if start >= end {
+            return;
+        }
+        assert!(
+            n < u32::MAX as usize,
+            "scan chunks must be smaller than 4 GiB"
+        );
+        for i in start..end.min(n - 1) {
+            let b0 = fold_byte(haystack[i], FOLD);
+            let b1 = fold_byte(haystack[i + 1], FOLD);
+            let window = u16::from_le_bytes([b0, b1]);
+            if self.has_short && self.merged.contains_f1(window) {
+                scratch.a_short.push(i as u32);
+            }
+            if self.has_long && self.merged.contains_f2(window) && i + 4 <= n {
+                let window4 = u32::from_le_bytes([
+                    b0,
+                    b1,
+                    fold_byte(haystack[i + 2], FOLD),
+                    fold_byte(haystack[i + 3], FOLD),
+                ]);
+                if self.filter3.contains(window4) {
+                    scratch.a_long.push(i as u32);
+                }
+            }
+        }
+        if end == n && self.has_short {
+            scratch.a_short.push((n - 1) as u32);
+        }
+    }
+
+    /// **Verification round** (lines 15–20 of Algorithm 1), batched: the
+    /// candidate arrays are replayed through
+    /// [`Verifier::verify_short_batch`] / [`Verifier::verify_long_batch`] on
+    /// backend `B` — bucket indices hashed `W` at a time, the table walk
+    /// prefetch-pipelined `K` candidates deep — and confirmed matches are
+    /// appended to `out`. Returns the number of pattern comparisons
+    /// performed (identical, by construction and by the differential suite,
+    /// to one table lookup per candidate).
+    ///
+    /// V-PATCH verifies on its own backend; S-PATCH stays the paper's scalar
+    /// engine on [`mpm_simd::ScalarBackend`] at 8 lanes — verification is
+    /// memory-latency-bound, not compute-bound, so the pipeline alone
+    /// recovers most of the batched win.
+    pub(crate) fn verify_round<B: VectorBackend<W>, const W: usize>(
+        &self,
+        haystack: &[u8],
+        scratch: &Scratch,
+        out: &mut Vec<MatchEvent>,
+    ) -> u64 {
+        self.verifier
+            .verify_short_batch::<B, W>(haystack, &scratch.a_short, out)
+            + self
+                .verifier
+                .verify_long_batch::<B, W>(haystack, &scratch.a_long, out)
+    }
+
+    /// [`mpm_patterns::Matcher::find_into`] for `engine`, an engine built on
+    /// these tables: the chunked two-round scan on the thread's cached
+    /// scratch.
+    pub(crate) fn find_into<E: TwoRound<Pad = Scratch>>(
+        &self,
+        engine: &E,
+        haystack: &[u8],
+        out: &mut Vec<MatchEvent>,
+    ) {
+        scratch::with_cached_scratch(|scratch| {
+            mpm_graph::scan(
+                engine,
+                haystack,
+                0..haystack.len(),
+                DEFAULT_CHUNK,
+                scratch,
+                out,
+            )
+        });
+    }
+
+    /// [`mpm_patterns::Matcher::scan_with_stats`] for `engine`: the timed
+    /// scan, plus the filter-3 lane counters the scan left in the scratch
+    /// (V-PATCH's vector blocks count them; S-PATCH's stay zero).
+    pub(crate) fn scan_with_stats<E: TwoRound<Pad = Scratch>>(
+        &self,
+        engine: &E,
+        haystack: &[u8],
+    ) -> MatcherStats {
+        scratch::with_cached_scratch(|scratch| {
+            scratch.clear();
+            let stats = mpm_graph::scan_with_stats(
+                engine,
+                haystack,
+                DEFAULT_CHUNK,
+                scratch,
+                &mut Vec::new(),
+            );
+            MatcherStats {
+                filter3_blocks: scratch.filter3_blocks,
+                useful_lanes: scratch.useful_lanes,
+                ..stats
+            }
+        })
     }
 
     /// [`mpm_patterns::Matcher::find_in`] for `engine`, an engine built on
@@ -305,15 +430,22 @@ impl SPatchTables {
     /// Resident size of the filtering-round structures (must stay cache
     /// resident for the design to work; the paper sizes them for L1/L2).
     pub fn filter_bytes(&self) -> usize {
-        // The scalar engine touches filter1 + filter2 + filter3; the vector
-        // engine touches merged + filter3. Report the larger working set.
-        (self.filter1.heap_bytes() + self.filter2.heap_bytes()).max(self.merged.heap_bytes())
-            + self.filter3.heap_bytes()
+        self.merged.heap_bytes() + self.filter3.heap_bytes()
     }
 
     /// Resident size of the verification hash tables.
     pub fn table_bytes(&self) -> usize {
         self.verifier.heap_bytes()
+    }
+
+    /// [`mpm_patterns::Matcher::memory_footprint`] of either engine: the
+    /// filters, and the verification tables.
+    pub(crate) fn memory_footprint(&self) -> MemoryFootprint {
+        MemoryFootprint {
+            filter_bytes: self.filter_bytes(),
+            verify_bytes: self.table_bytes(),
+            other_bytes: 0,
+        }
     }
 
     /// The verification tables (exposed for the cache-simulation
@@ -322,14 +454,9 @@ impl SPatchTables {
         &self.verifier
     }
 
-    /// Filter 1 (short patterns), for inspection and cache replay.
-    pub fn filter1(&self) -> &DirectFilter {
-        &self.filter1
-    }
-
-    /// Filter 2 (long patterns), for inspection and cache replay.
-    pub fn filter2(&self) -> &DirectFilter {
-        &self.filter2
+    /// Filters 1 and 2 (interleaved), for inspection and cache replay.
+    pub fn merged(&self) -> &MergedDirectFilters {
+        &self.merged
     }
 
     /// Filter 3 (hashed, long patterns), for inspection and cache replay.
@@ -350,9 +477,9 @@ mod tests {
         assert!(t.has_short);
         assert!(t.has_long);
         // "abc" is short: its prefix lives in filter 1 only.
-        assert!(t.filter1.contains(u16::from_le_bytes([b'a', b'b'])));
+        assert!(t.merged.contains_f1(u16::from_le_bytes([b'a', b'b'])));
         // "abcd" is long: prefix in filter 2 and its 4-byte head in filter 3.
-        assert!(t.filter2.contains(u16::from_le_bytes([b'a', b'b'])));
+        assert!(t.merged.contains_f2(u16::from_le_bytes([b'a', b'b'])));
         assert!(t.filter3.contains(u32::from_le_bytes(*b"abcd")));
     }
 
@@ -363,7 +490,7 @@ mod tests {
             .collect();
         let set = PatternSet::from_literals(&lits);
         let t = SPatchTables::build(&set);
-        // 8 KB + 8 KB direct (or 16 KB merged) + 16 KB hashed ≈ 32 KB:
+        // 16 KB merged direct + 16 KB hashed ≈ 32 KB:
         // the whole filtering working set fits in L1d/L2 as the paper requires.
         assert!(t.filter_bytes() <= 48 * 1024, "got {}", t.filter_bytes());
         assert!(t.table_bytes() > 256 * 1024);
@@ -384,8 +511,8 @@ mod tests {
         let exact = SPatchTables::build(&PatternSet::from_literals(&["GeT", "AbCd"]));
         assert!(!exact.is_folded());
         // Exact tables index on the original bytes.
-        assert!(exact.filter1.contains(u16::from_le_bytes([b'G', b'e'])));
-        assert!(!exact.filter1.contains(u16::from_le_bytes([b'g', b'e'])));
+        assert!(exact.merged.contains_f1(u16::from_le_bytes([b'G', b'e'])));
+        assert!(!exact.merged.contains_f1(u16::from_le_bytes([b'g', b'e'])));
 
         let mixed = SPatchTables::build(&PatternSet::new(vec![
             Pattern::literal_nocase(*b"GeT"),
@@ -394,8 +521,8 @@ mod tests {
         assert!(mixed.is_folded());
         // Folded tables index every pattern — nocase or not — on the folded
         // bytes; the engines fold the input windows to match.
-        assert!(mixed.filter1.contains(u16::from_le_bytes([b'g', b'e'])));
-        assert!(mixed.filter2.contains(u16::from_le_bytes([b'a', b'b'])));
+        assert!(mixed.merged.contains_f1(u16::from_le_bytes([b'g', b'e'])));
+        assert!(mixed.merged.contains_f2(u16::from_le_bytes([b'a', b'b'])));
         assert!(mixed.filter3.contains(u32::from_le_bytes(*b"abcd")));
     }
 
@@ -414,8 +541,6 @@ mod tests {
         // 40 windows ⇒ 10-bit direct filters (128 B payloads) instead of the
         // monolithic 2^16 (8 KB each); the filter working set shrinks by an
         // order of magnitude while the lookups stay a superset-exact mask.
-        assert_eq!(grouped.filter1.bits_log2(), 10);
-        assert_eq!(grouped.filter2.bits_log2(), 10);
         assert_eq!(grouped.merged.bits_log2(), 10);
         assert!(
             grouped.filter_bytes() * 8 < monolithic.filter_bytes(),
@@ -432,7 +557,7 @@ mod tests {
             bb.intern(p.bytes());
         }
         let big = SPatchTables::build_with_arena(&big_set, &bb.finish());
-        assert_eq!(big.filter2.bits_log2(), DIRECT_FILTER_FULL_BITS);
+        assert_eq!(big.merged.bits_log2(), DIRECT_FILTER_FULL_BITS);
     }
 
     #[test]

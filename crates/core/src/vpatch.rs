@@ -1,5 +1,8 @@
 //! V-PATCH: the vectorized filtering engine (Algorithm 2 of the paper),
-//! generic over the SIMD backend.
+//! generic over the SIMD backend — the [`SPatchTables`] engine with `W`-lane
+//! gathers over the merged filter. Its one vector loop leaves the last few
+//! positions to the scalar loop S-PATCH runs, and everything past the
+//! filtering round is the shared engine's.
 //!
 //! The filtering pipeline is **register-resident**: every value flowing
 //! between the backend ops in `VPatch::process_block` has the backend's
@@ -12,10 +15,10 @@
 //! the paper's Figure 6 shows those stores are the main cost on top of pure
 //! filtering, so they get the same vector treatment as the filters.
 
-use crate::scratch::{self, Scratch};
+use crate::scratch::Scratch;
 use crate::tables::SPatchTables;
-use mpm_graph::{Chunk, TwoRound, DEFAULT_CHUNK};
-use mpm_patterns::{fold_byte, MatchEvent, Matcher, MatcherStats, PatternSet};
+use mpm_graph::{Chunk, TwoRound};
+use mpm_patterns::{MatchEvent, Matcher, MatcherStats, MemoryFootprint, PatternSet};
 use mpm_simd::VectorBackend;
 use mpm_verify::HASH_MULTIPLIER;
 use std::marker::PhantomData;
@@ -28,8 +31,8 @@ pub enum FilterOnlyMode {
     /// Filtering including the cost of storing candidate positions into the
     /// temporary arrays ("V-PATCH-filtering+stores" in Figure 6).
     WithStores,
-    /// Pure filtering: lane masks are computed and folded into a checksum but
-    /// candidate positions are not stored ("V-PATCH-filtering").
+    /// Pure filtering: lane masks are computed and counted but candidate
+    /// positions are not stored ("V-PATCH-filtering").
     NoStores,
 }
 
@@ -95,7 +98,7 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
     /// gathers and hashes, matching the folded bytes the tables were built
     /// over; `FOLD = false` compiles to the historical byte-exact kernel.
     ///
-    /// Always inlined into the dispatch-wrapped loops so the backend's
+    /// Always inlined into the dispatch-wrapped loop so the backend's
     /// intrinsics fuse into one straight-line kernel and every intermediate
     /// `B::Vec` stays in a vector register.
     #[inline(always)]
@@ -159,45 +162,6 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         (mask_short, mask_long)
     }
 
-    /// Scalar continuation of the filtering round: positions
-    /// `start..min(end, n - 1)` that no vector block covered, plus — only
-    /// when `end` is the end of the input — the final byte, which has no
-    /// 2-byte window and goes straight to the short array.
-    fn filter_scalar_range<const FOLD: bool>(
-        t: &SPatchTables,
-        haystack: &[u8],
-        start: usize,
-        end: usize,
-        scratch: &mut Scratch,
-    ) {
-        let n = haystack.len();
-        if n == 0 {
-            return;
-        }
-        for i in start..end.min(n - 1) {
-            let b0 = fold_byte(haystack[i], FOLD);
-            let b1 = fold_byte(haystack[i + 1], FOLD);
-            let window = u16::from_le_bytes([b0, b1]);
-            if t.has_short && t.filter1.contains(window) {
-                scratch.a_short.push(i as u32);
-            }
-            if t.has_long && t.filter2.contains(window) && i + 4 <= n {
-                let window4 = u32::from_le_bytes([
-                    b0,
-                    b1,
-                    fold_byte(haystack[i + 2], FOLD),
-                    fold_byte(haystack[i + 3], FOLD),
-                ]);
-                if t.filter3.contains(window4) {
-                    scratch.a_long.push(i as u32);
-                }
-            }
-        }
-        if end == n && t.has_short {
-            scratch.a_short.push((n - 1) as u32);
-        }
-    }
-
     /// **Vectorized filtering round** (Algorithm 2): fills the candidate
     /// arrays in `scratch`. Dispatches to the folded (`nocase`-capable) or
     /// byte-exact kernel depending on how the tables were built, so
@@ -208,41 +172,44 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
 
     /// [`VPatch::filter_round`] restricted to window positions
     /// `start..end` — the per-chunk kernel of the engine's [`TwoRound`]
-    /// filter round.
-    /// `filter_range(0, n)` is exactly `filter_round`, and for any partition
-    /// of `0..n` into `CHUNK_ALIGN`-aligned ranges the concatenated
-    /// candidate arrays (and the filter-3 occupancy counters) are identical
-    /// to one whole-input round: windows read *across* `end` (the haystack
-    /// is whole, only the window start set is split), and the vector blocks
-    /// tile the same `W`-aligned bases.
-    ///
-    /// [`CHUNK_ALIGN`]: mpm_graph::CHUNK_ALIGN
-    pub fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
+    /// filter round. For any partition of `0..n` into `CHUNK_ALIGN`-aligned
+    /// ranges the concatenated candidate arrays (and the filter-3 occupancy
+    /// counters) are identical to one whole-input round: windows read
+    /// *across* `end` (the haystack is whole, only the window start set is
+    /// split), and the vector blocks tile the same `W`-aligned bases.
+    fn filter_range(&self, haystack: &[u8], start: usize, end: usize, scratch: &mut Scratch) {
         let t = &self.tables;
         if t.folded {
-            Self::filter_range_impl::<true>(t, haystack, start, end, scratch);
+            Self::filter_range_impl::<true, true>(t, haystack, start, end, scratch);
         } else {
-            Self::filter_range_impl::<false>(t, haystack, start, end, scratch);
+            Self::filter_range_impl::<true, false>(t, haystack, start, end, scratch);
         }
     }
 
-    fn filter_range_impl<const FOLD: bool>(
+    /// The one vector loop: `W`-lane blocks over `start..end`, two in flight
+    /// per iteration, then the scalar loop of [`SPatchTables`] on the
+    /// positions no block covered. With `STORE` the blocks append their
+    /// candidates to the scratch arrays and the result is 0; without, they
+    /// store nothing and the result is the popcount of their lane masks (the
+    /// tail still appends, through the caller's scratch).
+    fn filter_range_impl<const STORE: bool, const FOLD: bool>(
         t: &SPatchTables,
         haystack: &[u8],
         start: usize,
         end: usize,
         scratch: &mut Scratch,
-    ) {
+    ) -> u64 {
         let n = haystack.len();
         debug_assert!(start <= end && end <= n);
-        if n == 0 || start >= end {
-            return;
+        if start >= end {
+            return 0;
         }
         assert!(
             n < u32::MAX as usize,
             "scan chunks must be smaller than 4 GiB"
         );
         let mut i = start;
+        let mut lanes = 0u64;
         // The whole vector loop runs inside the backend's dispatch trampoline
         // so every gather/shuffle inlines into one kernel (see
         // `VectorBackend::dispatch`).
@@ -251,99 +218,61 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
             // iteration, as the paper does to exploit instruction-level
             // parallelism.
             while i + 2 * W <= end && i + 2 * W + 3 <= n {
-                Self::process_block::<true, FOLD>(t, haystack, i, scratch);
-                Self::process_block::<true, FOLD>(t, haystack, i + W, scratch);
+                let (a1, a2) = Self::process_block::<STORE, FOLD>(t, haystack, i, scratch);
+                let (b1, b2) = Self::process_block::<STORE, FOLD>(t, haystack, i + W, scratch);
+                if !STORE {
+                    lanes += (a1.count_ones() + a2.count_ones() + b1.count_ones() + b2.count_ones())
+                        as u64;
+                }
                 i += 2 * W;
             }
             while i + W <= end && i + W + 3 <= n {
-                Self::process_block::<true, FOLD>(t, haystack, i, scratch);
+                let (m1, m2) = Self::process_block::<STORE, FOLD>(t, haystack, i, scratch);
+                if !STORE {
+                    lanes += (m1.count_ones() + m2.count_ones()) as u64;
+                }
                 i += W;
             }
         });
-        Self::filter_scalar_range::<FOLD>(t, haystack, i, end, scratch);
+        t.filter_scalar::<FOLD>(haystack, i, end, scratch);
+        lanes
     }
 
-    /// Filtering-only entry point for the Figure 6 experiments. Returns a
-    /// checksum of the lane masks so the optimizer cannot discard the work in
-    /// [`FilterOnlyMode::NoStores`] mode.
-    ///
-    /// Both modes run entirely in the caller's `scratch` (which is cleared on
-    /// entry); `NoStores` leaves no candidate positions behind.
+    /// Filtering-only entry point for the Figure 6 experiments: the
+    /// filtering round over the whole input, in the caller's `scratch`
+    /// (cleared on entry). Returns the candidate count — for
+    /// [`FilterOnlyMode::NoStores`] counted off the lane masks, so the
+    /// optimizer cannot discard the work, and no candidate position is left
+    /// behind.
     pub fn filter_only(&self, haystack: &[u8], mode: FilterOnlyMode, scratch: &mut Scratch) -> u64 {
-        if self.tables.folded {
-            self.filter_only_impl::<true>(haystack, mode, scratch)
-        } else {
-            self.filter_only_impl::<false>(haystack, mode, scratch)
-        }
-    }
-
-    fn filter_only_impl<const FOLD: bool>(
-        &self,
-        haystack: &[u8],
-        mode: FilterOnlyMode,
-        scratch: &mut Scratch,
-    ) -> u64 {
         scratch.clear();
-        let n = haystack.len();
-        if n == 0 {
-            return 0;
+        if mode == FilterOnlyMode::WithStores {
+            self.filter_round(haystack, scratch);
+            return scratch.candidates();
         }
-        let t = &self.tables;
-        let mut checksum = 0u64;
-        let mut i = 0usize;
-        match mode {
-            FilterOnlyMode::WithStores => {
-                Self::filter_range_impl::<FOLD>(t, haystack, 0, n, scratch);
-                checksum = scratch.candidates();
-            }
-            FilterOnlyMode::NoStores => {
-                B::dispatch(|| {
-                    // Same 2× unroll as the storing round so the two Figure 6
-                    // configurations differ only in the stores.
-                    while i + 2 * W + 3 <= n {
-                        let (a1, a2) = Self::process_block::<false, FOLD>(t, haystack, i, scratch);
-                        let (b1, b2) =
-                            Self::process_block::<false, FOLD>(t, haystack, i + W, scratch);
-                        checksum +=
-                            (a1.count_ones() + a2.count_ones() + b1.count_ones() + b2.count_ones())
-                                as u64;
-                        i += 2 * W;
-                    }
-                    while i + W + 3 <= n {
-                        let (m1, m2) = Self::process_block::<false, FOLD>(t, haystack, i, scratch);
-                        checksum += (m1.count_ones() + m2.count_ones()) as u64;
-                        i += W;
-                    }
-                });
-                // The scalar tail runs through the caller's scratch (no
-                // transient allocation); its candidates join the checksum and
-                // the arrays are reset so no stores are observable.
-                Self::filter_scalar_range::<FOLD>(t, haystack, i, n, scratch);
-                checksum += scratch.candidates();
-                scratch.begin_chunk();
-            }
-        }
-        checksum
+        let (t, n) = (&self.tables, haystack.len());
+        let lanes = if t.folded {
+            Self::filter_range_impl::<false, true>(t, haystack, 0, n, scratch)
+        } else {
+            Self::filter_range_impl::<false, false>(t, haystack, 0, n, scratch)
+        };
+        // The scalar tail stored its few candidates; count and drop them.
+        let candidates = lanes + scratch.candidates();
+        scratch.begin_chunk();
+        candidates
     }
 
-    /// **Verification round**, batched: the candidate arrays the filtering
-    /// round compacted are replayed through
-    /// [`mpm_verify::Verifier::verify_short_batch`] /
-    /// [`mpm_verify::Verifier::verify_long_batch`] on this engine's own
-    /// backend — the same registers that filtered the input now gather the
-    /// candidate windows back, hash the bucket indices `W` at a time, and
-    /// the table walk is prefetch-pipelined `K` candidates deep. Returns the
-    /// number of pattern comparisons performed (identical, by construction
-    /// and by the differential suite, to one table lookup per candidate).
+    /// **Verification round**, batched on this engine's own backend: the
+    /// same registers that filtered the input gather the candidate windows
+    /// back and hash the bucket indices `W` at a time. Returns the number of
+    /// pattern comparisons performed.
     pub fn verify_round(
         &self,
         haystack: &[u8],
         scratch: &Scratch,
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        let v = self.tables.verifier();
-        v.verify_short_batch::<B, W>(haystack, &scratch.a_short, out)
-            + v.verify_long_batch::<B, W>(haystack, &scratch.a_long, out)
+        self.tables.verify_round::<B, W>(haystack, scratch, out)
     }
 }
 
@@ -363,6 +292,7 @@ impl<B: VectorBackend<W>, const W: usize> TwoRound for VPatch<B, W> {
     }
 }
 
+/// The [`SPatchTables`] engine's body (see there).
 impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
     fn name(&self) -> &'static str {
         "V-PATCH"
@@ -373,25 +303,13 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        scratch::with_cached_scratch(|scratch| {
-            mpm_graph::scan(
-                self,
-                haystack,
-                0..haystack.len(),
-                DEFAULT_CHUNK,
-                scratch,
-                out,
-            )
-        });
+        self.tables.find_into(self, haystack, out);
     }
 
-    /// Filters only `starts`, and reads the resume point off the candidate
-    /// array the last chunk left behind (see [`SPatchTables`]).
     fn find_in(&self, haystack: &[u8], starts: Range<usize>, out: &mut Vec<MatchEvent>) -> usize {
         self.tables.find_in(self, haystack, starts, out)
     }
 
-    /// One scan over the concatenated inputs (see [`SPatchTables`]).
     fn find_in_segments(
         &self,
         haystack: &[u8],
@@ -405,28 +323,11 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
-        scratch::with_cached_scratch(|scratch| {
-            scratch.clear();
-            let stats =
-                mpm_graph::scan_with_stats(self, haystack, DEFAULT_CHUNK, scratch, &mut Vec::new());
-            MatcherStats {
-                filter3_blocks: scratch.filter3_blocks,
-                useful_lanes: scratch.useful_lanes,
-                ..stats
-            }
-        })
+        self.tables.scan_with_stats(self, haystack)
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.memory_footprint().total()
-    }
-
-    fn memory_footprint(&self) -> mpm_patterns::MemoryFootprint {
-        mpm_patterns::MemoryFootprint {
-            filter_bytes: self.tables.filter_bytes(),
-            verify_bytes: self.tables.table_bytes(),
-            other_bytes: 0,
-        }
+    fn memory_footprint(&self) -> MemoryFootprint {
+        self.tables.memory_footprint()
     }
 }
 

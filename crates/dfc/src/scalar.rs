@@ -72,10 +72,6 @@ impl Matcher for Dfc {
         })
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.memory_footprint().total()
-    }
-
     fn memory_footprint(&self) -> mpm_patterns::MemoryFootprint {
         mpm_patterns::MemoryFootprint {
             filter_bytes: self.tables.filter_bytes(),

@@ -3,7 +3,7 @@
 
 use mpm_patterns::{MatchEvent, PatternSet};
 use mpm_simd::VectorBackend;
-use mpm_verify::{CompactHashTable, DirectFilter};
+use mpm_verify::{CompactHashTable, DirectFilter, DIRECT_FILTER_FULL_BITS};
 use std::cell::RefCell;
 
 /// How many initial-filter survivors the DFC engines hand to the batched
@@ -72,10 +72,10 @@ impl DfcTables {
     pub fn build(set: &PatternSet) -> Self {
         let folded = set.has_nocase();
         let fold = |b: u8| mpm_patterns::fold_byte(b, folded);
-        let df_initial = DirectFilter::build_with_fold(set, folded, |_| true);
+        let df_initial = DirectFilter::build(set, DIRECT_FILTER_FULL_BITS, |_| true);
 
         // Progressive filter for long patterns: indexed by bytes 2..4.
-        let mut df_long = DirectFilter::new();
+        let mut df_long = DirectFilter::with_bits(DIRECT_FILTER_FULL_BITS);
         for (_, p) in set.iter() {
             if p.len() >= 4 {
                 let b = p.bytes();
@@ -83,10 +83,10 @@ impl DfcTables {
             }
         }
 
-        let ht_len1 = CompactHashTable::build_with_fold(set, 1, 8, folded, |p| p.len() == 1);
-        let ht_len2 = CompactHashTable::build_with_fold(set, 2, 16, folded, |p| p.len() == 2);
-        let ht_len3 = CompactHashTable::build_with_fold(set, 3, 13, folded, |p| p.len() == 3);
-        let ht_long = CompactHashTable::build_with_fold(set, 4, 16, folded, |p| p.len() >= 4);
+        let ht_len1 = CompactHashTable::build(set, 1, 8, |p| p.len() == 1, None);
+        let ht_len2 = CompactHashTable::build(set, 2, 16, |p| p.len() == 2, None);
+        let ht_len3 = CompactHashTable::build(set, 3, 13, |p| p.len() == 3, None);
+        let ht_long = CompactHashTable::build(set, 4, 16, |p| p.len() >= 4, None);
         let max_pattern_len = set.patterns().iter().map(|p| p.len()).max().unwrap_or(0);
 
         DfcTables {

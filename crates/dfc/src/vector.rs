@@ -109,10 +109,6 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VectorDfc<B, W> {
         })
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.memory_footprint().total()
-    }
-
     fn memory_footprint(&self) -> mpm_patterns::MemoryFootprint {
         mpm_patterns::MemoryFootprint {
             filter_bytes: self.tables.filter_bytes(),

@@ -54,9 +54,7 @@ pub mod synthetic;
 
 pub use arena::{ArenaBuilder, PatternArena};
 pub use group::{GroupKey, GroupedRuleSet, RuleGroup};
-pub use matcher::{
-    assert_footprint_consistent, MatchEvent, Matcher, MatcherStats, MemoryFootprint,
-};
+pub use matcher::{MatchEvent, Matcher, MatcherStats, MemoryFootprint};
 pub use naive::NaiveMatcher;
 pub use pattern::{fold_byte, Pattern, PatternId, PatternSet, ProtocolGroup};
 pub use ports::{Direction, FlowTuple, PortSpec, PortVars, Proto, RuleHeader};

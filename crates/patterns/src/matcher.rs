@@ -101,8 +101,8 @@ impl MatcherStats {
 }
 
 /// Phase-attributed breakdown of an engine's resident data structures, in
-/// bytes. Complements [`Matcher::heap_bytes`] with the split the paper's
-/// cache-locality argument is about: the *filtering* structures must stay
+/// bytes ([`Matcher::memory_footprint`]): the split the paper's
+/// cache-locality argument is about. The *filtering* structures must stay
 /// cache-resident while the *verification* tables may spill to L3 — so a
 /// perf snapshot without the split cannot tell whether an engine is fast
 /// because its algorithm is good or because its tables happen to be tiny.
@@ -120,8 +120,7 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
-    /// Total resident bytes; equals [`Matcher::heap_bytes`] for every engine
-    /// in the workspace (asserted in the engines' tests).
+    /// Total resident bytes (what [`Matcher::heap_bytes`] reports).
     pub fn total(&self) -> usize {
         self.filter_bytes + self.verify_bytes + self.other_bytes
     }
@@ -259,25 +258,23 @@ pub trait Matcher {
         }
     }
 
-    /// Approximate resident size, in bytes, of the engine's data structures.
-    ///
-    /// Used to reproduce the paper's discussion of why Aho-Corasick's
-    /// automaton exceeds cache capacity while the filters stay cache-resident.
-    fn heap_bytes(&self) -> usize {
-        0
+    /// The engine's one memory figure: the approximate resident size, in
+    /// bytes, of its data structures, attributed to the filtering and
+    /// verification phases (an engine without the split — an automaton that
+    /// filters and verifies in one structure — reports
+    /// [`MemoryFootprint::other_bytes`]). Every engine implements it; the
+    /// zero default is for wrappers that own no tables of their own. The
+    /// benchmark's `core.filter_bytes` / `verify.table_bytes` rows read
+    /// this, so every perf trajectory entry carries its memory cost.
+    fn memory_footprint(&self) -> MemoryFootprint {
+        MemoryFootprint::default()
     }
 
-    /// Phase-attributed breakdown of [`Matcher::heap_bytes`]. Engines with a
-    /// filter/verify split override this; the default attributes everything
-    /// to [`MemoryFootprint::other_bytes`]. The benchmark's
-    /// `core.filter_bytes` / `verify.table_bytes` rows read this, so every
-    /// perf trajectory entry carries its memory cost.
-    fn memory_footprint(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            filter_bytes: 0,
-            verify_bytes: 0,
-            other_bytes: self.heap_bytes(),
-        }
+    /// Total resident bytes, `memory_footprint().total()`. Used to reproduce
+    /// the paper's discussion of why Aho-Corasick's automaton exceeds cache
+    /// capacity while the filters stay cache-resident.
+    fn heap_bytes(&self) -> usize {
+        self.memory_footprint().total()
     }
 }
 
@@ -322,30 +319,6 @@ pub fn find_in_each_segment<M: Matcher + ?Sized>(
     }
 }
 
-/// Asserts the memory-accounting honesty contract for one engine: the
-/// phase-attributed [`Matcher::memory_footprint`] must sum to exactly
-/// [`Matcher::heap_bytes`] — an engine whose footprint drifts from its real
-/// resident bytes (e.g. after a table refactor moves an arena without
-/// updating the accounting) silently corrupts every memory row the
-/// benchmark emits and every CI budget built on it. Engine test suites call
-/// this on every constructed matcher.
-///
-/// # Panics
-/// Panics with a labelled breakdown when the totals disagree.
-pub fn assert_footprint_consistent(engine: &dyn Matcher) {
-    let footprint = engine.memory_footprint();
-    assert_eq!(
-        footprint.total(),
-        engine.heap_bytes(),
-        "{}: memory_footprint (filter {} + verify {} + other {}) must equal heap_bytes {}",
-        engine.name(),
-        footprint.filter_bytes,
-        footprint.verify_bytes,
-        footprint.other_bytes,
-        engine.heap_bytes(),
-    );
-}
-
 /// Sorts matches into the canonical order and removes duplicates.
 ///
 /// Engines must never report the same `(pattern, start)` twice; deduplication
@@ -354,21 +327,6 @@ pub fn assert_footprint_consistent(engine: &dyn Matcher) {
 pub fn normalize_matches(matches: &mut Vec<MatchEvent>) {
     matches.sort_unstable();
     matches.dedup();
-}
-
-/// Compares two engines' outputs on the same input, returning the differences
-/// (`only_left`, `only_right`). Used extensively by the integration tests.
-pub fn diff_matches(
-    left: &[MatchEvent],
-    right: &[MatchEvent],
-) -> (Vec<MatchEvent>, Vec<MatchEvent>) {
-    use std::collections::BTreeSet;
-    let l: BTreeSet<_> = left.iter().copied().collect();
-    let r: BTreeSet<_> = right.iter().copied().collect();
-    (
-        l.difference(&r).copied().collect(),
-        r.difference(&l).copied().collect(),
-    )
 }
 
 #[cfg(test)]
@@ -402,21 +360,6 @@ mod tests {
                 MatchEvent::new(5, PatternId(1)),
             ]
         );
-    }
-
-    #[test]
-    fn diff_matches_reports_both_sides() {
-        let a = vec![
-            MatchEvent::new(1, PatternId(0)),
-            MatchEvent::new(2, PatternId(1)),
-        ];
-        let b = vec![
-            MatchEvent::new(2, PatternId(1)),
-            MatchEvent::new(3, PatternId(2)),
-        ];
-        let (only_a, only_b) = diff_matches(&a, &b);
-        assert_eq!(only_a, vec![MatchEvent::new(1, PatternId(0))]);
-        assert_eq!(only_b, vec![MatchEvent::new(3, PatternId(2))]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! makes it the trusted oracle against which Aho-Corasick, DFC, S-PATCH and
 //! V-PATCH are all validated, including the case-insensitive semantics.
 
-use crate::matcher::{MatchEvent, Matcher};
+use crate::matcher::{MatchEvent, Matcher, MemoryFootprint};
 use crate::pattern::PatternSet;
 
 /// Brute-force reference matcher.
@@ -56,12 +56,16 @@ impl Matcher for NaiveMatcher {
         }
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.set
-            .patterns()
-            .iter()
-            .map(|p| p.len() + std::mem::size_of::<crate::pattern::Pattern>())
-            .sum()
+    fn memory_footprint(&self) -> MemoryFootprint {
+        MemoryFootprint {
+            other_bytes: self
+                .set
+                .patterns()
+                .iter()
+                .map(|p| p.len() + std::mem::size_of::<crate::pattern::Pattern>())
+                .sum(),
+            ..MemoryFootprint::default()
+        }
     }
 }
 

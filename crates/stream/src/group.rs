@@ -355,10 +355,17 @@ impl GroupedFlowScanner {
         self.scanners.iter().any(|s| s.degraded())
     }
 
-    /// Total payload bytes never eligible for confirmation, summed across
-    /// the selected groups.
+    /// The flow's payload bytes never eligible for confirmation. Every
+    /// selected group sees the same bytes under the same cap, so this is the
+    /// most any group truncated, not the sum: a truncated byte is counted
+    /// once per flow. ([`GroupedFlowScanner::buffered_bytes`] stays a sum —
+    /// each group's copy is real memory.)
     pub fn truncated_bytes(&self) -> u64 {
-        self.scanners.iter().map(|s| s.truncated_bytes()).sum()
+        self.scanners
+            .iter()
+            .map(|s| s.truncated_bytes())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Streams the next payload chunk through every selected group,

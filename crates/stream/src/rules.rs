@@ -59,7 +59,7 @@
 
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, MatcherStats};
+use mpm_patterns::MatchEvent;
 use mpm_verify::{ConfirmProgress, RuleConfirmer};
 use std::sync::Arc;
 
@@ -232,11 +232,6 @@ impl RuleStreamScanner {
         self.payload.len()
     }
 
-    /// The configured buffer cap, if any.
-    pub fn max_buffer(&self) -> Option<usize> {
-        self.max_buffer
-    }
-
     /// True once the flow exceeded the buffer cap and fell back to
     /// anchor-only reporting (confirmation disabled, buffer released).
     pub fn degraded(&self) -> bool {
@@ -247,16 +242,6 @@ impl RuleStreamScanner {
     /// scanned for anchors but never eligible for rule confirmation.
     pub fn truncated_bytes(&self) -> u64 {
         self.truncated
-    }
-
-    /// Accumulated whole-stream statistics of the anchor engine.
-    pub fn stats(&self) -> MatcherStats {
-        self.inner.stats()
-    }
-
-    /// The shared confirmation stage.
-    pub fn confirmer(&self) -> &Arc<RuleConfirmer> {
-        &self.confirmer
     }
 
     /// Resets the scanner for a new stream, keeping the engine, confirmer
@@ -345,14 +330,6 @@ impl RuleStreamScanner {
             // memory, and this flow will never confirm again.
             self.payload = Vec::new();
         }
-    }
-
-    /// Convenience wrapper: scans `chunk` and returns the new anchor events
-    /// and confirmed rules.
-    pub fn push_collect(&mut self, chunk: &[u8]) -> (Vec<MatchEvent>, Vec<RuleMatch>) {
-        let (mut anchors, mut rules) = (Vec::new(), Vec::new());
-        self.push(chunk, &mut anchors, &mut rules);
-        (anchors, rules)
     }
 }
 

@@ -365,13 +365,6 @@ impl StreamScanner {
         self.stats.bytes_scanned += fresh as u64;
         self.stats.matches += (out.len() - reported_before) as u64;
     }
-
-    /// Convenience wrapper: scans `chunk` and returns the new matches.
-    pub fn push_collect(&mut self, chunk: &[u8]) -> Vec<MatchEvent> {
-        let mut out = Vec::new();
-        self.push(chunk, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]

@@ -607,6 +607,26 @@ fn evicting_a_degraded_flow_releases_its_state() {
 }
 
 #[test]
+fn grouped_mode_counts_a_truncated_byte_once_per_flow() {
+    // A tcp:80 flow selects the port-80 group and the `ip any` group; a flow
+    // without a tuple selects all three. Every group sees the same 16 bytes
+    // under the same 8-byte cap, so each flow truncates 8 bytes, not 8 per
+    // group.
+    let mut pipeline = ScannerBuilder::new()
+        .groups(grouped_engines())
+        .workers(1)
+        .max_flow_buffer(8)
+        .build()
+        .expect("valid build");
+    let web = FlowTuple::new(Proto::Tcp, 40000, 80);
+    pipeline.dispatch(Packet::new_with_tuple(1, vec![b'.'; 16], web));
+    pipeline.dispatch(Packet::new(2, vec![b'.'; 16]));
+    let stats = pipeline.drain().expect("worker alive");
+    assert_eq!(stats.truncated_bytes, 16, "8 bytes past the cap, per flow");
+    assert_eq!(stats.degraded_flows, 2);
+}
+
+#[test]
 fn close_flow_retires_stream_state_in_flight() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));

@@ -22,11 +22,9 @@
 
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod http;
 pub mod inject;
 pub mod trace;
 
-pub use chunk::ChunkedStream;
 pub use inject::MatchDensityGenerator;
 pub use trace::{TraceGenerator, TraceKind, TraceSpec};

@@ -4,20 +4,21 @@
 //! Two kinds of filter appear in the paper:
 //!
 //! * [`DirectFilter`] — one bit per possible 2-byte window (2^16 bits =
-//!   8 KB), indexed directly by the window value. DFC's initial filter and
-//!   S-PATCH's filters 1 and 2 are of this kind.
+//!   8 KB), indexed directly by the window value. DFC's filters are of this
+//!   kind, and S-PATCH's filters 1 and 2 are built as two of them.
 //! * [`HashedFilter`] — a bitmap indexed by a multiplicative hash of a
-//!   4-byte window. S-PATCH's filter 3 (and DFC's "progressive" filters for
-//!   long patterns) are of this kind; the hash keeps the filter small enough
-//!   to stay in L1/L2 while still consulting four bytes of context.
+//!   4-byte window. S-PATCH's filter 3 is of this kind; the hash keeps the
+//!   filter small enough to stay in L1/L2 while still consulting four bytes
+//!   of context.
 //!
-//! Both filters expose their backing byte array (padded by the
+//! Every filter is built one way, from a pattern set, a size and a
+//! selection, and folds ASCII case if and only if the set has a `nocase`
+//! pattern. Both kinds expose their backing byte array (padded by the
 //! `mpm_simd`-compatible [`FILTER_PADDING`] of 4 bytes) so the vectorized
-//! engines can gather
-//! from them directly, and both offer a *merged* layout helper
-//! ([`MergedDirectFilters`]) implementing the paper's filter-merging
-//! optimisation: filters 1 and 2 interleaved so one gather fetches both
-//! (Figure 3).
+//! engines can gather from them directly. [`MergedDirectFilters`] implements
+//! the paper's filter-merging optimisation: filters 1 and 2 interleaved so
+//! one gather fetches both (Figure 3). S-PATCH and V-PATCH keep only the
+//! merged form, and their scalar loops read it too.
 
 use mpm_patterns::PatternSet;
 
@@ -71,18 +72,7 @@ pub struct DirectFilter {
     bits_log2: u32,
 }
 
-impl Default for DirectFilter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DirectFilter {
-    /// Creates an empty full-size (2^16-bit) filter.
-    pub fn new() -> Self {
-        Self::with_bits(DIRECT_FILTER_FULL_BITS)
-    }
-
     /// Creates an empty filter over `2^bits_log2` bits (clamped to
     /// [`DIRECT_FILTER_MIN_BITS`]..=[`DIRECT_FILTER_FULL_BITS`]).
     pub fn with_bits(bits_log2: u32) -> Self {
@@ -93,48 +83,30 @@ impl DirectFilter {
         }
     }
 
-    /// Builds a filter whose bit is set for the first two bytes of every
-    /// pattern selected by `select`. Patterns of length 1 set the bits for
-    /// **all** 256 windows beginning with their byte, so a 2-byte sliding
-    /// window can still detect them (this is how DFC handles 1-byte
-    /// patterns).
-    pub fn build<F: Fn(&mpm_patterns::Pattern) -> bool>(set: &PatternSet, select: F) -> Self {
-        Self::build_with_fold(set, false, select)
-    }
-
-    /// Builds the filter over **ASCII-case-folded** prefix bytes when
-    /// `folded` is true (the filter-folded / verify-exact design for sets
-    /// containing `nocase` patterns: engines fold the input windows the same
-    /// way before the lookup, so folding only ever adds candidates and
-    /// verification restores per-pattern exactness). With `folded == false`
-    /// this is exactly [`DirectFilter::build`].
-    pub fn build_with_fold<F: Fn(&mpm_patterns::Pattern) -> bool>(
-        set: &PatternSet,
-        folded: bool,
-        select: F,
-    ) -> Self {
-        Self::build_sized_with_fold(set, DIRECT_FILTER_FULL_BITS, folded, select)
-    }
-
-    /// [`DirectFilter::build_with_fold`] into a `2^bits_log2`-bit filter —
-    /// the group-adaptive entry point (size via [`direct_filter_bits_for`]
-    /// over [`direct_filter_window_count`]).
-    pub fn build_sized_with_fold<F: Fn(&mpm_patterns::Pattern) -> bool>(
+    /// Builds a `2^bits_log2`-bit filter whose bit is set for the first two
+    /// bytes of every pattern selected by `select` ([`DIRECT_FILTER_FULL_BITS`]
+    /// for the paper's full size; a port group sizes it with
+    /// [`direct_filter_bits_for`] over [`direct_filter_window_count`]).
+    /// Patterns of length 1 set the bits for **all** 256 windows beginning
+    /// with their byte, so a 2-byte sliding window can still detect them
+    /// (this is how DFC handles 1-byte patterns).
+    ///
+    /// The prefix bytes are ASCII-case-folded if and only if `set` contains
+    /// a `nocase` pattern (filter-folded / verify-exact: engines fold the
+    /// input windows the same way before the lookup, so folding only ever
+    /// adds candidates and verification restores per-pattern exactness).
+    pub fn build<F: Fn(&mpm_patterns::Pattern) -> bool>(
         set: &PatternSet,
         bits_log2: u32,
-        folded: bool,
         select: F,
     ) -> Self {
+        let folded = set.has_nocase();
         let fold = |b: u8| mpm_patterns::fold_byte(b, folded);
         let mut filter = DirectFilter::with_bits(bits_log2);
         for (_, p) in set.iter() {
             if !select(p) {
                 continue;
             }
-            assert!(
-                folded || !p.is_nocase(),
-                "nocase pattern in an unfolded filter would silently match case-sensitively"
-            );
             let bytes = p.bytes();
             if bytes.len() >= 2 {
                 filter.set(u16::from_le_bytes([fold(bytes[0]), fold(bytes[1])]));
@@ -212,55 +184,38 @@ pub struct HashedFilter {
 }
 
 impl HashedFilter {
-    /// Creates an empty filter with `2^bits_log2` bits.
-    ///
-    /// The paper balances collision rate against cache footprint; the
-    /// default used by S-PATCH is [`HashedFilter::DEFAULT_BITS`] (2^17 bits
-    /// = 16 KB, fitting L1 together with the two 8 KB direct filters in L2).
-    pub fn new(bits_log2: u32) -> Self {
-        assert!(
-            (10..=24).contains(&bits_log2),
-            "unreasonable hashed-filter size"
-        );
-        HashedFilter {
-            bits: vec![0u8; (1usize << bits_log2) / 8 + FILTER_PADDING],
-            bits_log2,
-        }
-    }
-
     /// Default size: 2^17 bits (16 KB).
     pub const DEFAULT_BITS: u32 = 17;
 
-    /// Builds the filter from the first four bytes of every selected pattern.
-    /// All selected patterns must be at least 4 bytes long.
+    /// Builds a `2^bits_log2`-bit filter from the first four bytes of every
+    /// selected pattern, which must all be at least 4 bytes long. The bytes
+    /// are ASCII-case-folded if and only if `set` contains a `nocase`
+    /// pattern (see [`DirectFilter::build`]); engines fold the input windows
+    /// before hashing so the filter stays a superset of the true candidates.
+    ///
+    /// The paper balances collision rate against cache footprint; the
+    /// default used by S-PATCH is [`HashedFilter::DEFAULT_BITS`] (2^17 bits
+    /// = 16 KB, fitting L1 together with the 16 KB merged direct filters in
+    /// L2).
     pub fn build<F: Fn(&mpm_patterns::Pattern) -> bool>(
         set: &PatternSet,
         bits_log2: u32,
         select: F,
     ) -> Self {
-        Self::build_with_fold(set, bits_log2, false, select)
-    }
-
-    /// Builds the filter over **ASCII-case-folded** 4-byte prefixes when
-    /// `folded` is true (see [`DirectFilter::build_with_fold`] for the
-    /// contract); engines fold the input windows before hashing so the
-    /// filter stays a superset of the true candidates.
-    pub fn build_with_fold<F: Fn(&mpm_patterns::Pattern) -> bool>(
-        set: &PatternSet,
-        bits_log2: u32,
-        folded: bool,
-        select: F,
-    ) -> Self {
+        assert!(
+            (10..=24).contains(&bits_log2),
+            "unreasonable hashed-filter size"
+        );
+        let folded = set.has_nocase();
         let fold = |b: u8| mpm_patterns::fold_byte(b, folded);
-        let mut filter = HashedFilter::new(bits_log2);
+        let mut filter = HashedFilter {
+            bits: vec![0u8; (1usize << bits_log2) / 8 + FILTER_PADDING],
+            bits_log2,
+        };
         for (_, p) in set.iter() {
             if !select(p) {
                 continue;
             }
-            assert!(
-                folded || !p.is_nocase(),
-                "nocase pattern in an unfolded filter would silently match case-sensitively"
-            );
             let b = p.bytes();
             assert!(b.len() >= 4, "hashed filter requires >= 4-byte patterns");
             filter.insert(u32::from_le_bytes([
@@ -397,7 +352,7 @@ mod tests {
 
     #[test]
     fn direct_filter_set_and_test() {
-        let mut f = DirectFilter::new();
+        let mut f = DirectFilter::with_bits(DIRECT_FILTER_FULL_BITS);
         assert_eq!(f.popcount(), 0);
         f.set(0x4142);
         assert!(f.contains(0x4142));
@@ -409,7 +364,7 @@ mod tests {
     #[test]
     fn direct_filter_build_sets_prefix_bits() {
         let set = PatternSet::from_literals(&["GET", "ab"]);
-        let f = DirectFilter::build(&set, |_| true);
+        let f = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |_| true);
         assert!(f.contains(u16::from_le_bytes([b'G', b'E'])));
         assert!(f.contains(u16::from_le_bytes([b'a', b'b'])));
         assert!(!f.contains(u16::from_le_bytes([b'z', b'z'])));
@@ -418,7 +373,7 @@ mod tests {
     #[test]
     fn one_byte_patterns_cover_all_second_bytes() {
         let set = PatternSet::from_literals(&["x"]);
-        let f = DirectFilter::build(&set, |_| true);
+        let f = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |_| true);
         for second in 0..=255u8 {
             assert!(f.contains(u16::from_le_bytes([b'x', second])));
         }
@@ -468,7 +423,7 @@ mod tests {
             Pattern::literal_nocase(*b"GeT"),
             Pattern::literal(*b"AB"),
         ]);
-        let f = DirectFilter::build_with_fold(&set, true, |_| true);
+        let f = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |_| true);
         // Folded build: only the folded window bits are set; engines fold the
         // input windows before the lookup.
         assert!(f.contains(u16::from_le_bytes([b'g', b'e'])));
@@ -484,7 +439,7 @@ mod tests {
             Pattern::literal_nocase(*b"PassWord"),
             Pattern::literal(*b"MiXeD-case"),
         ]);
-        let f = HashedFilter::build_with_fold(&set, HashedFilter::DEFAULT_BITS, true, |_| true);
+        let f = HashedFilter::build(&set, HashedFilter::DEFAULT_BITS, |_| true);
         assert!(f.contains(u32::from_le_bytes(*b"pass")));
         assert!(f.contains(u32::from_le_bytes(*b"mixe")));
     }
@@ -493,8 +448,8 @@ mod tests {
     fn merged_filters_agree_with_separate_lookups() {
         let set1 = PatternSet::from_literals(&["GE", "ab", "zz"]);
         let set2 = PatternSet::from_literals(&["GEToverlong", "qrstuv"]);
-        let f1 = DirectFilter::build(&set1, |_| true);
-        let f2 = DirectFilter::build(&set2, |_| true);
+        let f1 = DirectFilter::build(&set1, DIRECT_FILTER_FULL_BITS, |_| true);
+        let f2 = DirectFilter::build(&set2, DIRECT_FILTER_FULL_BITS, |_| true);
         let merged = MergedDirectFilters::merge(&f1, &f2);
         for w in 0..=u16::MAX {
             assert_eq!(merged.contains_f1(w), f1.contains(w), "f1 mismatch at {w}");
@@ -527,8 +482,8 @@ mod tests {
         // Masked indexing may alias (false positives) but never drops a
         // window the full filter would accept.
         let set = PatternSet::from_literals(&["GET /", "POST /", "ab", "x"]);
-        let full = DirectFilter::build(&set, |_| true);
-        let small = DirectFilter::build_sized_with_fold(&set, 10, false, |_| true);
+        let full = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |_| true);
+        let small = DirectFilter::build(&set, 10, |_| true);
         assert_eq!(small.heap_bytes(), 128 + FILTER_PADDING);
         for w in 0..=u16::MAX {
             if full.contains(w) {
@@ -541,8 +496,8 @@ mod tests {
     fn small_merged_filters_agree_with_separate_lookups() {
         let set1 = PatternSet::from_literals(&["GE", "ab", "zz"]);
         let set2 = PatternSet::from_literals(&["GEToverlong", "qrstuv"]);
-        let f1 = DirectFilter::build_sized_with_fold(&set1, 11, false, |_| true);
-        let f2 = DirectFilter::build_sized_with_fold(&set2, 11, false, |_| true);
+        let f1 = DirectFilter::build(&set1, 11, |_| true);
+        let f2 = DirectFilter::build(&set2, 11, |_| true);
         let merged = MergedDirectFilters::merge(&f1, &f2);
         assert_eq!(merged.heap_bytes(), 2 * 256 + FILTER_PADDING);
         for w in 0..=u16::MAX {
@@ -559,7 +514,7 @@ mod tests {
     #[test]
     fn full_size_gather_mask_matches_the_historical_constant() {
         let set = PatternSet::from_literals(&["ab", "abcd"]);
-        let f = DirectFilter::build(&set, |_| true);
+        let f = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |_| true);
         let merged = MergedDirectFilters::merge(&f, &f);
         assert_eq!(merged.gather_index_mask(), 0x3ffe);
         assert_eq!(f.gather_index_mask(), 0x1fff);
@@ -570,8 +525,8 @@ mod tests {
         // The headline property the paper relies on: the whole filtering
         // working set fits comfortably in L1/L2.
         let set = PatternSet::from_literals(&["GET /", "POST /", "/etc/passwd"]);
-        let f1 = DirectFilter::build(&set, |p| p.len() < 4);
-        let f2 = DirectFilter::build(&set, |p| p.len() >= 4);
+        let f1 = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |p| p.len() < 4);
+        let f2 = DirectFilter::build(&set, DIRECT_FILTER_FULL_BITS, |p| p.len() >= 4);
         let f3 = HashedFilter::build(&set, HashedFilter::DEFAULT_BITS, |p| p.len() >= 4);
         let total = f1.heap_bytes() + f2.heap_bytes() + f3.heap_bytes();
         assert!(total <= 64 * 1024, "filters must fit in L1/L2, got {total}");

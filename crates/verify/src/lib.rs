@@ -23,13 +23,14 @@
 //! rule — byte-exactly, or ASCII-case-insensitively for `nocase` patterns —
 //! never more (false positives are eliminated by the per-pattern comparison)
 //! and never fewer (every pattern of the table's length class is reachable
-//! through its index prefix). Tables built in **folded** mode (the engines
-//! do this whenever the set contains a `nocase` pattern) compute their
-//! bucket index over ASCII-case-folded bytes, both at build time and at
-//! lookup time, so one index serves mixed case-sensitive/`nocase` sets; the
-//! per-entry comparison then restores each pattern's exact semantics. The
-//! engines' overall exactness then only depends on their filters never
-//! dropping a true candidate, which the engine crates test.
+//! through its index prefix). A table, like every filter, is built one way
+//! and is **folded** if and only if its set contains a `nocase` pattern: it
+//! then computes its bucket index over ASCII-case-folded bytes, both at
+//! build time and at lookup time, so one index serves mixed
+//! case-sensitive/`nocase` sets; the per-entry comparison then restores
+//! each pattern's exact semantics. The engines' overall exactness then only
+//! depends on their filters never dropping a true candidate, which the
+//! engine crates test.
 
 #![warn(missing_docs)]
 
@@ -239,8 +240,8 @@ pub struct CompactHashTable {
     /// log2 of the number of buckets.
     bucket_bits: u32,
     /// True if the bucket index is computed over ASCII-case-folded bytes
-    /// (both at build time and at lookup time). Required whenever the table
-    /// holds a `nocase` pattern.
+    /// (both at build time and at lookup time): the set it was built from
+    /// has a `nocase` pattern.
     folded: bool,
     /// Bucket start offsets into `entries` (length = buckets + 1), CSR-style
     /// so lookups touch one contiguous slice.
@@ -263,56 +264,33 @@ impl CompactHashTable {
     /// `prefix_len` bytes). `bucket_bits` controls the table size
     /// (`2^bucket_bits` buckets); for `prefix_len <= 2` the table is
     /// direct-indexed and `bucket_bits` is forced to `8 * prefix_len`.
-    pub fn build<F: Fn(&mpm_patterns::Pattern) -> bool>(
-        set: &PatternSet,
-        prefix_len: usize,
-        bucket_bits: u32,
-        select: F,
-    ) -> Self {
-        Self::build_with_fold(set, prefix_len, bucket_bits, false, select)
-    }
-
-    /// Builds a table whose bucket index is computed over
-    /// **ASCII-case-folded** bytes when `folded` is true — required whenever
-    /// the selection contains `nocase` patterns, so that a case-variant
+    ///
+    /// The bucket index is computed over **ASCII-case-folded** bytes if and
+    /// only if `set` contains a `nocase` pattern, so that a case-variant
     /// input window still reaches the bucket holding the pattern.
     /// [`CompactHashTable::verify_at`] folds the input window the same way;
     /// the per-entry comparison stays byte-exact for case-sensitive patterns
     /// and case-insensitive for `nocase` ones, so folding never introduces
     /// false matches.
     ///
-    /// # Panics
-    /// Panics if a selected pattern is `nocase` while `folded` is false:
-    /// such a table would silently match the pattern case-sensitively.
-    pub fn build_with_fold<F: Fn(&mpm_patterns::Pattern) -> bool>(
-        set: &PatternSet,
-        prefix_len: usize,
-        bucket_bits: u32,
-        folded: bool,
-        select: F,
-    ) -> Self {
-        Self::build_inner(set, prefix_len, bucket_bits, folded, select, None)
-    }
-
-    /// The one table builder. With `shared`, pattern bytes are **offset
-    /// references into the [`PatternArena`]** instead of a privately owned
-    /// buffer: the table holds a clone of the arena's `Arc` and reports zero
-    /// arena bytes in [`CompactHashTable::heap_bytes`]. Lookup semantics are
-    /// bit-identical either way.
+    /// With `shared`, pattern bytes are **offset references into the
+    /// [`PatternArena`]** instead of a privately owned buffer: the table
+    /// holds a clone of the arena's `Arc` and reports zero arena bytes in
+    /// [`CompactHashTable::heap_bytes`]. Lookup semantics are bit-identical
+    /// either way.
     ///
     /// # Panics
-    /// Panics if a selected pattern was never interned in `shared` (a
-    /// build-order bug), plus everything
-    /// [`CompactHashTable::build_with_fold`] panics on.
-    fn build_inner<F: Fn(&mpm_patterns::Pattern) -> bool>(
+    /// Panics if a selected pattern is shorter than `prefix_len`, or was
+    /// never interned in `shared` (a build-order bug).
+    pub fn build<F: Fn(&mpm_patterns::Pattern) -> bool>(
         set: &PatternSet,
         prefix_len: usize,
         bucket_bits: u32,
-        folded: bool,
         select: F,
         shared: Option<&PatternArena>,
     ) -> Self {
         assert!((1..=4).contains(&prefix_len), "prefix_len must be 1..=4");
+        let folded = set.has_nocase();
         let bucket_bits = if prefix_len <= 2 {
             (prefix_len as u32) * 8
         } else {
@@ -332,11 +310,6 @@ impl CompactHashTable {
                     p.len() >= prefix_len,
                     "pattern {id} (len {}) shorter than table prefix {prefix_len}",
                     p.len()
-                );
-                assert!(
-                    folded || !p.is_nocase(),
-                    "nocase pattern {id} requires a folded table \
-                     (build_with_fold(.., folded: true, ..))"
                 );
                 selected.push((id, p));
             }
@@ -861,15 +834,13 @@ impl Verifier {
     }
 
     fn build_inner(set: &PatternSet, arena: Option<&PatternArena>) -> Self {
-        let folded = set.has_nocase();
         let long_count = set.iter().filter(|(_, p)| p.len() >= 4).count();
         Verifier {
-            short: CompactHashTable::build_inner(set, 1, 8, folded, |p| p.len() < 4, arena),
-            long: CompactHashTable::build_inner(
+            short: CompactHashTable::build(set, 1, 8, |p| p.len() < 4, arena),
+            long: CompactHashTable::build(
                 set,
                 4,
                 bucket_bits_for_entries(long_count),
-                folded,
                 |p| p.len() >= 4,
                 arena,
             ),
@@ -996,7 +967,7 @@ mod tests {
         // "attribute" and "attack" share the 4-byte prefix "atta": the bucket
         // holds both, but only the pattern actually present is reported.
         let set = PatternSet::from_literals(&["attribute", "attack"]);
-        let table = CompactHashTable::build(&set, 4, 10, |_| true);
+        let table = CompactHashTable::build(&set, 4, 10, |_| true, None);
         let hay = b"an attribute is not an attack ";
         let mut out = Vec::new();
         for pos in 0..hay.len() {
@@ -1037,16 +1008,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a folded table")]
-    fn unfolded_table_rejects_nocase_patterns() {
-        let set = PatternSet::new(vec![Pattern::literal_nocase(*b"abcd")]);
-        let _ = CompactHashTable::build(&set, 4, 8, |_| true);
-    }
-
-    #[test]
     fn empty_table_verifies_nothing() {
         let set = PatternSet::from_literals(&["abcd"]);
-        let table = CompactHashTable::build(&set, 1, 8, |p| p.len() > 100);
+        let table = CompactHashTable::build(&set, 1, 8, |p| p.len() > 100, None);
         assert!(table.is_empty());
         let mut out = Vec::new();
         assert_eq!(table.verify_at(b"abcd", 0, &mut out), 0);
@@ -1071,7 +1035,7 @@ mod tests {
     #[test]
     fn comparisons_counter_counts_bucket_entries() {
         let set = PatternSet::from_literals(&["attribute", "attack", "attach"]);
-        let table = CompactHashTable::build(&set, 4, 8, |_| true);
+        let table = CompactHashTable::build(&set, 4, 8, |_| true, None);
         let mut out = Vec::new();
         let n = table.verify_at(b"attack now", 0, &mut out);
         assert_eq!(n, 2, "'attack' and 'attach' share the bucket prefix 'atta'");
@@ -1085,7 +1049,7 @@ mod tests {
         // check skips both entries without comparing a byte, so the counter
         // must report 0 — not the bucket size.
         let set = PatternSet::from_literals(&["attack", "attach"]);
-        let table = CompactHashTable::build(&set, 4, 8, |_| true);
+        let table = CompactHashTable::build(&set, 4, 8, |_| true, None);
         let mut out = Vec::new();
         assert_eq!(table.verify_at(b"zzatta", 2, &mut out), 0);
         assert!(out.is_empty());
@@ -1097,7 +1061,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Mixed-length bucket: only the entries that fit are counted.
         let set = PatternSet::from_literals(&["atta", "attack"]);
-        let table = CompactHashTable::build(&set, 4, 8, |_| true);
+        let table = CompactHashTable::build(&set, 4, 8, |_| true, None);
         let mut out = Vec::new();
         assert_eq!(
             table.verify_at(b"atta", 0, &mut out),
@@ -1131,9 +1095,8 @@ mod tests {
         let hay = b"GET get attack ATTACK abcd attribute q Q x ab /etc/passwd atta";
         for (set, fold) in [(&exact, false), (&folded, true)] {
             for (prefix_len, bits) in [(1usize, 8u32), (2, 16), (3, 10), (4, 12)] {
-                let table = CompactHashTable::build_with_fold(set, prefix_len, bits, fold, |p| {
-                    p.len() >= prefix_len
-                });
+                let table =
+                    CompactHashTable::build(set, prefix_len, bits, |p| p.len() >= prefix_len, None);
                 let positions: Vec<u32> = (0..hay.len() as u32).collect();
                 let mut expected = Vec::new();
                 let mut expected_cmp = 0u64;
@@ -1203,7 +1166,7 @@ mod tests {
     #[test]
     fn direct_indexed_two_byte_table() {
         let set = PatternSet::from_literals(&["ab", "abc", "zz"]);
-        let table = CompactHashTable::build(&set, 2, 0, |_| true);
+        let table = CompactHashTable::build(&set, 2, 0, |_| true, None);
         let mut out = Vec::new();
         table.verify_at(b"abc", 0, &mut out);
         assert_eq!(out.len(), 2);
@@ -1216,7 +1179,7 @@ mod tests {
     #[should_panic(expected = "shorter than table prefix")]
     fn building_with_too_short_patterns_panics() {
         let set = PatternSet::from_literals(&["ab"]);
-        let _ = CompactHashTable::build(&set, 4, 8, |_| true);
+        let _ = CompactHashTable::build(&set, 4, 8, |_| true, None);
     }
 
     #[test]

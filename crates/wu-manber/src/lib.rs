@@ -361,11 +361,6 @@ impl Matcher for WuManber {
         })
     }
 
-    fn heap_bytes(&self) -> usize {
-        let footprint = self.memory_footprint();
-        footprint.total()
-    }
-
     fn memory_footprint(&self) -> mpm_patterns::MemoryFootprint {
         mpm_patterns::MemoryFootprint {
             // The shift table is what the skip loop touches per position —

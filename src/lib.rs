@@ -85,9 +85,7 @@ pub mod prelude {
         PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher,
         StreamScanner, WorkerStats,
     };
-    pub use mpm_traffic::{
-        ChunkedStream, MatchDensityGenerator, TraceGenerator, TraceKind, TraceSpec,
-    };
+    pub use mpm_traffic::{MatchDensityGenerator, TraceGenerator, TraceKind, TraceSpec};
     pub use mpm_verify::{ConfirmProgress, PayloadIndex, RuleConfirmer, RuleScanner};
     pub use mpm_vpatch::{build_auto, build_for, FilterOnlyMode, SPatch, Scratch, VPatch};
     pub use mpm_wu_manber::WuManber;

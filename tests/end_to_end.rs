@@ -108,31 +108,6 @@ fn every_engine_agrees_on_random_and_adversarial_inputs() {
 }
 
 #[test]
-fn chunked_streaming_scan_equals_whole_buffer_scan() {
-    let rules =
-        SyntheticRuleset::generate(vpatch_suite::patterns::synthetic::RulesetSpec::tiny(200, 7))
-            .http();
-    let trace = TraceGenerator::generate(
-        &TraceSpec::new(TraceKind::IscxDay6, 256 * 1024),
-        Some(&rules),
-    );
-    let engine = build_auto(&rules);
-    let expected = engine.find_all(&trace);
-
-    let max_len = rules.patterns().iter().map(|p| p.len()).max().unwrap();
-    let stream = ChunkedStream::new(trace, 16 * 1024, max_len - 1);
-    let mut collected = Vec::new();
-    for chunk in stream.iter() {
-        let local = engine.find_all(&chunk.bytes);
-        collected.extend(vpatch_suite::traffic::chunk::globalize_matches(
-            &chunk, &rules, &local,
-        ));
-    }
-    vpatch_suite::patterns::matcher::normalize_matches(&mut collected);
-    assert_eq!(collected, expected);
-}
-
-#[test]
 fn engines_are_shareable_across_threads() {
     let rules = PatternSet::from_literals(&["needle", "GET /", "xyz"]);
     let engine = build_auto(&rules);

@@ -288,7 +288,11 @@ fn find_into_loses_nothing_at_the_default_chunk_seam() {
         Box::new(WuManber::build(&set)),
     ];
     for kind in mpm_simd::available_backends() {
-        engines.push(mpm_vpatch::build_vpatch_for(&set, kind).expect("backend is available"));
+        engines.push(match kind {
+            BackendKind::Scalar => Box::new(mpm_vpatch::VPatchScalar8::build(&set)),
+            BackendKind::Avx2 => Box::new(mpm_vpatch::VPatchAvx2::build(&set)),
+            BackendKind::Avx512 => Box::new(mpm_vpatch::VPatchAvx512::build(&set)),
+        });
         match kind {
             BackendKind::Scalar => engines.push(Box::new(mpm_dfc::VectorDfcScalar::build(&set))),
             BackendKind::Avx2 => engines.push(Box::new(mpm_dfc::VectorDfcAvx2::build(&set))),
