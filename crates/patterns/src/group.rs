@@ -23,8 +23,8 @@
 //! `any` group — **group selection over-approximates**: every selected
 //! group a rule must be found in, it is in, but a selected group may hold
 //! rules that do not apply to the flow (catch-alls, the other port's
-//! rules). Scanners therefore re-check [`GroupedRuleSet::applies_to`]
-//! before reporting, which makes grouped scanning *exactly* equivalent to
+//! rules). Scanners therefore check [`GroupedRuleSet::applies_to`] before
+//! confirming a rule, which makes grouped scanning *exactly* equivalent to
 //! scanning the monolithic set and filtering matches to the flow's
 //! applicable rules post-hoc (property-tested in
 //! `tests/grouped_differential.rs`).
@@ -225,14 +225,9 @@ impl GroupedRuleSet {
         &self.monolithic
     }
 
-    /// The parsed headers, parallel to [`GroupedRuleSet::monolithic`] ids.
-    pub fn headers(&self) -> &[RuleHeader] {
-        &self.headers
-    }
-
-    /// Exact applicability of a (global) rule to a flow — the re-check
-    /// grouped scanners run before reporting, so over-approximate group
-    /// selection never changes scan semantics.
+    /// Exact applicability of a (global) rule to a flow — the check a
+    /// grouped scanner runs before a triggered rule may become pending, so
+    /// over-approximate group selection never changes scan semantics.
     pub fn applies_to(&self, rule: RuleId, flow: FlowTuple) -> bool {
         self.headers[rule.index()].applies_to(flow)
     }

@@ -24,8 +24,9 @@ use crate::barrier::BarrierScanner;
 use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
 use crate::pipeline::{Limits, PipelineScanner};
-use crate::stream::SharedMatcher;
-use crate::worker::{flow_cap_share, plain_mode, rule_parts, WorkerMode};
+use crate::rules::RuleStreamScanner;
+use crate::stream::{SharedMatcher, StreamScanner};
+use crate::worker::{flow_cap_share, WorkerMode};
 use mpm_patterns::rule::RuleSet;
 use mpm_patterns::PatternSet;
 use std::sync::Arc;
@@ -175,7 +176,7 @@ impl ScannerBuilder {
     /// Panics if a source was already set, or the engine/set disagree about
     /// the longest pattern.
     pub fn engine(mut self, engine: SharedMatcher, set: &PatternSet) -> Self {
-        self.set_source(plain_mode(engine, set, None));
+        self.set_source(WorkerMode::Plain(StreamScanner::new(engine, set)));
         self
     }
 
@@ -187,7 +188,7 @@ impl ScannerBuilder {
     /// Panics if a source was already set, or the engine/anchor-set
     /// disagree about the longest pattern.
     pub fn rules(mut self, engine: SharedMatcher, set: &RuleSet) -> Self {
-        self.set_source(plain_mode(engine, set.anchors(), Some(rule_parts(set))));
+        self.set_source(WorkerMode::Rules(RuleStreamScanner::new(engine, set)));
         self
     }
 
@@ -249,8 +250,9 @@ impl ScannerBuilder {
     }
 
     /// Caps the rule-confirmation payload buffer of each flow at `bytes`
-    /// (per selected group in grouped mode). Flows that exceed the cap
-    /// degrade to anchor-only reporting — see
+    /// (per flow, however many port groups scan it in grouped mode). Flows
+    /// that exceed the cap degrade to anchor-only reporting — grouped flows,
+    /// which report rules only, stop scanning — see
     /// [`crate::RuleStreamScanner::with_max_buffer`] for the exact
     /// contract, and [`crate::PipelineStats::degraded_flows`] /
     /// [`crate::PipelineStats::truncated_bytes`] for the observability.

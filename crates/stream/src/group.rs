@@ -1,17 +1,16 @@
 //! Grouped scanning: one engine per port group, per-flow group selection.
 //!
-//! [`GroupedEngineSet`] compiles one anchor engine + rule confirmer per
-//! group of a [`GroupedRuleSet`], all referencing one shared
-//! [`PatternArena`] so the per-group verification tables do not multiply
-//! pattern storage (see `mpm_patterns::arena`). [`GroupedFlowScanner`] is
-//! the per-flow state: minted with the flow's [`FlowTuple`], it clones the
-//! never-pushed prototype [`StreamScanner`] of each group
-//! [`GroupedRuleSet::groups_for`] selects, streams the flow's payload
-//! through only those groups, re-checks exact header applicability before
-//! reporting, and deduplicates rules confirmed by more than one selected
-//! group — which together make grouped scanning report **exactly** the rules
-//! a monolithic scan filtered post-hoc to the flow's applicable rules would
-//! report (property-tested in `tests/grouped_differential.rs`).
+//! [`GroupedEngineSet`] compiles one anchor engine per group of a
+//! [`GroupedRuleSet`], all referencing one shared [`PatternArena`] so the
+//! per-group verification tables do not multiply pattern storage (see
+//! `mpm_patterns::arena`). A flow's state is one [`RuleStreamScanner`]
+//! ([`GroupedFlowScanner`] wraps it): minted with the flow's [`FlowTuple`],
+//! it scans with a clone of the never-pushed anchor stream of each group
+//! [`GroupedRuleSet::groups_for`] selects and confirms a triggered rule
+//! once, only if its header exactly applies to the flow — which makes
+//! grouped scanning report **exactly** the rules a monolithic scan filtered
+//! post-hoc to the flow's applicable rules would report (property-tested in
+//! `tests/grouped_differential.rs`).
 //!
 //! Cross-group deduplication, on two levels:
 //!
@@ -21,8 +20,8 @@
 //!   own unique-content automaton, measured at ~30× the engine tables on
 //!   realistic rulesets, even though the contents they cover overlap almost
 //!   entirely across groups. The shared confirmer dedups every
-//!   `(bytes, nocase)` content globally; per-flow scanners translate
-//!   group-local rule indices to monolithic ids at confirmation time.
+//!   `(bytes, nocase)` content globally; each group's anchor stream maps its
+//!   anchors straight to monolithic rule ids, composed once at build.
 //!   (Grouped scanning confirms by resumable enumeration and never indexes,
 //!   so the automaton, compiled on first use, is not resident here.)
 //! - **Engines**: groups whose local rule lists are structurally identical
@@ -33,42 +32,14 @@
 //! [`GroupedEngineSet::memory_footprint`] counts each unique engine once,
 //! the shared confirmer once, and the shared arena exactly once.
 
-use crate::rules::{insert_sorted, RuleStreamScanner};
+use crate::rules::{AnchorStream, RuleStreamScanner};
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::{RuleMatch, RuleSet};
+use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
 use mpm_patterns::{MatchEvent, MemoryFootprint, PatternArena, PatternSet};
 use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
-
-/// One group's compiled scanning parts, shared by every flow that selects
-/// the group (and, via identical-group deduplication, by every group with
-/// the same rules).
-struct GroupEngine {
-    /// Never pushed; each flow that selects the group scans with a clone.
-    prototype: StreamScanner,
-    /// Anchor pattern index → group-local rule index.
-    rule_of: Arc<[u32]>,
-}
-
-impl GroupEngine {
-    fn build<F>(set: &RuleSet, arena: &PatternArena, build: &F) -> Self
-    where
-        F: Fn(&PatternSet, &PatternArena) -> SharedMatcher,
-    {
-        let anchors = set.anchors();
-        GroupEngine {
-            prototype: StreamScanner::new(build(anchors, arena), anchors),
-            // Invariant: group anchor sets come from `RuleSet::anchors()`,
-            // which always attaches one rule binding per anchor pattern.
-            rule_of: anchors
-                .rule_bindings()
-                .expect("RuleSet::anchors is always rule-bound")
-                .into(),
-        }
-    }
-}
 
 /// Structural equality of two groups' rule lists for engine sharing: same
 /// contents (bytes + modifiers) and protocol groups in the same order.
@@ -110,17 +81,16 @@ fn rules_signature(set: &RuleSet) -> u64 {
 /// [`GroupedFlowScanner`]s hang off.
 pub struct GroupedEngineSet {
     grouped: Arc<GroupedRuleSet>,
-    /// Index-parallel to `grouped.groups()`; structurally identical groups
-    /// share one `Arc`.
-    engines: Vec<Arc<GroupEngine>>,
+    /// Index-parallel to `grouped.groups()`: each group's never-pushed
+    /// anchor stream, its anchors mapped to monolithic rule ids. A flow
+    /// that selects the group scans with a clone; structurally identical
+    /// groups share one engine.
+    streams: Vec<AnchorStream>,
     /// The ONE confirmer, built over the monolithic rule set and shared by
     /// every group (see the module docs: per-group confirmers are the
     /// dominant memory blow-up, and their contents overlap almost
     /// entirely).
     confirmer: Arc<RuleConfirmer>,
-    /// Per group, the local→monolithic rule id map handed to per-flow
-    /// scanners (index-parallel to `engines`).
-    global_ids: Vec<Arc<[u32]>>,
     arena_bytes: usize,
     unique_engines: usize,
 }
@@ -128,7 +98,7 @@ pub struct GroupedEngineSet {
 impl std::fmt::Debug for GroupedEngineSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupedEngineSet")
-            .field("groups", &self.engines.len())
+            .field("groups", &self.streams.len())
             .field("unique_engines", &self.unique_engines)
             .field("arena_bytes", &self.arena_bytes)
             .finish_non_exhaustive()
@@ -143,7 +113,7 @@ impl GroupedEngineSet {
     /// wraps exactly that). The shared [`PatternArena`] is built first from
     /// every content of every rule, so each group's tables reference it by
     /// offset; groups with structurally identical rule lists share one
-    /// engine + confirmer.
+    /// engine.
     pub fn build_with<F>(grouped: GroupedRuleSet, build: F) -> Self
     where
         F: Fn(&PatternSet, &PatternArena) -> SharedMatcher,
@@ -154,36 +124,32 @@ impl GroupedEngineSet {
             .iter()
             .map(|g| rules_signature(g.rules()))
             .collect();
-        let mut engines: Vec<Arc<GroupEngine>> = Vec::with_capacity(grouped.groups().len());
+        let mut streams: Vec<AnchorStream> = Vec::with_capacity(grouped.groups().len());
         let mut unique_engines = 0usize;
         for (i, group) in grouped.groups().iter().enumerate() {
-            let shared = (0..i)
-                .find(|&j| {
-                    signatures[j] == signatures[i]
-                        && rules_equal_ignoring_sid(grouped.groups()[j].rules(), group.rules())
-                })
-                .map(|j| engines[j].clone());
-            engines.push(match shared {
-                Some(engine) => engine,
+            let shared = (0..i).find(|&j| {
+                signatures[j] == signatures[i]
+                    && rules_equal_ignoring_sid(grouped.groups()[j].rules(), group.rules())
+            });
+            let scanner = match shared {
+                Some(j) => streams[j].scanner.clone(),
                 None => {
                     unique_engines += 1;
-                    Arc::new(GroupEngine::build(group.rules(), &arena, &build))
+                    let anchors = group.rules().anchors();
+                    StreamScanner::new(build(anchors, &arena), anchors)
                 }
-            });
+            };
+            streams.push(AnchorStream::new(scanner, group.rules(), |local| {
+                group.global_id(RuleId(local)).0
+            }));
         }
         let confirmer = Arc::new(RuleConfirmer::build(grouped.monolithic()));
-        let global_ids = grouped
-            .groups()
-            .iter()
-            .map(|g| g.global_ids().into())
-            .collect();
         // The arena's intern index dies here with `arena`; only the byte
         // buffer survives, inside the tables' `Arc`s.
         GroupedEngineSet {
             grouped: Arc::new(grouped),
-            engines,
+            streams,
             confirmer,
-            global_ids,
             arena_bytes: arena.len(),
             unique_engines,
         }
@@ -196,7 +162,7 @@ impl GroupedEngineSet {
 
     /// Number of groups (== `grouped().groups().len()`).
     pub fn group_count(&self) -> usize {
-        self.engines.len()
+        self.streams.len()
     }
 
     /// Number of *distinct* compiled engines after identical-group sharing.
@@ -220,26 +186,24 @@ impl GroupedEngineSet {
     /// what read it). Confirmer and id-map bytes land in `other_bytes`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut total = MemoryFootprint::default();
-        let mut seen: Vec<*const GroupEngine> = Vec::with_capacity(self.engines.len());
-        for engine in &self.engines {
-            let ptr = Arc::as_ptr(engine);
+        let mut seen: Vec<*const ()> = Vec::with_capacity(self.streams.len());
+        for stream in &self.streams {
+            // Every group's own anchor → rule id map.
+            let anchor_bytes = stream.rule_of.len() * std::mem::size_of::<u32>();
+            total.other_bytes += anchor_bytes;
+            let engine = stream.scanner.engine();
+            let ptr = Arc::as_ptr(engine).cast::<()>();
             if seen.contains(&ptr) {
                 continue;
             }
             seen.push(ptr);
-            let fp = engine.prototype.engine().memory_footprint();
+            let fp = engine.memory_footprint();
             total.filter_bytes += fp.filter_bytes;
             total.verify_bytes += fp.verify_bytes;
-            // Two `u32` per anchor pattern: its rule and, in the prototype,
-            // its length.
-            total.other_bytes += fp.other_bytes + engine.rule_of.len() * 8;
+            // The engine's prototype keeps one `u32` length per anchor.
+            total.other_bytes += fp.other_bytes + anchor_bytes;
         }
         total.other_bytes += self.confirmer.heap_bytes();
-        total.other_bytes += self
-            .global_ids
-            .iter()
-            .map(|ids| ids.len() * std::mem::size_of::<u32>())
-            .sum::<usize>();
         total.verify_bytes += self.arena_bytes;
         total
     }
@@ -255,117 +219,45 @@ impl GroupedEngineSet {
         out.sort_unstable();
         out
     }
-}
 
-/// Per-flow grouped scanning state: one [`RuleStreamScanner`] per selected
-/// group, plus the cross-group confirmed-rule dedup set.
-///
-/// Minted from the flow's [`FlowTuple`]; a flow without one (`None`) is
-/// scanned against **every** group with no applicability filter, which by
-/// group-membership completeness equals a monolithic scan.
-pub struct GroupedFlowScanner {
-    set: Arc<GroupedEngineSet>,
-    tuple: Option<FlowTuple>,
-    /// One scanner per selected group, in [`GroupedRuleSet::groups_for`]
-    /// order (deterministic). Each reports monolithic rule ids directly
-    /// (its `confirm_ids` map translates group-local indices).
-    scanners: Vec<RuleStreamScanner>,
-    /// Global rule ids already reported for this flow, sorted (a rule can
-    /// be a member of several selected groups; it is reported once).
-    confirmed: Vec<u32>,
-    anchors_scratch: Vec<MatchEvent>,
-}
-
-impl std::fmt::Debug for GroupedFlowScanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupedFlowScanner")
-            .field("tuple", &self.tuple)
-            .field("selected_groups", &self.scanners.len())
-            .finish_non_exhaustive()
+    /// Mints one flow's rule state: the anchor streams of the groups
+    /// `tuple` selects — every group, unfiltered, when it is `None` — and
+    /// a payload buffer capped at `cap` bytes (`None`: unbounded).
+    pub(crate) fn mint(&self, tuple: Option<FlowTuple>, cap: Option<usize>) -> RuleStreamScanner {
+        let streams = match tuple {
+            Some(t) => self
+                .grouped
+                .groups_for(t)
+                .into_iter()
+                .map(|i| self.streams[i].clone())
+                .collect(),
+            None => self.streams.clone(),
+        };
+        let applicable = tuple.map(|t| (self.grouped.clone(), t));
+        RuleStreamScanner::with_streams(streams, self.confirmer.clone(), applicable, cap)
     }
+}
+
+/// One flow's grouped scanning state: a [`RuleStreamScanner`] over the
+/// anchor streams of the groups the flow's [`FlowTuple`] selects, reporting
+/// rules only. A flow without a tuple (`None`) is scanned against **every**
+/// group with no applicability filter, which by group-membership
+/// completeness equals a monolithic scan.
+#[derive(Debug)]
+pub struct GroupedFlowScanner {
+    rules: RuleStreamScanner,
+    /// Where the anchor events a push discards pass through.
+    scratch: Vec<MatchEvent>,
 }
 
 impl GroupedFlowScanner {
     /// Mints the per-flow state: group selection happens here, once per
-    /// flow, from its tuple. The confirmation buffers are unbounded (use
-    /// [`GroupedFlowScanner::with_max_buffer`] to cap them).
+    /// flow, from its tuple. The confirmation buffer is unbounded.
     pub fn new(set: Arc<GroupedEngineSet>, tuple: Option<FlowTuple>) -> Self {
-        Self::with_max_buffer(set, tuple, None)
-    }
-
-    /// Like [`GroupedFlowScanner::new`], but caps each selected group's
-    /// confirmation buffer at `max_buffer` bytes (the cap is per group:
-    /// every group buffers the same flow prefix independently). Over the
-    /// cap each group degrades to anchor-only reporting, exactly as
-    /// [`RuleStreamScanner::with_max_buffer`] specifies.
-    pub fn with_max_buffer(
-        set: Arc<GroupedEngineSet>,
-        tuple: Option<FlowTuple>,
-        max_buffer: Option<usize>,
-    ) -> Self {
-        let indices: Vec<usize> = match tuple {
-            Some(t) => set.grouped.groups_for(t),
-            None => (0..set.engines.len()).collect(),
-        };
-        let scanners = indices
-            .into_iter()
-            .map(|i| {
-                let parts = &set.engines[i];
-                RuleStreamScanner::with_parts(
-                    parts.prototype.clone(),
-                    set.confirmer.clone(),
-                    parts.rule_of.clone(),
-                    Some(set.global_ids[i].clone()),
-                    max_buffer,
-                )
-            })
-            .collect();
         GroupedFlowScanner {
-            set,
-            tuple,
-            scanners,
-            confirmed: Vec::new(),
-            anchors_scratch: Vec::new(),
+            rules: set.mint(tuple, None),
+            scratch: Vec::new(),
         }
-    }
-
-    /// The flow tuple the scanner was minted with.
-    pub fn tuple(&self) -> Option<FlowTuple> {
-        self.tuple
-    }
-
-    /// Number of groups this flow is scanned against.
-    pub fn selected_groups(&self) -> usize {
-        self.scanners.len()
-    }
-
-    /// Total bytes buffered for confirmation across the selected groups.
-    pub fn buffered_bytes(&self) -> u64 {
-        self.scanners
-            .iter()
-            .map(|s| s.buffered_bytes() as u64)
-            .sum()
-    }
-
-    /// True once any selected group's buffer exceeded the cap and fell
-    /// back to anchor-only reporting. (All groups of one flow see the same
-    /// byte stream and share one cap, so in practice they degrade on the
-    /// same push.)
-    pub fn degraded(&self) -> bool {
-        self.scanners.iter().any(|s| s.degraded())
-    }
-
-    /// The flow's payload bytes never eligible for confirmation. Every
-    /// selected group sees the same bytes under the same cap, so this is the
-    /// most any group truncated, not the sum: a truncated byte is counted
-    /// once per flow. ([`GroupedFlowScanner::buffered_bytes`] stays a sum —
-    /// each group's copy is real memory.)
-    pub fn truncated_bytes(&self) -> u64 {
-        self.scanners
-            .iter()
-            .map(|s| s.truncated_bytes())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Streams the next payload chunk through every selected group,
@@ -374,28 +266,9 @@ impl GroupedFlowScanner {
     /// flow's tuple ([`GroupedRuleSet::applies_to`]; unfiltered when the
     /// tuple is unknown), with [`RuleMatch::end`] the minimal satisfiable
     /// prefix of the flow stream (chunking-independent, exactly as
-    /// [`RuleStreamScanner::push`] guarantees per group).
+    /// [`RuleStreamScanner::push`] guarantees).
     pub fn push(&mut self, chunk: &[u8], rules_out: &mut Vec<RuleMatch>) {
-        for scanner in &mut self.scanners {
-            self.anchors_scratch.clear();
-            let first_new = rules_out.len();
-            scanner.push(chunk, &mut self.anchors_scratch, rules_out);
-            // The scanner reported monolithic ids (its `confirm_ids` map
-            // translated them); keep, in place, those that apply to the
-            // flow and that no other selected group reported first.
-            let mut kept = first_new;
-            for i in first_new..rules_out.len() {
-                let global = rules_out[i].rule;
-                let applies = self
-                    .tuple
-                    .is_none_or(|tuple| self.set.grouped.applies_to(global, tuple));
-                if applies && insert_sorted(&mut self.confirmed, global.0) {
-                    rules_out[kept] = rules_out[i];
-                    kept += 1;
-                }
-            }
-            rules_out.truncate(kept);
-        }
+        self.rules.push_rules(chunk, &mut self.scratch, rules_out);
     }
 }
 

@@ -58,7 +58,8 @@
 //!   scanning: a `mpm_patterns::GroupedRuleSet` partitions the ruleset by
 //!   Snort header (protocol + ports), one engine is compiled per group
 //!   against a shared pattern arena, and each flow is scanned only against
-//!   the groups its protocol/port tuple selects.
+//!   the groups its protocol/port tuple selects, by one [`RuleStreamScanner`]
+//!   that buffers the flow's payload once.
 //!   Grouped mode ([`ScannerBuilder::groups`]) runs it per flow across workers;
 //!   results are provably identical to a monolithic scan filtered to each
 //!   flow's applicable rules (`tests/grouped_differential.rs`).

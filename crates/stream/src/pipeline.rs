@@ -76,9 +76,10 @@ use crate::fault::FaultPlan;
 use crate::flows::{FlowTable, Seen};
 use crate::group::GroupedEngineSet;
 use crate::ring::{self, Consumer, Producer, PushError};
-use crate::stream::{SharedMatcher, Staged, STAGE_MAX};
+use crate::rules::RuleStreamScanner;
+use crate::stream::{SharedMatcher, Staged, StreamScanner, STAGE_MAX};
 use crate::types::{FlowMatch, FlowRuleMatch, Packet};
-use crate::worker::{plain_mode, rule_parts, worker_of, FlowScanner, WorkerMode};
+use crate::worker::{worker_of, FlowScanner, WorkerMode};
 use mpm_patterns::rule::{RuleMatch, RuleSet};
 use mpm_patterns::stats::{LatencyHistogram, LatencySummary};
 use mpm_patterns::{MatchEvent, MatcherStats, PatternSet};
@@ -206,7 +207,7 @@ pub struct FlowError {
     pub flow: u64,
     /// The worker the flow was resident on when it died.
     pub worker: usize,
-    /// Rule-payload bytes that were buffered for the flow at death.
+    /// Rule-payload bytes the flow's one buffer held at death.
     pub buffered_bytes: u64,
 }
 
@@ -276,7 +277,8 @@ pub struct PipelineStats {
     /// gracefully; see the module docs on hot-swap).
     pub old_epoch_flows: usize,
     /// Gauge: rule-confirmation payload bytes buffered across all resident
-    /// flows at drain time — the memory the
+    /// flows at drain time, each flow's payload counted once however many
+    /// port groups scan it — the memory the per-flow
     /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds.
     pub buffered_bytes: u64,
     /// Gauge: resident flows that exceeded the buffer cap and degraded to
@@ -624,14 +626,14 @@ impl PipelineScanner {
     /// Hot-swaps to a plain pattern engine (see the module docs for the
     /// epoch semantics). Returns the new epoch.
     pub fn swap_engine(&mut self, engine: SharedMatcher, set: &PatternSet) -> u64 {
-        self.swap(plain_mode(engine, set, None))
+        self.swap(WorkerMode::Plain(StreamScanner::new(engine, set)))
     }
 
     /// Hot-swaps to a monolithic rule engine (`engine` compiled for
     /// `set.anchors()`, validated here on the caller's thread). Returns the
     /// new epoch.
     pub fn swap_rules(&mut self, engine: SharedMatcher, set: &RuleSet) -> u64 {
-        self.swap(plain_mode(engine, set.anchors(), Some(rule_parts(set))))
+        self.swap(WorkerMode::Rules(RuleStreamScanner::new(engine, set)))
     }
 
     /// Hot-swaps to a port-grouped engine set (built off-thread by the
@@ -1078,11 +1080,7 @@ impl PipelineWorker {
     /// no run starts at the head. `now` is the eviction clock's reading at
     /// `started`.
     fn scan_run(&mut self, run: &mut Staged, started: Instant, now: Instant) -> Option<Instant> {
-        let WorkerMode::Plain {
-            prototype,
-            rules: None,
-        } = &self.mode
-        else {
+        let WorkerMode::Plain(prototype) = &self.mode else {
             return None;
         };
         run.clear();
@@ -1328,5 +1326,12 @@ mod tests {
     #[test]
     fn a_job_is_one_cache_line() {
         assert!(std::mem::size_of::<PipeJob>() <= 64);
+    }
+
+    /// Every resident flow holds one of these, in every mode: a field that
+    /// regrows a flow's state grows every slot of every worker's table.
+    #[test]
+    fn a_flow_slot_stays_within_its_measured_size() {
+        assert!(std::mem::size_of::<crate::flows::FlowSlot>() <= 192);
     }
 }

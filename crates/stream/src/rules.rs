@@ -6,8 +6,12 @@
 //! windows are unbounded (a rule may pair a content at offset 0 with one a
 //! megabyte later), so confirmation is a function of the **whole flow
 //! payload seen so far**. `RuleStreamScanner` therefore buffers the flow's
-//! payload, while still running the anchor engine incrementally through the
-//! inner [`StreamScanner`] (carry bytes only).
+//! payload **once**, while still running the anchor engines incrementally
+//! through one **anchor stream** each — a [`StreamScanner`] (carry bytes
+//! only) whose anchors map straight to the confirmer's rule ids. Monolithic
+//! rule mode has one stream; a port-grouped flow has one per group its
+//! tuple selects ([`crate::GroupedEngineSet`]), and a triggered rule
+//! becomes pending only if its header applies to the flow.
 //!
 //! # Per-push cost: O(pending × contents × chunk)
 //!
@@ -21,9 +25,9 @@
 //! O(pending rules × contents × chunk length) — flat along the flow — and
 //! over a whole flow every byte is examined once per pending content,
 //! instead of once per pending content *per push*. Per-flow state is
-//! proportional to the rules the flow has triggered, not to the rule set:
-//! a sorted list of triggered rule indices plus one record per pending
-//! rule. The record is dropped when its rule confirms, on
+//! proportional to the rules the flow has triggered, not to the rule set
+//! or the stream count: a sorted list of triggered rule ids plus one
+//! record per pending rule. The record is dropped when its rule confirms, on
 //! [`RuleStreamScanner::reset`] and when the flow degrades.
 //!
 //! Equivalence guarantee (property-tested in
@@ -55,18 +59,21 @@
 //! only** over the engine's sliding carry window.
 //! [`RuleStreamScanner::degraded`] flags the transition and
 //! [`RuleStreamScanner::truncated_bytes`] counts every payload byte that
-//! was never eligible for confirmation.
+//! was never eligible for confirmation. A grouped flow reports rules only,
+//! so once it degrades it stops scanning altogether.
 
 use crate::stream::{SharedMatcher, StreamScanner};
+use mpm_patterns::group::GroupedRuleSet;
+use mpm_patterns::ports::FlowTuple;
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
 use mpm_patterns::MatchEvent;
 use mpm_verify::{ConfirmProgress, RuleConfirmer};
 use std::sync::Arc;
 
 /// Inserts `id` into the sorted set `ids`; false if it was already there.
-/// The per-flow rule sets are this small sorted vector because a flow
+/// The per-flow rule set is this small sorted vector because a flow
 /// triggers a handful of rules out of thousands.
-pub(crate) fn insert_sorted(ids: &mut Vec<u32>, id: u32) -> bool {
+fn insert_sorted(ids: &mut Vec<u32>, id: u32) -> bool {
     match ids.binary_search(&id) {
         Ok(_) => false,
         Err(at) => {
@@ -78,18 +85,43 @@ pub(crate) fn insert_sorted(ids: &mut Vec<u32>, id: u32) -> bool {
 
 /// A rule whose anchor fired but whose remaining contents/constraints are
 /// not yet satisfiable on the payload so far.
+#[derive(Clone)]
 struct PendingRule {
-    /// Scanner-local rule index.
+    /// The confirmer's rule id.
     rule: u32,
     progress: ConfirmProgress,
 }
 
+/// One engine's anchor stream over a flow: its carry state, and the
+/// confirmer's rule id for each of its anchor patterns.
+#[derive(Clone)]
+pub(crate) struct AnchorStream {
+    pub(crate) scanner: StreamScanner,
+    /// Anchor pattern index → the confirmer's rule id.
+    pub(crate) rule_of: Arc<[u32]>,
+}
+
+impl AnchorStream {
+    /// `scanner` scans `set.anchors()`; `id_of` maps a rule index of `set`
+    /// to the id the confirmer knows the rule by.
+    pub(crate) fn new(scanner: StreamScanner, set: &RuleSet, id_of: impl Fn(u32) -> u32) -> Self {
+        // Invariant: `RuleSet::anchors()` builds its `PatternSet` with one
+        // binding per anchor, so `rule_bindings()` is always `Some` here.
+        let rules = set
+            .anchors()
+            .rule_bindings()
+            .expect("RuleSet::anchors is always rule-bound");
+        let rule_of = rules.iter().map(|&rule| id_of(rule)).collect();
+        AnchorStream { scanner, rule_of }
+    }
+}
+
 /// Stateful rule scanning over one logical stream (one flow).
 ///
-/// Wraps a [`StreamScanner`] over the rule set's anchor patterns and a
-/// [`RuleConfirmer`]; both the engine and the confirmer are shared
-/// (`Arc`), so per-flow cost is the buffered payload plus a few words per
-/// rule the flow has triggered.
+/// Runs one or more anchor streams ([`StreamScanner`]s over anchor
+/// patterns) and confirms the rules they trigger with a [`RuleConfirmer`];
+/// the engines and the confirmer are shared (`Arc`), so per-flow cost is
+/// the buffered payload plus a few words per rule the flow has triggered.
 ///
 /// ```
 /// use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -115,23 +147,20 @@ struct PendingRule {
 /// assert_eq!(rules.len(), 1);
 /// assert_eq!(rules[0].end, 15); // minimal satisfiable prefix, absolute
 /// ```
+#[derive(Clone)]
 pub struct RuleStreamScanner {
-    inner: StreamScanner,
+    /// One per engine scanning the flow; monolithic rule mode has one.
+    streams: Vec<AnchorStream>,
     confirmer: Arc<RuleConfirmer>,
-    /// Pattern index → rule index for the anchor set.
-    rule_of: Arc<[u32]>,
-    /// When the confirmer covers a *superset* of this scanner's rules (the
-    /// grouped path shares one confirmer across every port group), maps the
-    /// scanner-local rule index to the confirmer's rule id; `None` means
-    /// the identity (the confirmer was built for exactly these rules).
-    /// Confirmed rules are reported under the **mapped** id.
-    confirm_ids: Option<Arc<[u32]>>,
+    /// A grouped flow's rule headers and tuple: a triggered rule becomes
+    /// pending only if it applies to the flow. `None` admits every rule.
+    applicable: Option<(Arc<GroupedRuleSet>, FlowTuple)>,
     /// The flow's payload so far (see module docs for why rules need it).
     payload: Vec<u8>,
-    /// Scanner-local indices of every rule whose anchor has fired on this
-    /// flow, pending or confirmed, sorted. A rule absent from it cannot
-    /// match (anchor gating is exact); one present is never re-triggered,
-    /// so a confirmed rule is never re-reported.
+    /// Confirmer ids of every rule whose anchor has fired on this flow —
+    /// pending, confirmed or not applicable — sorted. A rule absent from it
+    /// cannot match (anchor gating is exact); one present is never
+    /// re-triggered, so a confirmed rule is never re-reported.
     triggered: Vec<u32>,
     /// The triggered rules not yet confirmed, in trigger order, each with
     /// its resumable confirmation progress.
@@ -150,7 +179,7 @@ pub struct RuleStreamScanner {
 impl std::fmt::Debug for RuleStreamScanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleStreamScanner")
-            .field("inner", &self.inner)
+            .field("streams", &self.streams.len())
             .field("triggered", &self.triggered.len())
             .field("pending", &self.pending.len())
             .field("buffered_bytes", &self.payload.len())
@@ -169,39 +198,27 @@ impl RuleStreamScanner {
     /// Panics if the engine disagrees with the anchor set about the longest
     /// pattern.
     pub fn new(engine: SharedMatcher, set: &RuleSet) -> Self {
-        let inner = StreamScanner::new(engine, set.anchors());
-        // Invariant: `RuleSet::anchors()` builds its `PatternSet` with one
-        // binding per anchor, so `rule_bindings()` is always `Some` here.
-        let rule_of: Arc<[u32]> = set
-            .anchors()
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound")
-            .into();
-        Self::with_parts(
-            inner,
+        let scanner = StreamScanner::new(engine, set.anchors());
+        Self::with_streams(
+            vec![AnchorStream::new(scanner, set, |rule| rule)],
             Arc::new(RuleConfirmer::build(set)),
-            rule_of,
             None,
             None,
         )
     }
 
-    /// Internal constructor used by the multi-core scanners and the grouped
-    /// path to mint per-flow scanners from shared, pre-built parts.
-    /// `confirm_ids` translates scanner-local rule indices to the
-    /// confirmer's ids when the confirmer is shared across groups.
-    pub(crate) fn with_parts(
-        inner: StreamScanner,
+    /// A fresh scanner over never-pushed `streams` with `confirmer`'s rule
+    /// ids, admitting the rules `applicable` lets through, capped at `max_buffer`.
+    pub(crate) fn with_streams(
+        streams: Vec<AnchorStream>,
         confirmer: Arc<RuleConfirmer>,
-        rule_of: Arc<[u32]>,
-        confirm_ids: Option<Arc<[u32]>>,
+        applicable: Option<(Arc<GroupedRuleSet>, FlowTuple)>,
         max_buffer: Option<usize>,
     ) -> Self {
         RuleStreamScanner {
-            inner,
+            streams,
             confirmer,
-            rule_of,
-            confirm_ids,
+            applicable,
             payload: Vec::new(),
             triggered: Vec::new(),
             pending: Vec::new(),
@@ -220,9 +237,13 @@ impl RuleStreamScanner {
         self
     }
 
-    /// Absolute offset of the next byte to be pushed.
-    pub fn position(&self) -> usize {
-        self.inner.position()
+    /// One flow's copy of this never-pushed prototype, its buffer capped at
+    /// `cap` bytes (`None`: unbounded).
+    pub(crate) fn mint(&self, cap: Option<usize>) -> Self {
+        RuleStreamScanner {
+            max_buffer: cap,
+            ..self.clone()
+        }
     }
 
     /// Bytes of flow payload currently buffered for confirmation (the whole
@@ -247,7 +268,9 @@ impl RuleStreamScanner {
     /// Resets the scanner for a new stream, keeping the engine, confirmer
     /// and allocated buffers.
     pub fn reset(&mut self) {
-        self.inner.reset();
+        for stream in &mut self.streams {
+            stream.scanner.reset();
+        }
         self.payload.clear();
         self.triggered.clear();
         self.pending.clear();
@@ -266,14 +289,18 @@ impl RuleStreamScanner {
         anchors_out: &mut Vec<MatchEvent>,
         rules_out: &mut Vec<RuleMatch>,
     ) {
-        if chunk.is_empty() {
+        // A flow no stream scans (its tuple selected no group) can trigger
+        // no rule, so it buffers nothing.
+        if chunk.is_empty() || self.streams.is_empty() {
             return;
         }
         if self.degraded {
             // Anchor-only fallback: the engine's carry window keeps anchor
             // reporting exact; confirmation state is frozen.
             self.truncated += chunk.len() as u64;
-            self.inner.push(chunk, anchors_out);
+            for stream in &mut self.streams {
+                stream.scanner.push(chunk, anchors_out);
+            }
             return;
         }
         // Does this push take the stream past the buffer cap? If so, only
@@ -290,15 +317,22 @@ impl RuleStreamScanner {
             chunk.len()
         };
         self.payload.extend_from_slice(&chunk[..take]);
-        let first_new = anchors_out.len();
-        self.inner.push(chunk, anchors_out);
-        for event in &anchors_out[first_new..] {
-            let rule = self.rule_of[event.pattern.index()];
-            if insert_sorted(&mut self.triggered, rule) {
-                self.pending.push(PendingRule {
-                    rule,
-                    progress: ConfirmProgress::default(),
-                });
+        for stream in &mut self.streams {
+            let first_new = anchors_out.len();
+            stream.scanner.push(chunk, anchors_out);
+            for event in &anchors_out[first_new..] {
+                let rule = stream.rule_of[event.pattern.index()];
+                if insert_sorted(&mut self.triggered, rule)
+                    && self
+                        .applicable
+                        .as_ref()
+                        .is_none_or(|(grouped, tuple)| grouped.applies_to(RuleId(rule), *tuple))
+                {
+                    self.pending.push(PendingRule {
+                        rule,
+                        progress: ConfirmProgress::default(),
+                    });
+                }
             }
         }
         // On the crossing push this final resumption runs against exactly
@@ -308,12 +342,8 @@ impl RuleStreamScanner {
         // pending above; their contents are absent from the capped payload,
         // so they cannot confirm, and pending state is cleared below.)
         let (confirmer, payload) = (&self.confirmer, &self.payload);
-        let confirm_ids = self.confirm_ids.as_deref();
         self.pending.retain_mut(|pending| {
-            let id = match confirm_ids {
-                Some(ids) => RuleId(ids[pending.rule as usize]),
-                None => RuleId(pending.rule),
-            };
+            let id = RuleId(pending.rule);
             match confirmer.resume(payload, id, &mut pending.progress) {
                 Some(end) => {
                     rules_out.push(RuleMatch::new(id, end));
@@ -329,6 +359,25 @@ impl RuleStreamScanner {
             // Release (not just clear) the buffer: the cap exists to bound
             // memory, and this flow will never confirm again.
             self.payload = Vec::new();
+        }
+    }
+
+    /// [`RuleStreamScanner::push`] for a caller that reports rules only —
+    /// grouped mode, where an anchor's pattern id means nothing outside its
+    /// group. The anchors pass through `scratch` and are discarded, so a
+    /// degraded flow, which can report nothing else, is not scanned at all:
+    /// the chunk only counts as truncated.
+    pub(crate) fn push_rules(
+        &mut self,
+        chunk: &[u8],
+        scratch: &mut Vec<MatchEvent>,
+        rules_out: &mut Vec<RuleMatch>,
+    ) {
+        if self.degraded {
+            self.truncated += chunk.len() as u64;
+        } else {
+            self.push(chunk, scratch, rules_out);
+            scratch.clear();
         }
     }
 }

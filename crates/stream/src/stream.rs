@@ -60,7 +60,7 @@
 //! set of a one-shot scan of the whole input, and every reported position is
 //! an absolute stream offset.
 
-use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
+use mpm_patterns::{MatchEvent, Matcher, PatternSet};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -176,7 +176,6 @@ pub struct StreamScanner {
     carry: Vec<u8>,
     /// Absolute stream offset of the next byte to be pushed.
     position: usize,
-    stats: MatcherStats,
 }
 
 impl std::fmt::Debug for StreamScanner {
@@ -218,7 +217,6 @@ impl StreamScanner {
             overlap: max_len.saturating_sub(1),
             carry: Vec::new(),
             position: 0,
-            stats: MatcherStats::default(),
         }
     }
 
@@ -244,18 +242,11 @@ impl StreamScanner {
         &self.engine
     }
 
-    /// Accumulated whole-stream statistics (`bytes_scanned` counts each
-    /// stream byte exactly once; `matches` counts reported events).
-    pub fn stats(&self) -> MatcherStats {
-        self.stats
-    }
-
     /// Resets the scanner for a new stream, keeping the engine and the
     /// allocated buffers.
     pub fn reset(&mut self) {
         self.carry.clear();
         self.position = 0;
-        self.stats = MatcherStats::default();
     }
 
     /// Scans the next chunk of the stream, appending every *new* match to
@@ -325,8 +316,6 @@ impl StreamScanner {
         debug_assert!(self.carry.len() <= self.overlap);
 
         self.position += chunk.len();
-        self.stats.bytes_scanned += chunk.len() as u64;
-        self.stats.matches += (out.len() - reported_before) as u64;
     }
 
     /// Stages `carry ‖ chunk` as the next input of `run`. The staging buffer
@@ -347,7 +336,6 @@ impl StreamScanner {
         let end = run.ends[k];
         let carry_len = self.carry.len();
         let base = self.position - carry_len;
-        let reported_before = out.len();
         let first = run.events.partition_point(|m| m.start < start);
         for m in run.events[first..].iter().take_while(|m| m.start < end) {
             let at = m.start - start;
@@ -362,8 +350,6 @@ impl StreamScanner {
         debug_assert!(self.carry.len() <= self.overlap);
 
         self.position += fresh;
-        self.stats.bytes_scanned += fresh as u64;
-        self.stats.matches += (out.len() - reported_before) as u64;
     }
 }
 
@@ -390,8 +376,6 @@ mod tests {
         stream.extend_from_slice(b"xxboundarya");
         assert_eq!(out, naive_find_all(&set, &stream));
         assert_eq!(s.position(), stream.len());
-        assert_eq!(s.stats().bytes_scanned, stream.len() as u64);
-        assert_eq!(s.stats().matches, out.len() as u64);
     }
 
     #[test]

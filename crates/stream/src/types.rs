@@ -92,7 +92,8 @@ pub struct BatchResult {
     /// (rounded up to a whole number of flows per worker).
     pub resident_flows: usize,
     /// Total bytes of rule-confirmation payload buffered across all
-    /// resident flows at flush time — the gauge the
+    /// resident flows at flush time, each flow's payload counted once
+    /// however many port groups scan it — the gauge the per-flow
     /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds. Zero in
     /// pattern-only mode.
     pub buffered_bytes: u64,

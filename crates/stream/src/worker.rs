@@ -3,74 +3,39 @@
 //!
 //! [`WorkerMode`] is the read-only, `Arc`-shared bundle a pipeline worker
 //! is handed at spawn and at hot-swap: a never-pushed prototype
-//! [`StreamScanner`] (or the grouped engine set) and the rule-confirmation
-//! parts. [`FlowScanner`] is the per-flow state machine minted from it —
-//! plain streaming, anchors + rule confirmation, or port-grouped
-//! confirmation: [`FlowScanner::mint`] is the only place a flow's scanner is
-//! created and [`FlowScanner::push`] the only one that knows the three modes
-//! apart. The pipeline's worker threads
+//! [`StreamScanner`] or [`RuleStreamScanner`], or the grouped engine set.
+//! [`FlowScanner`] is the per-flow state machine minted from it — plain
+//! streaming, anchors + rule confirmation, or port-grouped confirmation,
+//! the last two one [`RuleStreamScanner`] each: [`FlowScanner::mint`] is the
+//! only place a flow's scanner is created and [`FlowScanner::push`] the only
+//! one that knows the three modes apart. The pipeline's worker threads
 //! ([`crate::PipelineScanner`]) and the inline oracle
 //! ([`crate::BarrierScanner`]) share both, so a mode built once drives
 //! either identically.
 
-use crate::group::{GroupedEngineSet, GroupedFlowScanner};
+use crate::group::GroupedEngineSet;
 use crate::rules::RuleStreamScanner;
-use crate::stream::{SharedMatcher, StreamScanner};
+use crate::stream::StreamScanner;
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::{RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, PatternSet};
-use mpm_verify::RuleConfirmer;
+use mpm_patterns::rule::RuleMatch;
+use mpm_patterns::MatchEvent;
 use std::sync::Arc;
 
-/// Shared, pre-built rule-mode parts handed to every worker: one confirmer
-/// and one anchor→rule mapping serve all flows on all threads.
-#[derive(Clone)]
-pub(crate) struct RuleParts {
-    pub(crate) confirmer: Arc<RuleConfirmer>,
-    pub(crate) rule_of: Arc<[u32]>,
-}
-
 /// What every worker thread scans with — the shared, read-only compile
-/// product its per-flow scanners are minted from.
+/// product its per-flow scanners are minted from. The prototypes'
+/// engine/set pairing was checked when they were built, on the caller's
+/// thread, so a mismatch panics there instead of inside a worker.
 #[derive(Clone)]
 pub(crate) enum WorkerMode {
-    /// One engine for every flow: pattern-only, or (with `rules`) anchor +
-    /// rule confirmation over one monolithic rule set.
-    Plain {
-        /// Never pushed; a flow's scanner is a clone of it (two `Arc`
-        /// clones and an empty carry).
-        prototype: StreamScanner,
-        rules: Option<RuleParts>,
-    },
+    /// Pattern-only. Never pushed; a flow's scanner is a clone of it (two
+    /// `Arc` clones and an empty carry).
+    Plain(StreamScanner),
+    /// Anchors + rule confirmation over one monolithic rule set. Never
+    /// pushed; a flow's scanner is a clone of it.
+    Rules(RuleStreamScanner),
     /// Port-grouped rule scanning: each flow is scanned only against the
     /// groups its tuple selects ([`GroupedEngineSet`]).
     Grouped(Arc<GroupedEngineSet>),
-}
-
-/// Builds a plain/rule [`WorkerMode`]; [`StreamScanner::new`] validates the
-/// engine/set pairing once, on the caller's thread, so a mismatch panics
-/// here instead of inside a worker.
-pub(crate) fn plain_mode(
-    engine: SharedMatcher,
-    set: &PatternSet,
-    rules: Option<RuleParts>,
-) -> WorkerMode {
-    WorkerMode::Plain {
-        prototype: StreamScanner::new(engine, set),
-        rules,
-    }
-}
-
-/// Builds the shared rule-mode parts once, on the caller's thread.
-pub(crate) fn rule_parts(set: &RuleSet) -> RuleParts {
-    RuleParts {
-        confirmer: Arc::new(RuleConfirmer::build(set)),
-        rule_of: set
-            .anchors()
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound")
-            .into(),
-    }
 }
 
 /// SplitMix64 finalizer: decorrelates adjacent flow ids (sequential ids are
@@ -96,38 +61,32 @@ pub(crate) fn flow_cap_share(max_flows: Option<usize>, workers: usize) -> Option
 }
 
 /// One flow's scanning state: pattern-only, anchors + rule confirmation, or
-/// port-grouped rule confirmation.
+/// port-grouped rule confirmation (rules only).
 pub(crate) enum FlowScanner {
     Plain(StreamScanner),
     Rules(RuleStreamScanner),
-    Grouped(GroupedFlowScanner),
+    Grouped(RuleStreamScanner),
 }
 
 impl FlowScanner {
     /// Mints a flow's scanner from the worker's shared mode. `tuple` is the
     /// flow's first packet's tuple; only grouped mode consults it (this is
-    /// where per-flow group selection happens). `max_buffer` caps each
-    /// rule-confirmation buffer (per group in grouped mode); plain mode has
-    /// no flow buffer and ignores it.
-    pub(crate) fn mint(
-        mode: &WorkerMode,
-        tuple: Option<FlowTuple>,
-        max_buffer: Option<usize>,
-    ) -> Self {
+    /// where per-flow group selection happens). `cap` bounds the flow's
+    /// rule-confirmation buffer; plain mode has no flow buffer and ignores
+    /// it.
+    pub(crate) fn mint(mode: &WorkerMode, tuple: Option<FlowTuple>, cap: Option<usize>) -> Self {
         match mode {
-            WorkerMode::Plain { prototype, rules } => match rules {
-                Some(parts) => FlowScanner::Rules(RuleStreamScanner::with_parts(
-                    prototype.clone(),
-                    parts.confirmer.clone(),
-                    parts.rule_of.clone(),
-                    None,
-                    max_buffer,
-                )),
-                None => FlowScanner::Plain(prototype.clone()),
-            },
-            WorkerMode::Grouped(engines) => FlowScanner::Grouped(
-                GroupedFlowScanner::with_max_buffer(engines.clone(), tuple, max_buffer),
-            ),
+            WorkerMode::Plain(prototype) => FlowScanner::Plain(prototype.clone()),
+            WorkerMode::Rules(prototype) => FlowScanner::Rules(prototype.mint(cap)),
+            WorkerMode::Grouped(engines) => FlowScanner::Grouped(engines.mint(tuple, cap)),
+        }
+    }
+
+    /// The flow's rule state, if it confirms rules.
+    fn rules(&self) -> Option<&RuleStreamScanner> {
+        match self {
+            FlowScanner::Plain(_) => None,
+            FlowScanner::Rules(scanner) | FlowScanner::Grouped(scanner) => Some(scanner),
         }
     }
 
@@ -148,7 +107,7 @@ impl FlowScanner {
             FlowScanner::Plain(scanner) => scanner.push(payload, events),
             FlowScanner::Rules(scanner) => scanner.push(payload, events, rule_events),
             FlowScanner::Grouped(scanner) => {
-                scanner.push(payload, rule_events);
+                scanner.push_rules(payload, events, rule_events);
                 return rule_events.len() as u64;
             }
         }
@@ -158,29 +117,17 @@ impl FlowScanner {
     /// Bytes buffered for rule confirmation (zero for pattern-only flows
     /// and for degraded flows, whose buffers are released).
     pub(crate) fn buffered_bytes(&self) -> u64 {
-        match self {
-            FlowScanner::Plain(_) => 0,
-            FlowScanner::Rules(s) => s.buffered_bytes() as u64,
-            FlowScanner::Grouped(s) => s.buffered_bytes(),
-        }
+        self.rules().map_or(0, |s| s.buffered_bytes() as u64)
     }
 
-    /// True once any of the flow's rule buffers exceeded the cap and the
-    /// flow fell back to anchor-only reporting.
+    /// True once the flow's rule buffer exceeded the cap and the flow
+    /// degraded.
     pub(crate) fn degraded(&self) -> bool {
-        match self {
-            FlowScanner::Plain(_) => false,
-            FlowScanner::Rules(s) => s.degraded(),
-            FlowScanner::Grouped(s) => s.degraded(),
-        }
+        self.rules().is_some_and(RuleStreamScanner::degraded)
     }
 
     /// Payload bytes never eligible for rule confirmation (past the cap).
     pub(crate) fn truncated_bytes(&self) -> u64 {
-        match self {
-            FlowScanner::Plain(_) => 0,
-            FlowScanner::Rules(s) => s.truncated_bytes(),
-            FlowScanner::Grouped(s) => s.truncated_bytes(),
-        }
+        self.rules().map_or(0, RuleStreamScanner::truncated_bytes)
     }
 }

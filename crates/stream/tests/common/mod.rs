@@ -1,7 +1,8 @@
-//! Shared by the suites that need a pipeline worker's job ring **backed
-//! up** at a known moment: the worker is held inside its first engine call
-//! while the test dispatches, so the packets are all waiting when it comes
-//! back and it scans them as runs — forced with channels, not sleeps.
+//! Shared by the pipeline suites: the worker counts they run at, and, for
+//! the suites that need a pipeline worker's job ring **backed up** at a
+//! known moment, an engine that holds the worker inside its first engine
+//! call while the test dispatches, so the packets are all waiting when it
+//! comes back and it scans them as runs — forced with channels, not sleeps.
 
 #![allow(dead_code)]
 
@@ -15,6 +16,15 @@ use std::sync::{Arc, Mutex};
 /// A flow id the suites' traffic never uses: the packet that holds the
 /// worker.
 pub const HOLD_FLOW: u64 = u64::MAX;
+
+/// Worker counts under test: `default`, or exactly the count the CI matrix
+/// pins via `MPM_WORKERS`.
+pub fn worker_counts(default: &[usize]) -> Vec<usize> {
+    match std::env::var("MPM_WORKERS") {
+        Ok(v) => vec![v.parse().expect("MPM_WORKERS must be a positive integer")],
+        Err(_) => default.to_vec(),
+    }
+}
 
 /// Forwards to an engine, counting the engine calls and the bytes of every
 /// haystack handed over — and, once armed, holding the next call until

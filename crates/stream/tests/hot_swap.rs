@@ -19,18 +19,11 @@
 
 mod common;
 
-use common::{Gated, HOLD_FLOW};
+use common::{worker_counts, Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
 use mpm_stream::{FlowRuleMatch, Packet, PipelineScanner, ScannerBuilder, SharedMatcher};
 use std::sync::Arc;
-
-fn worker_counts(default: &[usize]) -> Vec<usize> {
-    match std::env::var("MPM_WORKERS") {
-        Ok(v) => vec![v.parse().expect("MPM_WORKERS must be a positive integer")],
-        Err(_) => default.to_vec(),
-    }
-}
 
 fn single_rule_set(needle: [u8; 5]) -> RuleSet {
     RuleSet::new(vec![Rule::new(

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{Gated, HOLD_FLOW};
+use common::{worker_counts, Gated, HOLD_FLOW};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -20,15 +20,9 @@ use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
 use mpm_stream::{BackpressurePolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn worker_counts(default: &[usize]) -> Vec<usize> {
-    match std::env::var("MPM_WORKERS") {
-        Ok(v) => vec![v.parse().expect("MPM_WORKERS must be a positive integer")],
-        Err(_) => default.to_vec(),
-    }
-}
 
 /// A deterministic trace cut into packets striped over `flows` flows, with
 /// tuples attached so grouped mode selects per-flow groups.
@@ -140,16 +134,35 @@ fn rule_mode_pipeline_equals_barrier() {
     }
 }
 
-fn grouped_engines() -> Arc<GroupedEngineSet> {
-    let text = r#"
+/// A tcp:80 flow selects the port-80 group and the `ip any` group; a flow
+/// without a tuple selects all three.
+const GROUPED_RULES: &str = r#"
 alert tcp any any -> any 80 (msg:"web"; content:"GET /admin"; sid:1;)
 alert udp any any -> any 53 (msg:"dns"; content:"querydata"; sid:2;)
 alert ip any any -> any any (msg:"any"; content:"evil-bytes"; sid:3;)
 "#;
-    let grouped = GroupedRuleSet::new(parse_grouped(text, ParseOptions::default()).unwrap());
+
+fn grouped_engines() -> Arc<GroupedEngineSet> {
+    let grouped =
+        GroupedRuleSet::new(parse_grouped(GROUPED_RULES, ParseOptions::default()).unwrap());
     Arc::new(GroupedEngineSet::build_with(grouped, |set, _| {
         Arc::from(NaiveMatcher::new(set))
     }))
+}
+
+/// The grouped product of `text` over [`Gated`] engines, and a count of
+/// the engine calls they have taken so far.
+fn gated_groups(text: &str) -> (Arc<GroupedEngineSet>, impl Fn() -> usize) {
+    let grouped = GroupedRuleSet::new(parse_grouped(text, ParseOptions::default()).unwrap());
+    let gates = Mutex::new(Vec::new());
+    let engines = GroupedEngineSet::build_with(grouped, |set, _| -> SharedMatcher {
+        let gate = Gated::open(Arc::from(NaiveMatcher::new(set)));
+        gates.lock().unwrap().push(gate.clone());
+        gate
+    });
+    let gates = gates.into_inner().unwrap();
+    let calls = move || gates.iter().map(|g| g.calls.load(Ordering::Relaxed)).sum();
+    (Arc::new(engines), calls)
 }
 
 #[test]
@@ -624,6 +637,59 @@ fn grouped_mode_counts_a_truncated_byte_once_per_flow() {
     let stats = pipeline.drain().expect("worker alive");
     assert_eq!(stats.truncated_bytes, 16, "8 bytes past the cap, per flow");
     assert_eq!(stats.degraded_flows, 2);
+}
+
+#[test]
+fn a_grouped_flow_buffers_its_payload_once() {
+    // Two flows of 10 bytes each, scanned by two and three groups.
+    let mut pipeline = ScannerBuilder::new()
+        .groups(grouped_engines())
+        .workers(1)
+        .build()
+        .expect("valid build");
+    let web = FlowTuple::new(Proto::Tcp, 40000, 80);
+    pipeline.dispatch(Packet::new_with_tuple(1, vec![b'.'; 10], web));
+    pipeline.dispatch(Packet::new(2, vec![b'.'; 10]));
+    assert_eq!(pipeline.drain().expect("worker alive").buffered_bytes, 20);
+
+    // Without its last rule, `ip any`, a udp flow to an unlisted port
+    // selects no group: nothing is scanned or buffered.
+    let (engines, calls) = gated_groups(&GROUPED_RULES[..GROUPED_RULES.find("alert ip").unwrap()]);
+    let mut pipeline = ScannerBuilder::new()
+        .groups(engines)
+        .workers(1)
+        .build()
+        .expect("valid build");
+    let unlisted = FlowTuple::new(Proto::Udp, 1000, 9999);
+    pipeline.dispatch(Packet::new_with_tuple(3, b"querydata".to_vec(), unlisted));
+    let stats = pipeline.drain().expect("worker alive");
+    assert_eq!((stats.resident_flows, stats.buffered_bytes), (1, 0));
+    assert_eq!(calls(), 0, "no group, no engine call");
+}
+
+#[test]
+fn a_degraded_grouped_flow_stops_scanning() {
+    // Grouped mode reports rules only, so a flow past its cap has nothing
+    // left to scan for: its bytes are counted as truncated, not scanned.
+    let (engines, calls) = gated_groups(GROUPED_RULES);
+    let mut pipeline = ScannerBuilder::new()
+        .groups(engines)
+        .workers(1)
+        .max_flow_buffer(8)
+        .build()
+        .expect("valid build");
+    // No tuple: all three groups scan the flow until it degrades.
+    pipeline.dispatch(Packet::new(1, vec![b'.'; 16]));
+    let degrading = pipeline.drain().expect("worker alive");
+    let before = calls();
+    for _ in 0..5 {
+        pipeline.dispatch(Packet::new(1, b"evil-bytes".to_vec()));
+    }
+    let after = pipeline.drain().expect("worker alive");
+    assert_eq!(calls() - before, 0, "a degraded flow is not scanned");
+    assert_eq!(degrading.truncated_bytes + after.truncated_bytes, 8 + 50);
+    assert_eq!(after.degraded_flows, 1);
+    assert!(degrading.rule_matches.is_empty() && after.rule_matches.is_empty());
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! the merged set equals a per-flow one-shot scan of the reassembled
 //! streams.
 
+mod common;
+
+use common::worker_counts;
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::naive::naive_find_all;
 use mpm_patterns::ports::{FlowTuple, Proto};
@@ -33,15 +36,6 @@ fn packet_batch(rules: &PatternSet, bytes: usize, flows: u64) -> Vec<Packet> {
         n += 1;
     }
     packets
-}
-
-/// Worker counts under test: the full ladder by default, or exactly the
-/// count the CI matrix pins via `MPM_WORKERS`.
-fn worker_counts(default: &[usize]) -> Vec<usize> {
-    match std::env::var("MPM_WORKERS") {
-        Ok(v) => vec![v.parse().expect("MPM_WORKERS must be a positive integer")],
-        Err(_) => default.to_vec(),
-    }
 }
 
 /// Reassembles the per-flow streams of a batch (ground truth for the

@@ -333,7 +333,7 @@ impl RuleConfirmer {
 /// occurrence ends found so far. `Default` is the fresh record. Advanced by
 /// [`RuleConfirmer::resume`]; valid only for the rule and payload it was
 /// first used with.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ConfirmProgress {
     contents: Vec<ContentProgress>,
     /// Start positions examined so far, summed over contents (debug builds
@@ -343,7 +343,7 @@ pub struct ConfirmProgress {
 }
 
 /// One content's share of a [`ConfirmProgress`].
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct ContentProgress {
     /// Every start below this has been examined.
     next_start: usize,
@@ -359,7 +359,7 @@ const INLINE_ENDS: usize = 3;
 /// handful of times in a flow, so the first [`INLINE_ENDS`] ends live in the
 /// record itself: a pending rule then costs one allocation (its record),
 /// not one more per content, and only a longer list moves to the heap.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Ends {
     Inline {
         len: usize,
