@@ -3,14 +3,6 @@
 //! paper's §II-B (DFC ≪ AC misses) and §V-E (no L3 on Phi hurts DFC's
 //! verification) observations.
 
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let figure = experiments::run_cache_ablation(&options);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_cache(&figure));
-    }
+    mpm_bench::experiments::run("cache_ablation", &mpm_bench::Options::from_env());
 }

@@ -1,14 +1,6 @@
 //! Reproduces Figure 5a: S-PATCH vs V-PATCH throughput (and their speedup)
 //! as the number of patterns grows from 1K to 20K.
 
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let figure = experiments::run_pattern_scaling(&options, &experiments::PATTERN_SWEEP);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_scaling(&figure));
-    }
+    mpm_bench::experiments::run("fig5a", &mpm_bench::Options::from_env());
 }

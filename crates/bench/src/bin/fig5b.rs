@@ -1,14 +1,6 @@
 //! Reproduces Figure 5b: share of time spent filtering and useful-lane
 //! occupancy of the third filter, as the number of patterns grows.
 
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let figure = experiments::run_instrumentation(&options, &experiments::PATTERN_SWEEP);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_instrumentation(&figure));
-    }
+    mpm_bench::experiments::run("fig5b", &mpm_bench::Options::from_env());
 }

@@ -1,15 +1,6 @@
 //! Reproduces Figure 5c: V-PATCH-over-S-PATCH speedup as the fraction of the
 //! input covered by pattern occurrences grows from 0% to 100%.
 
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let fractions = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let figure = experiments::run_match_density(&options, &fractions);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_match_density(&figure));
-    }
+    mpm_bench::experiments::run("fig5c", &mpm_bench::Options::from_env());
 }

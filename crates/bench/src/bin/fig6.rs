@@ -4,14 +4,6 @@
 //!
 //! `--ruleset s1|s2|full` selects sub-figure 6a/6b/6c.
 
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let figure = experiments::run_filtering_only(&options);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_filtering(&figure));
-    }
+    mpm_bench::experiments::run("fig6", &mpm_bench::Options::from_env());
 }

@@ -3,15 +3,6 @@
 //!
 //! `--ruleset s1` → Figure 7a, `--ruleset s2` → Figure 7b.
 
-use mpm_bench::engines::Platform;
-use mpm_bench::{experiments, report, Options};
-
 fn main() {
-    let options = Options::from_env();
-    let figure = experiments::run_throughput_figure(&options, Platform::XeonPhi);
-    if options.json {
-        println!("{}", report::to_json(&figure));
-    } else {
-        print!("{}", report::render_throughput(&figure));
-    }
+    mpm_bench::experiments::run("fig7", &mpm_bench::Options::from_env());
 }

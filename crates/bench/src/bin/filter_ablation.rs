@@ -5,54 +5,6 @@
 //! Sweeps the filter-3 size and reports S-PATCH / V-PATCH throughput and the
 //! long-candidate rate for each size.
 
-use mpm_bench::{measure_throughput, Options};
-use mpm_patterns::Matcher;
-use mpm_simd::{Avx2Backend, ScalarBackend, VectorBackend};
-use mpm_traffic::TraceKind;
-use mpm_vpatch::{SPatch, SPatchTables, VPatch};
-
 fn main() {
-    let options = Options::from_env();
-    let workload = mpm_bench::Workload::build_with_traces(
-        options.ruleset,
-        options.trace_mib,
-        &[TraceKind::IscxDay2],
-    );
-    let trace = &workload.traces[0].1;
-    println!(
-        "# Filter-3 size ablation — {} ({} patterns, {} MiB ISCX-like trace)",
-        options.ruleset.label(),
-        workload.patterns.len(),
-        options.trace_mib
-    );
-    println!(
-        "{:>12} {:>14} {:>16} {:>16} {:>18}",
-        "filter3 bits", "filter3 KiB", "S-PATCH (Gbps)", "V-PATCH (Gbps)", "long candidates"
-    );
-    for bits in [12u32, 14, 16, 17, 20, 22] {
-        let tables = SPatchTables::build_with_filter3_bits(&workload.patterns, bits);
-        let spatch = SPatch::from_tables(tables.clone());
-        let sm = measure_throughput(&spatch, trace, options.runs);
-        let (vm, candidates) = if <Avx2Backend as VectorBackend<8>>::is_available() {
-            let vp = VPatch::<Avx2Backend, 8>::from_tables(tables.clone());
-            (
-                measure_throughput(&vp, trace, options.runs),
-                vp.scan_with_stats(trace).candidates,
-            )
-        } else {
-            let vp = VPatch::<ScalarBackend, 8>::from_tables(tables.clone());
-            (
-                measure_throughput(&vp, trace, options.runs),
-                vp.scan_with_stats(trace).candidates,
-            )
-        };
-        println!(
-            "{:>12} {:>14.1} {:>16.3} {:>16.3} {:>18}",
-            bits,
-            tables.filter3().heap_bytes() as f64 / 1024.0,
-            sm.gbps_mean,
-            vm.gbps_mean,
-            candidates
-        );
-    }
+    mpm_bench::experiments::run("filter_ablation", &mpm_bench::Options::from_env());
 }

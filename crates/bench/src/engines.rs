@@ -4,7 +4,7 @@
 use mpm_aho_corasick::DfaMatcher;
 use mpm_dfc::{Dfc, VectorDfc};
 use mpm_patterns::{Matcher, PatternSet};
-use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend, VectorBackend};
+use mpm_simd::BackendKind;
 use mpm_vpatch::{SPatch, VPatch};
 
 /// The five algorithms of the paper's evaluation (Figures 4 and 7).
@@ -88,6 +88,41 @@ impl Platform {
     }
 }
 
+/// Evaluates `$body` with `$b` naming the vector backend type and `$w` the
+/// lane count that `$platform` runs on this machine
+/// ([`Platform::effective_backend`] at [`Platform::lanes`]): the one place a
+/// platform becomes a backend type.
+macro_rules! with_backend {
+    ($platform:expr, |$b:ident, $w:ident| $body:expr) => {{
+        use mpm_simd::BackendKind;
+        use $crate::engines::Platform;
+        let platform: Platform = $platform;
+        match (platform, platform.effective_backend()) {
+            (Platform::Haswell, BackendKind::Avx2) => {
+                type $b = mpm_simd::Avx2Backend;
+                const $w: usize = 8;
+                $body
+            }
+            (Platform::Haswell, _) => {
+                type $b = mpm_simd::ScalarBackend;
+                const $w: usize = 8;
+                $body
+            }
+            (Platform::XeonPhi, BackendKind::Avx512) => {
+                type $b = mpm_simd::Avx512Backend;
+                const $w: usize = 16;
+                $body
+            }
+            (Platform::XeonPhi, _) => {
+                type $b = mpm_simd::ScalarBackend;
+                const $w: usize = 16;
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_backend;
+
 /// Builds an engine of the requested kind over `set`, using the SIMD width
 /// of `platform` for the vectorized engines.
 pub fn build_engine(
@@ -98,39 +133,11 @@ pub fn build_engine(
     match kind {
         EngineKind::AhoCorasick => Box::new(DfaMatcher::build(set)),
         EngineKind::Dfc => Box::new(Dfc::build(set)),
-        EngineKind::VectorDfc => match platform {
-            Platform::Haswell => {
-                if <Avx2Backend as VectorBackend<8>>::is_available() {
-                    Box::new(VectorDfc::<Avx2Backend, 8>::build(set))
-                } else {
-                    Box::new(VectorDfc::<ScalarBackend, 8>::build(set))
-                }
-            }
-            Platform::XeonPhi => {
-                if <Avx512Backend as VectorBackend<16>>::is_available() {
-                    Box::new(VectorDfc::<Avx512Backend, 16>::build(set))
-                } else {
-                    Box::new(VectorDfc::<ScalarBackend, 16>::build(set))
-                }
-            }
-        },
+        EngineKind::VectorDfc => {
+            with_backend!(platform, |B, W| Box::new(VectorDfc::<B, W>::build(set)))
+        }
         EngineKind::SPatch => Box::new(SPatch::build(set)),
-        EngineKind::VPatch => match platform {
-            Platform::Haswell => {
-                if <Avx2Backend as VectorBackend<8>>::is_available() {
-                    Box::new(VPatch::<Avx2Backend, 8>::build(set))
-                } else {
-                    Box::new(VPatch::<ScalarBackend, 8>::build(set))
-                }
-            }
-            Platform::XeonPhi => {
-                if <Avx512Backend as VectorBackend<16>>::is_available() {
-                    Box::new(VPatch::<Avx512Backend, 16>::build(set))
-                } else {
-                    Box::new(VPatch::<ScalarBackend, 16>::build(set))
-                }
-            }
-        },
+        EngineKind::VPatch => with_backend!(platform, |B, W| Box::new(VPatch::<B, W>::build(set))),
     }
 }
 

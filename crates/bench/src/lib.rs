@@ -1,7 +1,9 @@
 //! Benchmark harness reproducing every figure of the paper's evaluation.
 //!
-//! The harness is organised as a library (so integration tests can exercise
-//! it at reduced sizes) plus one binary per figure:
+//! Every experiment in [`experiments`] returns one [`report::Table`], which
+//! prints as a text table or, with `--json`, as JSON (`title`, `columns`,
+//! `rows`, `notes`). Each binary is a one-line `main` handing its name to
+//! [`experiments::run`], which looks it up in [`experiments::FIGURES`]:
 //!
 //! | binary | paper figure | what it prints |
 //! |---|---|---|

@@ -8,18 +8,18 @@
 
 use mpm_patterns::stats::RunningStats;
 use mpm_patterns::Matcher;
-use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured point.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// Mean throughput in Gbit/s.
     pub gbps_mean: f64,
     /// Sample standard deviation of the throughput.
     pub gbps_std: f64,
-    /// Matches counted in the last run (sanity check: identical across
-    /// engines on the same workload).
+    /// What the last run returned: for a scan, the matches it counted
+    /// (sanity check: identical across engines on the same workload).
     pub matches: u64,
     /// Number of measured runs.
     pub runs: usize,
@@ -27,41 +27,26 @@ pub struct Measurement {
 
 /// Measures the counting throughput of `engine` over `input`.
 pub fn measure_throughput(engine: &dyn Matcher, input: &[u8], runs: usize) -> Measurement {
-    assert!(runs > 0, "need at least one run");
-    // Warm-up: touches the engine tables and the input once.
-    let mut matches = engine.count(input);
-    let mut stats = RunningStats::new();
-    for _ in 0..runs {
-        let start = Instant::now();
-        matches = engine.count(input);
-        let elapsed = start.elapsed().as_secs_f64();
-        stats.push(gbps(input.len(), elapsed));
-    }
-    Measurement {
-        gbps_mean: stats.mean(),
-        gbps_std: stats.stddev(),
-        matches,
-        runs,
-    }
+    measure_closure(input.len(), runs, || engine.count(input))
 }
 
-/// Measures an arbitrary closure processing `bytes` bytes per call (used for
-/// the filtering-only experiments where the measured unit is not a full
-/// `Matcher` scan).
+/// Measures an arbitrary closure processing `bytes` bytes per call (used
+/// directly for the filtering-only experiments, where the measured unit is
+/// not a full `Matcher` scan). One warm-up call touches the tables and the
+/// input first.
 pub fn measure_closure<F: FnMut() -> u64>(bytes: usize, runs: usize, mut body: F) -> Measurement {
     assert!(runs > 0, "need at least one run");
-    let mut checksum = body();
+    let mut last = body();
     let mut stats = RunningStats::new();
     for _ in 0..runs {
         let start = Instant::now();
-        checksum = checksum.wrapping_add(body());
-        let elapsed = start.elapsed().as_secs_f64();
-        stats.push(gbps(bytes, elapsed));
+        last = black_box(body());
+        stats.push(gbps(bytes, start.elapsed().as_secs_f64()));
     }
     Measurement {
         gbps_mean: stats.mean(),
         gbps_std: stats.stddev(),
-        matches: checksum,
+        matches: last,
         runs,
     }
 }

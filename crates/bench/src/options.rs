@@ -3,6 +3,10 @@
 
 use crate::workload::RulesetChoice;
 
+/// The largest `--mb`: one MiB more would make a 4 GiB trace, past the `u32`
+/// candidate positions the engines record.
+const MAX_TRACE_MIB: usize = 4095;
+
 /// Options common to all figure binaries.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -73,6 +77,11 @@ impl Options {
         if options.trace_mib == 0 || options.runs == 0 {
             return Err("--mb and --runs must be positive".to_string());
         }
+        if options.trace_mib > MAX_TRACE_MIB {
+            return Err(format!(
+                "--mb must be at most {MAX_TRACE_MIB}: the engines record candidate positions as u32, so a trace must stay under 4 GiB"
+            ));
+        }
         Ok(options)
     }
 
@@ -121,5 +130,11 @@ mod tests {
         assert!(parse(&["--ruleset", "s9"]).is_err());
         assert!(parse(&["--mb", "abc"]).is_err());
         assert!(parse(&["--mb", "0"]).is_err());
+        // A trace must stay within u32 candidate positions.
+        assert_eq!(parse(&["--mb", "4095"]).unwrap().trace_mib, 4095);
+        for too_big in ["4096", &usize::MAX.to_string()] {
+            let error = parse(&["--mb", too_big]).unwrap_err();
+            assert!(error.contains("4095") && error.contains("u32"), "{error}");
+        }
     }
 }

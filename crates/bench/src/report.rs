@@ -1,249 +1,190 @@
-//! Text-table and JSON rendering of the experiment results.
+//! The one result type every experiment returns, and its text and JSON
+//! renderings.
 
-use crate::experiments::{
-    CacheFigure, FilteringFigure, InstrumentationFigure, MatchDensityFigure, ScalingFigure,
-    ThroughputFigure,
-};
-use serde::Serialize;
+use serde::{Serialize, Value};
+use std::fmt;
 
-/// Serialises any result structure to pretty JSON (used with `--json`).
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("results are always serialisable")
+/// One figure's result: a title, named columns, rows of typed cells and
+/// optional footnote lines.
+#[derive(Debug, Serialize)]
+pub struct Table {
+    /// The figure's title line ("Figure 4a: ...").
+    pub title: String,
+    /// Column names, in print order.
+    pub columns: &'static [&'static str],
+    /// One cell per column in each row.
+    pub rows: Vec<Vec<Cell>>,
+    /// Lines printed under the rows.
+    pub notes: Vec<String>,
 }
 
-/// Renders Figure 4 / Figure 7 as a text table.
-pub fn render_throughput(figure: &ThroughputFigure) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# Figure {}: {} — {} ({} patterns)\n",
-        figure.figure, figure.ruleset, figure.platform, figure.pattern_count
-    ));
-    out.push_str(&format!(
-        "{:<12} {:<14} {:>12} {:>10} {:>14} {:>12}\n",
-        "trace", "engine", "Gbps(mean)", "±std", "speedup/DFC", "matches"
-    ));
-    for row in &figure.rows {
-        out.push_str(&format!(
-            "{:<12} {:<14} {:>12.3} {:>10.3} {:>14.2} {:>12}\n",
-            row.trace,
-            row.engine,
-            row.measurement.gbps_mean,
-            row.measurement.gbps_std,
-            row.speedup_vs_dfc,
-            row.measurement.matches
-        ));
-    }
-    out
+/// One table cell. The kind fixes how the text table prints it; JSON carries
+/// the bare value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// A label, left-aligned.
+    Text(String),
+    /// A count.
+    Int(u64),
+    /// A throughput in Gbit/s, printed with three decimals.
+    Gbps(f64),
+    /// A ratio (speedup, rate, size in KiB), printed with the given number of
+    /// decimals.
+    Ratio(f64, usize),
+    /// A share in percent (0–100), printed with one decimal.
+    Percent(f64),
 }
 
-/// Renders Figure 5a.
-pub fn render_scaling(figure: &ScalingFigure) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# Figure 5a: throughput vs number of patterns — {}\n",
-        figure.platform
-    ));
-    out.push_str(&format!(
-        "{:>10} {:>16} {:>16} {:>10}\n",
-        "patterns", "S-PATCH (Gbps)", "V-PATCH (Gbps)", "speedup"
-    ));
-    for p in &figure.points {
-        out.push_str(&format!(
-            "{:>10} {:>16.3} {:>16.3} {:>10.2}\n",
-            p.patterns, p.spatch.gbps_mean, p.vpatch.gbps_mean, p.speedup
-        ));
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(text) => f.write_str(text),
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Gbps(gbps) => write!(f, "{gbps:.3}"),
+            Cell::Ratio(value, decimals) => write!(f, "{value:.decimals$}"),
+            Cell::Percent(pct) => write!(f, "{pct:.1}"),
+        }
     }
-    out
 }
 
-/// Renders Figure 5b.
-pub fn render_instrumentation(figure: &InstrumentationFigure) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# Figure 5b: filtering share and vector-lane occupancy ({} lanes)\n",
-        figure.lanes
-    ));
-    out.push_str(&format!(
-        "{:>10} {:>20} {:>20} {:>16}\n",
-        "patterns", "filtering time (%)", "useful lanes (%)", "candidate rate"
-    ));
-    for p in &figure.points {
-        out.push_str(&format!(
-            "{:>10} {:>20.1} {:>20.1} {:>16.4}\n",
-            p.patterns, p.filtering_time_pct, p.useful_lanes_pct, p.candidate_rate
-        ));
+impl Serialize for Cell {
+    fn to_value(&self) -> Value {
+        match self {
+            Cell::Text(text) => Value::String(text.clone()),
+            Cell::Int(n) => Value::UInt(*n),
+            Cell::Gbps(v) | Cell::Ratio(v, _) | Cell::Percent(v) => Value::Float(*v),
+        }
     }
-    out
 }
 
-/// Renders Figure 5c.
-pub fn render_match_density(figure: &MatchDensityFigure) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# Figure 5c: speedup vs fraction of matching input ({} patterns)\n",
-        figure.patterns
-    ));
-    out.push_str(&format!(
-        "{:>10} {:>16} {:>16} {:>10}\n",
-        "fraction", "S-PATCH (Gbps)", "V-PATCH (Gbps)", "speedup"
-    ));
-    for p in &figure.points {
-        out.push_str(&format!(
-            "{:>9.0}% {:>16.3} {:>16.3} {:>10.2}\n",
-            p.fraction * 100.0,
-            p.spatch.gbps_mean,
-            p.vpatch.gbps_mean,
-            p.speedup
-        ));
+impl Table {
+    /// An empty table with `title` and `columns`.
+    pub fn new(title: impl Into<String>, columns: &'static [&'static str]) -> Self {
+        Table {
+            title: title.into(),
+            columns,
+            rows: Vec::new(),
+            notes: Vec::new(),
+        }
     }
-    out
-}
 
-/// Renders Figure 6.
-pub fn render_filtering(figure: &FilteringFigure) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# Figure {}: filtering-phase throughput — {}\n",
-        figure.figure, figure.ruleset
-    ));
-    out.push_str(&format!(
-        "{:<12} {:<26} {:>12} {:>10} {:>16}\n",
-        "trace", "configuration", "Gbps(mean)", "±std", "speedup/S-PATCH"
-    ));
-    for row in &figure.rows {
-        out.push_str(&format!(
-            "{:<12} {:<26} {:>12.3} {:>10.3} {:>16.2}\n",
-            row.trace,
-            row.config,
-            row.measurement.gbps_mean,
-            row.measurement.gbps_std,
-            row.speedup_vs_spatch
-        ));
+    /// Renders the table as text: `# title`, the header, one line per row
+    /// with every column as wide as its widest entry (labels left-aligned,
+    /// numbers right-aligned), then the notes.
+    pub fn to_text(&self) -> String {
+        let header = self.columns.iter().map(|name| name.to_string()).collect();
+        let lines: Vec<Vec<String>> = std::iter::once(header)
+            .chain(
+                self.rows
+                    .iter()
+                    .map(|row| row.iter().map(Cell::to_string).collect()),
+            )
+            .collect();
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|c| {
+                lines
+                    .iter()
+                    .map(|line| line[c].chars().count())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut out = format!("# {}\n", self.title);
+        for line in &lines {
+            let fields: Vec<String> = (line.iter().zip(&widths).enumerate())
+                .map(
+                    |(c, (field, &width))| match self.rows.first().map(|row| &row[c]) {
+                        Some(Cell::Text(_)) => format!("{field:<width$}"),
+                        _ => format!("{field:>width$}"),
+                    },
+                )
+                .collect();
+            out.push_str(fields.join(" ").trim_end());
+            out.push('\n');
+        }
+        for note in &self.notes {
+            out.push_str(note);
+            out.push('\n');
+        }
+        out
     }
-    out
-}
 
-/// Renders the cache ablation.
-pub fn render_cache(figure: &CacheFigure) -> String {
-    let mut out = String::new();
-    out.push_str("# Cache-locality ablation (simulated hierarchies)\n");
-    out.push_str(&format!(
-        "{:<18} {:<10} {:>12} {:>12} {:>12} {:>14}\n",
-        "engine", "config", "accesses", "L1 misses", "mem accesses", "L1 miss ratio"
-    ));
-    for row in &figure.rows {
-        out.push_str(&format!(
-            "{:<18} {:<10} {:>12} {:>12} {:>12} {:>14.4}\n",
-            row.engine,
-            row.config,
-            row.accesses,
-            row.l1_misses,
-            row.memory_accesses,
-            row.l1_miss_ratio
-        ));
+    /// Renders the table as pretty JSON: `title`, `columns`, `rows` (arrays
+    /// of bare values) and `notes`.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("a table is always serialisable")
     }
-    out.push_str(&format!(
-        "AC / DFC per-access L1-miss-ratio on the Haswell hierarchy: {:.2}x (paper: up to 3.8x fewer misses for DFC)\n",
-        figure.ac_over_dfc_l1_misses
-    ));
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::*;
-    use crate::measure::Measurement;
-
-    fn measurement(gbps: f64) -> Measurement {
-        Measurement {
-            gbps_mean: gbps,
-            gbps_std: 0.1,
-            matches: 42,
-            runs: 3,
-        }
-    }
 
     #[test]
     fn throughput_table_contains_every_row() {
-        let fig = ThroughputFigure {
-            figure: "4a".into(),
-            ruleset: "test".into(),
-            platform: "haswell-width (8 lanes, avx2)".into(),
-            pattern_count: 10,
-            rows: vec![ThroughputRow {
-                trace: "ISCX day2".into(),
-                engine: "V-PATCH".into(),
-                measurement: measurement(3.2),
-                speedup_vs_dfc: 1.8,
-            }],
-        };
-        let text = render_throughput(&fig);
-        assert!(text.contains("Figure 4a"));
-        assert!(text.contains("V-PATCH"));
-        assert!(text.contains("1.80"));
-        let json = to_json(&fig);
-        assert!(json.contains("\"speedup_vs_dfc\": 1.8"));
+        let mut table = Table::new(
+            "Figure 4a: test",
+            &[
+                "trace",
+                "engine",
+                "Gbps(mean)",
+                "±std",
+                "speedup/DFC",
+                "matches",
+            ],
+        );
+        for (engine, gbps, speedup) in [("DFC", 1.5, 1.0), ("V-PATCH", 3.2, 1.8)] {
+            let trace = Cell::Text("ISCX day2".into());
+            let speedup = Cell::Ratio(speedup, 2);
+            let row = [
+                trace,
+                Cell::Text(engine.into()),
+                Cell::Gbps(gbps),
+                Cell::Gbps(0.1),
+                speedup,
+                Cell::Int(42),
+            ];
+            table.rows.push(row.to_vec());
+        }
+        let text = table.to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "# Figure 4a: test");
+        assert_eq!(
+            lines[1],
+            "trace     engine  Gbps(mean)  ±std speedup/DFC matches"
+        );
+        assert_eq!(
+            lines[2],
+            "ISCX day2 DFC          1.500 0.100        1.00      42"
+        );
+        assert_eq!(
+            lines[3],
+            "ISCX day2 V-PATCH      3.200 0.100        1.80      42"
+        );
+        assert_eq!(lines.len(), 4);
     }
 
     #[test]
-    fn other_renderers_do_not_panic_and_mention_units() {
-        let scaling = ScalingFigure {
-            platform: "p".into(),
-            points: vec![ScalingPoint {
-                patterns: 1000,
-                spatch: measurement(2.0),
-                vpatch: measurement(3.0),
-                speedup: 1.5,
-            }],
-        };
-        assert!(render_scaling(&scaling).contains("Gbps"));
-
-        let instr = InstrumentationFigure {
-            lanes: 8,
-            points: vec![InstrumentationPoint {
-                patterns: 1000,
-                filtering_time_pct: 70.0,
-                useful_lanes_pct: 30.0,
-                candidate_rate: 0.01,
-            }],
-        };
-        assert!(render_instrumentation(&instr).contains("useful lanes"));
-
-        let density = MatchDensityFigure {
-            patterns: 2000,
-            points: vec![MatchDensityPoint {
-                fraction: 0.4,
-                spatch: measurement(2.0),
-                vpatch: measurement(2.6),
-                speedup: 1.3,
-            }],
-        };
-        assert!(render_match_density(&density).contains("40%"));
-
-        let filtering = FilteringFigure {
-            figure: "6a".into(),
-            ruleset: "r".into(),
-            rows: vec![FilteringRow {
-                trace: "ISCX day2".into(),
-                config: "V-PATCH-filtering".into(),
-                measurement: measurement(4.0),
-                speedup_vs_spatch: 2.1,
-            }],
-        };
-        assert!(render_filtering(&filtering).contains("S-PATCH"));
-
-        let cache = CacheFigure {
-            rows: vec![CacheRow {
-                engine: "DFC".into(),
-                config: "haswell".into(),
-                accesses: 100,
-                l1_misses: 10,
-                memory_accesses: 1,
-                l1_miss_ratio: 0.1,
-            }],
-            ac_over_dfc_l1_misses: 3.0,
-        };
-        assert!(render_cache(&cache).contains("3.00x"));
+    fn every_cell_kind_renders_at_its_precision_and_as_json() {
+        let mut table = Table::new("Cache", &["fraction", "share (%)", "rate"]);
+        let row = [
+            Cell::Text("40%".into()),
+            Cell::Percent(30.04),
+            Cell::Ratio(0.012_34, 4),
+        ];
+        table.rows.push(row.to_vec());
+        table.notes.push("AC / DFC: 3.00x".into());
+        let text =
+            "# Cache\nfraction share (%)   rate\n40%           30.0 0.0123\nAC / DFC: 3.00x\n";
+        assert_eq!(table.to_text(), text);
+        let json = table.to_json();
+        assert!(json.starts_with("{\n  \"title\": \"Cache\",\n  \"columns\": [\n    \"fraction\","));
+        assert!(json.contains(
+            "\"rows\": [\n    [\n      \"40%\",\n      30.04,\n      0.01234\n    ]\n  ],"
+        ));
+        assert!(
+            json.ends_with("\"notes\": [\n    \"AC / DFC: 3.00x\"\n  ]\n}"),
+            "{json}"
+        );
     }
 }

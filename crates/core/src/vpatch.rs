@@ -77,11 +77,6 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
         &self.tables
     }
 
-    /// Name of the SIMD backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        B::name()
-    }
-
     /// Number of lanes processed per vector iteration.
     pub const fn lanes(&self) -> usize {
         W

@@ -64,11 +64,6 @@ impl<B: VectorBackend<W>, const W: usize> VectorDfc<B, W> {
         }
     }
 
-    /// Name of the SIMD backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        B::name()
-    }
-
     /// The compiled tables (exposed for the cache-simulation experiments and
     /// the memory-footprint reporting).
     pub fn tables(&self) -> &DfcTables {

@@ -130,11 +130,6 @@ impl RuleConfirmer {
         }
     }
 
-    /// Number of rules this confirmer covers.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// The underlying rule set.
     pub fn rules(&self) -> &RuleSet {
         &self.rules

@@ -1,8 +1,12 @@
-//! Shared by the engine contract suites (`resume_contract.rs`,
-//! `segment_contract.rs`).
+//! Shared by the root integration suites: the engine registry and the
+//! payload splicing of the rule differential suites.
+
+// Each suite compiles this module on its own and uses only part of it.
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use vpatch_suite::prelude::*;
 use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
 
@@ -34,4 +38,28 @@ pub fn all_engines(rules: &PatternSet) -> Vec<SharedMatcher> {
         }
     }
     engines
+}
+
+/// Splice directives: `(rule, content, position)` triples, reduced modulo
+/// the actual set/payload sizes, that overwrite payload bytes with content
+/// bytes so constrained multi-content matches really happen.
+pub fn splice_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..8)
+}
+
+/// Applies splice directives to the payload.
+pub fn splice(set: &RuleSet, payload: &mut [u8], plan: &[(usize, usize, usize)]) {
+    if payload.is_empty() || set.is_empty() {
+        return;
+    }
+    for &(r, c, pos) in plan {
+        let rule = set.get(RuleId((r % set.len()) as u32));
+        let content = &rule.contents()[c % rule.contents().len()];
+        let bytes = content.bytes();
+        if bytes.len() > payload.len() {
+            continue;
+        }
+        let at = pos % (payload.len() - bytes.len() + 1);
+        payload[at..at + bytes.len()].copy_from_slice(bytes);
+    }
 }

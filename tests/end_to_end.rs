@@ -2,31 +2,15 @@
 //! (ruleset → traffic → every engine → identical alert streams), exercised
 //! through the umbrella crate's public API exactly as an application would.
 
+mod common;
+
+use std::sync::Arc;
 use vpatch_suite::prelude::*;
 
-/// Builds one instance of every engine in the workspace over `rules`.
-fn all_engines(rules: &PatternSet) -> Vec<Box<dyn Matcher + Send + Sync>> {
-    use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
-    let mut engines: Vec<Box<dyn Matcher + Send + Sync>> = vec![
-        Box::new(NaiveMatcher::new(rules)),
-        Box::new(NfaMatcher::build(rules)),
-        Box::new(DfaMatcher::build(rules)),
-        Box::new(WuManber::build(rules)),
-        Box::new(Dfc::build(rules)),
-        Box::new(VectorDfc::<ScalarBackend, 8>::build(rules)),
-        Box::new(SPatch::build(rules)),
-        Box::new(VPatch::<ScalarBackend, 8>::build(rules)),
-        Box::new(VPatch::<ScalarBackend, 16>::build(rules)),
-        build_auto(rules),
-    ];
-    if <Avx2Backend as VectorBackend<8>>::is_available() {
-        engines.push(Box::new(VectorDfc::<Avx2Backend, 8>::build(rules)));
-        engines.push(Box::new(VPatch::<Avx2Backend, 8>::build(rules)));
-    }
-    if <Avx512Backend as VectorBackend<16>>::is_available() {
-        engines.push(Box::new(VectorDfc::<Avx512Backend, 16>::build(rules)));
-        engines.push(Box::new(VPatch::<Avx512Backend, 16>::build(rules)));
-    }
+/// Every engine in the workspace over `rules`, plus the auto-selected one.
+fn all_engines(rules: &PatternSet) -> Vec<SharedMatcher> {
+    let mut engines = common::all_engines(rules);
+    engines.push(Arc::from(build_auto(rules)));
     engines
 }
 

@@ -16,6 +16,9 @@
 //! `MPM_FORCE_BACKEND` matrix drives this suite through the scalar, AVX2
 //! and AVX-512 verification paths in turn, shared arena included.
 
+mod common;
+
+use common::{splice, splice_strategy};
 use vpatch_suite::patterns::rule::naive_rule_find_all;
 use vpatch_suite::prelude::*;
 
@@ -126,30 +129,8 @@ fn flow_strategy() -> impl Strategy<Value = FlowTuple> {
     })
 }
 
-/// Splice directives (rule, content, position) — overwrite payload bytes
-/// with content bytes so multi-content rules actually confirm.
-fn splice_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
-    proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..8)
-}
-
 fn chunk_plan_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..24, 1..10)
-}
-
-fn splice(set: &RuleSet, payload: &mut [u8], plan: &[(usize, usize, usize)]) {
-    if payload.is_empty() || set.is_empty() {
-        return;
-    }
-    for &(r, c, pos) in plan {
-        let rule = set.get(RuleId((r % set.len()) as u32));
-        let content = &rule.contents()[c % rule.contents().len()];
-        let bytes = content.bytes();
-        if bytes.len() > payload.len() {
-            continue;
-        }
-        let at = pos % (payload.len() - bytes.len() + 1);
-        payload[at..at + bytes.len()].copy_from_slice(bytes);
-    }
 }
 
 /// The oracle: monolithic naive rule evaluation over the whole ruleset,

@@ -3,23 +3,24 @@
 //!
 //! Random pattern sets mixing `nocase` and case-sensitive patterns are run
 //! over randomly case-mutated traffic through **every engine in the
-//! workspace** — Aho-Corasick (NFA and dense DFA), Wu-Manber, DFC,
-//! Vector-DFC, S-PATCH and V-PATCH on every backend this run can dispatch
-//! to — and compared against the naive case-aware reference, both one-shot
-//! and streamed under random chunkings. `MPM_FORCE_BACKEND` narrows the
-//! backend list, which is how the CI matrix pins these tests to the scalar,
-//! AVX2 and AVX-512 code paths in turn.
+//! workspace** (`common::all_engines`) — the naive matcher, Aho-Corasick
+//! (NFA and dense DFA), Wu-Manber, DFC, Vector-DFC, S-PATCH and V-PATCH on
+//! every backend this run can dispatch to — and compared against the naive
+//! case-aware reference, both one-shot and streamed under random chunkings.
+//! `MPM_FORCE_BACKEND` narrows the backend list, which is how the CI matrix
+//! pins these tests to the scalar, AVX2 and AVX-512 code paths in turn.
 //!
 //! The contract under test (filter-folded / verify-exact): a `nocase`
 //! pattern matches every ASCII case variant of itself, a case-sensitive
 //! pattern matches byte-exactly only, and mixing the two in one set changes
 //! neither.
 
-use std::sync::Arc;
+mod common;
+
+use common::all_engines;
 use vpatch_suite::patterns::matcher::normalize_matches;
 use vpatch_suite::patterns::naive::naive_find_all;
 use vpatch_suite::prelude::*;
-use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
 
 use proptest::prelude::*;
 
@@ -76,36 +77,6 @@ fn mutated_haystack_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 
 fn chunk_plan_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..24, 1..12)
-}
-
-/// Every engine in the workspace, on every backend this run can dispatch to
-/// (`MPM_FORCE_BACKEND` pins the list, so the CI matrix exercises each
-/// forced backend in turn).
-fn all_engines(rules: &PatternSet) -> Vec<SharedMatcher> {
-    let mut engines: Vec<SharedMatcher> = vec![
-        Arc::from(NfaMatcher::build(rules)),
-        Arc::from(DfaMatcher::build(rules)),
-        Arc::from(WuManber::build(rules)),
-        Arc::from(Dfc::build(rules)),
-        Arc::from(VectorDfc::<ScalarBackend, 8>::build(rules)),
-        Arc::from(SPatch::build(rules)),
-        Arc::from(VPatch::<ScalarBackend, 8>::build(rules)),
-        Arc::from(VPatch::<ScalarBackend, 16>::build(rules)),
-    ];
-    for kind in available_backends() {
-        match kind {
-            BackendKind::Scalar => {}
-            BackendKind::Avx2 => {
-                engines.push(Arc::from(VPatch::<Avx2Backend, 8>::build(rules)));
-                engines.push(Arc::from(VectorDfc::<Avx2Backend, 8>::build(rules)));
-            }
-            BackendKind::Avx512 => {
-                engines.push(Arc::from(VPatch::<Avx512Backend, 16>::build(rules)));
-                engines.push(Arc::from(VectorDfc::<Avx512Backend, 16>::build(rules)));
-            }
-        }
-    }
-    engines
 }
 
 /// Streams `hay` through a [`StreamScanner`] following `plan` and returns

@@ -21,6 +21,9 @@
 //! the engines, which is how the CI matrix drives this suite through the
 //! scalar, AVX2 and AVX-512 `prescreen` / `eq_window` paths in turn.
 
+mod common;
+
+use common::{splice, splice_strategy};
 use std::sync::Arc;
 use vpatch_suite::patterns::rule::{naive_rule_find_all, naive_rule_first_end};
 use vpatch_suite::prelude::*;
@@ -121,32 +124,8 @@ fn ruleset_strategy_over(
     })
 }
 
-/// Splice directives: `(rule, content, position)` triples, reduced modulo
-/// the actual set/payload sizes, that overwrite payload bytes with content
-/// bytes so constrained multi-content matches really happen.
-fn splice_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
-    proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..8)
-}
-
 fn chunk_plan_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..24, 1..12)
-}
-
-/// Applies splice directives to the payload.
-fn splice(set: &RuleSet, payload: &mut [u8], plan: &[(usize, usize, usize)]) {
-    if payload.is_empty() {
-        return;
-    }
-    for &(r, c, pos) in plan {
-        let rule = set.get(RuleId((r % set.len()) as u32));
-        let content = &rule.contents()[c % rule.contents().len()];
-        let bytes = content.bytes();
-        if bytes.len() > payload.len() {
-            continue;
-        }
-        let at = pos % (payload.len() - bytes.len() + 1);
-        payload[at..at + bytes.len()].copy_from_slice(bytes);
-    }
 }
 
 /// Every engine family, compiled for the rule set's anchor patterns.
