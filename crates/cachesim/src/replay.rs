@@ -22,15 +22,15 @@ use mpm_vpatch::SPatch;
 /// (far larger than any structure, so regions never overlap).
 const REGION: u64 = 1 << 30;
 
-/// Bytes per compact-hash-table bucket header in the address model. The real
-/// DFC implementation keeps a header array of one small record per bucket
-/// (2^16 buckets for the long table), which is the part of the verification
-/// structure touched on *every* verification, so it dominates the working
-/// set; entries and pattern bytes are touched afterwards.
-const BUCKET_HEADER_BYTES: u64 = 16;
-
-/// Models one verification access into a compact hash table: the bucket
-/// header plus the start of the bucket's entry list.
+/// Models one verification access into a compact hash table as the table
+/// lays it out: the two adjacent `u32` bucket-start slots of the bucket,
+/// then — for a non-empty bucket — its spans of the `u32` length and suffix
+/// fingerprint columns, which the bucket test reads whole. The bucket-start
+/// array is touched on *every* verification (2^16 slots for a large long
+/// table), so it dominates the working set. The offsets, ids and pattern
+/// bytes, read only for the rare entry that passes its fingerprint, are
+/// not modelled. Each array gets its own sub-region of `base`, below
+/// `REGION / 2`.
 fn touch_table(
     sim: &mut CacheSim,
     base: u64,
@@ -38,12 +38,16 @@ fn touch_table(
     input: &[u8],
     pos: usize,
 ) {
+    const SLOT: u64 = 4;
     if let Some(bucket) = table.bucket_of(input, pos) {
-        sim.access_range(base + bucket as u64 * BUCKET_HEADER_BYTES, 16);
-        sim.access_range(
-            base + REGION / 4 + table.bucket_offset_bytes(bucket) as u64,
-            16,
-        );
+        sim.access_range(base + bucket as u64 * SLOT, 2 * SLOT as usize);
+        let entries = table.bucket_entries(bucket);
+        if !entries.is_empty() {
+            let span = entries.len() * SLOT as usize;
+            let first = entries.start as u64 * SLOT;
+            sim.access_range(base + REGION / 8 + first, span);
+            sim.access_range(base + REGION / 4 + first, span);
+        }
     }
 }
 
@@ -79,15 +83,15 @@ pub fn replay_aho_corasick(dfa: &DfaMatcher, input: &[u8], config: CacheConfig) 
     }
 }
 
-/// Replays a DFC scan: one initial-filter access per window, plus
-/// hash-table accesses for windows that pass the filter.
+/// Replays a DFC scan: one initial-filter access per window, plus, for a
+/// window that passes it, the accesses into every table the candidate is
+/// verified against (`DfcTables::tables_at`).
 pub fn replay_dfc(dfc: &Dfc, input: &[u8], config: CacheConfig) -> ReplayOutcome {
     let mut sim = CacheSim::new(config);
     let filter_base = REGION;
     let table_base = 2 * REGION;
     let tables = dfc.tables();
     let filter = tables.initial_filter();
-    let long_table = tables.long_table();
     if input.is_empty() {
         return ReplayOutcome {
             report: sim.report(),
@@ -99,9 +103,11 @@ pub fn replay_dfc(dfc: &Dfc, input: &[u8], config: CacheConfig) -> ReplayOutcome
         // Filter lookup: one byte of the 8 KB bitmap.
         sim.access_range(filter_base + (window >> 3) as u64, 1);
         if filter.contains(window) {
-            // Verification: read the bucket of the long-pattern table
-            // (the dominant verification structure; short tables are tiny).
-            touch_table(&mut sim, table_base, long_table, input, i);
+            // One region per table: empty tables are always skipped and the
+            // long table comes last, so a table keeps its index `k`.
+            for (k, table) in tables.tables_at(input, i).enumerate() {
+                touch_table(&mut sim, table_base + k as u64 * REGION, table, input, i);
+            }
         }
     }
     let matches = dfc.count(input);

@@ -77,8 +77,8 @@ impl TwoRound for SPatch {
         scratch.candidates()
     }
 
-    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) {
-        self.verify_round(chunk.haystack, scratch, out);
+    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) -> u64 {
+        self.verify_round(chunk.haystack, scratch, out)
     }
 }
 

@@ -213,15 +213,18 @@ impl SPatchTables {
     /// candidate arrays are replayed through
     /// [`Verifier::verify_short_batch`] / [`Verifier::verify_long_batch`] on
     /// backend `B` — bucket indices hashed `W` at a time, the table walk
-    /// prefetch-pipelined `K` candidates deep — and confirmed matches are
-    /// appended to `out`. Returns the number of pattern comparisons
-    /// performed (identical, by construction and by the differential suite,
-    /// to one table lookup per candidate).
+    /// prefetch-pipelined `K` candidates deep, each bucket tested `W`
+    /// entries per step — and confirmed matches are appended to `out`.
+    /// Returns the number of pattern comparisons performed (identical, by
+    /// construction and by the differential suite, to one table lookup per
+    /// candidate).
     ///
     /// V-PATCH verifies on its own backend; S-PATCH stays the paper's scalar
-    /// engine on [`mpm_simd::ScalarBackend`] at 8 lanes — verification is
-    /// memory-latency-bound, not compute-bound, so the pipeline alone
-    /// recovers most of the batched win.
+    /// engine on [`mpm_simd::ScalarBackend`] at 8 lanes, whose bucket test
+    /// is the per-entry loop. With the tables cache-resident, what a
+    /// verification costs is instructions and branches per bucket entry,
+    /// not memory latency: the prefetch pipeline hides the loads, and the
+    /// vector bucket test is what removes the per-entry branches.
     pub(crate) fn verify_round<B: VectorBackend<W>, const W: usize>(
         &self,
         haystack: &[u8],

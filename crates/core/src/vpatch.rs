@@ -282,8 +282,8 @@ impl<B: VectorBackend<W>, const W: usize> TwoRound for VPatch<B, W> {
         scratch.candidates()
     }
 
-    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) {
-        self.verify_round(chunk.haystack, scratch, out);
+    fn verify(&self, chunk: Chunk<'_>, scratch: &mut Scratch, out: &mut Vec<MatchEvent>) -> u64 {
+        self.verify_round(chunk.haystack, scratch, out)
     }
 }
 

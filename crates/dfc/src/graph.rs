@@ -98,17 +98,20 @@ pub(crate) fn vector_filter<B: VectorBackend<W>, const W: usize>(
 
 /// Verify round: drains `pending` through the batched classification path
 /// in [`DRAIN_BLOCK`]-sized blocks; the last chunk also owns the final byte,
-/// which has no 2-byte window.
+/// which has no 2-byte window. Returns the comparisons made.
 pub(crate) fn drain<B: VectorBackend<W>, const W: usize>(
     t: &DfcTables,
     chunk: Chunk<'_>,
     (pending, long_scratch): &mut DrainBuffers,
     out: &mut Vec<MatchEvent>,
-) {
+) -> u64 {
+    let mut comparisons = 0;
     for block in pending.chunks(DRAIN_BLOCK) {
-        t.classify_and_verify_batch::<B, W>(chunk.haystack, block, long_scratch, out);
+        comparisons +=
+            t.classify_and_verify_batch::<B, W>(chunk.haystack, block, long_scratch, out);
     }
     if chunk.is_last() {
-        t.verify_tail(chunk.haystack, out);
+        comparisons += t.verify_tail(chunk.haystack, out);
     }
+    comparisons
 }

@@ -46,8 +46,8 @@ impl TwoRound for Dfc {
         graph::scalar_filter(&self.tables, chunk, &mut pad.0)
     }
 
-    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) {
-        graph::drain::<ScalarBackend, 8>(&self.tables, chunk, pad, out);
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) -> u64 {
+        graph::drain::<ScalarBackend, 8>(&self.tables, chunk, pad, out)
     }
 }
 

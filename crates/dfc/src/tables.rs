@@ -145,26 +145,41 @@ impl DfcTables {
         i: usize,
         out: &mut Vec<MatchEvent>,
     ) -> usize {
-        let mut comparisons = 0;
-        if !self.ht_len1.is_empty() {
-            comparisons += self.ht_len1.verify_at(haystack, i, out);
-        }
-        if !self.ht_len2.is_empty() {
-            comparisons += self.ht_len2.verify_at(haystack, i, out);
-        }
-        if !self.ht_len3.is_empty() {
-            comparisons += self.ht_len3.verify_at(haystack, i, out);
-        }
-        if !self.ht_long.is_empty() && i + 4 <= haystack.len() {
+        self.tables_at(haystack, i)
+            .map(|table| table.verify_at(haystack, i, out))
+            .sum()
+    }
+
+    /// The compact hash tables a candidate at `i` is verified against, in
+    /// the order [`DfcTables::classify_and_verify`] reads them: every
+    /// non-empty short-class table, then the long-class table if the
+    /// progressive filter passes the candidate. Exposed for the cache
+    /// simulator's access replay.
+    pub fn tables_at<'a>(
+        &'a self,
+        haystack: &[u8],
+        i: usize,
+    ) -> impl Iterator<Item = &'a CompactHashTable> {
+        let long = self
+            .passes_long_filter(haystack, i)
+            .then_some(&self.ht_long);
+        [&self.ht_len1, &self.ht_len2, &self.ht_len3]
+            .into_iter()
+            .chain(long)
+            .filter(|table| !table.is_empty())
+    }
+
+    /// True if the progressive filter lets a candidate at `i` through to
+    /// the long-class table: bytes `i + 2 .. i + 4` exist and pass `df_long`.
+    #[inline]
+    fn passes_long_filter(&self, haystack: &[u8], i: usize) -> bool {
+        i + 4 <= haystack.len() && {
             let w2 = u16::from_le_bytes([
                 mpm_patterns::fold_byte(haystack[i + 2], self.folded),
                 mpm_patterns::fold_byte(haystack[i + 3], self.folded),
             ]);
-            if self.df_long.contains(w2) {
-                comparisons += self.ht_long.verify_at(haystack, i, out);
-            }
+            self.df_long.contains(w2)
         }
-        comparisons
     }
 
     /// Batched form of [`DfcTables::classify_and_verify`]: drains a whole
@@ -200,18 +215,11 @@ impl DfcTables {
         }
         if !self.ht_long.is_empty() {
             long_scratch.clear();
-            for &p in positions {
-                let i = p as usize;
-                if i + 4 <= haystack.len() {
-                    let w2 = u16::from_le_bytes([
-                        mpm_patterns::fold_byte(haystack[i + 2], self.folded),
-                        mpm_patterns::fold_byte(haystack[i + 3], self.folded),
-                    ]);
-                    if self.df_long.contains(w2) {
-                        long_scratch.push(p);
-                    }
-                }
-            }
+            long_scratch.extend(
+                positions
+                    .iter()
+                    .filter(|&&p| self.passes_long_filter(haystack, p as usize)),
+            );
             comparisons += self
                 .ht_long
                 .verify_batch::<B, W>(haystack, long_scratch, out);
@@ -220,24 +228,19 @@ impl DfcTables {
     }
 
     /// Handles the final input position, which has no 2-byte window: only
-    /// 1-byte patterns can start there.
+    /// 1-byte patterns can start there. Returns the comparisons made.
     #[inline]
-    pub(crate) fn verify_tail(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        if !haystack.is_empty() && !self.ht_len1.is_empty() {
-            self.ht_len1.verify_at(haystack, haystack.len() - 1, out);
+    pub(crate) fn verify_tail(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) -> u64 {
+        if haystack.is_empty() || self.ht_len1.is_empty() {
+            return 0;
         }
+        self.ht_len1.verify_at(haystack, haystack.len() - 1, out) as u64
     }
 
     /// The initial direct filter (exposed for the vectorized engine and for
     /// the cache simulator).
     pub fn initial_filter(&self) -> &DirectFilter {
         &self.df_initial
-    }
-
-    /// The long-class compact hash table (exposed for the cache simulator's
-    /// verification-access model).
-    pub fn long_table(&self) -> &CompactHashTable {
-        &self.ht_long
     }
 }
 

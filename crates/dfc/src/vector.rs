@@ -78,8 +78,8 @@ impl<B: VectorBackend<W>, const W: usize> TwoRound for VectorDfc<B, W> {
         graph::vector_filter::<B, W>(&self.tables, chunk, &mut pad.0)
     }
 
-    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) {
-        graph::drain::<B, W>(&self.tables, chunk, pad, out);
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut DrainBuffers, out: &mut Vec<MatchEvent>) -> u64 {
+        graph::drain::<B, W>(&self.tables, chunk, pad, out)
     }
 }
 

@@ -38,8 +38,9 @@ pub fn scan<E: TwoRound>(
 }
 
 /// [`scan`] with the two rounds timed: returns the bytes scanned, the
-/// candidates the filter rounds reported, the matches appended to `out` and
-/// the nanoseconds spent in each round (engine-specific fields stay zero).
+/// candidates the filter rounds reported, the comparisons the verify rounds
+/// made, the matches appended to `out` and the nanoseconds spent in each
+/// round (engine-specific fields stay zero).
 pub fn scan_with_stats<E: TwoRound>(
     engine: &E,
     haystack: &[u8],
@@ -90,7 +91,7 @@ fn run<E: TwoRound, const TIMED: bool>(
         let filter_started = TIMED.then(Instant::now);
         stats.candidates += engine.filter(chunk, pad, out);
         let verify_started = TIMED.then(Instant::now);
-        engine.verify(chunk, pad, out);
+        stats.verify_comparisons += engine.verify(chunk, pad, out);
         if let (Some(t0), Some(t1)) = (filter_started, verify_started) {
             stats.filter_nanos += (t1 - t0).as_nanos() as u64;
             stats.verify_nanos += t1.elapsed().as_nanos() as u64;
@@ -125,10 +126,11 @@ mod tests {
             pad.len() as u64
         }
 
-        fn verify(&self, _chunk: Chunk<'_>, pad: &mut Vec<u32>, out: &mut Vec<MatchEvent>) {
+        fn verify(&self, _chunk: Chunk<'_>, pad: &mut Vec<u32>, out: &mut Vec<MatchEvent>) -> u64 {
             for &pos in pad.iter().filter(|&&pos| pos % 2 == 0) {
                 out.push(MatchEvent::new(pos as usize, PatternId(1)));
             }
+            pad.len() as u64
         }
     }
 
@@ -166,12 +168,14 @@ mod tests {
         let (mut whole, whole_stats) = run_toy(&data, 1 << 20);
         mpm_patterns::matcher::normalize_matches(&mut whole);
         assert_eq!(whole_stats.bytes_scanned, 5_000);
+        assert_eq!(whole_stats.verify_comparisons, whole_stats.candidates);
         assert_eq!(whole_stats.matches as usize, whole.len());
         for chunk_size in [32, 96, 1024] {
             let (mut got, stats) = run_toy(&data, chunk_size);
             mpm_patterns::matcher::normalize_matches(&mut got);
             assert_eq!(got, whole, "chunk={chunk_size}");
             assert_eq!(stats.candidates, whole_stats.candidates);
+            assert_eq!(stats.verify_comparisons, whole_stats.verify_comparisons);
             assert_eq!(stats.matches, whole_stats.matches);
         }
     }
@@ -206,7 +210,9 @@ mod tests {
                 pad.push((c.start, c.len(), c.is_last()));
                 0
             }
-            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) {}
+            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) -> u64 {
+                0
+            }
         }
         let mut seen = Vec::new();
         let last = scan(&Tails, &[0u8; 70], 0..70, 32, &mut seen, &mut Vec::new());
@@ -240,7 +246,9 @@ mod tests {
                 pad.push(c.is_last());
                 0
             }
-            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) {}
+            fn verify(&self, _: Chunk<'_>, _: &mut Self::Pad, _: &mut Vec<MatchEvent>) -> u64 {
+                0
+            }
         }
         let mut seen = Vec::new();
         let last = scan(&Tails, &[0u8; 70], 10..50, 32, &mut seen, &mut Vec::new());

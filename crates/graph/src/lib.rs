@@ -97,6 +97,9 @@ pub trait TwoRound {
     fn filter(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) -> u64;
 
     /// Verify round: confirms the candidates `filter` just recorded,
-    /// appending the matches to `out`.
-    fn verify(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>);
+    /// appending the matches to `out`, and returns the comparisons it made
+    /// — entries of an exact table checked against the input, each counted
+    /// once whether or not it matched (`0` for an engine that verifies
+    /// without one).
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) -> u64;
 }

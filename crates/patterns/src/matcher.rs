@@ -51,6 +51,11 @@ pub struct MatcherStats {
     pub candidates: u64,
     /// Matches confirmed by verification.
     pub matches: u64,
+    /// Comparisons the verification round made: table entries checked
+    /// against the input at a candidate position (entries that would run
+    /// past the end of the input are not counted). Zero for engines that
+    /// verify without a table.
+    pub verify_comparisons: u64,
     /// Nanoseconds spent in the filtering phase (engines with a separate
     /// filtering round).
     pub filter_nanos: u64,
@@ -93,6 +98,7 @@ impl MatcherStats {
         self.bytes_scanned += other.bytes_scanned;
         self.candidates += other.candidates;
         self.matches += other.matches;
+        self.verify_comparisons += other.verify_comparisons;
         self.filter_nanos += other.filter_nanos;
         self.verify_nanos += other.verify_nanos;
         self.filter3_blocks += other.filter3_blocks;
@@ -383,6 +389,7 @@ mod tests {
             bytes_scanned: 10,
             candidates: 1,
             matches: 2,
+            verify_comparisons: 9,
             filter_nanos: 5,
             verify_nanos: 6,
             filter3_blocks: 7,
@@ -392,6 +399,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.bytes_scanned, 20);
         assert_eq!(a.useful_lanes, 16);
+        assert_eq!(a.verify_comparisons, 18);
         assert_eq!(a.matches, 4);
     }
 }

@@ -34,6 +34,7 @@ pub struct Avx2Backend;
 #[cfg(target_arch = "x86_64")]
 mod imp {
     use super::*;
+    use crate::BUCKET_LEN_MASK;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -226,6 +227,67 @@ mod imp {
         _mm256_or_si256(v, _mm256_and_si256(upper, _mm256_set1_epi8(0x20)))
     }
 
+    /// Bucket test (see `VectorBackend::bucket_survivors`): both columns
+    /// come in through `vpmaskmovd`, which does not access masked-out
+    /// dwords; the long entries' words through a masked `vpgatherdd` based
+    /// at `haystack[pos..]` with offsets `len − 4`, so a lane reads only
+    /// inside the window it fits; the short entries compare one broadcast
+    /// word under a per-lane `vpsllvd` byte mask. Lengths and the bytes left
+    /// are below 2^31, so the signed compares are exact. Each half is
+    /// skipped when no lane needs it.
+    ///
+    /// # Safety: AVX2 required; `lens.len() <= 8`,
+    /// `suffixes.len() == lens.len()` and `pos <= haystack.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn bucket_survivors_avx2<const FOLD: bool>(
+        lens: &[u32],
+        suffixes: &[u32],
+        haystack: &[u8],
+        pos: usize,
+    ) -> (u32, u32) {
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lens.len() as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let lens = _mm256_and_si256(
+            _mm256_maskload_epi32(lens.as_ptr() as *const i32, live),
+            _mm256_set1_epi32(BUCKET_LEN_MASK as i32),
+        );
+        let suffixes = _mm256_maskload_epi32(suffixes.as_ptr() as *const i32, live);
+        let rest = (haystack.len() - pos).min(BUCKET_LEN_MASK as usize) as i32;
+        let fit = _mm256_andnot_si256(_mm256_cmpgt_epi32(lens, _mm256_set1_epi32(rest)), live);
+        let long = _mm256_and_si256(fit, _mm256_cmpgt_epi32(lens, _mm256_set1_epi32(3)));
+        let short = _mm256_andnot_si256(long, fit);
+        let fold = |v: __m256i| if FOLD { to_ascii_lower_avx2(v) } else { v };
+        let mut pass = _mm256_setzero_si256();
+        if _mm256_testz_si256(long, long) == 0 {
+            let words = _mm256_mask_i32gather_epi32::<1>(
+                _mm256_setzero_si256(),
+                haystack.as_ptr().add(pos) as *const i32,
+                _mm256_sub_epi32(lens, _mm256_set1_epi32(4)),
+                long,
+            );
+            pass = _mm256_and_si256(_mm256_cmpeq_epi32(fold(words), suffixes), long);
+        }
+        if _mm256_testz_si256(short, short) == 0 {
+            let survivors = match haystack.get(pos..pos + 4) {
+                None => short,
+                Some(word) => {
+                    let word = u32::from_le_bytes(word.try_into().expect("a 4-byte slice"));
+                    let word = fold(_mm256_set1_epi32(word as i32));
+                    let beyond =
+                        _mm256_sllv_epi32(_mm256_set1_epi32(-1), _mm256_slli_epi32::<3>(lens));
+                    // (word ^ suffix) & !beyond: the bytes the pattern covers.
+                    let diff = _mm256_andnot_si256(beyond, _mm256_xor_si256(word, suffixes));
+                    _mm256_and_si256(_mm256_cmpeq_epi32(diff, _mm256_setzero_si256()), short)
+                }
+            };
+            pass = _mm256_or_si256(pass, survivors);
+        }
+        let bits = |v: __m256i| _mm256_movemask_ps(_mm256_castsi256_ps(v)) as u32;
+        (bits(fit), bits(pass))
+    }
+
     /// # Safety: AVX2 required.
     #[target_feature(enable = "avx2")]
     unsafe fn hash_mul_shift_avx2(v: __m256i, mul: u32, shift: u32, mask: u32) -> __m256i {
@@ -393,6 +455,19 @@ mod imp {
         fn eq_window_nocase(window: &[u8], pattern: &[u8]) -> bool {
             // SAFETY: as above.
             unsafe { eq_window_avx2::<true>(window, pattern) }
+        }
+
+        #[inline(always)]
+        fn bucket_survivors<const FOLD: bool>(
+            lens: &[u32],
+            suffixes: &[u32],
+            haystack: &[u8],
+            pos: usize,
+        ) -> (u32, u32) {
+            crate::assert_bucket_args::<8>(lens, suffixes, haystack, pos);
+            // SAFETY: availability checked at engine construction; the
+            // assertion above bounds the masked loads and the gather.
+            unsafe { bucket_survivors_avx2::<FOLD>(lens, suffixes, haystack, pos) }
         }
 
         #[inline(always)]

@@ -56,6 +56,17 @@
 //! Figure 6), which is why it gets a dedicated primitive instead of a scalar
 //! drain of the mask.
 //!
+//! # Bucket test
+//!
+//! [`VectorBackend::bucket_survivors`] is the verification round's inner
+//! step: up to `W` entries of a compact-hash-table bucket, stored as a
+//! length column and a suffix-fingerprint column, are tested against the
+//! haystack at one candidate position at once — masked column loads, a
+//! masked gather of the words the long patterns would end on, one broadcast
+//! word for the short ones — and leave as two bitmasks (entries that fit,
+//! entries that survive). The per-entry loop it replaces had a
+//! data-dependent trip count and a data-dependent branch per entry.
+//!
 //! # Table padding requirement
 //!
 //! Hardware gathers load 32 bits per lane even when only one byte is needed,
@@ -86,6 +97,16 @@ pub const GATHER_PADDING: usize = 4;
 /// [`VectorBackend::prescreen`] tests.
 pub const PRESCREEN_BLOCK: usize = 64;
 
+/// The bits of a [`VectorBackend::bucket_survivors`] length word that hold
+/// the pattern length. The top bit is the caller's flag (the verification
+/// tables mark `nocase` entries with it) and is ignored.
+pub const BUCKET_LEN_MASK: u32 = 0x7fff_ffff;
+
+/// Haystack-word masks of the suffix fingerprint of a pattern shorter than
+/// the word, indexed by its length: the fingerprint covers that many bytes
+/// (a pattern of four bytes or more is covered by the whole word).
+const SUFFIX_MASK: [u32; 4] = [0, 0xff, 0xffff, 0x00ff_ffff];
+
 /// Packs 64 flag bytes, each `0` or `1`, into a bitmask (bit `j` = flag `j`).
 ///
 /// Eight bytes at a time: with every byte 0 or 1, multiplying the
@@ -101,12 +122,27 @@ fn pack_flags(flags: &[u8; PRESCREEN_BLOCK]) -> u64 {
     mask
 }
 
+/// The argument contract of [`VectorBackend::bucket_survivors`], checked
+/// by every backend before it loads a lane: the hardware backends' masked
+/// loads and gather rely on it.
+#[inline(always)]
+fn assert_bucket_args<const W: usize>(lens: &[u32], suffixes: &[u32], haystack: &[u8], pos: usize) {
+    assert!(
+        lens.len() <= W && suffixes.len() == lens.len() && pos <= haystack.len(),
+        "bucket_survivors: {} lens, {} suffixes (at most {W}), pos {pos} in a haystack of {}",
+        lens.len(),
+        suffixes.len(),
+        haystack.len()
+    );
+}
+
 /// Issues a best-effort read prefetch for the cache line containing `ptr`
 /// (`prefetcht0` on x86-64, a no-op elsewhere).
 ///
 /// This is the scheduling primitive of the batched verification pipeline
 /// (`mpm-verify`): the dependent loads of a compact-hash-table lookup —
-/// bucket offsets, entry rows, pattern arena lines — are requested `K`
+/// bucket offsets, then the bucket's length and fingerprint columns — are
+/// requested `K`
 /// candidates ahead of use, so their memory latency overlaps the compares of
 /// the current candidate instead of serialising behind them.
 ///
@@ -380,6 +416,73 @@ pub trait VectorBackend<const W: usize>: Copy + Clone + Default + Send + Sync + 
                 candidate(base + j);
             }
         }
+    }
+
+    /// Bucket test of the verification tables: which of up to `W` entries
+    /// fit the haystack at `pos`, and which of those survive their **suffix
+    /// fingerprint**. Returns `(fit, pass)` as lane bitmasks.
+    ///
+    /// Entry `j` is a pattern of length `lens[j] & BUCKET_LEN_MASK` whose
+    /// fingerprint `suffixes[j]` holds its last `min(len, 4)` bytes,
+    /// little-endian (ASCII-folded in a folded table). Bit `j` of `fit` is
+    /// set iff `pos + len <= haystack.len()` — only those entries count as
+    /// compared. Bit `j` of `pass` is set iff the entry fits and its
+    /// fingerprint does not reject the window at `pos`:
+    ///
+    /// * `len >= 4`: the haystack word the pattern would end on,
+    ///   `haystack[pos + len - 4 .. pos + len]`, equals the fingerprint;
+    /// * `len < 4`: the word at `pos`, under the mask `(1 << 8·len) − 1`,
+    ///   equals it — or that word would cross the end of the haystack, and
+    ///   the fingerprint is skipped.
+    ///
+    /// The words are ASCII-lowercased first when `FOLD`. The fingerprint
+    /// only ever rejects: a `pass` entry is settled by the caller's full
+    /// compare ([`VectorBackend::eq_window`] /
+    /// [`VectorBackend::eq_window_nocase`]).
+    ///
+    /// The default is the per-entry rule, one entry after the other; the
+    /// scalar backend uses it. The hardware backends test all entries at
+    /// once: masked loads of the two columns (never past either slice), a
+    /// masked gather of the long entries' words based at `haystack[pos..]`
+    /// with offsets `len − 4` (so no lane reads outside `pos..pos + len`) —
+    /// on AVX-512, two permutes of one 64-byte load at `pos` instead, when
+    /// the words lie in it — and one broadcast word at `pos` for the short
+    /// entries.
+    ///
+    /// # Panics
+    /// Panics if `lens.len() > W`, if `suffixes.len() != lens.len()`, or if
+    /// `pos > haystack.len()`.
+    #[inline(always)]
+    fn bucket_survivors<const FOLD: bool>(
+        lens: &[u32],
+        suffixes: &[u32],
+        haystack: &[u8],
+        pos: usize,
+    ) -> (u32, u32) {
+        assert_bucket_args::<W>(lens, suffixes, haystack, pos);
+        let word = |at: usize| -> Option<u32> {
+            let bytes = haystack.get(at..at + 4)?;
+            let word = u32::from_le_bytes(bytes.try_into().expect("a 4-byte slice"));
+            Some(if FOLD { ascii_lower_u32(word) } else { word })
+        };
+        let rest = haystack.len() - pos;
+        let (mut fit, mut pass) = (0u32, 0u32);
+        for (j, (&len, &suffix)) in lens.iter().zip(suffixes).enumerate() {
+            let len = (len & BUCKET_LEN_MASK) as usize;
+            if len > rest {
+                continue;
+            }
+            fit |= 1 << j;
+            let rejected = if len >= 4 {
+                word(pos + len - 4).is_some_and(|word| word != suffix)
+            } else {
+                word(pos).is_some_and(|word| (word ^ suffix) & SUFFIX_MASK[len] != 0)
+            };
+            if !rejected {
+                pass |= 1 << j;
+            }
+        }
+        (fit, pass)
     }
 
     /// ASCII-lowercases every packed byte of every lane: each byte in

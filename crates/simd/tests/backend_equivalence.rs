@@ -647,3 +647,198 @@ proptest! {
         assert_prescreen_all_backends(&hay, lo..=hi, &pattern, &format!("starts {lo}..={hi}"));
     }
 }
+
+// --- bucket_survivors: the verification round's bucket test --------------
+//
+// Every backend must report the entries that fit and the entries whose
+// suffix fingerprint passes exactly as the definition below — written
+// independently of every implementation — on exact-size allocations, so a
+// column load past a slice or a haystack word read past the end leaves the
+// allocation.
+
+/// The `(fit, pass)` masks of `bucket_survivors`, by definition.
+fn bucket_reference(
+    lens: &[u32],
+    suffixes: &[u32],
+    hay: &[u8],
+    pos: usize,
+    fold: bool,
+) -> (u32, u32) {
+    let norm = |b: u8| if fold { b.to_ascii_lowercase() } else { b };
+    let (mut fit, mut pass) = (0u32, 0u32);
+    for (j, (&len, &suffix)) in lens.iter().zip(suffixes).enumerate() {
+        let len = (len & mpm_simd::BUCKET_LEN_MASK) as usize;
+        if pos + len > hay.len() {
+            continue;
+        }
+        fit |= 1 << j;
+        let suffix = suffix.to_le_bytes();
+        let passes = if len >= 4 {
+            (0..4).all(|k| norm(hay[pos + len - 4 + k]) == suffix[k])
+        } else {
+            pos + 4 > hay.len() || (0..len).all(|k| norm(hay[pos + k]) == suffix[k])
+        };
+        if passes {
+            pass |= 1 << j;
+        }
+    }
+    (fit, pass)
+}
+
+fn survivors_on<B: VectorBackend<W>, const W: usize>(
+    lens: &[u32],
+    suffixes: &[u32],
+    hay: &[u8],
+    pos: usize,
+    fold: bool,
+) -> (u32, u32) {
+    B::dispatch(|| {
+        if fold {
+            B::bucket_survivors::<true>(lens, suffixes, hay, pos)
+        } else {
+            B::bucket_survivors::<false>(lens, suffixes, hay, pos)
+        }
+    })
+}
+
+/// Pattern lengths of the test buckets: empty, short, exactly one word,
+/// long, ones with the caller's flag bit set, ones that end at and just past
+/// the 64 bytes at `pos` (the AVX-512 backend reads words inside that
+/// window without a gather), and one no haystack holds.
+const BUCKET_LENS: [u32; 16] = [
+    3,
+    5,
+    1,
+    4,
+    0x8000_0002,
+    9,
+    64,
+    2,
+    0,
+    0x8000_0006,
+    17,
+    65,
+    1 << 20,
+    4,
+    0x8000_0040,
+    61,
+];
+
+/// The fingerprint entry `j` of length `len` needs to pass at `pos` (its
+/// last `min(len, 4)` haystack bytes, the uncovered bytes junk), spoiled in
+/// a covered byte for every third entry; junk where it does not fit.
+fn suffix_for(j: usize, len: usize, hay: &[u8], pos: usize, fold: bool) -> u32 {
+    if pos + len > hay.len() {
+        return 0x5a5a_5a5a ^ j as u32;
+    }
+    let covered = len.min(4);
+    let mut word = [0xA5u8, 0xC3, 0x5A, 0x3C];
+    for k in 0..covered {
+        let b = hay[pos + len - covered + k];
+        word[k] = if fold { b.to_ascii_lowercase() } else { b };
+    }
+    if j % 3 == 2 && covered > 0 {
+        word[covered - 1] ^= 0x01;
+    }
+    u32::from_le_bytes(word)
+}
+
+#[test]
+fn bucket_survivors_on_exact_size_allocations_at_every_tail_and_bucket_size() {
+    let text =
+        b"GeT /aBc HTTP/1.1\r\nHost: X.example\r\nUser-Agent: Mozilla/5.0\r\nAccept: */*\r\n\r\n";
+    let (mut fits, mut passes) = (0u32, 0u32);
+    for hay_len in 0..=text.len() {
+        let hay: Box<[u8]> = text[..hay_len].to_vec().into_boxed_slice();
+        for pos in 0..=hay_len {
+            for fold in [false, true] {
+                for n in 0..=16usize {
+                    let lens: Box<[u32]> = (0..n)
+                        .map(|j| BUCKET_LENS[(j + pos) % BUCKET_LENS.len()])
+                        .collect();
+                    let suffixes: Box<[u32]> = lens
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &len)| {
+                            let len = (len & mpm_simd::BUCKET_LEN_MASK) as usize;
+                            suffix_for(j, len, &hay, pos, fold)
+                        })
+                        .collect();
+                    let expected = bucket_reference(&lens, &suffixes, &hay, pos, fold);
+                    fits += expected.0.count_ones();
+                    passes += expected.1.count_ones();
+                    let context = format!("hay {hay_len} pos {pos} fold {fold} entries {n}");
+                    assert_eq!(
+                        survivors_on::<ScalarBackend, 16>(&lens, &suffixes, &hay, pos, fold),
+                        expected,
+                        "scalar: {context}"
+                    );
+                    if n <= 8 {
+                        assert_eq!(
+                            survivors_on::<ScalarBackend, 8>(&lens, &suffixes, &hay, pos, fold),
+                            expected,
+                            "scalar/8: {context}"
+                        );
+                        if avx2_available() {
+                            assert_eq!(
+                                survivors_on::<Avx2Backend, 8>(&lens, &suffixes, &hay, pos, fold),
+                                expected,
+                                "avx2: {context}"
+                            );
+                        }
+                    }
+                    if avx512_available() {
+                        assert_eq!(
+                            survivors_on::<Avx512Backend, 16>(&lens, &suffixes, &hay, pos, fold),
+                            expected,
+                            "avx512: {context}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Not vacuous: entries fit, pass, and are rejected by their fingerprint.
+    assert!(
+        passes > 10_000 && fits > passes + 10_000,
+        "{fits} fit, {passes} pass"
+    );
+}
+
+proptest! {
+    #[test]
+    fn bucket_survivors_match_reference_on_random_buckets(
+        hay in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'A'), Just(0xC1u8), any::<u8>()], 0..160),
+        raw_lens in proptest::collection::vec(any::<u32>(), 0..17),
+        raw_suffixes in proptest::array::uniform16(any::<u32>()),
+        pos in any::<usize>(),
+        fold in any::<bool>(),
+    ) {
+        let pos = pos % (hay.len() + 1);
+        // Lengths that mostly fit, keeping the caller's flag bit.
+        let lens: Vec<u32> = raw_lens.iter().map(|&l| (l & 0x8000_0000) | ((l & 0x7fff_ffff) % 70)).collect();
+        let suffixes: Vec<u32> = raw_suffixes[..lens.len()]
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| {
+                let len = (lens[j] & mpm_simd::BUCKET_LEN_MASK) as usize;
+                if s % 2 == 0 { suffix_for(j, len, &hay, pos, fold) } else { s }
+            })
+            .collect();
+        let expected = bucket_reference(&lens, &suffixes, &hay, pos, fold);
+        prop_assert_eq!(survivors_on::<ScalarBackend, 16>(&lens, &suffixes, &hay, pos, fold), expected);
+        if avx512_available() {
+            prop_assert_eq!(survivors_on::<Avx512Backend, 16>(&lens, &suffixes, &hay, pos, fold), expected);
+        }
+        if lens.len() <= 8 && avx2_available() {
+            prop_assert_eq!(survivors_on::<Avx2Backend, 8>(&lens, &suffixes, &hay, pos, fold), expected);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "bucket_survivors")]
+fn bucket_survivors_rejects_more_entries_than_lanes() {
+    let _ =
+        <ScalarBackend as VectorBackend<8>>::bucket_survivors::<false>(&[1; 9], &[0; 9], b"abc", 0);
+}

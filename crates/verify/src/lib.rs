@@ -11,7 +11,11 @@
 //!   by a fixed-length prefix of the input window (direct-indexed for 1–2
 //!   byte prefixes, multiplicative-hash-indexed for 4-byte prefixes), with
 //!   the patterns stored contiguously in an arena as in the original DFC
-//!   implementation;
+//!   implementation. A bucket is stored as **columns** — lengths, suffix
+//!   fingerprints, arena offsets, pattern ids — and verified `W` entries
+//!   per step: one [`VectorBackend::bucket_survivors`] tests the lengths
+//!   and fingerprints of a whole step against the input at once, and only
+//!   the entries that survive are compared against the arena;
 //! * [`Verifier`] — the two-table arrangement S-PATCH/V-PATCH use: one table
 //!   for short patterns (1–3 bytes, reached through filter 1) and one for
 //!   long patterns (≥ 4 bytes, reached through filters 2+3);
@@ -44,23 +48,25 @@ pub use filters::{
 };
 
 use mpm_patterns::{MatchEvent, PatternArena, PatternId, PatternSet};
-use mpm_simd::{ascii_lower_u32, prefetch_read, ScalarBackend, VectorBackend, GATHER_PADDING};
+use mpm_simd::{prefetch_read, ScalarBackend, VectorBackend, BUCKET_LEN_MASK, GATHER_PADDING};
 use std::sync::Arc;
 
 /// Prefetch distance `K` of the batched verification pipeline: the
 /// `bucket_starts` slot of candidate `i + K` is prefetched while candidate
-/// `i` is being verified, and the entry row at `i + K/2` (its bucket offset
-/// is cached by then). The pattern arena is not prefetched: an entry is
-/// rejected from its own row, by its suffix fingerprint, so only true
-/// matches and the rare fingerprint collision read the arena. Eight
+/// `i` is being verified, and the first lines of the bucket's `lens` and
+/// `suffixes` column spans at `i + K/2` (its bucket offset is cached by
+/// then). The pattern arena, the `offsets` and the `ids` are not
+/// prefetched: an entry is rejected from the two columns, by its length and
+/// its suffix fingerprint, so only true matches and the rare fingerprint
+/// collision read the rest. Eight
 /// candidates ahead covers a memory-latency's worth of verification work
 /// for typical bucket sizes without evicting lines before use; see
 /// DEVELOPMENT.md for the contract.
 pub const PREFETCH_DISTANCE: usize = 8;
 
-/// Prefetch distance of the entry-row stage (reads `bucket_starts`, which
-/// the [`PREFETCH_DISTANCE`] stage requested earlier).
-const ENTRY_PREFETCH_DISTANCE: usize = PREFETCH_DISTANCE / 2;
+/// Prefetch distance of the column stage (reads `bucket_starts`, which the
+/// [`PREFETCH_DISTANCE`] stage requested earlier).
+const COLUMN_PREFETCH_DISTANCE: usize = PREFETCH_DISTANCE / 2;
 
 /// Candidates per index-computation block of the batched verifier: bucket
 /// indices for a whole block are computed SIMD-first into a stack buffer,
@@ -89,76 +95,39 @@ pub fn hash32(value: u32, bits: u32) -> u32 {
     value.wrapping_mul(HASH_MULTIPLIER) >> (32 - bits)
 }
 
-/// Bit of [`Entry::len_nocase`] that marks a `nocase` entry; the length is
-/// the 31 bits below it. Arena offsets are `u32`, so no pattern the table
-/// can address is cut short by the flag.
-const NOCASE_BIT: u32 = 1 << 31;
+/// Bit of a table's length column that marks a `nocase` entry; the length
+/// is the 31 bits below it ([`BUCKET_LEN_MASK`], which the bucket test
+/// ignores the flag through). Arena offsets are `u32`, so no pattern the
+/// table can address is cut short by the flag.
+const NOCASE_BIT: u32 = !BUCKET_LEN_MASK;
 
-/// Haystack-word masks of the suffix fingerprint of a pattern shorter than
-/// the word, indexed by its length: the fingerprint covers that many bytes
-/// (a pattern of four bytes or more is covered by the whole word).
-const SUFFIX_MASK: [u32; 4] = [0, 0xff, 0xffff, 0x00ff_ffff];
+/// Bytes one entry occupies across the four columns: length, suffix
+/// fingerprint, arena offset and pattern id.
+const ENTRY_BYTES: usize = 3 * std::mem::size_of::<u32>() + std::mem::size_of::<PatternId>();
 
-/// The unaligned little-endian `u32` of `haystack` at `at`, ASCII-case-folded
-/// when `FOLD` (as the fingerprints of a folded table are); `None` if it
-/// would cross the end of the slice.
-#[inline(always)]
-fn haystack_word<const FOLD: bool>(haystack: &[u8], at: usize) -> Option<u32> {
-    let word = haystack.get(at..at + 4)?;
-    let word = u32::from_le_bytes(word.try_into().expect("a 4-byte slice"));
-    Some(if FOLD { ascii_lower_u32(word) } else { word })
+/// The length word of `pattern`'s entry: its length, with [`NOCASE_BIT`]
+/// set for a `nocase` pattern.
+fn len_word(id: PatternId, pattern: &mpm_patterns::Pattern) -> u32 {
+    let len = pattern.len();
+    assert!(
+        len < NOCASE_BIT as usize,
+        "pattern {id} does not fit a u32-addressed arena"
+    );
+    len as u32 | if pattern.is_nocase() { NOCASE_BIT } else { 0 }
 }
 
-/// One pattern reference inside a bucket — 16 bytes, four to a cache line,
-/// and enough to *reject* a candidate without leaving the row: where the
-/// pattern's bytes live in the arena, which pattern id to report, its length
-/// and case rule, and a **suffix fingerprint** (the pattern's last
-/// `min(len, 4)` bytes, little-endian, ASCII-case-folded in a folded table).
-/// The bucket index already vouches for the pattern's first bytes, so the
-/// bytes that tell bucket-mates apart are at the other end: rules that share
+/// The **suffix fingerprint** of `bytes`: its last `min(len, 4)` bytes,
+/// little-endian, ASCII-case-folded in a folded table. The bucket index
+/// already vouches for a pattern's first bytes, so the bytes that tell
+/// bucket-mates apart are at the other end: rules that share
 /// `Content-Type: ` differ in how they finish.
-///
-/// The fingerprint only ever rejects. A window that passes it is still
-/// settled by the full compare against the arena.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    offset: u32,
-    id: PatternId,
-    /// Pattern length, with [`NOCASE_BIT`] set for `nocase` patterns (only
-    /// ever in a folded table).
-    len_nocase: u32,
-    suffix: u32,
-}
-
-impl Entry {
-    fn new(offset: u32, id: PatternId, pattern: &mpm_patterns::Pattern, folded: bool) -> Self {
-        let bytes = pattern.bytes();
-        assert!(
-            bytes.len() < NOCASE_BIT as usize,
-            "pattern {id} does not fit a u32-addressed arena"
-        );
-        let mut suffix = [0u8; 4];
-        let covered = bytes.len().min(4);
-        for (slot, &b) in suffix.iter_mut().zip(&bytes[bytes.len() - covered..]) {
-            *slot = mpm_patterns::fold_byte(b, folded);
-        }
-        Entry {
-            offset,
-            id,
-            len_nocase: bytes.len() as u32 | if pattern.is_nocase() { NOCASE_BIT } else { 0 },
-            suffix: u32::from_le_bytes(suffix),
-        }
+fn suffix_of(bytes: &[u8], folded: bool) -> u32 {
+    let mut suffix = [0u8; 4];
+    let covered = bytes.len().min(4);
+    for (slot, &b) in suffix.iter_mut().zip(&bytes[bytes.len() - covered..]) {
+        *slot = mpm_patterns::fold_byte(b, folded);
     }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        (self.len_nocase & !NOCASE_BIT) as usize
-    }
-
-    #[inline(always)]
-    fn is_nocase(&self) -> bool {
-        self.len_nocase & NOCASE_BIT != 0
-    }
+    u32::from_le_bytes(suffix)
 }
 
 /// A table's arena-compare count ([`CompactHashTable::arena_compares`]).
@@ -243,10 +212,19 @@ pub struct CompactHashTable {
     /// (both at build time and at lookup time): the set it was built from
     /// has a `nocase` pattern.
     folded: bool,
-    /// Bucket start offsets into `entries` (length = buckets + 1), CSR-style
-    /// so lookups touch one contiguous slice.
+    /// Bucket start offsets into the entry columns (length = buckets + 1),
+    /// CSR-style so a lookup touches one contiguous span of each column.
     bucket_starts: Vec<u32>,
-    entries: Vec<Entry>,
+    /// The entries, one column per field, in the order `bucket_starts`
+    /// defines. The two a bucket test reads are `lens` — the pattern length,
+    /// with [`NOCASE_BIT`] set for `nocase` patterns (only ever in a folded
+    /// table) — and `suffixes`, the suffix fingerprints ([`suffix_of`]).
+    /// Only an entry whose fingerprint passes reads its `offsets` (where its
+    /// bytes live in the arena) and `ids` (the pattern to report).
+    lens: Vec<u32>,
+    suffixes: Vec<u32>,
+    offsets: Vec<u32>,
+    ids: Vec<PatternId>,
     /// All pattern bytes — owned and concatenated, or a shared arena slice.
     arena: ArenaStorage,
     /// Smallest pattern length stored (for the caller's bookkeeping).
@@ -323,17 +301,12 @@ impl CompactHashTable {
             bucket_starts[i + 1] = bucket_starts[i] + counts[i];
         }
 
-        // Second pass: fill entries and the arena.
+        // Second pass: fill the entry columns and the arena.
         let total: usize = selected.len();
-        let mut entries = vec![
-            Entry {
-                offset: 0,
-                id: PatternId(0),
-                len_nocase: 0,
-                suffix: 0,
-            };
-            total
-        ];
+        let mut lens = vec![0u32; total];
+        let mut suffixes = vec![0u32; total];
+        let mut offsets = vec![0u32; total];
+        let mut ids = vec![PatternId(0); total];
         let mut cursor = bucket_starts.clone();
         let mut owned = match shared {
             Some(_) => Vec::new(),
@@ -354,7 +327,10 @@ impl CompactHashTable {
                     offset
                 }
             };
-            entries[slot] = Entry::new(offset, *id, p, folded);
+            lens[slot] = len_word(*id, p);
+            suffixes[slot] = suffix_of(p.bytes(), folded);
+            offsets[slot] = offset;
+            ids[slot] = *id;
             min_pattern_len = min_pattern_len.min(p.len());
         }
         if selected.is_empty() {
@@ -366,7 +342,10 @@ impl CompactHashTable {
             bucket_bits,
             folded,
             bucket_starts,
-            entries,
+            lens,
+            suffixes,
+            offsets,
+            ids,
             arena: match shared {
                 Some(arena) => ArenaStorage::Shared(arena.bytes().clone()),
                 None => ArenaStorage::Owned(owned),
@@ -409,12 +388,12 @@ impl CompactHashTable {
 
     /// Number of patterns stored in the table.
     pub fn pattern_count(&self) -> usize {
-        self.entries.len()
+        self.lens.len()
     }
 
     /// True if the table holds no patterns.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lens.is_empty()
     }
 
     /// Smallest pattern length stored (0 if empty).
@@ -426,9 +405,7 @@ impl CompactHashTable {
     /// arena ([`Verifier::build_with_arena`]) do **not** count the arena
     /// here — the owner of the group collection counts it exactly once.
     pub fn heap_bytes(&self) -> usize {
-        self.bucket_starts.len() * 4
-            + self.entries.len() * std::mem::size_of::<Entry>()
-            + self.arena.resident_bytes()
+        self.bucket_starts.len() * 4 + self.lens.len() * ENTRY_BYTES + self.arena.resident_bytes()
     }
 
     /// True if the pattern bytes live in a shared [`PatternArena`] rather
@@ -454,71 +431,72 @@ impl CompactHashTable {
         let Some(bucket) = self.bucket_of(haystack, pos) else {
             return 0;
         };
+        let entries = self.bucket_entries(bucket);
         (if self.folded {
-            self.verify_bucket::<ScalarBackend, 8, true>(haystack, pos, bucket, out)
+            self.verify_bucket::<ScalarBackend, 8, true>(haystack, pos, entries, out)
         } else {
-            self.verify_bucket::<ScalarBackend, 8, false>(haystack, pos, bucket, out)
+            self.verify_bucket::<ScalarBackend, 8, false>(haystack, pos, entries, out)
         }) as usize
     }
 
     /// The one bucket walk: compares the window at `pos` against every entry
-    /// of `bucket` and appends the matches to `out`. Returns the number of
+    /// of a bucket (its `entries` span of the columns) and appends the
+    /// matches to `out`. Returns the number of
     /// **comparisons** — entries whose length fits the haystack; an entry
     /// that would run off the end is skipped without comparing a byte, so
     /// candidates near the end of the buffer do not inflate the statistic.
     ///
-    /// An entry that fits is first tested from its own row: one unaligned
-    /// `u32` of the haystack ([`haystack_word`]: folded when `FOLD`, as the
-    /// fingerprint was) against the suffix fingerprint. For a pattern of
-    /// four bytes or more that is the word the pattern would end on, whole
-    /// and always inside the window; a shorter pattern is covered from `pos`
-    /// under [`SUFFIX_MASK`], and when its word would cross the end of the
-    /// haystack the fingerprint is skipped, never the bounds. The two cases
-    /// are one predictable branch, which keeps the mask load and the
-    /// end-of-slice test off the long patterns' walk (−12% verify time on
-    /// `bulk_http`, −8% on `verify_heavy`). A case-sensitive entry in a
-    /// folded table is tested on folded bytes too — weaker, still
-    /// reject-only. Only a window that passes reads the arena, and the full
-    /// compare ([`CompactHashTable::confirm`]) has the last word.
+    /// The bucket is walked `W` entries per step, ⌈bucket / W⌉ steps: one
+    /// [`VectorBackend::bucket_survivors`] over the step's spans of the
+    /// `lens` and `suffixes` columns tests every entry's length against the
+    /// haystack and its suffix fingerprint against one haystack word
+    /// (folded when `FOLD`, as the fingerprint was) at once, so the walk has
+    /// no per-entry branch and no data-dependent trip count inside a step.
+    /// A case-sensitive entry in a folded table is tested on folded bytes
+    /// too — weaker, still reject-only. Only the entries that pass reach the
+    /// full compare ([`CompactHashTable::confirm`]), in ascending entry
+    /// order, so matches append in the order the entries are stored.
     #[inline(always)]
     fn verify_bucket<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
         &self,
         haystack: &[u8],
         pos: usize,
-        bucket: usize,
+        entries: std::ops::Range<usize>,
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        let start = self.bucket_starts[bucket] as usize;
-        let end = self.bucket_starts[bucket + 1] as usize;
-        let entries = &self.entries[start..end];
-        // Counted on the rare path (an entry running off the end) so the hot
-        // loop carries no counter from one entry to the next.
-        let mut skipped = 0usize;
-        for entry in entries {
-            let len = entry.len();
-            let window_end = pos + len;
-            if window_end > haystack.len() {
-                skipped += 1;
-                continue;
+        let std::ops::Range { start, end } = entries;
+        // Counted on the rare path (an entry running off the end), so the
+        // common step adds nothing and pays no popcount.
+        let mut skipped = 0u32;
+        // A `while` over the steps, not `chunks(W)` zipped over both
+        // columns: the iterator pair cost a fifth more per long candidate.
+        let mut first = start;
+        while first < end {
+            let last = end.min(first + W);
+            let (fit, mut pass) = B::bucket_survivors::<FOLD>(
+                &self.lens[first..last],
+                &self.suffixes[first..last],
+                haystack,
+                pos,
+            );
+            let live = u32::MAX >> (32 - (last - first));
+            if fit != live {
+                skipped += (live & !fit).count_ones();
             }
-            let rejected = if len >= 4 {
-                haystack_word::<FOLD>(haystack, window_end - 4)
-                    .is_some_and(|word| word != entry.suffix)
-            } else {
-                haystack_word::<FOLD>(haystack, pos)
-                    .is_some_and(|word| (word ^ entry.suffix) & SUFFIX_MASK[len] != 0)
-            };
-            if rejected {
-                continue;
+            while pass != 0 {
+                let entry = first + pass.trailing_zeros() as usize;
+                self.confirm::<B, W, FOLD>(entry, haystack, pos, out);
+                pass &= pass - 1;
             }
-            self.confirm::<B, W, FOLD>(entry, &haystack[pos..window_end], pos, out);
+            first = last;
         }
-        (entries.len() - skipped) as u64
+        (end - start) as u64 - u64::from(skipped)
     }
 
     /// The last word on an entry whose fingerprint passed: the full compare
-    /// of `window` (the haystack at `pos`) against the pattern's bytes in the
-    /// arena. Out of line and cold: matches are rare next to candidates, and
+    /// of the window at `pos` against the pattern's bytes in the arena (the
+    /// entry fits the haystack, or the bucket test would not have passed
+    /// it). Out of line and cold: matches are rare next to candidates, and
     /// with the vector compare inlined the rejecting walk spilled its
     /// counters every entry (`core.rounds.delta_ns` −8% on `bulk_http`,
     /// −10% on `verify_heavy` from this attribute alone).
@@ -526,22 +504,25 @@ impl CompactHashTable {
     #[inline(never)]
     fn confirm<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
         &self,
-        entry: &Entry,
-        window: &[u8],
+        entry: usize,
+        haystack: &[u8],
         pos: usize,
         out: &mut Vec<MatchEvent>,
     ) {
         #[cfg(any(test, debug_assertions))]
         self.arena_compares.add_one();
-        let offset = entry.offset as usize;
-        let pattern = &self.arena.bytes()[offset..offset + window.len()];
-        let hit = if FOLD && entry.is_nocase() {
+        let len_word = self.lens[entry];
+        let len = (len_word & BUCKET_LEN_MASK) as usize;
+        let window = &haystack[pos..pos + len];
+        let offset = self.offsets[entry] as usize;
+        let pattern = &self.arena.bytes()[offset..offset + len];
+        let hit = if FOLD && len_word & NOCASE_BIT != 0 {
             B::eq_window_nocase(window, pattern)
         } else {
             B::eq_window(window, pattern)
         };
         if hit {
-            out.push(MatchEvent::new(pos, entry.id));
+            out.push(MatchEvent::new(pos, self.ids[entry]));
         }
     }
 
@@ -577,12 +558,14 @@ impl CompactHashTable {
         let end = self.bucket_starts[bucket + 1] as usize;
         let arena = self.arena.bytes();
         let seen = &haystack[pos..];
-        self.entries[start..end].iter().any(|entry| {
-            if entry.len() <= seen.len() {
+        (start..end).any(|entry| {
+            let len_word = self.lens[entry];
+            if (len_word & BUCKET_LEN_MASK) as usize <= seen.len() {
                 return false;
             }
-            let prefix = &arena[entry.offset as usize..entry.offset as usize + seen.len()];
-            if entry.is_nocase() {
+            let offset = self.offsets[entry] as usize;
+            let prefix = &arena[offset..offset + seen.len()];
+            if len_word & NOCASE_BIT != 0 {
                 seen.eq_ignore_ascii_case(prefix)
             } else {
                 seen == prefix
@@ -605,15 +588,16 @@ impl CompactHashTable {
     ///    [`VectorBackend::hash_mul_shift`] computes the bucket indices —
     ///    `W` candidates per iteration, no scalar byte assembly.
     /// 2. **K-deep prefetch pipeline** — while candidate `i` is verified,
-    ///    the `bucket_starts` slot of candidate `i + K` and the entry row of
-    ///    candidate `i + K/2` are prefetched ([`PREFETCH_DISTANCE`]), so the
-    ///    two dependent loads of each lookup overlap the work on earlier
-    ///    candidates.
-    /// 3. **Reject in the row, confirm with vector compares** — an entry's
-    ///    suffix fingerprint is tested against one haystack word before
-    ///    anything else; the few that pass are compared against the arena
-    ///    with [`VectorBackend::eq_window`] /
-    ///    [`VectorBackend::eq_window_nocase`] instead of the byte loop.
+    ///    the `bucket_starts` slot of candidate `i + K` and the `lens` /
+    ///    `suffixes` spans of candidate `i + K/2`'s bucket are prefetched
+    ///    ([`PREFETCH_DISTANCE`]), so the dependent loads of each lookup
+    ///    overlap the work on earlier candidates.
+    /// 3. **Reject `W` entries per step, confirm with vector compares** —
+    ///    [`VectorBackend::bucket_survivors`] tests a step's lengths and
+    ///    suffix fingerprints against the haystack at once; the few entries
+    ///    that pass are compared against the arena with
+    ///    [`VectorBackend::eq_window`] / [`VectorBackend::eq_window_nocase`]
+    ///    instead of the byte loop.
     ///
     /// Candidates whose 4-byte gather window would cross the end of the
     /// haystack are detoured through the scalar index computation (and a
@@ -627,7 +611,7 @@ impl CompactHashTable {
         positions: &[u32],
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        if self.entries.is_empty() || positions.is_empty() {
+        if self.is_empty() || positions.is_empty() {
             return 0;
         }
         // Monomorphize over the fold mode: case-sensitive-only tables keep a
@@ -649,18 +633,23 @@ impl CompactHashTable {
         let mut comparisons = 0u64;
         let mut buckets = [0u32; BATCH_BLOCK];
         // The whole batch runs inside the backend's dispatch trampoline so
-        // the gathers, folds and masked compares inline into one kernel.
-        B::dispatch(|| {
-            for block in positions.chunks(BATCH_BLOCK) {
-                self.compute_buckets::<B, W, FOLD>(haystack, block, &mut buckets);
-                comparisons += self.drain_pipelined::<B, W, FOLD>(
-                    haystack,
-                    block,
-                    &buckets[..block.len()],
-                    out,
-                );
-            }
-        });
+        // the gathers, folds and bucket tests inline into one kernel. The
+        // closure is too large for the inliner to fold into the trampoline
+        // on its own, and outside it every backend primitive is a call.
+        B::dispatch(
+            #[inline(always)]
+            || {
+                for block in positions.chunks(BATCH_BLOCK) {
+                    self.compute_buckets::<B, W, FOLD>(haystack, block, &mut buckets);
+                    comparisons += self.drain_pipelined::<B, W, FOLD>(
+                        haystack,
+                        block,
+                        &buckets[..block.len()],
+                        out,
+                    );
+                }
+            },
+        );
         comparisons
     }
 
@@ -720,7 +709,11 @@ impl CompactHashTable {
             .map_or(SKIP_BUCKET, |bucket| bucket as u32)
     }
 
-    /// Drains one block of candidates through the K-deep prefetch pipeline.
+    /// Drains one block of candidates through the K-deep prefetch pipeline:
+    /// a candidate's bucket-start slot is requested `K` candidates ahead of
+    /// its walk; `K/2` ahead, by when the slot has arrived, its entry span
+    /// is read into `spans` and the first lines of its `lens` and `suffixes`
+    /// spans are requested; the walk then starts from the stored span.
     #[inline(always)]
     fn drain_pipelined<B: VectorBackend<W>, const W: usize, const FOLD: bool>(
         &self,
@@ -729,42 +722,48 @@ impl CompactHashTable {
         buckets: &[u32],
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        let len = block.len();
-        // Prologue: request the bucket offsets of the first K candidates so
-        // the steady-state stages below find them resident.
-        for &b in buckets.iter().take(PREFETCH_DISTANCE.min(len)) {
+        // A prefetch never faults, so neither request needs a bounds check
+        // (an empty bucket at the end of the columns points one past them).
+        let request_starts = |b: u32| {
             if b != SKIP_BUCKET {
-                prefetch_read(&self.bucket_starts[b as usize]);
+                prefetch_read(self.bucket_starts.as_ptr().wrapping_add(b as usize));
             }
+        };
+        let span_of = |b: u32| -> (u32, u32) {
+            if b == SKIP_BUCKET {
+                return (0, 0);
+            }
+            let (start, end) = (
+                self.bucket_starts[b as usize],
+                self.bucket_starts[b as usize + 1],
+            );
+            prefetch_read(self.lens.as_ptr().wrapping_add(start as usize));
+            prefetch_read(self.suffixes.as_ptr().wrapping_add(start as usize));
+            (start, end)
+        };
+        let mut spans = [(0u32, 0u32); BATCH_BLOCK];
+        buckets
+            .iter()
+            .take(PREFETCH_DISTANCE)
+            .for_each(|&b| request_starts(b));
+        for (span, &b) in spans.iter_mut().zip(buckets).take(COLUMN_PREFETCH_DISTANCE) {
+            *span = span_of(b);
         }
         let mut comparisons = 0u64;
-        for i in 0..len {
-            // Stage 1 (distance K): bucket offsets of candidate i + K.
-            if i + PREFETCH_DISTANCE < len {
-                let b = buckets[i + PREFETCH_DISTANCE];
-                if b != SKIP_BUCKET {
-                    prefetch_read(&self.bucket_starts[b as usize]);
-                }
+        for (i, &pos) in block.iter().enumerate() {
+            if let Some(&b) = buckets.get(i + PREFETCH_DISTANCE) {
+                request_starts(b);
             }
-            // Stage 2 (distance K/2): entry row of candidate i + K/2; its
-            // bucket offset was prefetched K/2 iterations ago.
-            if i + ENTRY_PREFETCH_DISTANCE < len {
-                let b = buckets[i + ENTRY_PREFETCH_DISTANCE];
-                if b != SKIP_BUCKET {
-                    let start = self.bucket_starts[b as usize] as usize;
-                    if let Some(entry) = self.entries.get(start) {
-                        prefetch_read(entry);
-                    }
-                }
+            if let Some(&b) = buckets.get(i + COLUMN_PREFETCH_DISTANCE) {
+                spans[i + COLUMN_PREFETCH_DISTANCE] = span_of(b);
             }
-            // Stage 0: verify candidate i — the loads every candidate
-            // performs (bucket offsets, entry row) were requested stages ago.
-            let b = buckets[i];
-            if b == SKIP_BUCKET {
-                continue;
-            }
-            comparisons +=
-                self.verify_bucket::<B, W, FOLD>(haystack, block[i] as usize, b as usize, out);
+            let (start, end) = spans[i];
+            comparisons += self.verify_bucket::<B, W, FOLD>(
+                haystack,
+                pos as usize,
+                start as usize..end as usize,
+                out,
+            );
         }
         comparisons
     }
@@ -790,10 +789,12 @@ impl CompactHashTable {
         self.folded
     }
 
-    /// Approximate byte offset of a bucket inside the table's memory, for the
-    /// cache simulator's address model.
-    pub fn bucket_offset_bytes(&self, bucket: usize) -> usize {
-        self.bucket_starts[bucket] as usize * std::mem::size_of::<Entry>()
+    /// The entry indices of `bucket` in the column order: a verification
+    /// of the bucket reads slot `bucket` of the `u32` bucket-start array,
+    /// then these spans of the `u32` length and fingerprint columns. Exposed
+    /// for the cache simulator's address model.
+    pub fn bucket_entries(&self, bucket: usize) -> std::ops::Range<usize> {
+        self.bucket_starts[bucket] as usize..self.bucket_starts[bucket + 1] as usize
     }
 }
 
@@ -1268,9 +1269,22 @@ mod tests {
 
     #[test]
     fn an_entry_is_sixteen_bytes() {
-        // Four to a cache line; `bucket_offset_bytes` and the memory rows
-        // are stated in this unit.
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        // Four `u32` columns, nothing kept twice and no padding: the memory
+        // rows count a table as its bucket starts, 16 bytes per entry and
+        // its owned pattern bytes.
+        assert_eq!(ENTRY_BYTES, 16);
+        let set = mixed_set();
+        let table = CompactHashTable::build(&set, 4, 10, |p| p.len() >= 4, None);
+        let pattern_bytes: usize = set
+            .patterns()
+            .iter()
+            .filter(|p| p.len() >= 4)
+            .map(|p| p.len())
+            .sum();
+        assert_eq!(
+            table.heap_bytes(),
+            ((1 << 10) + 1) * 4 + table.pattern_count() * 16 + pattern_bytes
+        );
     }
 
     /// SplitMix64, for the work-count constructions below.
@@ -1284,8 +1298,8 @@ mod tests {
 
     /// Verifies every start of `hay` whose 4-byte window heads a pattern of
     /// `set`, batched and one lookup at a time, and asserts the bound this
-    /// table exists for: a false candidate is rejected from the entry row,
-    /// so arena compares stay within the matches plus 1% of comparisons.
+    /// table exists for: a false candidate is rejected by the bucket test,
+    /// from the length and fingerprint columns, so arena compares stay within the matches plus 1% of comparisons.
     /// Returns `(candidates, comparisons)`.
     fn assert_false_candidates_skip_the_arena(set: &PatternSet, hay: &[u8]) -> (usize, u64) {
         let fold = set.has_nocase();

@@ -254,15 +254,17 @@ impl WuManber {
     /// each candidate's bucket is compared against the text at the window
     /// start under its own case rule, via the backend's vector window
     /// comparison. The id storage of candidate `i + K` is prefetched while
-    /// candidate `i` is verified.
+    /// candidate `i` is verified. Returns the comparisons made (patterns
+    /// that fit the haystack at their candidate).
     fn drain_candidates<S: VectorBackend<W>, const W: usize, const FOLD: bool>(
         &self,
         haystack: &[u8],
         starts: &[u32],
         values: &[u32],
         out: &mut Vec<MatchEvent>,
-    ) {
+    ) -> u64 {
         let n = haystack.len();
+        let mut comparisons = 0u64;
         S::dispatch(|| {
             for i in 0..starts.len() {
                 if i + WM_PREFETCH < starts.len() {
@@ -275,6 +277,7 @@ impl WuManber {
                     if end > n {
                         continue;
                     }
+                    comparisons += 1;
                     let window = &haystack[start..end];
                     // `FOLD = false` sets hold no `nocase` patterns, so the
                     // case branch vanishes from the monomorphized kernel.
@@ -289,6 +292,7 @@ impl WuManber {
                 }
             }
         });
+        comparisons
     }
 
     /// Monomorphizes the drain over the fold mode for one backend.
@@ -297,11 +301,11 @@ impl WuManber {
         haystack: &[u8],
         (starts, values): &Candidates,
         out: &mut Vec<MatchEvent>,
-    ) {
+    ) -> u64 {
         if self.folded {
-            self.drain_candidates::<S, W, true>(haystack, starts, values, out);
+            self.drain_candidates::<S, W, true>(haystack, starts, values, out)
         } else {
-            self.drain_candidates::<S, W, false>(haystack, starts, values, out);
+            self.drain_candidates::<S, W, false>(haystack, starts, values, out)
         }
     }
 }
@@ -324,7 +328,7 @@ impl TwoRound for WuManber {
         starts.len() as u64
     }
 
-    fn verify(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) {
+    fn verify(&self, chunk: Chunk<'_>, pad: &mut Self::Pad, out: &mut Vec<MatchEvent>) -> u64 {
         // The window compares ride the backend resolved at build time; the
         // shift walk itself is scalar.
         match self.backend {

@@ -27,7 +27,7 @@ use vpatch_suite::dfc::DfcTables;
 use vpatch_suite::patterns::matcher::normalize_matches;
 use vpatch_suite::prelude::*;
 use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
-use vpatch_suite::verify::Verifier;
+use vpatch_suite::verify::{CompactHashTable, Verifier};
 use vpatch_suite::vpatch::Scratch;
 
 /// Pattern bytes over a collision-happy alphabet (shared prefixes, both
@@ -411,4 +411,118 @@ fn comparison_counts_are_not_inflated_near_buffer_ends() {
     let batched = v.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut out);
     assert_eq!(batched, 0);
     assert!(out.is_empty());
+}
+
+/// A bucket of exactly `k` entries: every pattern starts with `a` (`A` for
+/// the `nocase` ones, which fold into the same bucket), lengths cycle
+/// through short (1–3) and long (≥ 4), tails differ, and with `mixed` every
+/// third pattern is `nocase`.
+fn one_bucket_set(k: usize, mixed: bool) -> PatternSet {
+    const LENS: [usize; 12] = [1, 4, 2, 7, 3, 5, 2, 12, 1, 4, 3, 9];
+    const TAIL: &[u8] = b"tTaGe0xQ\xc1bKz";
+    PatternSet::new(
+        (0..k)
+            .map(|j| {
+                let nocase = mixed && j % 3 == 0;
+                let mut bytes = vec![if nocase { b'A' } else { b'a' }];
+                bytes.extend((1..LENS[j % LENS.len()]).map(|i| TAIL[(i * 5 + j) % TAIL.len()]));
+                Pattern::literal(bytes).with_nocase(nocase)
+            })
+            .collect(),
+    )
+}
+
+/// One table's batched pass over `positions` on one backend: the matches
+/// in append order, and the comparisons.
+fn table_batch<B: VectorBackend<W>, const W: usize>(
+    table: &CompactHashTable,
+    hay: &[u8],
+    positions: &[u32],
+) -> (Vec<MatchEvent>, u64) {
+    let mut out = Vec::new();
+    let comparisons = table.verify_batch::<B, W>(hay, positions, &mut out);
+    (out, comparisons)
+}
+
+/// Every bucket size from one entry to two steps of the widest backend and
+/// one more (`1..=2W+1`, `W = 16`), every candidate distance `0..=max_len`
+/// from the end of an **exact-size** allocation: the bucket walk's steps,
+/// the masked column loads of a partial step and the gather of the words
+/// the long entries end on must give the matches, the append order and the
+/// comparison counts of the default walk (`verify_at`, scalar) on every
+/// backend — and, since the one table holds the whole set, the naive
+/// matcher's matches.
+#[test]
+fn every_bucket_size_against_the_end_of_the_allocation() {
+    const W: usize = 16;
+    for k in 1..=2 * W + 1 {
+        for mixed in [false, true] {
+            let set = one_bucket_set(k, mixed);
+            let table = CompactHashTable::build(&set, 1, 8, |_| true, None);
+            assert_eq!(table.is_folded(), mixed);
+            let max_len = set.patterns().iter().map(|p| p.len()).max().unwrap();
+            // Body: every pattern, the `nocase` ones case-flipped, between
+            // near-misses; the end: one pattern whole or cut short.
+            let mut body = Vec::new();
+            for p in set.patterns() {
+                let flip = |b: &u8| {
+                    if p.is_nocase() {
+                        b.to_ascii_uppercase()
+                    } else {
+                        *b
+                    }
+                };
+                body.extend(p.bytes().iter().map(flip));
+                body.extend_from_slice(b"aT");
+            }
+            for last in [0, k / 2, k - 1] {
+                let bytes = set.patterns()[last].bytes();
+                for cut in 0..bytes.len().min(4) {
+                    let mut hay = body.clone();
+                    hay.extend_from_slice(&bytes[..bytes.len() - cut]);
+                    let hay: Box<[u8]> = hay.into_boxed_slice();
+                    let len = hay.len() as u32;
+                    // The body's first patterns, then every distance from
+                    // the end.
+                    let mut positions: Vec<u32> = (0..len.min(3 * max_len as u32))
+                        .chain(len.saturating_sub(max_len as u32)..=len)
+                        .collect();
+                    positions.sort_unstable();
+                    positions.dedup();
+                    let mut expected = Vec::new();
+                    let mut expected_cmp = 0u64;
+                    for &p in &positions {
+                        expected_cmp += table.verify_at(&hay, p as usize, &mut expected) as u64;
+                    }
+                    let context = format!("k {k} mixed {mixed} last {last} cut {cut}");
+                    let mut naive = vpatch_suite::patterns::naive::naive_find_all(&set, &hay);
+                    naive.retain(|m| positions.contains(&(m.start as u32)));
+                    let mut normalized = expected.clone();
+                    normalize_matches(&mut normalized);
+                    assert_eq!(normalized, naive, "verify_at vs naive: {context}");
+                    assert!(!expected.is_empty(), "{context}");
+                    let expected = (expected, expected_cmp);
+                    assert_eq!(
+                        table_batch::<ScalarBackend, 16>(&table, &hay, &positions),
+                        expected,
+                        "scalar/16: {context}"
+                    );
+                    for kind in available_backends() {
+                        let got = match kind {
+                            BackendKind::Scalar => {
+                                table_batch::<ScalarBackend, 8>(&table, &hay, &positions)
+                            }
+                            BackendKind::Avx2 => {
+                                table_batch::<Avx2Backend, 8>(&table, &hay, &positions)
+                            }
+                            BackendKind::Avx512 => {
+                                table_batch::<Avx512Backend, 16>(&table, &hay, &positions)
+                            }
+                        };
+                        assert_eq!(got, expected, "{kind}: {context}");
+                    }
+                }
+            }
+        }
+    }
 }
