@@ -25,24 +25,3 @@ pub mod nfa;
 
 pub use dfa::DfaMatcher;
 pub use nfa::{AcAutomaton, NfaMatcher};
-
-use mpm_patterns::PatternSet;
-
-/// Builds the matcher variant the paper benchmarks (full DFA) from a pattern
-/// set. Convenience constructor used by examples and benches.
-pub fn build_snort_style(set: &PatternSet) -> DfaMatcher {
-    DfaMatcher::build(set)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mpm_patterns::{naive::naive_find_all, Matcher, PatternSet};
-
-    #[test]
-    fn snort_style_builder_matches_naive() {
-        let set = PatternSet::from_literals(&["he", "she", "his", "hers"]);
-        let m = build_snort_style(&set);
-        assert_eq!(m.find_all(b"ushers"), naive_find_all(&set, b"ushers"));
-    }
-}

@@ -186,7 +186,7 @@ pub fn scaled_grouped_rules(
             let content = mpm_patterns::RuleContent::new(bytes).with_nocase(p.is_nocase());
             out.push((
                 RuleHeader::new(Proto::Tcp, PortSpec::any(), PortSpec::single(port)),
-                mpm_patterns::Rule::new(p.group(), vec![content]),
+                mpm_patterns::Rule::new(vec![content]),
             ));
         }
     }

@@ -129,7 +129,6 @@ pub fn replay_vpatch(engine: &SPatch, input: &[u8], config: CacheConfig) -> Repl
     let table_base = 3 * REGION;
     let tables = engine.tables();
     let merged = tables.merged();
-    let verifier = tables.verifier();
     if input.is_empty() {
         return ReplayOutcome {
             report: sim.report(),
@@ -143,7 +142,7 @@ pub fn replay_vpatch(engine: &SPatch, input: &[u8], config: CacheConfig) -> Repl
         // filter bytes.
         sim.access_range(merged_base + 2 * (window >> 3) as u64, 2);
         if merged.contains_f1(window) {
-            touch_table(&mut sim, table_base, verifier.short_table(), input, i);
+            touch_table(&mut sim, table_base, tables.short_table(), input, i);
         }
         if merged.contains_f2(window) && i + 4 <= n {
             let w4 = u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
@@ -153,7 +152,7 @@ pub fn replay_vpatch(engine: &SPatch, input: &[u8], config: CacheConfig) -> Repl
                 touch_table(
                     &mut sim,
                     table_base + REGION / 2,
-                    verifier.long_table(),
+                    tables.long_table(),
                     input,
                     i,
                 );

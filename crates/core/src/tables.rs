@@ -15,8 +15,8 @@ use mpm_simd::VectorBackend;
 use std::ops::Range;
 
 use mpm_verify::{
-    direct_filter_bits_for, direct_filter_window_count, DirectFilter, HashedFilter,
-    MergedDirectFilters, Verifier, DIRECT_FILTER_FULL_BITS,
+    bucket_bits_for_entries, direct_filter_bits_for, direct_filter_window_count, CompactHashTable,
+    DirectFilter, HashedFilter, MergedDirectFilters, DIRECT_FILTER_FULL_BITS,
 };
 
 /// Everything S-PATCH / V-PATCH precompute from a pattern set
@@ -31,8 +31,12 @@ pub struct SPatchTables {
     /// Filter 3: hashed bitmap over the first four bytes of the long
     /// patterns.
     pub(crate) filter3: HashedFilter,
-    /// Compact hash tables for the verification round.
-    pub(crate) verifier: Verifier,
+    /// Verification table of the short patterns, indexed by their first
+    /// byte.
+    short: CompactHashTable,
+    /// Verification table of the long patterns, indexed by a hash of their
+    /// first four bytes.
+    long: CompactHashTable,
     /// True if the set contains any short pattern (lets the engines skip
     /// the short path entirely otherwise).
     pub(crate) has_short: bool,
@@ -72,7 +76,7 @@ impl SPatchTables {
 
     /// Compiles tables for one **port group** against a shared
     /// [`PatternArena`]: verification tables reference pattern bytes by
-    /// offset into the arena ([`Verifier::build_with_arena`]) and the
+    /// offset into the arena ([`CompactHashTable::build`]) and the
     /// hashed third filter is sized to the group's long-pattern count
     /// ([`SPatchTables::filter3_bits_for`]) instead of the monolithic 16 KB
     /// default — a 40-rule group gets a 128-byte filter 3, which is what
@@ -120,14 +124,20 @@ impl SPatchTables {
             &DirectFilter::build(set, direct_bits, is_short),
             &DirectFilter::build(set, direct_bits, is_long),
         );
-        let verifier = match arena {
-            Some(arena) => Verifier::build_with_arena(set, arena),
-            None => Verifier::build(set),
-        };
+        // The long table's bucket count follows its entry count; with an
+        // arena, both tables reference its bytes instead of owning a copy.
+        let long_count = set.patterns().iter().filter(|p| is_long(p)).count();
         SPatchTables {
             merged,
             filter3: HashedFilter::build(set, filter3_bits, is_long),
-            verifier,
+            short: CompactHashTable::build(set, 1, 8, is_short, arena),
+            long: CompactHashTable::build(
+                set,
+                4,
+                bucket_bits_for_entries(long_count),
+                is_long,
+                arena,
+            ),
             has_short: set.patterns().iter().any(is_short),
             has_long: set.patterns().iter().any(is_long),
             folded: set.has_nocase(),
@@ -210,11 +220,11 @@ impl SPatchTables {
     }
 
     /// **Verification round** (lines 15–20 of Algorithm 1), batched: the
-    /// candidate arrays are replayed through
-    /// [`Verifier::verify_short_batch`] / [`Verifier::verify_long_batch`] on
-    /// backend `B` — bucket indices hashed `W` at a time, the table walk
-    /// prefetch-pipelined `K` candidates deep, each bucket tested `W`
-    /// entries per step — and confirmed matches are appended to `out`.
+    /// candidate arrays are replayed through the short and the long table's
+    /// [`CompactHashTable::verify_batch`] on backend `B` — bucket indices
+    /// hashed `W` at a time, the table walk prefetch-pipelined `K`
+    /// candidates deep, each bucket tested `W` entries per step — and
+    /// confirmed matches are appended to `out`.
     /// Returns the number of pattern comparisons performed (identical, by
     /// construction and by the differential suite, to one table lookup per
     /// candidate).
@@ -231,11 +241,11 @@ impl SPatchTables {
         scratch: &Scratch,
         out: &mut Vec<MatchEvent>,
     ) -> u64 {
-        self.verifier
-            .verify_short_batch::<B, W>(haystack, &scratch.a_short, out)
+        self.short
+            .verify_batch::<B, W>(haystack, &scratch.a_short, out)
             + self
-                .verifier
-                .verify_long_batch::<B, W>(haystack, &scratch.a_long, out)
+                .long
+                .verify_batch::<B, W>(haystack, &scratch.a_long, out)
     }
 
     /// [`mpm_patterns::Matcher::find_into`] for `engine`, an engine built on
@@ -421,9 +431,7 @@ impl SPatchTables {
             if pos + 4 > haystack.len() {
                 break;
             }
-            if examined == RESUME_WALK_BUDGET
-                || self.verifier.long_table().prefix_live_at(haystack, pos)
-            {
+            if examined == RESUME_WALK_BUDGET || self.long.prefix_live_at(haystack, pos) {
                 return pos;
             }
         }
@@ -438,7 +446,7 @@ impl SPatchTables {
 
     /// Resident size of the verification hash tables.
     pub fn table_bytes(&self) -> usize {
-        self.verifier.heap_bytes()
+        self.short.heap_bytes() + self.long.heap_bytes()
     }
 
     /// [`mpm_patterns::Matcher::memory_footprint`] of either engine: the
@@ -451,10 +459,16 @@ impl SPatchTables {
         }
     }
 
-    /// The verification tables (exposed for the cache-simulation
-    /// experiments).
-    pub fn verifier(&self) -> &Verifier {
-        &self.verifier
+    /// The short-pattern verification table, for inspection and cache
+    /// replay.
+    pub fn short_table(&self) -> &CompactHashTable {
+        &self.short
+    }
+
+    /// The long-pattern verification table, for inspection and cache
+    /// replay.
+    pub fn long_table(&self) -> &CompactHashTable {
+        &self.long
     }
 
     /// Filters 1 and 2 (interleaved), for inspection and cache replay.

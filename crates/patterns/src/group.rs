@@ -275,7 +275,6 @@ mod tests {
     use crate::ports::{parse_header, PortSpec};
     use crate::rule::RuleContent;
     use crate::snort::{parse_grouped, ParseOptions};
-    use crate::ProtocolGroup;
 
     fn grouped(text: &str) -> GroupedRuleSet {
         GroupedRuleSet::new(parse_grouped(text, ParseOptions::default()).unwrap())
@@ -385,7 +384,7 @@ alert tcp any 445 <> any any (msg:"smb"; content:"|ff|SMB"; sid:7;)
         for group in g.groups() {
             assert_eq!(group.rules().len(), group.global_ids().len());
             // Local anchors compile independently; ids map back.
-            assert!(group.rules().anchors().is_rule_bound());
+            assert_eq!(group.rules().anchors().len(), group.rules().len());
             for (local, _) in group.rules().iter() {
                 let global = group.global_id(local);
                 assert_eq!(
@@ -416,7 +415,7 @@ alert tcp any any -> any 25 (content:"unique"; sid:3;)
     #[test]
     fn unmatchable_specs_go_to_the_catch_all_and_never_apply() {
         let header = parse_header("alert tcp any any -> any [80,!80]").unwrap();
-        let rule = Rule::new(ProtocolGroup::Other, vec![RuleContent::new(*b"abcd")]);
+        let rule = Rule::new(vec![RuleContent::new(*b"abcd")]);
         let g = GroupedRuleSet::new(vec![(header, rule)]);
         assert_eq!(g.groups()[0].key(), GroupKey::Proto(Proto::Tcp));
         let flow = FlowTuple::new(Proto::Tcp, 1, 80);
@@ -427,7 +426,7 @@ alert tcp any any -> any 25 (content:"unique"; sid:3;)
     #[test]
     fn wide_spec_rules_select_via_catch_all() {
         let header = parse_header("alert tcp any any -> any 1:1024").unwrap();
-        let rule = Rule::new(ProtocolGroup::Other, vec![RuleContent::new(*b"wide")]);
+        let rule = Rule::new(vec![RuleContent::new(*b"wide")]);
         let g = GroupedRuleSet::new(vec![(header, rule)]);
         let flow = FlowTuple::new(Proto::Tcp, 40000, 22);
         let keys: Vec<GroupKey> = g

@@ -4,8 +4,7 @@
 //! *what* they are matching:
 //!
 //! * [`Pattern`], [`PatternId`] and [`PatternSet`] — the exact byte patterns
-//!   (Snort "content" strings) with protocol grouping, as used throughout the
-//!   paper's evaluation;
+//!   (Snort "content" strings), as used throughout the paper's evaluation;
 //! * the [`Matcher`] trait and [`MatchEvent`] — the common interface every
 //!   engine in this workspace implements (Aho-Corasick, DFC, Vector-DFC,
 //!   S-PATCH, V-PATCH) so that their outputs can be compared byte-for-byte;
@@ -56,7 +55,7 @@ pub use arena::{ArenaBuilder, PatternArena};
 pub use group::{GroupKey, GroupedRuleSet, RuleGroup};
 pub use matcher::{MatchEvent, Matcher, MatcherStats, MemoryFootprint};
 pub use naive::NaiveMatcher;
-pub use pattern::{fold_byte, Pattern, PatternId, PatternSet, ProtocolGroup};
+pub use pattern::{fold_byte, Pattern, PatternId, PatternSet};
 pub use ports::{Direction, FlowTuple, PortSpec, PortVars, Proto, RuleHeader};
 pub use rule::{Rule, RuleContent, RuleId, RuleMatch, RuleSet};
 pub use stats::{LatencyHistogram, LatencySummary};

@@ -75,17 +75,6 @@ pub fn naive_find_all(set: &PatternSet, haystack: &[u8]) -> Vec<MatchEvent> {
     NaiveMatcher::new(set).find_all(haystack)
 }
 
-/// Naive count of occurrences of a single byte string in a haystack,
-/// including overlapping occurrences.
-pub fn count_occurrences(haystack: &[u8], needle: &[u8]) -> usize {
-    if needle.is_empty() || needle.len() > haystack.len() {
-        return 0;
-    }
-    (0..=(haystack.len() - needle.len()))
-        .filter(|&i| &haystack[i..i + needle.len()] == needle)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +122,6 @@ mod tests {
         let m = NaiveMatcher::new(&set);
         assert_eq!(m.count(b"banana"), m.find_all(b"banana").len() as u64);
         assert_eq!(m.count(b"banana"), 4);
-    }
-
-    #[test]
-    fn count_occurrences_overlapping() {
-        assert_eq!(count_occurrences(b"aaaa", b"aa"), 3);
-        assert_eq!(count_occurrences(b"abc", b""), 0);
-        assert_eq!(count_occurrences(b"ab", b"abc"), 0);
     }
 
     #[test]

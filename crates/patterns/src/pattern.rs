@@ -1,5 +1,4 @@
-//! Core pattern types: [`Pattern`], [`PatternId`], [`PatternSet`] and
-//! [`ProtocolGroup`].
+//! Core pattern types: [`Pattern`], [`PatternId`] and [`PatternSet`].
 //!
 //! A pattern is a byte string (a Snort `content:` string), matched either
 //! byte-exactly or — when its `nocase` flag is set, mirroring Snort's
@@ -12,7 +11,6 @@
 //! (folding only ever adds candidates), and per-pattern verification
 //! ([`Pattern::matches_at`]) restores each pattern's exact semantics.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -54,90 +52,34 @@ impl fmt::Display for PatternId {
     }
 }
 
-/// Protocol/service group a pattern belongs to.
-///
-/// Snort organises rules in groups and only evaluates the groups relevant to
-/// the traffic being inspected (the paper matches HTTP traffic against the
-/// HTTP-related patterns plus the protocol-agnostic ones). The synthetic
-/// rulesets reproduce that grouping.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub enum ProtocolGroup {
-    /// HTTP-related rules (web-server, web-client, web-cgi, ...).
-    Http,
-    /// DNS-related rules.
-    Dns,
-    /// FTP-related rules.
-    Ftp,
-    /// SMTP / mail rules.
-    Smtp,
-    /// Rules that apply to any traffic (protocol-agnostic payload content).
-    Any,
-    /// Everything else (scada, netbios, policy, ...).
-    Other,
-}
-
-impl ProtocolGroup {
-    /// All groups, in a stable order.
-    pub const ALL: [ProtocolGroup; 6] = [
-        ProtocolGroup::Http,
-        ProtocolGroup::Dns,
-        ProtocolGroup::Ftp,
-        ProtocolGroup::Smtp,
-        ProtocolGroup::Any,
-        ProtocolGroup::Other,
-    ];
-}
-
-impl fmt::Display for ProtocolGroup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ProtocolGroup::Http => "http",
-            ProtocolGroup::Dns => "dns",
-            ProtocolGroup::Ftp => "ftp",
-            ProtocolGroup::Smtp => "smtp",
-            ProtocolGroup::Any => "any",
-            ProtocolGroup::Other => "other",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A single pattern: a byte string plus its matching rule (byte-exact or
 /// ASCII-case-insensitive).
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Pattern {
     /// The literal bytes to search for. Never empty.
     bytes: Vec<u8>,
-    /// The protocol group this pattern belongs to.
-    group: ProtocolGroup,
     /// True if the pattern matches ASCII-case-insensitively (Snort
     /// `nocase;`). False — the default — means byte-exact matching.
     nocase: bool,
 }
 
 impl Pattern {
-    /// Creates a new byte-exact pattern from raw bytes.
+    /// Creates a byte-exact pattern from raw bytes.
     ///
     /// # Panics
     /// Panics if `bytes` is empty — empty patterns match everywhere and are
     /// rejected by Snort as well.
-    pub fn new(bytes: impl Into<Vec<u8>>, group: ProtocolGroup) -> Self {
+    pub fn literal(bytes: impl Into<Vec<u8>>) -> Self {
         let bytes = bytes.into();
         assert!(!bytes.is_empty(), "patterns must be non-empty");
         Pattern {
             bytes,
-            group,
             nocase: false,
         }
     }
 
-    /// Convenience constructor for a protocol-agnostic byte-exact pattern.
-    pub fn literal(bytes: impl Into<Vec<u8>>) -> Self {
-        Pattern::new(bytes, ProtocolGroup::Any)
-    }
-
-    /// Convenience constructor for a protocol-agnostic case-insensitive
-    /// pattern (shorthand for `Pattern::literal(..).with_nocase(true)`).
+    /// Creates a case-insensitive pattern (shorthand for
+    /// `Pattern::literal(..).with_nocase(true)`).
     pub fn literal_nocase(bytes: impl Into<Vec<u8>>) -> Self {
         Pattern::literal(bytes).with_nocase(true)
     }
@@ -164,12 +106,6 @@ impl Pattern {
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The protocol group of this pattern.
-    #[inline]
-    pub fn group(&self) -> ProtocolGroup {
-        self.group
     }
 
     /// True if this pattern matches ASCII-case-insensitively (Snort's
@@ -223,9 +159,9 @@ impl fmt::Display for Pattern {
             }
         }
         if self.nocase {
-            write!(f, "\" ({}, nocase)", self.group)
+            write!(f, "\" (nocase)")
         } else {
-            write!(f, "\" ({})", self.group)
+            write!(f, "\"")
         }
     }
 }
@@ -248,8 +184,6 @@ pub struct PatternSetSummary {
     /// Number of distinct first-two-byte prefixes (what the 2-byte direct
     /// filters index on; governs the filter hit rate).
     pub distinct_two_byte_prefixes: usize,
-    /// Per-group pattern counts.
-    pub per_group: BTreeMap<String, usize>,
 }
 
 /// An immutable, validated collection of patterns shared by all engines.
@@ -260,10 +194,6 @@ pub struct PatternSetSummary {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PatternSet {
     patterns: Vec<Pattern>,
-    /// Per-pattern rule binding: `rule_of[i]` is the index of the rule
-    /// pattern `i` anchors (see [`crate::rule::RuleSet::anchors`]). Empty
-    /// for ordinary (non-rule-bound) sets.
-    rule_of: Vec<u32>,
 }
 
 impl PatternSet {
@@ -273,54 +203,10 @@ impl PatternSet {
     /// different rules); every occurrence gets its own id and engines report
     /// matches for each of them.
     pub fn new(patterns: Vec<Pattern>) -> Self {
-        PatternSet {
-            patterns,
-            rule_of: Vec::new(),
-        }
+        PatternSet { patterns }
     }
 
-    /// Attaches per-pattern rule bindings: `rule_of[i]` names the rule
-    /// pattern `i` anchors. Built by [`crate::rule::RuleSet::new`]; derived
-    /// sets ([`PatternSet::select_group`], [`PatternSet::random_subset`])
-    /// drop the bindings, since the pattern↔rule correspondence no longer
-    /// holds there.
-    ///
-    /// # Panics
-    /// Panics unless `rule_of` has exactly one entry per pattern.
-    pub fn with_rule_bindings(mut self, rule_of: Vec<u32>) -> Self {
-        assert_eq!(
-            rule_of.len(),
-            self.patterns.len(),
-            "need exactly one rule binding per pattern"
-        );
-        self.rule_of = rule_of;
-        self
-    }
-
-    /// True if the set carries an anchor→rule mapping.
-    #[inline]
-    pub fn is_rule_bound(&self) -> bool {
-        !self.rule_of.is_empty()
-    }
-
-    /// The rule the given pattern anchors, when the set is rule-bound.
-    #[inline]
-    pub fn rule_binding(&self, id: PatternId) -> Option<crate::rule::RuleId> {
-        self.rule_of
-            .get(id.index())
-            .map(|&r| crate::rule::RuleId(r))
-    }
-
-    /// The full anchor→rule mapping (`None` for ordinary sets).
-    pub fn rule_bindings(&self) -> Option<&[u32]> {
-        if self.rule_of.is_empty() {
-            None
-        } else {
-            Some(&self.rule_of)
-        }
-    }
-
-    /// Builds a set from plain string literals (protocol group `Any`).
+    /// Builds a set of byte-exact patterns from plain string literals.
     pub fn from_literals<S: AsRef<[u8]>>(literals: &[S]) -> Self {
         PatternSet::new(
             literals
@@ -370,19 +256,6 @@ impl PatternSet {
         self.patterns.iter().any(|p| p.is_nocase())
     }
 
-    /// Returns a new set containing only the patterns of `group`, plus the
-    /// protocol-agnostic (`Any`) patterns — mirroring how Snort pairs traffic
-    /// with the relevant rule groups (paper §V-A, "Patterns").
-    pub fn select_group(&self, group: ProtocolGroup) -> PatternSet {
-        let patterns = self
-            .patterns
-            .iter()
-            .filter(|p| p.group() == group || p.group() == ProtocolGroup::Any)
-            .cloned()
-            .collect();
-        PatternSet::new(patterns)
-    }
-
     /// Returns a new set with the first `n` patterns of a deterministic
     /// pseudo-random permutation of this set, as used for the
     /// "effect of the number of patterns" sweeps (Figure 5a/5b).
@@ -418,7 +291,6 @@ impl PatternSet {
     pub fn summary(&self) -> PatternSetSummary {
         use std::collections::BTreeSet;
         let mut prefixes = BTreeSet::new();
-        let mut per_group: BTreeMap<String, usize> = BTreeMap::new();
         let mut total = 0usize;
         let mut min_len = usize::MAX;
         let mut max_len = 0usize;
@@ -436,7 +308,6 @@ impl PatternSet {
                 p.bytes()[0] as u16
             };
             prefixes.insert((p.len() >= 2, pre));
-            *per_group.entry(p.group().to_string()).or_insert(0) += 1;
         }
         if self.patterns.is_empty() {
             min_len = 0;
@@ -453,7 +324,6 @@ impl PatternSet {
             },
             total_bytes: total,
             distinct_two_byte_prefixes: prefixes.len(),
-            per_group,
         }
     }
 }
@@ -470,16 +340,14 @@ mod tests {
 
     #[test]
     fn pattern_basic_properties() {
-        let p = Pattern::new(*b"GET", ProtocolGroup::Http);
+        let p = Pattern::literal(*b"GET");
         assert_eq!(p.len(), 3);
         assert!(p.is_short());
         assert!(!p.is_empty());
-        assert_eq!(p.group(), ProtocolGroup::Http);
         assert_eq!(p.bytes(), b"GET");
 
         let q = Pattern::literal(*b"User-Agent: Mozilla");
         assert!(!q.is_short());
-        assert_eq!(q.group(), ProtocolGroup::Any);
     }
 
     #[test]
@@ -504,19 +372,6 @@ mod tests {
         let ids: Vec<u32> = set.iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(set.get(PatternId(1)).bytes(), b"de");
-    }
-
-    #[test]
-    fn select_group_keeps_any_patterns() {
-        let set = PatternSet::new(vec![
-            Pattern::new(*b"GET /", ProtocolGroup::Http),
-            Pattern::new(*b"MAIL FROM", ProtocolGroup::Smtp),
-            Pattern::new(*b"evil", ProtocolGroup::Any),
-        ]);
-        let http = set.select_group(ProtocolGroup::Http);
-        assert_eq!(http.len(), 2);
-        assert!(http.iter().any(|(_, p)| p.bytes() == b"GET /"));
-        assert!(http.iter().any(|(_, p)| p.bytes() == b"evil"));
     }
 
     #[test]
@@ -583,9 +438,9 @@ mod tests {
     #[test]
     fn summary_counts_are_consistent() {
         let set = PatternSet::new(vec![
-            Pattern::new(*b"ab", ProtocolGroup::Http),
-            Pattern::new(*b"abcd", ProtocolGroup::Http),
-            Pattern::new(*b"x", ProtocolGroup::Any),
+            Pattern::literal(*b"ab"),
+            Pattern::literal(*b"abcd"),
+            Pattern::literal(*b"x"),
         ]);
         let s = set.summary();
         assert_eq!(s.count, 3);
@@ -593,7 +448,5 @@ mod tests {
         assert_eq!(s.min_len, 1);
         assert_eq!(s.max_len, 4);
         assert_eq!(s.total_bytes, 7);
-        assert_eq!(s.per_group.get("http"), Some(&2));
-        assert_eq!(s.per_group.get("any"), Some(&1));
     }
 }

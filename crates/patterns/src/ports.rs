@@ -23,7 +23,6 @@
 //! contain every rule that applies), and grouped scanning re-checks
 //! `applies_to` before reporting so the index never changes semantics.
 
-use crate::pattern::ProtocolGroup;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -487,45 +486,6 @@ pub fn parse_header_with_vars(header: &str, vars: &PortVars) -> Result<RuleHeade
     })
 }
 
-/// Derives the [`ProtocolGroup`] of a parsed header from its protocol and
-/// the ports/variables it *actually* names — the structured replacement for
-/// the old substring heuristic (under which any port containing the digits
-/// `80`, such as 8080 or 1808, classified as HTTP).
-///
-/// A port is "named" when it belongs to a small explicit port set of the
-/// source or destination spec; ranges and negations never classify.
-pub fn protocol_group(header: &RuleHeader) -> ProtocolGroup {
-    const EXPLICIT: usize = 16;
-    let mut ports: Vec<u16> = Vec::new();
-    for spec in [&header.src, &header.dst] {
-        if let Some(explicit) = spec.explicit_ports(EXPLICIT) {
-            ports.extend(explicit);
-        }
-    }
-    let has_var = |name: &str| {
-        header
-            .src
-            .var_names()
-            .iter()
-            .chain(header.dst.var_names())
-            .any(|v| v == name)
-    };
-    let has_port = |p: u16| ports.contains(&p);
-    if has_var("http_ports") || has_port(80) {
-        ProtocolGroup::Http
-    } else if header.proto == Proto::Udp && (has_port(53) || has_var("dns_ports")) {
-        ProtocolGroup::Dns
-    } else if has_port(21) || has_var("ftp_ports") {
-        ProtocolGroup::Ftp
-    } else if has_port(25) || has_var("smtp_ports") {
-        ProtocolGroup::Smtp
-    } else if header.proto == Proto::Ip && header.src.is_any() && header.dst.is_any() {
-        ProtocolGroup::Any
-    } else {
-        ProtocolGroup::Other
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,31 +645,5 @@ mod tests {
         assert!(parse_header("alert tcp any any <- any 80").is_err());
         assert!(parse_header("alert tcp any 10:5 -> any 80").is_err());
         assert!(parse_header("alert tcp any any -> any !any").is_err());
-    }
-
-    #[test]
-    fn classification_is_structural_not_substring() {
-        let group = |h: &str| protocol_group(&parse_header(h).unwrap());
-        assert_eq!(
-            group("alert tcp any any -> any $HTTP_PORTS"),
-            ProtocolGroup::Http
-        );
-        assert_eq!(group("alert tcp any any -> any 80"), ProtocolGroup::Http);
-        // The old substring heuristic classified all of these as HTTP
-        // because the token contained the digits "80".
-        assert_eq!(group("alert tcp any any -> any 8080"), ProtocolGroup::Other);
-        assert_eq!(group("alert tcp any any -> any 800"), ProtocolGroup::Other);
-        assert_eq!(group("alert tcp any any -> any 1808"), ProtocolGroup::Other);
-        assert_eq!(group("alert udp any any -> any 53"), ProtocolGroup::Dns);
-        assert_eq!(group("alert tcp any any -> any 53"), ProtocolGroup::Other);
-        assert_eq!(group("alert tcp any any -> any 25"), ProtocolGroup::Smtp);
-        assert_eq!(group("alert tcp any any -> any 21"), ProtocolGroup::Ftp);
-        assert_eq!(group("alert ip any any -> any any"), ProtocolGroup::Any);
-        assert_eq!(group("alert tcp any any -> any 6667"), ProtocolGroup::Other);
-        // Ranges do not classify: port 80 inside 1:1024 is not "about HTTP".
-        assert_eq!(
-            group("alert tcp any any -> any 1:1024"),
-            ProtocolGroup::Other
-        );
     }
 }

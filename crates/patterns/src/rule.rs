@@ -15,8 +15,9 @@
 //! * [`RuleContent`] — one content string with its modifiers;
 //! * [`Rule`] — an ordered, non-empty list of contents plus metadata;
 //! * [`RuleSet`] — a collection of rules with the per-rule anchor selected
-//!   over *set statistics* and exposed as a rule-bound [`PatternSet`]
-//!   ([`RuleSet::anchors`]) ready for any engine in the workspace;
+//!   over *set statistics* and exposed as a [`PatternSet`]
+//!   ([`RuleSet::anchors`], pattern `i` anchors rule `i`) ready for any
+//!   engine in the workspace;
 //! * [`RuleMatch`] — a confirmed rule occurrence;
 //! * a naive, obviously-correct rule evaluator
 //!   ([`naive_rule_find_all`] and friends) — the ground truth the
@@ -44,7 +45,7 @@
 //! only on the payload bytes, never on how they were chunked, which is what
 //! makes streamed confirmation ≡ one-shot confirmation provable.
 
-use crate::pattern::{Pattern, PatternSet, ProtocolGroup};
+use crate::pattern::{Pattern, PatternSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -69,7 +70,7 @@ impl fmt::Display for RuleId {
 }
 
 /// One `content:` of a rule, with its per-content modifiers.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct RuleContent {
     bytes: Vec<u8>,
     nocase: bool,
@@ -301,10 +302,10 @@ impl fmt::Display for RuleContent {
 }
 
 /// A multi-content rule: an ordered, non-empty list of [`RuleContent`]s
-/// plus protocol group and (optional) Snort `sid`.
+/// plus an (optional) Snort `sid`. Which flows a rule applies to is its
+/// rule header's business ([`crate::ports::RuleHeader`]).
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Rule {
-    group: ProtocolGroup,
     sid: Option<u32>,
     contents: Vec<RuleContent>,
     /// Index (into `contents`) of the anchor content handed to the
@@ -319,10 +320,9 @@ impl Rule {
     /// # Panics
     /// Panics if `contents` is empty — a rule with no content has nothing
     /// for the matcher to anchor on.
-    pub fn new(group: ProtocolGroup, contents: Vec<RuleContent>) -> Self {
+    pub fn new(contents: Vec<RuleContent>) -> Self {
         assert!(!contents.is_empty(), "rules must have at least one content");
         Rule {
-            group,
             sid: None,
             contents,
             anchor: 0,
@@ -333,12 +333,6 @@ impl Rule {
     pub fn with_sid(mut self, sid: Option<u32>) -> Self {
         self.sid = sid;
         self
-    }
-
-    /// The protocol group of this rule.
-    #[inline]
-    pub fn group(&self) -> ProtocolGroup {
-        self.group
     }
 
     /// The Snort `sid`, if the rule text carried one.
@@ -404,8 +398,7 @@ impl fmt::Display for RuleMatch {
 }
 
 /// An immutable collection of rules with per-rule anchors selected over set
-/// statistics, plus the rule-bound anchor [`PatternSet`] the engines are
-/// compiled for.
+/// statistics, plus the anchor [`PatternSet`] the engines are compiled for.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct RuleSet {
     rules: Vec<Rule>,
@@ -440,12 +433,13 @@ impl RuleSet {
             .iter()
             .map(|r| {
                 let c = r.anchor();
-                Pattern::new(c.bytes().to_vec(), r.group).with_nocase(c.is_nocase())
+                Pattern::literal(c.bytes().to_vec()).with_nocase(c.is_nocase())
             })
             .collect();
-        let bindings: Vec<u32> = (0..rules.len() as u32).collect();
-        let anchors = PatternSet::new(patterns).with_rule_bindings(bindings);
-        RuleSet { rules, anchors }
+        RuleSet {
+            rules,
+            anchors: PatternSet::new(patterns),
+        }
     }
 
     /// Number of rules.
@@ -481,24 +475,12 @@ impl RuleSet {
     }
 
     /// The anchor pattern set the engines are compiled for: one pattern per
-    /// rule (its anchor content), with [`PatternSet::rule_binding`]
-    /// mapping pattern `i` back to rule `i`.
+    /// rule, its anchor content, in rule order — pattern `i` of this set
+    /// anchors rule `i`, so an anchor hit on `PatternId(i)` triggers
+    /// `RuleId(i)`.
     #[inline]
     pub fn anchors(&self) -> &PatternSet {
         &self.anchors
-    }
-
-    /// Returns a new set with only the rules of `group` plus the
-    /// protocol-agnostic ones, mirroring [`PatternSet::select_group`].
-    /// Anchors are re-selected over the subset's statistics.
-    pub fn select_group(&self, group: ProtocolGroup) -> RuleSet {
-        RuleSet::new(
-            self.rules
-                .iter()
-                .filter(|r| r.group == group || r.group == ProtocolGroup::Any)
-                .cloned()
-                .collect(),
-        )
     }
 }
 
@@ -634,10 +616,6 @@ mod tests {
     use super::*;
     use crate::pattern::PatternId;
 
-    fn rule(contents: Vec<RuleContent>) -> Rule {
-        Rule::new(ProtocolGroup::Any, contents)
-    }
-
     #[test]
     fn content_constraint_semantics() {
         let c = RuleContent::new(*b"abc").with_offset(2).with_depth(5);
@@ -683,11 +661,11 @@ mod tests {
         // "zz..." is rare; "GET" appears in both rules (common prefix) and is
         // short anyway.
         let set = RuleSet::new(vec![
-            rule(vec![
+            Rule::new(vec![
                 RuleContent::new(*b"GET"),
                 RuleContent::new(*b"zzz-rare-needle"),
             ]),
-            rule(vec![
+            Rule::new(vec![
                 RuleContent::new(*b"GET /index"),
                 RuleContent::new(*b"GET /other-longer"),
             ]),
@@ -702,7 +680,7 @@ mod tests {
 
     #[test]
     fn anchor_falls_back_to_longest_short_content() {
-        let set = RuleSet::new(vec![rule(vec![
+        let set = RuleSet::new(vec![Rule::new(vec![
             RuleContent::new(*b"ab"),
             RuleContent::new(*b"cde"),
         ])]);
@@ -712,11 +690,14 @@ mod tests {
     #[test]
     fn anchors_are_rule_bound_and_keep_nocase() {
         let set = RuleSet::new(vec![
-            rule(vec![RuleContent::new(*b"aaaa")]),
-            rule(vec![RuleContent::new(*b"folded-anchor").with_nocase(true)]),
+            Rule::new(vec![RuleContent::new(*b"aaaa")]),
+            Rule::new(vec![RuleContent::new(*b"folded-anchor").with_nocase(true)]),
         ]);
-        assert!(set.anchors().is_rule_bound());
-        assert_eq!(set.anchors().rule_binding(PatternId(1)), Some(RuleId(1)));
+        assert_eq!(set.anchors().len(), set.len());
+        assert_eq!(
+            set.anchors().get(PatternId(1)).bytes(),
+            set.get(RuleId(1)).anchor().bytes()
+        );
         assert!(set.anchors().get(PatternId(1)).is_nocase());
         assert!(set.anchors().has_nocase());
     }
@@ -733,7 +714,7 @@ mod tests {
 
     #[test]
     fn naive_satisfiability_chains_relative_contents() {
-        let r = rule(vec![
+        let r = Rule::new(vec![
             RuleContent::new(*b"ab"),
             RuleContent::new(*b"cd").with_distance(1).with_within(5),
         ]);
@@ -750,7 +731,7 @@ mod tests {
 
     #[test]
     fn naive_first_end_is_minimal_and_chunking_independent() {
-        let r = rule(vec![
+        let r = Rule::new(vec![
             RuleContent::new(*b"ab"),
             RuleContent::new(*b"cd").with_distance(0),
         ]);
@@ -765,9 +746,9 @@ mod tests {
     #[test]
     fn naive_find_all_reports_each_rule_once_in_id_order() {
         let set = RuleSet::new(vec![
-            rule(vec![RuleContent::new(*b"one")]),
-            rule(vec![RuleContent::new(*b"absent")]),
-            rule(vec![
+            Rule::new(vec![RuleContent::new(*b"one")]),
+            Rule::new(vec![RuleContent::new(*b"absent")]),
+            Rule::new(vec![
                 RuleContent::new(*b"one"),
                 RuleContent::new(*b"two").with_distance(0),
             ]),
@@ -780,21 +761,9 @@ mod tests {
     }
 
     #[test]
-    fn select_group_reselects_anchors() {
-        let set = RuleSet::new(vec![
-            Rule::new(ProtocolGroup::Http, vec![RuleContent::new(*b"http-needle")]),
-            Rule::new(ProtocolGroup::Smtp, vec![RuleContent::new(*b"smtp-needle")]),
-            Rule::new(ProtocolGroup::Any, vec![RuleContent::new(*b"any-needle")]),
-        ]);
-        let http = set.select_group(ProtocolGroup::Http);
-        assert_eq!(http.len(), 2);
-        assert!(http.anchors().is_rule_bound());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one content")]
     fn empty_rule_rejected() {
-        let _ = Rule::new(ProtocolGroup::Any, Vec::new());
+        let _ = Rule::new(Vec::new());
     }
 
     #[test]

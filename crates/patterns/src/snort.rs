@@ -9,8 +9,8 @@
 //! Supported subset of the rule language (sufficient for content extraction):
 //!
 //! * rule header: `action proto src sport direction dst dport ( options )` —
-//!   only the protocol and the port fields are inspected, to derive the
-//!   [`ProtocolGroup`];
+//!   read only by [`parse_grouped`], which parses it into a [`RuleHeader`]
+//!   ([`crate::ports`]); the pattern and rule views ignore it;
 //! * `content:"...";` options with Snort escaping: `\"`, `\\`, `\;`, `\:` and
 //!   hex blocks — both whitespace-separated (`|41 42 43|`) and contiguous
 //!   (`|414243|`) byte pairs, and any mix of the two, as Snort accepts;
@@ -35,7 +35,7 @@
 //! * all other options are skipped;
 //! * comment lines (`#`) and blank lines are ignored.
 //!
-//! Two entry points share one parsing path:
+//! Three entry points share one parsing path:
 //!
 //! * [`parse_rules`] — the pattern-set view: each `content:` string becomes
 //!   one [`Pattern`] (positional modifiers dropped; the longest content of a
@@ -44,9 +44,11 @@
 //! * [`parse_ruleset`] — the rule view: every content **with** its
 //!   positional constraints becomes part of a [`Rule`], and the returned
 //!   [`RuleSet`] carries the per-rule anchor patterns for the engines plus
-//!   everything the confirmation stage needs.
+//!   everything the confirmation stage needs;
+//! * [`parse_grouped`] — the rule view plus each rule's parsed header, the
+//!   input of port-group scanning ([`crate::group::GroupedRuleSet`]).
 
-use crate::pattern::{Pattern, PatternSet, ProtocolGroup};
+use crate::pattern::{Pattern, PatternSet};
 use crate::ports::{self, RuleHeader};
 use crate::rule::{Rule, RuleContent, RuleSet};
 use std::fmt;
@@ -112,9 +114,11 @@ pub fn parse_rules(text: &str, options: ParseOptions) -> Result<PatternSet, Pars
                 contents.sort_by_key(|c| std::cmp::Reverse(c.len()));
                 contents.truncate(1);
             }
-            patterns.extend(contents.into_iter().map(|c| {
-                Pattern::new(c.bytes().to_vec(), parsed.group).with_nocase(c.is_nocase())
-            }));
+            patterns.extend(
+                contents
+                    .into_iter()
+                    .map(|c| Pattern::literal(c.bytes().to_vec()).with_nocase(c.is_nocase())),
+            );
         }
     }
     Ok(PatternSet::new(patterns))
@@ -139,7 +143,7 @@ pub fn parse_ruleset(text: &str, options: ParseOptions) -> Result<RuleSet, Parse
             {
                 continue;
             }
-            rules.push(Rule::new(parsed.group, parsed.contents).with_sid(parsed.sid));
+            rules.push(Rule::new(parsed.contents).with_sid(parsed.sid));
         }
     }
     Ok(RuleSet::new(rules))
@@ -150,10 +154,11 @@ pub fn parse_ruleset(text: &str, options: ParseOptions) -> Result<RuleSet, Parse
 /// keeping each rule's parsed [`RuleHeader`] so the port-group partitioner
 /// can place it and per-flow scanning can test applicability exactly.
 ///
-/// Unlike the older entry points, a rule line whose header does not parse
-/// (wrong field count, unknown protocol or direction, malformed port spec)
-/// is a [`ParseError`] here: grouped scanning *depends* on the header, so
-/// silently guessing one would change which flows a rule fires on.
+/// This is the one entry point that reads the header, so a rule line whose
+/// header does not parse (wrong field count, unknown protocol or direction,
+/// malformed port spec) is a [`ParseError`] here and nowhere else: grouped
+/// scanning *depends* on the header, so silently guessing one would change
+/// which flows a rule fires on.
 pub fn parse_grouped(
     text: &str,
     options: ParseOptions,
@@ -166,16 +171,11 @@ pub fn parse_grouped(
             {
                 continue;
             }
-            let header = parsed.header.ok_or_else(|| ParseError {
+            let header = ports::parse_header(parsed.header).map_err(|message| ParseError {
                 line: line_no,
-                message: parsed
-                    .header_error
-                    .unwrap_or_else(|| "malformed rule header".to_string()),
+                message,
             })?;
-            rules.push((
-                header,
-                Rule::new(parsed.group, parsed.contents).with_sid(parsed.sid),
-            ));
+            rules.push((header, Rule::new(parsed.contents).with_sid(parsed.sid)));
         }
     }
     Ok(rules)
@@ -189,14 +189,12 @@ fn rule_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// One parsed rule line, before either view (patterns / rules) is derived.
-struct ParsedRule {
-    group: ProtocolGroup,
-    /// The structured header, when it parsed ([`parse_grouped`] requires
-    /// it; the pattern/rule views only need `group`).
-    header: Option<RuleHeader>,
-    /// Why the header failed to parse, for [`parse_grouped`]'s error.
-    header_error: Option<String>,
+/// One parsed rule line, before any view (patterns / rules / grouped) is
+/// derived.
+struct ParsedRule<'a> {
+    /// The header text, left of the option parenthesis; only
+    /// [`parse_grouped`] parses it.
+    header: &'a str,
     sid: Option<u32>,
     contents: Vec<RuleContent>,
 }
@@ -212,9 +210,9 @@ struct ModifierFlags {
     within: bool,
 }
 
-/// Parses one rule line into its header group, sid and contents-with-
+/// Parses one rule line into its header text, sid and contents-with-
 /// modifiers. Returns `Ok(None)` for lines that are not rules.
-fn parse_rule_body(line: &str, line_no: usize) -> Result<Option<ParsedRule>, ParseError> {
+fn parse_rule_body(line: &str, line_no: usize) -> Result<Option<ParsedRule<'_>>, ParseError> {
     let open = match line.find('(') {
         Some(i) => i,
         // Not a rule (e.g. a variable definition); ignore.
@@ -232,11 +230,6 @@ fn parse_rule_body(line: &str, line_no: usize) -> Result<Option<ParsedRule>, Par
         });
     }
     let body = &line[open + 1..close];
-    let (parsed_header, header_error) = match ports::parse_header(header) {
-        Ok(h) => (Some(h), None),
-        Err(e) => (None, Some(e)),
-    };
-    let group = classify(header, parsed_header.as_ref());
 
     // Modifier options bind to the content option they follow, so we track
     // the index of the most recent kept content; a negated (skipped) content
@@ -284,9 +277,7 @@ fn parse_rule_body(line: &str, line_no: usize) -> Result<Option<ParsedRule>, Par
         }
     }
     Ok(Some(ParsedRule {
-        group,
-        header: parsed_header,
-        header_error,
+        header,
         sid,
         contents,
     }))
@@ -388,45 +379,6 @@ fn apply_positional_modifier(
         }
     }
     Ok(())
-}
-
-/// Derives the protocol group from the rule header — a thin wrapper over
-/// the structured port parser ([`ports::protocol_group`]): ports classify
-/// by *exact* membership in the header's explicit port sets, so `8080`,
-/// `800` or `1808` no longer classify as HTTP the way the old
-/// `token.contains("80")` substring heuristic made them. Headers whose
-/// structure names no known service fall back to service names appearing
-/// in the header text (`$HTTP_SERVERS`-style address variables).
-#[cfg(test)]
-fn classify_header(header: &str) -> ProtocolGroup {
-    classify(header, ports::parse_header(header).ok().as_ref())
-}
-
-/// Classification over an already-parsed header (when it parsed), shared
-/// with `parse_rule_body` so the header is only parsed once per rule line.
-fn classify(header: &str, parsed: Option<&RuleHeader>) -> ProtocolGroup {
-    let structural = parsed.map(ports::protocol_group);
-    match structural {
-        Some(ProtocolGroup::Other) | None => {
-            let lower = header.to_ascii_lowercase();
-            let is_udp = parsed.map_or_else(
-                || lower.split_whitespace().nth(1) == Some("udp"),
-                |h| h.proto == ports::Proto::Udp,
-            );
-            if lower.contains("http") {
-                ProtocolGroup::Http
-            } else if is_udp && lower.contains("dns") {
-                ProtocolGroup::Dns
-            } else if lower.contains("ftp") {
-                ProtocolGroup::Ftp
-            } else if lower.contains("smtp") || lower.contains("mail") {
-                ProtocolGroup::Smtp
-            } else {
-                ProtocolGroup::Other
-            }
-        }
-        Some(group) => group,
-    }
 }
 
 /// Splits a rule option body on ';', honouring quoted strings and escapes.
@@ -556,7 +508,6 @@ mod tests {
         assert_eq!(set.len(), 1);
         let (_, p) = set.iter().next().unwrap();
         assert_eq!(p.bytes(), b"GET /etc/passwd");
-        assert_eq!(p.group(), ProtocolGroup::Http);
         assert!(p.is_nocase(), "the rule carries a nocase; modifier");
     }
 
@@ -705,55 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_classification() {
-        assert_eq!(
-            classify_header("alert tcp any any -> any $HTTP_PORTS "),
-            ProtocolGroup::Http
-        );
-        assert_eq!(
-            classify_header("alert udp any any -> any 53 "),
-            ProtocolGroup::Dns
-        );
-        assert_eq!(
-            classify_header("alert tcp any any -> any 25 "),
-            ProtocolGroup::Smtp
-        );
-        assert_eq!(
-            classify_header("alert tcp any any -> any 21 "),
-            ProtocolGroup::Ftp
-        );
-        assert_eq!(
-            classify_header("alert tcp any any -> any 6667 "),
-            ProtocolGroup::Other
-        );
-    }
-
-    #[test]
-    fn port_classification_is_exact_not_substring() {
-        // Regression: the old heuristic used `token.contains("80")`, so any
-        // port whose digits merely contained "80" classified as HTTP.
-        for header in [
-            "alert tcp any any -> any 8080 ",
-            "alert tcp any any -> any 800 ",
-            "alert tcp any any -> any 1808 ",
-            "alert tcp any any -> any 2125 ", // contains "21" and "25"
-            "alert tcp any any -> any 5353 ", // contains "53"
-        ] {
-            assert_eq!(classify_header(header), ProtocolGroup::Other, "{header}");
-        }
-        // Exact membership in a port list still classifies.
-        assert_eq!(
-            classify_header("alert tcp any any -> any [80,443] "),
-            ProtocolGroup::Http
-        );
-        // Service names in address variables still classify (fallback).
-        assert_eq!(
-            classify_header("alert tcp any any -> $HTTP_SERVERS 8080 "),
-            ProtocolGroup::Http
-        );
-    }
-
-    #[test]
     fn parse_grouped_keeps_headers() {
         use crate::ports::{FlowTuple, Proto};
         let text = r#"
@@ -774,13 +676,16 @@ alert tcp any 445 <> any any (msg:"smb"; content:"|ff|SMB"; sid:52;)
 
     #[test]
     fn parse_grouped_rejects_malformed_headers() {
-        // 6 header fields: no destination port. The older views cannot
-        // error here (they only need a best-effort group), but the grouped
-        // view depends on the header, so it must.
+        // 6 header fields: no destination port. The other views never read
+        // the header, but the grouped view depends on it, so it must error.
         let text = r#"alert tcp any any -> any (msg:"x"; content:"abcd"; sid:53;)"#;
         let err = parse_grouped(text, ParseOptions::default()).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("header"), "{}", err.message);
+        assert_eq!(
+            parse_ruleset(text, ParseOptions::default()).unwrap().len(),
+            1
+        );
         // A malformed port spec in the header errors too.
         let bad_ports = r#"alert tcp any any -> any !any (msg:"x"; content:"abcd"; sid:54;)"#;
         assert!(parse_grouped(bad_ports, ParseOptions::default()).is_err());
@@ -918,8 +823,7 @@ alert tcp any any -> any 25 (msg:"b"; content:"VRFY"; sid:43;)
         assert_eq!(set.get(crate::rule::RuleId(0)).sid(), Some(41));
         assert_eq!(set.get(crate::rule::RuleId(0)).contents().len(), 2);
         assert_eq!(set.get(crate::rule::RuleId(1)).sid(), Some(43));
-        assert_eq!(set.get(crate::rule::RuleId(1)).group(), ProtocolGroup::Smtp);
-        assert!(set.anchors().is_rule_bound());
+        assert_eq!(set.anchors().len(), 2);
     }
 
     #[test]

@@ -1,68 +1,7 @@
-//! Pattern-length histograms and small statistics helpers shared by the
-//! synthetic generators and the experiment harness (README § "Reproducing
-//! the paper's figures").
+//! Small statistics helpers for the experiment harness and the pipeline:
+//! a running mean/stddev and a log-linear latency histogram.
 
-use crate::pattern::PatternSet;
 use serde::{Deserialize, Serialize};
-
-/// A histogram of pattern lengths with the bucket boundaries the paper's
-/// analysis uses (the filter classes of DFC / S-PATCH).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct LengthHistogram {
-    /// Patterns of length 1.
-    pub len1: usize,
-    /// Patterns of length 2.
-    pub len2: usize,
-    /// Patterns of length 3.
-    pub len3: usize,
-    /// Patterns of length 4–7.
-    pub len4_7: usize,
-    /// Patterns of length 8–15.
-    pub len8_15: usize,
-    /// Patterns of length 16–31.
-    pub len16_31: usize,
-    /// Patterns of length 32 or more.
-    pub len32_plus: usize,
-}
-
-impl LengthHistogram {
-    /// Builds the histogram for a pattern set.
-    pub fn of(set: &PatternSet) -> Self {
-        let mut h = LengthHistogram::default();
-        for p in set.patterns() {
-            match p.len() {
-                1 => h.len1 += 1,
-                2 => h.len2 += 1,
-                3 => h.len3 += 1,
-                4..=7 => h.len4_7 += 1,
-                8..=15 => h.len8_15 += 1,
-                16..=31 => h.len16_31 += 1,
-                _ => h.len32_plus += 1,
-            }
-        }
-        h
-    }
-
-    /// Total number of patterns counted.
-    pub fn total(&self) -> usize {
-        self.len1
-            + self.len2
-            + self.len3
-            + self.len4_7
-            + self.len8_15
-            + self.len16_31
-            + self.len32_plus
-    }
-
-    /// Fraction of patterns that are "short" in the S-PATCH sense (1–3 bytes,
-    /// handled by filter 1 and the short-pattern hash table).
-    pub fn short_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        (self.len1 + self.len2 + self.len3) as f64 / self.total() as f64
-    }
-}
 
 /// Simple online mean/stddev accumulator (Welford), used by the benchmark
 /// harness to report mean ± stddev over repeated runs as the paper does.
@@ -272,39 +211,6 @@ pub struct LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::PatternSet;
-
-    #[test]
-    fn histogram_buckets() {
-        let set = PatternSet::from_literals(&[
-            "a",
-            "bb",
-            "ccc",
-            "dddd",
-            "eeeeeeee",
-            "ffffffffffffffff",
-            "0123456789012345678901234567890123456789",
-        ]);
-        let h = LengthHistogram::of(&set);
-        assert_eq!(h.len1, 1);
-        assert_eq!(h.len2, 1);
-        assert_eq!(h.len3, 1);
-        assert_eq!(h.len4_7, 1);
-        assert_eq!(h.len8_15, 1);
-        assert_eq!(h.len16_31, 1);
-        assert_eq!(h.len32_plus, 1);
-        assert_eq!(h.total(), 7);
-        let frac = h.short_fraction();
-        assert!((frac - 3.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let set = PatternSet::new(vec![]);
-        let h = LengthHistogram::of(&set);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.short_fraction(), 0.0);
-    }
 
     #[test]
     fn latency_histogram_is_exact_below_64ns() {

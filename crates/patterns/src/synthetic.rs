@@ -20,7 +20,7 @@
 //! vocabulary of HTTP/attack tokens plus controlled random filler, seeded
 //! deterministically so that every run of the benchmarks sees the same set.
 
-use crate::pattern::{Pattern, PatternSet, ProtocolGroup};
+use crate::pattern::{Pattern, PatternSet};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::HashSet;
@@ -128,7 +128,7 @@ const OTHER_TOKENS: &[&str] = &[
 pub struct RulesetSpec {
     /// Total number of patterns in the full set.
     pub total_patterns: usize,
-    /// Fraction of patterns placed in the HTTP group.
+    /// Fraction of patterns generated from the HTTP vocabulary.
     pub http_fraction: f64,
     /// Fraction of patterns that are short (1–3 bytes) — the paper reports
     /// 21% of Snort patterns are 1–4 bytes; with a 4-byte boundary between
@@ -172,12 +172,14 @@ impl RulesetSpec {
     }
 }
 
-/// A generated ruleset: the full pattern set plus convenience accessors for
-/// the protocol selections the paper's experiments use.
+/// A generated ruleset: the full pattern set plus the HTTP selection the
+/// paper's experiments match against HTTP traces.
 #[derive(Clone, Debug)]
 pub struct SyntheticRuleset {
     spec: RulesetSpec,
     full: PatternSet,
+    /// Index-parallel to `full`: true if the pattern is in [`Self::http`].
+    in_http: Vec<bool>,
 }
 
 impl SyntheticRuleset {
@@ -186,33 +188,28 @@ impl SyntheticRuleset {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(spec.total_patterns * 2);
         let mut patterns = Vec::with_capacity(spec.total_patterns);
+        let mut in_http = Vec::with_capacity(spec.total_patterns);
 
         let n_http = (spec.total_patterns as f64 * spec.http_fraction).round() as usize;
         while patterns.len() < spec.total_patterns {
             let is_http = patterns.len() < n_http;
-            let group = if is_http {
-                ProtocolGroup::Http
-            } else {
-                // Spread the remainder over the other groups.
-                match rng.gen_range(0..10) {
-                    0..=1 => ProtocolGroup::Dns,
-                    2..=3 => ProtocolGroup::Ftp,
-                    4..=5 => ProtocolGroup::Smtp,
-                    6 => ProtocolGroup::Any,
-                    _ => ProtocolGroup::Other,
-                }
-            };
+            // The remainder is spread over DNS, FTP, SMTP and other services
+            // and, on a draw of 6 out of 0..10, protocol-agnostic content,
+            // which the HTTP selection keeps. Only non-HTTP patterns draw.
+            let selected = is_http || rng.gen_range(0..10) == 6;
             let bytes = generate_pattern_bytes(&mut rng, spec, is_http);
             // Keep patterns distinct: duplicates would only inflate the match
             // counts without changing engine behaviour, and real rulesets are
             // overwhelmingly distinct strings.
             if seen.insert(bytes.clone()) {
-                patterns.push(Pattern::new(bytes, group));
+                patterns.push(Pattern::literal(bytes));
+                in_http.push(selected);
             }
         }
         SyntheticRuleset {
             spec,
             full: PatternSet::new(patterns),
+            in_http,
         }
     }
 
@@ -231,15 +228,22 @@ impl SyntheticRuleset {
         self.spec
     }
 
-    /// The full pattern set (all protocol groups).
+    /// The full pattern set (every service).
     pub fn full(&self) -> &PatternSet {
         &self.full
     }
 
-    /// The HTTP selection (HTTP-group patterns plus protocol-agnostic ones),
-    /// which is what the paper matches against its HTTP-dominated traces.
+    /// The HTTP selection (HTTP patterns plus protocol-agnostic ones), in
+    /// the order of [`Self::full`], which is what the paper matches against
+    /// its HTTP-dominated traces.
     pub fn http(&self) -> PatternSet {
-        self.full.select_group(ProtocolGroup::Http)
+        self.full
+            .patterns()
+            .iter()
+            .zip(&self.in_http)
+            .filter(|(_, &selected)| selected)
+            .map(|(p, _)| p.clone())
+            .collect()
     }
 }
 

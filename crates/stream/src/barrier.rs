@@ -369,13 +369,10 @@ mod tests {
 
     fn rules_for_shard() -> RuleSet {
         use mpm_patterns::rule::{Rule, RuleContent};
-        RuleSet::new(vec![Rule::new(
-            mpm_patterns::ProtocolGroup::Any,
-            vec![
-                RuleContent::new(*b"attack"),
-                RuleContent::new(*b"body").with_distance(0),
-            ],
-        )])
+        RuleSet::new(vec![Rule::new(vec![
+            RuleContent::new(*b"attack"),
+            RuleContent::new(*b"body").with_distance(0),
+        ])])
     }
 
     #[test]

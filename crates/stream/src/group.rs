@@ -14,7 +14,7 @@
 //!
 //! Cross-group deduplication, on two levels:
 //!
-//! - **Verifier entries**: all groups share **one** [`RuleConfirmer`] built
+//! - **Confirmer contents**: all groups share **one** [`RuleConfirmer`] built
 //!   over the monolithic rule set. Per-group confirmers would each carry
 //!   their own rule chains and — once anything indexes a payload — their
 //!   own unique-content automaton, measured at ~30× the engine tables on
@@ -25,9 +25,10 @@
 //!   (Grouped scanning confirms by resumable enumeration and never indexes,
 //!   so the automaton, compiled on first use, is not resident here.)
 //! - **Engines**: groups whose local rule lists are structurally identical
-//!   (same contents, modifiers and protocol group, in the same order —
-//!   Snort `sid`s may differ) share one compiled engine via `Arc`, so N
-//!   lookup keys pointing at the same rules cost one set of tables.
+//!   (same contents and modifiers, in the same order — Snort `sid`s may
+//!   differ) share one compiled engine via `Arc`, so N lookup keys pointing
+//!   at the same rules cost one set of tables. Engines match contents only,
+//!   so nothing else about a rule can tell two such groups apart.
 //!
 //! [`GroupedEngineSet::memory_footprint`] counts each unique engine once,
 //! the shared confirmer once, and the shared arena exactly once.
@@ -42,15 +43,15 @@ use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
 /// Structural equality of two groups' rule lists for engine sharing: same
-/// contents (bytes + modifiers) and protocol groups in the same order.
-/// `sid`s are deliberately ignored — two port groups carrying the same
-/// rules under different sids still match identically.
+/// contents (bytes + modifiers) in the same order. `sid`s are deliberately
+/// ignored — two port groups carrying the same rules under different sids
+/// still match identically.
 fn rules_equal_ignoring_sid(a: &RuleSet, b: &RuleSet) -> bool {
     a.len() == b.len()
         && a.rules()
             .iter()
             .zip(b.rules().iter())
-            .all(|(x, y)| x.group() == y.group() && x.contents() == y.contents())
+            .all(|(x, y)| x.contents() == y.contents())
 }
 
 /// Cheap pre-filter for [`rules_equal_ignoring_sid`]: a hash over the same
@@ -61,16 +62,7 @@ fn rules_signature(set: &RuleSet) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     set.len().hash(&mut h);
     for rule in set.rules() {
-        (rule.group() as u8).hash(&mut h);
-        rule.contents().len().hash(&mut h);
-        for c in rule.contents() {
-            c.bytes().hash(&mut h);
-            c.is_nocase().hash(&mut h);
-            c.offset().hash(&mut h);
-            c.depth().hash(&mut h);
-            c.distance().hash(&mut h);
-            c.within().hash(&mut h);
-        }
+        rule.contents().hash(&mut h);
     }
     h.finish()
 }

@@ -102,16 +102,11 @@ pub(crate) struct AnchorStream {
 }
 
 impl AnchorStream {
-    /// `scanner` scans `set.anchors()`; `id_of` maps a rule index of `set`
-    /// to the id the confirmer knows the rule by.
+    /// `scanner` scans `set.anchors()`, whose pattern `i` anchors rule `i`;
+    /// `id_of` maps a rule index of `set` to the id the confirmer knows the
+    /// rule by.
     pub(crate) fn new(scanner: StreamScanner, set: &RuleSet, id_of: impl Fn(u32) -> u32) -> Self {
-        // Invariant: `RuleSet::anchors()` builds its `PatternSet` with one
-        // binding per anchor, so `rule_bindings()` is always `Some` here.
-        let rules = set
-            .anchors()
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound");
-        let rule_of = rules.iter().map(|&rule| id_of(rule)).collect();
+        let rule_of = (0..set.len() as u32).map(id_of).collect();
         AnchorStream { scanner, rule_of }
     }
 }
@@ -125,17 +120,13 @@ impl AnchorStream {
 ///
 /// ```
 /// use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-/// use mpm_patterns::ProtocolGroup;
 /// use mpm_stream::RuleStreamScanner;
 /// use std::sync::Arc;
 ///
-/// let set = RuleSet::new(vec![Rule::new(
-///     ProtocolGroup::Any,
-///     vec![
-///         RuleContent::new(*b"GET "),
-///         RuleContent::new(*b"passwd").with_distance(0),
-///     ],
-/// )]);
+/// let set = RuleSet::new(vec![Rule::new(vec![
+///     RuleContent::new(*b"GET "),
+///     RuleContent::new(*b"passwd").with_distance(0),
+/// ])]);
 /// let engine: mpm_stream::SharedMatcher =
 ///     Arc::from(mpm_patterns::NaiveMatcher::new(set.anchors()));
 /// let mut scanner = RuleStreamScanner::new(engine, &set);
@@ -386,15 +377,10 @@ impl RuleStreamScanner {
 mod tests {
     use super::*;
     use mpm_patterns::rule::{naive_rule_find_all, Rule, RuleContent};
-    use mpm_patterns::{NaiveMatcher, ProtocolGroup};
+    use mpm_patterns::NaiveMatcher;
 
     fn ruleset(rules: Vec<Vec<RuleContent>>) -> RuleSet {
-        RuleSet::new(
-            rules
-                .into_iter()
-                .map(|contents| Rule::new(ProtocolGroup::Any, contents))
-                .collect(),
-        )
+        RuleSet::new(rules.into_iter().map(Rule::new).collect())
     }
 
     fn scanner(set: &RuleSet) -> RuleStreamScanner {

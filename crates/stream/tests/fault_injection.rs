@@ -14,7 +14,7 @@ mod common;
 
 use common::{Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, PatternSet, ProtocolGroup};
+use mpm_patterns::{MatchEvent, Matcher, NaiveMatcher, PatternSet};
 use mpm_stream::{
     BackpressurePolicy, FaultPlan, FlowMatch, Packet, PipelineError, ScannerBuilder, SharedMatcher,
 };
@@ -235,14 +235,11 @@ fn block_timeout_sheds_after_the_deadline_and_recovers_on_disarm() {
 fn buffer_capped_flows_degrade_with_exact_counters() {
     // Rule 0: "attack" then "body" at distance 0; rule 1: "passwd".
     let set = RuleSet::new(vec![
-        Rule::new(
-            ProtocolGroup::Any,
-            vec![
-                RuleContent::new(*b"attack"),
-                RuleContent::new(*b"body").with_distance(0),
-            ],
-        ),
-        Rule::new(ProtocolGroup::Any, vec![RuleContent::new(*b"passwd")]),
+        Rule::new(vec![
+            RuleContent::new(*b"attack"),
+            RuleContent::new(*b"body").with_distance(0),
+        ]),
+        Rule::new(vec![RuleContent::new(*b"passwd")]),
     ]);
     let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
     let mut pipeline = ScannerBuilder::new()

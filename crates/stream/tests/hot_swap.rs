@@ -12,6 +12,10 @@
 //! read (a flow scanned partly under each ruleset) would surface as a flow
 //! with both ends, or with the wrong one for its mint time.
 //!
+//! The grouped test swaps whole port-group engine sets built from rule text:
+//! the two epochs give "alpha" and "bravo" to opposite services, so the rule
+//! id and the offset a flow confirms at together name the epoch.
+//!
 //! The last test swaps a *plain* engine while small packets of old and new
 //! flows wait in one backed-up ring, where the worker scans runs of flows in
 //! one engine call: a run belongs to one engine, so an old flow's packet
@@ -21,15 +25,15 @@ mod common;
 
 use common::{worker_counts, Gated, HOLD_FLOW};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
-use mpm_stream::{FlowRuleMatch, Packet, PipelineScanner, ScannerBuilder, SharedMatcher};
+use mpm_patterns::snort::{parse_grouped, ParseOptions};
+use mpm_patterns::{FlowTuple, GroupedRuleSet, NaiveMatcher, PatternSet, Proto};
+use mpm_stream::{
+    FlowRuleMatch, GroupedEngineSet, Packet, PipelineScanner, ScannerBuilder, SharedMatcher,
+};
 use std::sync::Arc;
 
 fn single_rule_set(needle: [u8; 5]) -> RuleSet {
-    RuleSet::new(vec![Rule::new(
-        ProtocolGroup::Any,
-        vec![RuleContent::new(needle)],
-    )])
+    RuleSet::new(vec![Rule::new(vec![RuleContent::new(needle)])])
 }
 
 /// Every flow gets the same spliced stream: "--alpha--" then "--bravo--".
@@ -160,6 +164,82 @@ fn swapped_in_ruleset_governs_flows_that_outlive_several_epochs() {
     matches.sort_by_key(|m| m.flow);
     let ends: Vec<(u64, usize)> = matches.iter().map(|m| (m.flow, m.end)).collect();
     assert_eq!(ends, vec![(0, END_ALPHA), (1, END_BRAVO), (2, END_ALPHA)]);
+}
+
+/// Epoch A of the grouped swap: "alpha" is a web rule, "bravo" a mail rule.
+const GROUPS_A: &str = r#"
+alert tcp any any -> any 80 (msg:"web alpha"; content:"alpha"; sid:1;)
+alert tcp any any -> any 25 (msg:"mail bravo"; content:"bravo"; sid:2;)
+"#;
+
+/// Epoch B gives each needle to the other service.
+const GROUPS_B: &str = r#"
+alert tcp any any -> any 25 (msg:"mail alpha"; content:"alpha"; sid:3;)
+alert tcp any any -> any 80 (msg:"web bravo"; content:"bravo"; sid:4;)
+"#;
+
+fn grouped_engines(text: &str) -> Arc<GroupedEngineSet> {
+    let rules = parse_grouped(text, ParseOptions::default()).expect("rules parse");
+    Arc::new(GroupedEngineSet::build_with(
+        GroupedRuleSet::new(rules),
+        |set, arena| Arc::from(mpm_vpatch::build_auto_with_arena(set, arena)),
+    ))
+}
+
+/// `swap_groups` between two port-grouped rule sets: a flow minted before
+/// the swap keeps confirming against the old groups for the packets it
+/// receives after it, a flow first seen after the swap confirms against the
+/// new ones only — the exact rule ids per flow, at every worker count.
+#[test]
+fn grouped_swap_confirms_each_flow_against_its_mint_time_groups() {
+    // Per epoch; even flows go to port 80 (web), odd ones to port 25 (mail).
+    const FLOWS: u64 = 8;
+    let packet = |flow: u64, payload: &[u8]| {
+        let port = if flow.is_multiple_of(2) { 80 } else { 25 };
+        let tuple = FlowTuple::new(Proto::Tcp, 40_000 + flow as u16, port);
+        Packet::new_with_tuple(flow, payload.to_vec(), tuple)
+    };
+    // Epoch A's rule 0 is web "alpha" and rule 1 mail "bravo"; epoch B's
+    // rule 0 is mail "alpha" and rule 1 web "bravo".
+    let expected: Vec<(u64, u32, usize)> = (0..2 * FLOWS)
+        .map(|f| match (f < FLOWS, f.is_multiple_of(2)) {
+            (true, true) => (f, 0, END_ALPHA),
+            (true, false) => (f, 1, END_BRAVO),
+            (false, true) => (f, 1, END_BRAVO),
+            (false, false) => (f, 0, END_ALPHA),
+        })
+        .collect();
+    for workers in worker_counts(&[1, 2, 4]) {
+        let mut pipeline = ScannerBuilder::new()
+            .groups(grouped_engines(GROUPS_A))
+            .workers(workers)
+            .build()
+            .expect("valid build");
+        for f in 0..FLOWS {
+            pipeline.dispatch(packet(f, PACKET_A));
+        }
+        assert_eq!(pipeline.swap_groups(grouped_engines(GROUPS_B)), 1);
+        for f in 0..FLOWS {
+            pipeline.dispatch(packet(f, PACKET_B));
+        }
+        for f in FLOWS..2 * FLOWS {
+            pipeline.dispatch(packet(f, PACKET_A));
+            pipeline.dispatch(packet(f, PACKET_B));
+        }
+        let stats = pipeline.drain().expect("workers alive");
+        assert_eq!(stats.epoch, 1);
+        assert_eq!(
+            stats.old_epoch_flows, FLOWS as usize,
+            "{workers} workers: every pre-swap flow still on epoch A"
+        );
+        let mut got: Vec<(u64, u32, usize)> = stats
+            .rule_matches
+            .iter()
+            .map(|m| (m.flow, m.rule.0, m.end))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, expected, "{workers} workers");
+    }
 }
 
 /// Old-epoch and new-epoch flows interleaved in one backlog, behind the swap

@@ -16,7 +16,7 @@ use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::snort::{parse_grouped, ParseOptions};
-use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
+use mpm_patterns::{NaiveMatcher, PatternSet};
 use mpm_stream::{BackpressurePolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
@@ -91,14 +91,11 @@ fn plain_mode_pipeline_equals_barrier_at_every_worker_count() {
 
 fn rules_fixture() -> RuleSet {
     RuleSet::new(vec![
-        Rule::new(
-            ProtocolGroup::Any,
-            vec![
-                RuleContent::new(*b"attack"),
-                RuleContent::new(*b"body").with_distance(0),
-            ],
-        ),
-        Rule::new(ProtocolGroup::Any, vec![RuleContent::new(*b"passwd")]),
+        Rule::new(vec![
+            RuleContent::new(*b"attack"),
+            RuleContent::new(*b"body").with_distance(0),
+        ]),
+        Rule::new(vec![RuleContent::new(*b"passwd")]),
     ])
 }
 
@@ -586,11 +583,7 @@ fn lru_eviction_under_backpressure_still_matches_the_barrier() {
 #[test]
 fn evicting_a_degraded_flow_releases_its_state() {
     use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-    use mpm_patterns::ProtocolGroup;
-    let set = RuleSet::new(vec![Rule::new(
-        ProtocolGroup::Any,
-        vec![RuleContent::new(*b"pass")],
-    )]);
+    let set = RuleSet::new(vec![Rule::new(vec![RuleContent::new(*b"pass")])]);
     let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
     let mut pipeline = ScannerBuilder::new()
         .rules(engine, &set)

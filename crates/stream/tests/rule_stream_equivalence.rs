@@ -15,7 +15,7 @@
 //! over the same range.
 
 use mpm_patterns::rule::{naive_rule_find_all, Rule, RuleContent, RuleId, RuleSet};
-use mpm_patterns::{NaiveMatcher, ProtocolGroup};
+use mpm_patterns::NaiveMatcher;
 use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend};
 use mpm_stream::{Packet, RuleStreamScanner, ScannerBuilder, SharedMatcher};
 use mpm_vpatch::{SPatch, VPatch};
@@ -23,12 +23,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 fn ruleset(rules: Vec<Vec<RuleContent>>) -> RuleSet {
-    RuleSet::new(
-        rules
-            .into_iter()
-            .map(|contents| Rule::new(ProtocolGroup::Any, contents))
-            .collect(),
-    )
+    RuleSet::new(rules.into_iter().map(Rule::new).collect())
 }
 
 /// Anchor engines spanning the engine families, plus every backend this

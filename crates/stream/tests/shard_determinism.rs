@@ -12,7 +12,7 @@ use mpm_patterns::naive::naive_find_all;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::snort::{parse_grouped, ParseOptions};
-use mpm_patterns::{NaiveMatcher, PatternSet, ProtocolGroup};
+use mpm_patterns::{NaiveMatcher, PatternSet};
 use mpm_stream::{FlowMatch, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
@@ -137,13 +137,10 @@ fn repeated_batches_are_deterministic_and_stateful() {
 
 #[test]
 fn rule_mode_determinism_across_worker_counts() {
-    let set = RuleSet::new(vec![Rule::new(
-        ProtocolGroup::Any,
-        vec![
-            RuleContent::new(*b"attack"),
-            RuleContent::new(*b"body").with_distance(0),
-        ],
-    )]);
+    let set = RuleSet::new(vec![Rule::new(vec![
+        RuleContent::new(*b"attack"),
+        RuleContent::new(*b"body").with_distance(0),
+    ])]);
     let packets: Vec<Packet> = (0..20u64)
         .map(|f| Packet::new(f, format!("attack {f} body").into_bytes()))
         .collect();

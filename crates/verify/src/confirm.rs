@@ -74,7 +74,7 @@
 
 use mpm_aho_corasick::NfaMatcher;
 use mpm_patterns::rule::{RuleContent, RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, Matcher, Pattern, PatternSet, ProtocolGroup};
+use mpm_patterns::{MatchEvent, Matcher, Pattern, PatternSet};
 use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend, VectorBackend};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -253,7 +253,7 @@ impl RuleConfirmer {
                 for (content, &slot) in rule.contents().iter().zip(slots) {
                     if slot as usize == patterns.len() {
                         patterns.push(
-                            Pattern::new(content.bytes().to_vec(), ProtocolGroup::Any)
+                            Pattern::literal(content.bytes().to_vec())
                                 .with_nocase(content.is_nocase()),
                         );
                     }
@@ -512,7 +512,6 @@ fn chain_dp_rows<'a>(
 pub struct RuleScanner {
     engine: Arc<dyn Matcher + Send + Sync>,
     confirmer: RuleConfirmer,
-    rule_of: Arc<[u32]>,
 }
 
 impl RuleScanner {
@@ -534,19 +533,11 @@ impl RuleScanner {
             max_len,
             "engine was compiled for a different anchor set"
         );
-        let rule_of: Arc<[u32]> = anchors
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound")
-            .into();
         // `scan_rules` indexes every payload an anchor fires on, so pay for
         // the index automaton here, not on the first scan.
         let confirmer = RuleConfirmer::build(set);
         confirmer.contents();
-        RuleScanner {
-            engine,
-            confirmer,
-            rule_of,
-        }
+        RuleScanner { engine, confirmer }
     }
 
     /// The wrapped anchor engine.
@@ -564,7 +555,8 @@ impl RuleScanner {
         self.engine.find_all(payload)
     }
 
-    /// Confirmed rules, in rule-id order, each at most once.
+    /// Confirmed rules, in rule-id order, each at most once. An anchor hit
+    /// on pattern `i` triggers rule `i` ([`RuleSet::anchors`]).
     ///
     /// Confirmation is amortized through one [`RuleConfirmer::index_payload`]
     /// pass shared by every triggered rule, so the cost of dense anchor
@@ -572,7 +564,7 @@ impl RuleScanner {
     pub fn scan_rules(&self, payload: &[u8]) -> Vec<RuleMatch> {
         let mut triggered: BTreeSet<u32> = BTreeSet::new();
         for event in self.engine.find_all(payload) {
-            triggered.insert(self.rule_of[event.pattern.index()]);
+            triggered.insert(event.pattern.0);
         }
         if triggered.is_empty() {
             return Vec::new();
@@ -594,15 +586,10 @@ impl RuleScanner {
 mod tests {
     use super::*;
     use mpm_patterns::rule::{naive_rule_find_all, naive_rule_first_end, Rule, RuleContent};
-    use mpm_patterns::{NaiveMatcher, ProtocolGroup};
+    use mpm_patterns::NaiveMatcher;
 
     fn ruleset(rules: Vec<Vec<RuleContent>>) -> RuleSet {
-        RuleSet::new(
-            rules
-                .into_iter()
-                .map(|contents| Rule::new(ProtocolGroup::Any, contents))
-                .collect(),
-        )
+        RuleSet::new(rules.into_iter().map(Rule::new).collect())
     }
 
     fn scanner(set: &RuleSet) -> RuleScanner {

@@ -15,10 +15,10 @@
 //!   fingerprints, arena offsets, pattern ids — and verified `W` entries
 //!   per step: one [`VectorBackend::bucket_survivors`] tests the lengths
 //!   and fingerprints of a whole step against the input at once, and only
-//!   the entries that survive are compared against the arena;
-//! * [`Verifier`] — the two-table arrangement S-PATCH/V-PATCH use: one table
-//!   for short patterns (1–3 bytes, reached through filter 1) and one for
-//!   long patterns (≥ 4 bytes, reached through filters 2+3);
+//!   the entries that survive are compared against the arena. S-PATCH and
+//!   V-PATCH build two: one for short patterns (1–3 bytes, reached through
+//!   filter 1) and one for long patterns (≥ 4 bytes, reached through
+//!   filters 2+3);
 //! * [`hash32`] — the multiplicative hash family used both here and by the
 //!   third filter of S-PATCH.
 //!
@@ -402,8 +402,9 @@ impl CompactHashTable {
     }
 
     /// Resident size of the table in bytes. Tables built over a shared
-    /// arena ([`Verifier::build_with_arena`]) do **not** count the arena
-    /// here — the owner of the group collection counts it exactly once.
+    /// arena ([`CompactHashTable::build`] with `shared`) do **not** count
+    /// the arena here — the owner of the group collection counts it exactly
+    /// once.
     pub fn heap_bytes(&self) -> usize {
         self.bucket_starts.len() * 4 + self.lens.len() * ENTRY_BYTES + self.arena.resident_bytes()
     }
@@ -798,123 +799,27 @@ impl CompactHashTable {
     }
 }
 
-/// The two-table verifier used by S-PATCH / V-PATCH: short patterns
-/// (1–3 bytes) verified through a byte-indexed table, long patterns
-/// (≥ 4 bytes) through a 4-byte-hash-indexed table.
-#[derive(Clone, Debug)]
-pub struct Verifier {
-    short: CompactHashTable,
-    long: CompactHashTable,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpm_patterns::{naive::naive_find_all, Pattern, PatternSet};
 
-impl Verifier {
-    /// Builds the verifier for `set`, each table owning its pattern bytes.
-    /// When the set contains any `nocase` pattern both tables are built in
-    /// folded mode (the engines fold their filter tables and input windows
-    /// to match); a case-sensitive-only set gets byte-exact tables. The
-    /// long-pattern table's bucket count follows its entry count
-    /// ([`bucket_bits_for_entries`]).
-    pub fn build(set: &PatternSet) -> Self {
-        Self::build_inner(set, None)
-    }
-
-    /// Builds the verifier for one port group against a shared
-    /// [`PatternArena`] — the port-group build, where many per-group tables
-    /// would otherwise each copy the same `content:` bytes. Pattern bytes
-    /// are offset references into the arena; the tables hold a clone of its
-    /// `Arc` and report zero arena bytes, and the owner of the group
-    /// collection counts the arena once. Lookup semantics and table sizing
-    /// are identical to [`Verifier::build`]; only where the pattern bytes
-    /// live changes.
-    ///
-    /// # Panics
-    /// Panics if a pattern of `set` was never interned in `arena` (the
-    /// two-pass protocol: intern everything, freeze, then build tables).
-    pub fn build_with_arena(set: &PatternSet, arena: &PatternArena) -> Self {
-        Self::build_inner(set, Some(arena))
-    }
-
-    fn build_inner(set: &PatternSet, arena: Option<&PatternArena>) -> Self {
-        let long_count = set.iter().filter(|(_, p)| p.len() >= 4).count();
-        Verifier {
-            short: CompactHashTable::build(set, 1, 8, |p| p.len() < 4, arena),
-            long: CompactHashTable::build(
+    /// The short and long tables S-PATCH / V-PATCH build over `set`: prefix
+    /// 1 at 8 bits for the 1–3 byte patterns, prefix 4 sized by entry count
+    /// for the rest.
+    fn two_tables(set: &PatternSet, arena: Option<&PatternArena>) -> [CompactHashTable; 2] {
+        let long_count = set.patterns().iter().filter(|p| p.len() >= 4).count();
+        [
+            CompactHashTable::build(set, 1, 8, |p| p.len() < 4, arena),
+            CompactHashTable::build(
                 set,
                 4,
                 bucket_bits_for_entries(long_count),
                 |p| p.len() >= 4,
                 arena,
             ),
-        }
+        ]
     }
-
-    /// Verifies a candidate produced by the short-pattern filter (filter 1).
-    /// Returns the number of pattern comparisons performed.
-    ///
-    /// The engines verify whole candidate arrays through
-    /// [`Verifier::verify_short_batch`]; this one-candidate lookup is the
-    /// reference for the batched path's *comparison counts*, which no naive
-    /// matcher can check (`tests/verify_batch_differential.rs`).
-    #[inline]
-    pub fn verify_short(&self, haystack: &[u8], pos: usize, out: &mut Vec<MatchEvent>) -> usize {
-        self.short.verify_at(haystack, pos, out)
-    }
-
-    /// Verifies a candidate produced by the long-pattern filters
-    /// (filters 2 + 3). Returns the number of pattern comparisons performed.
-    /// One-candidate reference for [`Verifier::verify_long_batch`], as
-    /// [`Verifier::verify_short`] is for the short class.
-    #[inline]
-    pub fn verify_long(&self, haystack: &[u8], pos: usize, out: &mut Vec<MatchEvent>) -> usize {
-        self.long.verify_at(haystack, pos, out)
-    }
-
-    /// Batched verification of a whole short-candidate array (`A_short`):
-    /// semantically identical to [`Verifier::verify_short`] per position, but
-    /// SIMD-indexed, prefetch-pipelined and vector-compared — see
-    /// [`CompactHashTable::verify_batch`].
-    #[inline]
-    pub fn verify_short_batch<B: VectorBackend<W>, const W: usize>(
-        &self,
-        haystack: &[u8],
-        positions: &[u32],
-        out: &mut Vec<MatchEvent>,
-    ) -> u64 {
-        self.short.verify_batch::<B, W>(haystack, positions, out)
-    }
-
-    /// Batched verification of a whole long-candidate array (`A_long`); see
-    /// [`Verifier::verify_short_batch`].
-    #[inline]
-    pub fn verify_long_batch<B: VectorBackend<W>, const W: usize>(
-        &self,
-        haystack: &[u8],
-        positions: &[u32],
-        out: &mut Vec<MatchEvent>,
-    ) -> u64 {
-        self.long.verify_batch::<B, W>(haystack, positions, out)
-    }
-
-    /// The short-pattern table.
-    pub fn short_table(&self) -> &CompactHashTable {
-        &self.short
-    }
-
-    /// The long-pattern table.
-    pub fn long_table(&self) -> &CompactHashTable {
-        &self.long
-    }
-
-    /// Approximate resident size of both tables.
-    pub fn heap_bytes(&self) -> usize {
-        self.short.heap_bytes() + self.long.heap_bytes()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mpm_patterns::{naive::naive_find_all, Pattern, PatternSet};
 
     fn mixed_set() -> PatternSet {
         PatternSet::new(vec![
@@ -940,14 +845,14 @@ mod tests {
     #[test]
     fn verifier_confirms_exactly_the_true_matches() {
         let set = mixed_set();
-        let v = Verifier::build(&set);
+        let [short, long] = two_tables(&set, None);
         let hay = b"GET /etc/passwd HTTP/1.1 attribute=abcd x attack-vector";
         // Every position is a candidate: verification alone must reproduce
         // the naive result (filters only ever reduce the candidate set).
         let mut out = Vec::new();
         for pos in 0..hay.len() {
-            v.verify_short(hay, pos, &mut out);
-            v.verify_long(hay, pos, &mut out);
+            short.verify_at(hay, pos, &mut out);
+            long.verify_at(hay, pos, &mut out);
         }
         mpm_patterns::matcher::normalize_matches(&mut out);
         assert_eq!(out, naive_find_all(&set, hay));
@@ -956,11 +861,11 @@ mod tests {
     #[test]
     fn short_and_long_tables_partition_the_set() {
         let set = mixed_set();
-        let v = Verifier::build(&set);
-        assert_eq!(v.short_table().pattern_count(), 3); // GET, x, ab
-        assert_eq!(v.long_table().pattern_count(), 4);
-        assert_eq!(v.short_table().min_pattern_len(), 1);
-        assert_eq!(v.long_table().min_pattern_len(), 4);
+        let [short, long] = two_tables(&set, None);
+        assert_eq!(short.pattern_count(), 3); // GET, x, ab
+        assert_eq!(long.pattern_count(), 4);
+        assert_eq!(short.min_pattern_len(), 1);
+        assert_eq!(long.min_pattern_len(), 4);
     }
 
     #[test]
@@ -988,14 +893,14 @@ mod tests {
             Pattern::literal(*b"xyz"),
             Pattern::literal_nocase(*b"q"),
         ]);
-        let v = Verifier::build(&set);
-        assert!(v.short_table().is_folded());
-        assert!(v.long_table().is_folded());
+        let [short, long] = two_tables(&set, None);
+        assert!(short.is_folded());
+        assert!(long.is_folded());
         let hay = b"GET /ADMIN get /admin XYZ xyz Q q";
         let mut out = Vec::new();
         for pos in 0..hay.len() {
-            v.verify_short(hay, pos, &mut out);
-            v.verify_long(hay, pos, &mut out);
+            short.verify_at(hay, pos, &mut out);
+            long.verify_at(hay, pos, &mut out);
         }
         mpm_patterns::matcher::normalize_matches(&mut out);
         assert_eq!(out, naive_find_all(&set, hay));
@@ -1003,9 +908,9 @@ mod tests {
 
     #[test]
     fn case_sensitive_only_sets_build_unfolded_tables() {
-        let v = Verifier::build(&mixed_set());
-        assert!(!v.short_table().is_folded());
-        assert!(!v.long_table().is_folded());
+        let [short, long] = two_tables(&mixed_set(), None);
+        assert!(!short.is_folded());
+        assert!(!long.is_folded());
     }
 
     #[test]
@@ -1021,13 +926,13 @@ mod tests {
     #[test]
     fn candidate_at_end_of_input_is_safe() {
         let set = mixed_set();
-        let v = Verifier::build(&set);
+        let [short, long] = two_tables(&set, None);
         let hay = b"zzGET";
         let mut out = Vec::new();
         // Positions near/after the end must not panic.
         for pos in 0..=hay.len() + 2 {
-            v.verify_short(hay, pos.min(hay.len()), &mut out);
-            v.verify_long(hay, pos.min(hay.len()), &mut out);
+            short.verify_at(hay, pos.min(hay.len()), &mut out);
+            long.verify_at(hay, pos.min(hay.len()), &mut out);
         }
         mpm_patterns::matcher::normalize_matches(&mut out);
         assert_eq!(out, naive_find_all(&set, hay));
@@ -1116,25 +1021,25 @@ mod tests {
     fn verify_batch_handles_out_of_gather_range_and_empty_positions() {
         use mpm_simd::ScalarBackend;
         let set = mixed_set();
-        let v = Verifier::build(&set);
+        let [short, long] = two_tables(&set, None);
         let hay = b"xGET";
         // Positions at and past the last gatherable window, plus pos == len
         // boundary values: the scalar detour must keep the batch total.
         let positions: Vec<u32> = (0..=hay.len() as u32).collect();
         let mut expected = Vec::new();
         for &p in &positions {
-            v.verify_short(hay, p as usize, &mut expected);
-            v.verify_long(hay, p as usize, &mut expected);
+            short.verify_at(hay, p as usize, &mut expected);
+            long.verify_at(hay, p as usize, &mut expected);
         }
         let mut got = Vec::new();
-        v.verify_short_batch::<ScalarBackend, 8>(hay, &positions, &mut got);
-        v.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut got);
+        short.verify_batch::<ScalarBackend, 8>(hay, &positions, &mut got);
+        long.verify_batch::<ScalarBackend, 8>(hay, &positions, &mut got);
         mpm_patterns::matcher::normalize_matches(&mut expected);
         mpm_patterns::matcher::normalize_matches(&mut got);
         assert_eq!(got, expected);
         // Empty candidate arrays are a no-op.
         assert_eq!(
-            v.verify_short_batch::<ScalarBackend, 8>(hay, &[], &mut got),
+            short.verify_batch::<ScalarBackend, 8>(hay, &[], &mut got),
             0
         );
     }
@@ -1146,18 +1051,18 @@ mod tests {
         // matches sprinkled throughout.
         let set = PatternSet::from_literals(&["needle", "ne", "n"]);
         let hay: Vec<u8> = b"a needle in a haystack ".repeat(40);
-        let v = Verifier::build(&set);
+        let [short, long] = two_tables(&set, None);
         let positions: Vec<u32> = (0..hay.len() as u32).collect();
         assert!(positions.len() > 3 * 128);
         let mut expected = Vec::new();
         let mut expected_cmp = 0u64;
         for &p in &positions {
-            expected_cmp += v.verify_short(&hay, p as usize, &mut expected) as u64;
-            expected_cmp += v.verify_long(&hay, p as usize, &mut expected) as u64;
+            expected_cmp += short.verify_at(&hay, p as usize, &mut expected) as u64;
+            expected_cmp += long.verify_at(&hay, p as usize, &mut expected) as u64;
         }
         let mut got = Vec::new();
-        let mut got_cmp = v.verify_short_batch::<ScalarBackend, 8>(&hay, &positions, &mut got);
-        got_cmp += v.verify_long_batch::<ScalarBackend, 8>(&hay, &positions, &mut got);
+        let mut got_cmp = short.verify_batch::<ScalarBackend, 8>(&hay, &positions, &mut got);
+        got_cmp += long.verify_batch::<ScalarBackend, 8>(&hay, &positions, &mut got);
         mpm_patterns::matcher::normalize_matches(&mut expected);
         mpm_patterns::matcher::normalize_matches(&mut got);
         assert_eq!(got, expected);
@@ -1186,9 +1091,9 @@ mod tests {
     #[test]
     fn heap_bytes_reflects_arena_size() {
         let set = mixed_set();
-        let v = Verifier::build(&set);
+        let [short, long] = two_tables(&set, None);
         let total_pattern_bytes: usize = set.patterns().iter().map(|p| p.len()).sum();
-        assert!(v.heap_bytes() >= total_pattern_bytes);
+        assert!(short.heap_bytes() + long.heap_bytes() >= total_pattern_bytes);
     }
 
     #[test]
@@ -1223,24 +1128,24 @@ mod tests {
         ];
         let hay = b"GET /ADMIN get /admin XYZ xyz attribute=abcd x attack-vector /etc/passwd";
         for set in &sets {
-            let owned = Verifier::build(set);
-            let shared = Verifier::build_with_arena(set, &arena_for(set));
-            assert!(shared.short_table().uses_shared_arena());
-            assert!(shared.long_table().uses_shared_arena());
+            let owned = two_tables(set, None);
+            let shared = two_tables(set, Some(&arena_for(set)));
+            assert!(shared.iter().all(CompactHashTable::uses_shared_arena));
             let positions: Vec<u32> = (0..hay.len() as u32).collect();
             let mut want = Vec::new();
             let mut got = Vec::new();
             for &p in &positions {
-                owned.verify_short(hay, p as usize, &mut want);
-                owned.verify_long(hay, p as usize, &mut want);
-                shared.verify_short(hay, p as usize, &mut got);
-                shared.verify_long(hay, p as usize, &mut got);
+                for (owned, shared) in owned.iter().zip(&shared) {
+                    owned.verify_at(hay, p as usize, &mut want);
+                    shared.verify_at(hay, p as usize, &mut got);
+                }
             }
             assert_eq!(got, want);
             // The batched path reads through the shared arena too.
             let mut batch = Vec::new();
-            shared.verify_short_batch::<ScalarBackend, 8>(hay, &positions, &mut batch);
-            shared.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut batch);
+            for table in &shared {
+                table.verify_batch::<ScalarBackend, 8>(hay, &positions, &mut batch);
+            }
             mpm_patterns::matcher::normalize_matches(&mut want);
             mpm_patterns::matcher::normalize_matches(&mut batch);
             assert_eq!(batch, want);
@@ -1251,19 +1156,16 @@ mod tests {
     fn shared_arena_tables_report_zero_arena_bytes() {
         let set = mixed_set();
         let arena = arena_for(&set);
-        let owned = Verifier::build(&set);
-        let shared = Verifier::build_with_arena(&set, &arena);
+        let [owned_short, owned_long] = two_tables(&set, None);
+        let [shared_short, shared_long] = two_tables(&set, Some(&arena));
         let owned_pattern_bytes: usize = set.patterns().iter().map(|p| p.len()).sum();
         // Both builds size their tables by the one rule; the shared build
         // differs by exactly the pattern bytes, which are charged to the
         // arena owner.
+        assert_eq!(shared_long.bucket_bits(), owned_long.bucket_bits());
         assert_eq!(
-            shared.long_table().bucket_bits(),
-            owned.long_table().bucket_bits()
-        );
-        assert_eq!(
-            shared.heap_bytes() + owned_pattern_bytes,
-            owned.heap_bytes()
+            shared_short.heap_bytes() + shared_long.heap_bytes() + owned_pattern_bytes,
+            owned_short.heap_bytes() + owned_long.heap_bytes()
         );
     }
 
@@ -1311,10 +1213,10 @@ mod tests {
             .filter(|&i| heads.contains(&head(&hay[i..])))
             .map(|i| i as u32)
             .collect();
-        let v = Verifier::build(set);
+        let [_, long] = two_tables(set, None);
         let mut batched = Vec::new();
-        let comparisons = v.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut batched);
-        let batch_compares = v.long_table().arena_compares();
+        let comparisons = long.verify_batch::<ScalarBackend, 8>(hay, &positions, &mut batched);
+        let batch_compares = long.arena_compares();
         assert!(!batched.is_empty(), "the construction plants true matches");
         assert!(
             batch_compares <= batched.len() as u64 + comparisons / 100,
@@ -1327,11 +1229,11 @@ mod tests {
         let mut single = Vec::new();
         let mut single_comparisons = 0u64;
         for &p in &positions {
-            single_comparisons += v.verify_long(hay, p as usize, &mut single) as u64;
+            single_comparisons += long.verify_at(hay, p as usize, &mut single) as u64;
         }
         assert_eq!(single, batched);
         assert_eq!(single_comparisons, comparisons);
-        assert_eq!(v.long_table().arena_compares(), 2 * batch_compares);
+        assert_eq!(long.arena_compares(), 2 * batch_compares);
         (positions.len(), comparisons)
     }
 
@@ -1421,6 +1323,6 @@ mod tests {
     fn shared_build_requires_interned_patterns() {
         let set = PatternSet::from_literals(&["abcd"]);
         let empty = mpm_patterns::ArenaBuilder::new().finish();
-        let _ = Verifier::build_with_arena(&set, &empty);
+        let _ = two_tables(&set, Some(&empty));
     }
 }

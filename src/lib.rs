@@ -73,8 +73,8 @@ pub mod prelude {
     pub use mpm_patterns::{
         ArenaBuilder, Direction, FlowTuple, GroupKey, GroupedRuleSet, MatchEvent, Matcher,
         MatcherStats, MemoryFootprint, NaiveMatcher, Pattern, PatternArena, PatternId, PatternSet,
-        PortSpec, PortVars, Proto, ProtocolGroup, Rule, RuleContent, RuleHeader, RuleId, RuleMatch,
-        RuleSet, SyntheticRuleset,
+        PortSpec, PortVars, Proto, Rule, RuleContent, RuleHeader, RuleId, RuleMatch, RuleSet,
+        SyntheticRuleset,
     };
     pub use mpm_patterns::{LatencyHistogram, LatencySummary};
     pub use mpm_simd::{

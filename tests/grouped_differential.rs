@@ -111,7 +111,7 @@ fn grouped_rules_strategy() -> impl Strategy<Value = Vec<(RuleHeader, Rule)>> {
     .prop_map(|rules| {
         rules
             .into_iter()
-            .map(|(header, contents)| (header, Rule::new(ProtocolGroup::Any, contents)))
+            .map(|(header, contents)| (header, Rule::new(contents)))
             .collect()
     })
 }

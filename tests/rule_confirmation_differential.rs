@@ -114,14 +114,8 @@ fn any_length_ruleset_strategy() -> impl Strategy<Value = RuleSet> {
 fn ruleset_strategy_over(
     content: impl Strategy<Value = RuleContent>,
 ) -> impl Strategy<Value = RuleSet> {
-    proptest::collection::vec(proptest::collection::vec(content, 1..4), 1..5).prop_map(|rules| {
-        RuleSet::new(
-            rules
-                .into_iter()
-                .map(|contents| Rule::new(ProtocolGroup::Any, contents))
-                .collect(),
-        )
-    })
+    proptest::collection::vec(proptest::collection::vec(content, 1..4), 1..5)
+        .prop_map(|rules| RuleSet::new(rules.into_iter().map(Rule::new).collect()))
 }
 
 fn chunk_plan_strategy() -> impl Strategy<Value = Vec<usize>> {

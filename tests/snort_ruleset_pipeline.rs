@@ -5,7 +5,7 @@
 //! streaming surface).
 
 use vpatch_suite::patterns::rule::naive_rule_find_all;
-use vpatch_suite::patterns::snort::{parse_rules, parse_ruleset, ParseOptions};
+use vpatch_suite::patterns::snort::{parse_grouped, parse_rules, parse_ruleset, ParseOptions};
 use vpatch_suite::prelude::*;
 
 const RULES: &str = r#"
@@ -23,9 +23,17 @@ fn parsed_ruleset_drives_all_engines_identically() {
     let rules = parse_rules(RULES, ParseOptions::default()).expect("rules parse");
     assert_eq!(rules.len(), 6);
 
-    // The HTTP selection keeps the web rules and drops the SMB/SMTP ones.
-    let http = rules.select_group(ProtocolGroup::Http);
-    assert_eq!(http.len(), 4);
+    // The HTTP selection is what the rule headers apply to on a web flow:
+    // the web rules, not the SMB/SMTP ones.
+    let grouped =
+        GroupedRuleSet::new(parse_grouped(RULES, ParseOptions::default()).expect("rules parse"));
+    let web = grouped.applicable_rules(FlowTuple::new(Proto::Tcp, 40000, 80));
+    assert_eq!(web.len(), 4);
+    let anchors = grouped.monolithic().anchors();
+    let http: PatternSet = web
+        .iter()
+        .map(|rule| anchors.get(PatternId(rule.0)).clone())
+        .collect();
 
     let mut payload = Vec::new();
     payload.extend_from_slice(b"GET /index.php?q=<script>alert(1)</script> HTTP/1.1\r\n");

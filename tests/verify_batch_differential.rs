@@ -14,9 +14,9 @@
 //! * the same **comparison counts** (the instrumentation the cache model
 //!   and the figure-5 analysis consume)
 //!
-//! as the table-level one-candidate lookups (`Verifier::verify_short` /
-//! `verify_long`, `DfcTables::classify_and_verify`), which stay public as
-//! this suite's reference: the naive matcher can check match sets, but only
+//! as the table-level one-candidate lookups (`CompactHashTable::verify_at`
+//! on the short and the long table, `DfcTables::classify_and_verify`), which
+//! stay public as this suite's reference: the naive matcher can check match sets, but only
 //! a lookup-by-lookup replay can check comparison counts. `MPM_FORCE_BACKEND`
 //! narrows `available_backends()`, which is how the CI matrix pins the
 //! suite to the scalar, AVX2 and AVX-512 code paths in turn (in `--release`,
@@ -27,8 +27,8 @@ use vpatch_suite::dfc::DfcTables;
 use vpatch_suite::patterns::matcher::normalize_matches;
 use vpatch_suite::prelude::*;
 use vpatch_suite::simd::{Avx2Backend, Avx512Backend, ScalarBackend};
-use vpatch_suite::verify::{CompactHashTable, Verifier};
-use vpatch_suite::vpatch::Scratch;
+use vpatch_suite::verify::CompactHashTable;
+use vpatch_suite::vpatch::{SPatchTables, Scratch};
 
 /// Pattern bytes over a collision-happy alphabet (shared prefixes, both
 /// cases, a non-ASCII byte that must never fold).
@@ -69,14 +69,14 @@ fn haystack_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// One table lookup per candidate of a filtering round's arrays: the
 /// reference `(normalized matches, comparisons)` a verification round is
 /// held to.
-fn lookup_each(v: &Verifier, hay: &[u8], scratch: &Scratch) -> (Vec<MatchEvent>, u64) {
+fn lookup_each(tables: &SPatchTables, hay: &[u8], scratch: &Scratch) -> (Vec<MatchEvent>, u64) {
     let mut out = Vec::new();
     let mut comparisons = 0u64;
     for &pos in &scratch.a_short {
-        comparisons += v.verify_short(hay, pos as usize, &mut out) as u64;
+        comparisons += tables.short_table().verify_at(hay, pos as usize, &mut out) as u64;
     }
     for &pos in &scratch.a_long {
-        comparisons += v.verify_long(hay, pos as usize, &mut out) as u64;
+        comparisons += tables.long_table().verify_at(hay, pos as usize, &mut out) as u64;
     }
     normalize_matches(&mut out);
     (out, comparisons)
@@ -94,7 +94,7 @@ fn vpatch_both_paths<B: VectorBackend<W>, const W: usize>(
     let mut batched = Vec::new();
     let batched_cmp = engine.verify_round(hay, &scratch, &mut batched);
     normalize_matches(&mut batched);
-    let reference = lookup_each(engine.tables().verifier(), hay, &scratch);
+    let reference = lookup_each(engine.tables(), hay, &scratch);
     ((batched, batched_cmp), reference)
 }
 
@@ -122,7 +122,7 @@ fn assert_engine_paths_agree(set: &PatternSet, hay: &[u8]) {
     let mut batched = Vec::new();
     let batched_cmp = engine.verify_round(hay, &scratch, &mut batched);
     normalize_matches(&mut batched);
-    let (reference, reference_cmp) = lookup_each(engine.tables().verifier(), hay, &scratch);
+    let (reference, reference_cmp) = lookup_each(engine.tables(), hay, &scratch);
     assert_eq!(batched, reference, "S-PATCH match set");
     assert_eq!(batched_cmp, reference_cmp, "S-PATCH comparison count");
 }
@@ -130,26 +130,29 @@ fn assert_engine_paths_agree(set: &PatternSet, hay: &[u8]) {
 /// Both tables' batched passes over `positions` on one backend: the short
 /// and long tables' appended matches, unsorted, and the comparisons.
 fn verifier_batch<B: VectorBackend<W>, const W: usize>(
-    v: &Verifier,
+    v: &SPatchTables,
     hay: &[u8],
     positions: &[u32],
 ) -> (Vec<MatchEvent>, Vec<MatchEvent>, u64) {
     let (mut short, mut long) = (Vec::new(), Vec::new());
-    let comparisons = v.verify_short_batch::<B, W>(hay, positions, &mut short)
-        + v.verify_long_batch::<B, W>(hay, positions, &mut long);
+    let comparisons = v
+        .short_table()
+        .verify_batch::<B, W>(hay, positions, &mut short)
+        + v.long_table()
+            .verify_batch::<B, W>(hay, positions, &mut long);
     (short, long, comparisons)
 }
 
-/// Asserts `Verifier` batched ≡ lookup-per-candidate for an explicit
-/// candidate array on every dispatchable backend: per table the same
-/// matches in the same append order, and the same comparison count.
+/// Asserts the two verification tables' batched path ≡ lookup-per-candidate
+/// for an explicit candidate array on every dispatchable backend: per table
+/// the same matches in the same append order, and the same comparison count.
 fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) {
-    let v = Verifier::build(set);
+    let v = SPatchTables::build(set);
     let (mut short, mut long) = (Vec::new(), Vec::new());
     let mut comparisons = 0u64;
     for &p in positions {
-        comparisons += v.verify_short(hay, p as usize, &mut short) as u64;
-        comparisons += v.verify_long(hay, p as usize, &mut long) as u64;
+        comparisons += v.short_table().verify_at(hay, p as usize, &mut short) as u64;
+        comparisons += v.long_table().verify_at(hay, p as usize, &mut long) as u64;
     }
     let expected = (short, long, comparisons);
     for kind in available_backends() {
@@ -158,7 +161,7 @@ fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) 
             BackendKind::Avx2 => verifier_batch::<Avx2Backend, 8>(&v, hay, positions),
             BackendKind::Avx512 => verifier_batch::<Avx512Backend, 16>(&v, hay, positions),
         };
-        assert_eq!(got, expected, "Verifier/{kind} (short, long, comparisons)");
+        assert_eq!(got, expected, "tables/{kind} (short, long, comparisons)");
     }
 }
 
@@ -168,11 +171,11 @@ fn assert_verifier_paths_agree(set: &PatternSet, hay: &[u8], positions: &[u32]) 
 fn assert_all_positions_equal_naive(set: &PatternSet, hay: &[u8]) {
     let positions: Vec<u32> = (0..hay.len() as u32).collect();
     assert_verifier_paths_agree(set, hay, &positions);
-    let v = Verifier::build(set);
+    let v = SPatchTables::build(set);
     let mut out = Vec::new();
     for &p in &positions {
-        v.verify_short(hay, p as usize, &mut out);
-        v.verify_long(hay, p as usize, &mut out);
+        v.short_table().verify_at(hay, p as usize, &mut out);
+        v.long_table().verify_at(hay, p as usize, &mut out);
     }
     normalize_matches(&mut out);
     assert_eq!(
@@ -398,17 +401,18 @@ fn fingerprint_adversaries_hard_against_the_end_of_the_allocation() {
 #[test]
 fn comparison_counts_are_not_inflated_near_buffer_ends() {
     let set = PatternSet::from_literals(&["attack", "attach"]);
-    let v = Verifier::build(&set);
+    let tables = SPatchTables::build(&set);
+    let long = tables.long_table();
     // The last candidate's prefix fits but no full pattern does.
     let hay = b"zz atta";
     let positions = [3u32];
     let mut out = Vec::new();
     let mut per_candidate = 0u64;
     for &p in &positions {
-        per_candidate += v.verify_long(hay, p as usize, &mut out) as u64;
+        per_candidate += long.verify_at(hay, p as usize, &mut out) as u64;
     }
     assert_eq!(per_candidate, 0, "skipped entries must not be counted");
-    let batched = v.verify_long_batch::<ScalarBackend, 8>(hay, &positions, &mut out);
+    let batched = long.verify_batch::<ScalarBackend, 8>(hay, &positions, &mut out);
     assert_eq!(batched, 0);
     assert!(out.is_empty());
 }
