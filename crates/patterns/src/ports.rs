@@ -123,9 +123,6 @@ pub struct PortSpec {
     excluded: Vec<(u16, u16)>,
     /// Whole-spec negation (`!80`, `![..]`).
     negated: bool,
-    /// Lower-cased `$VAR` names this spec referenced (for protocol
-    /// classification; a spec naming an unknown variable is `any`).
-    vars: Vec<String>,
 }
 
 /// Deployment variable table for `$VAR` port references, with Snort-like
@@ -143,8 +140,8 @@ impl Default for PortVars {
         let mut def = |name: &str, ports: &[(u16, u16)]| {
             vars.insert(name.to_string(), ports.to_vec());
         };
-        // The usual snort.conf defaults (trimmed to the ports that matter
-        // for classification; single ports are degenerate ranges).
+        // The usual snort.conf defaults (trimmed to the well-known service
+        // ports; single ports are degenerate ranges).
         def(
             "http_ports",
             &[
@@ -241,19 +238,16 @@ impl PortSpec {
             Some(rest) => (true, rest.trim()),
             None => (false, token),
         };
-        let mut spec = PortSpec {
-            negated,
-            ..PortSpec::default()
-        };
         if rest.eq_ignore_ascii_case("any") {
             if negated {
                 // `!any` matches nothing; Snort rejects it outright.
                 return Err("'!any' can never match".to_string());
             }
-            return Ok(spec);
+            return Ok(PortSpec::any());
         }
         let mut included = Vec::new();
         let mut excluded = Vec::new();
+        let mut unknown_var = false;
         let list = rest.strip_prefix('[');
         if let Some(inner) = list {
             let inner = inner
@@ -276,46 +270,45 @@ impl PortSpec {
                 } else {
                     &mut included
                 };
-                Self::parse_item(item, vars, target, &mut spec.vars)?;
+                Self::parse_item(item, vars, target, &mut unknown_var)?;
             }
         } else {
-            Self::parse_item(rest, vars, &mut included, &mut spec.vars)?;
+            Self::parse_item(rest, vars, &mut included, &mut unknown_var)?;
         }
-        if spec.vars.iter().any(|name| vars.lookup(name).is_none()) {
+        if unknown_var {
             // An unresolved variable could stand for any port, so nothing
             // built around it (a negation, an exclusion, a list) may rule a
             // port out — never drop a rule from a flow it might apply to.
-            return Ok(PortSpec {
-                vars: spec.vars,
-                ..PortSpec::any()
-            });
+            return Ok(PortSpec::any());
         }
         if list.is_some() && included.is_empty() && excluded.is_empty() {
             return Err(format!("empty port list {token:?}"));
         }
-        spec.included = normalize(included);
-        spec.excluded = normalize(excluded);
-        Ok(spec)
+        Ok(PortSpec {
+            included: normalize(included),
+            excluded: normalize(excluded),
+            negated,
+        })
     }
 
-    /// Parses one atomic item (`N`, `N:M`, `:M`, `N:`, `$VAR`) into `out`.
+    /// Parses one atomic item (`N`, `N:M`, `:M`, `N:`, `$VAR`) into `out`,
+    /// setting `unknown_var` if the item names a variable `vars` lacks.
     fn parse_item(
         item: &str,
         vars: &PortVars,
         out: &mut Vec<(u16, u16)>,
-        seen_vars: &mut Vec<String>,
+        unknown_var: &mut bool,
     ) -> Result<(), String> {
         if let Some(name) = item.strip_prefix('$') {
             if name.is_empty() {
                 return Err("empty variable name '$'".to_string());
             }
-            let lower = name.to_ascii_lowercase();
-            if let Some(ranges) = vars.lookup(&lower) {
-                out.extend_from_slice(ranges);
+            match vars.lookup(name) {
+                Some(ranges) => out.extend_from_slice(ranges),
+                // An unknown variable contributes no ranges; `parse` widens
+                // a spec that names one to `any`.
+                None => *unknown_var = true,
             }
-            // An unknown variable contributes no ranges; `parse` widens a
-            // spec that names one to `any`.
-            seen_vars.push(lower);
             return Ok(());
         }
         let parse_port = |s: &str| -> Result<u16, String> {
@@ -381,11 +374,6 @@ impl PortSpec {
         ports.sort_unstable();
         ports.dedup();
         Some(ports)
-    }
-
-    /// Lower-cased names of the `$VAR` references this spec contained.
-    pub fn var_names(&self) -> &[String] {
-        &self.vars
     }
 }
 
@@ -544,7 +532,6 @@ mod tests {
             assert!(s.matches(p), "port {p} is in the default $HTTP_PORTS");
         }
         assert!(!s.matches(25));
-        assert_eq!(s.var_names(), &["http_ports".to_string()]);
     }
 
     #[test]
@@ -552,7 +539,6 @@ mod tests {
         let s = spec("$NO_SUCH_VAR");
         assert!(s.is_any());
         assert!(s.matches(80) && s.matches(12345));
-        assert_eq!(s.var_names(), &["no_such_var".to_string()]);
     }
 
     #[test]
@@ -570,7 +556,6 @@ mod tests {
             let s = spec(token);
             assert!(s.is_any(), "{token} must not rule any port out");
             assert!(s.matches(0) && s.matches(80) && s.matches(u16::MAX));
-            assert!(s.var_names().contains(&"nope".to_string()), "{token}");
         }
         // A resolved variable keeps its negation and its place in a list.
         assert!(!spec("!$HTTP_PORTS").matches(80));

@@ -8,19 +8,16 @@
 //! ([`ScannerBuilder::max_flows`], [`ScannerBuilder::idle_after`]), and *how
 //! overload and memory pressure are handled*
 //! ([`ScannerBuilder::backpressure`], [`ScannerBuilder::max_flow_buffer`])
-//! — and it offers two terminal shapes: [`ScannerBuilder::build`] for the
-//! continuously-running [`PipelineScanner`] (the production runtime) and
-//! [`ScannerBuilder::build_barrier`] for the inline
-//! [`crate::BarrierScanner`] (the differential oracle).
+//! — and [`ScannerBuilder::build`] turns them into the continuously-running
+//! [`PipelineScanner`].
 //!
-//! Configuration mistakes are reported as a typed [`BuildError`] from the
-//! terminal methods, not mid-setter panics: setters store what they are
-//! given, the build validates the combination. The two exceptions stay
+//! Configuration mistakes are reported as a typed [`BuildError`] from
+//! `build`, not mid-setter panics: setters store what they are given, the
+//! build validates the combination. The two exceptions stay
 //! panics deliberately, because they are caller bugs no match arm should
 //! ever route around: setting two scan sources, and pairing an engine with
 //! a pattern set it was not compiled for.
 
-use crate::barrier::BarrierScanner;
 use crate::fault::FaultPlan;
 use crate::group::GroupedEngineSet;
 use crate::pipeline::{Limits, PipelineScanner};
@@ -39,12 +36,12 @@ use std::time::Duration;
 /// — and one bounded-wait push serves them all.
 ///
 /// `Block` is the default and the only policy with the full determinism
-/// contract (no packet is ever dropped, so the pipeline stays
-/// byte-identical to the barrier oracle). `Shed` and `BlockTimeout` trade
-/// completeness for bounded dispatch latency — the NIDS stance that under
-/// overload a predictable drop beats stalling the capture loop. Shed
-/// packets are counted per worker
-/// ([`crate::PipelineStats::shed_packets`]), never silently lost.
+/// contract: no packet is ever dropped, so each stretch of a flow between
+/// its mint and its close or eviction reports what one scan of those bytes
+/// reports. `Shed` and `BlockTimeout` trade completeness for bounded
+/// dispatch latency — the NIDS stance that under overload a predictable
+/// drop beats stalling the capture loop. Shed packets are counted per
+/// worker ([`crate::PipelineStats::shed_packets`]), never silently lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackpressurePolicy {
     /// Wait for ring space, pumping the worker's output ring meanwhile
@@ -58,8 +55,7 @@ pub enum BackpressurePolicy {
     Shed,
 }
 
-/// A configuration rejected by [`ScannerBuilder::build`] /
-/// [`ScannerBuilder::build_barrier`].
+/// A configuration rejected by [`ScannerBuilder::build`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -81,13 +77,6 @@ pub enum BuildError {
     /// `max_flow_buffer(0)`: a zero-byte buffer would degrade every rule
     /// flow on its first payload byte.
     ZeroMaxFlowBuffer,
-    /// `idle_after` eviction needs a clock, which only the pipeline has;
-    /// use [`ScannerBuilder::build`].
-    IdleEvictionUnsupported,
-    /// Non-default backpressure needs bounded rings, which only the
-    /// pipeline has; the barrier scanner scans each packet as it is handed
-    /// over.
-    BackpressureUnsupported,
 }
 
 impl std::fmt::Display for BuildError {
@@ -103,19 +92,13 @@ impl std::fmt::Display for BuildError {
             }
             BuildError::ZeroMaxFlows => f.write_str("max_flows must be at least 1"),
             BuildError::ZeroMaxFlowBuffer => f.write_str("max_flow_buffer must be at least 1"),
-            BuildError::IdleEvictionUnsupported => f.write_str(
-                "idle_after eviction needs the pipeline scanner (ScannerBuilder::build)",
-            ),
-            BuildError::BackpressureUnsupported => f.write_str(
-                "non-Block backpressure needs the pipeline scanner (ScannerBuilder::build)",
-            ),
         }
     }
 }
 
 impl std::error::Error for BuildError {}
 
-/// Builder for both multi-core scanners; see the module docs.
+/// Builder for the multi-core scanner; see the module docs.
 ///
 /// ```
 /// use mpm_patterns::{NaiveMatcher, PatternSet};
@@ -202,8 +185,7 @@ impl ScannerBuilder {
         self
     }
 
-    /// Number of worker threads (default 1; the barrier scanner shards its
-    /// flow table this many ways instead). Zero is rejected at build time
+    /// Number of worker threads (default 1). Zero is rejected at build time
     /// ([`BuildError::ZeroWorkers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -212,8 +194,7 @@ impl ScannerBuilder {
 
     /// Per-worker job-ring capacity in packets (default 1024; must be a
     /// power of two, checked at build time). Smaller rings bound latency
-    /// and memory tighter but engage backpressure sooner. Only the
-    /// pipeline uses rings; the barrier scanner ignores this.
+    /// and memory tighter but engage backpressure sooner.
     pub fn ring_capacity(mut self, ring_capacity: usize) -> Self {
         self.ring_capacity = ring_capacity;
         self
@@ -232,9 +213,7 @@ impl ScannerBuilder {
     /// swept lazily on the owning worker. Composes with
     /// [`ScannerBuilder::max_flows`] in either order: the cap bounds
     /// worst-case memory, the timer retires quiet flows long before the cap
-    /// forces them out. Only the pipeline has a clock
-    /// ([`BuildError::IdleEvictionUnsupported`] from
-    /// [`ScannerBuilder::build_barrier`]).
+    /// forces them out.
     pub fn idle_after(mut self, idle_after: Duration) -> Self {
         self.idle_after = Some(idle_after);
         self
@@ -242,8 +221,7 @@ impl ScannerBuilder {
 
     /// What a full job ring means for
     /// [`PipelineScanner::dispatch`](crate::PipelineScanner::dispatch) —
-    /// see [`BackpressurePolicy`]. The default, `Block`, is the only
-    /// policy accepted by [`ScannerBuilder::build_barrier`].
+    /// see [`BackpressurePolicy`]. The default is `Block`.
     pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
         self.backpressure = policy;
         self
@@ -270,8 +248,7 @@ impl ScannerBuilder {
         self
     }
 
-    /// Validates the knobs shared by both terminal shapes and hands over
-    /// the scan source.
+    /// Validates the knobs and hands over the scan source.
     fn validate(&mut self) -> Result<WorkerMode, BuildError> {
         let mode = self.source.take().ok_or(BuildError::NoSource)?;
         if self.workers == 0 {
@@ -321,30 +298,6 @@ impl ScannerBuilder {
             self.ring_capacity,
             patience,
             limits,
-        ))
-    }
-
-    /// Builds the inline [`crate::BarrierScanner`] — packets are scanned on
-    /// the caller's thread, in order, and every `scan_batch` returns its
-    /// results as one deterministic unit. The differential-testing shape.
-    ///
-    /// # Errors
-    /// A [`BuildError`] describing the first invalid knob; additionally
-    /// rejects pipeline-only knobs ([`BuildError::IdleEvictionUnsupported`],
-    /// [`BuildError::BackpressureUnsupported`]).
-    pub fn build_barrier(mut self) -> Result<BarrierScanner, BuildError> {
-        let mode = self.validate()?;
-        if self.idle_after.is_some() {
-            return Err(BuildError::IdleEvictionUnsupported);
-        }
-        if self.backpressure != BackpressurePolicy::Block {
-            return Err(BuildError::BackpressureUnsupported);
-        }
-        Ok(BarrierScanner::new(
-            mode,
-            self.workers,
-            self.max_flows,
-            self.max_flow_buffer,
         ))
     }
 
@@ -434,28 +387,6 @@ mod tests {
             .build()
             .err();
         assert_eq!(err, Some(BuildError::ZeroMaxFlowBuffer));
-    }
-
-    #[test]
-    fn barrier_with_idle_timeout_is_rejected() {
-        let (set, engine) = set_and_engine();
-        let err = ScannerBuilder::new()
-            .engine(engine, &set)
-            .idle_after(Duration::from_secs(1))
-            .build_barrier()
-            .err();
-        assert_eq!(err, Some(BuildError::IdleEvictionUnsupported));
-    }
-
-    #[test]
-    fn barrier_with_non_default_backpressure_is_rejected() {
-        let (set, engine) = set_and_engine();
-        let err = ScannerBuilder::new()
-            .engine(engine, &set)
-            .backpressure(BackpressurePolicy::Shed)
-            .build_barrier()
-            .err();
-        assert_eq!(err, Some(BuildError::BackpressureUnsupported));
     }
 
     #[test]

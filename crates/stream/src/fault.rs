@@ -75,7 +75,7 @@ impl FaultPlan {
     /// the job ring were full. `count == 0` disarms; `u64::MAX` is
     /// effectively unbounded. Only a push with a patience to run out
     /// consults this — packets under `Shed`/`BlockTimeout`; an endless
-    /// wait (`Block`, the differential oracle, and every control job)
+    /// wait (`Block` and every control job)
     /// would hang on an unbounded refusal.
     pub fn force_ring_full(&self, worker: usize, count: u64) {
         let mut map = self.ring_full.lock().expect("fault plan lock");

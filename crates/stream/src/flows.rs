@@ -1,8 +1,9 @@
 //! [`FlowTable`]: the flows resident on one pipeline worker, and the whole
 //! policy of which ones stay — [`FlowTable::touch`] for a packet,
-//! [`FlowTable::close`], [`FlowTable::sweep_idle`]. [`crate::BarrierScanner`]
-//! deliberately does not use it: it is the reference the eviction order
-//! here is checked against (`tests/pipeline_equivalence.rs`).
+//! [`FlowTable::close`], [`FlowTable::sweep_idle`]. The pipeline suites
+//! check its close and least-recently-pushed eviction order against a naive
+//! scan that cuts each flow into segments at the same points
+//! (`tests/pipeline_equivalence.rs`).
 
 use crate::worker::{mix64, FlowScanner};
 use std::collections::hash_map::Entry;

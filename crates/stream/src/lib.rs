@@ -16,8 +16,7 @@
 //! * [`ScannerBuilder`] — the one entry point for multi-core scanning:
 //!   pick a source (`engine`/`rules`/`groups`), a width (`workers`,
 //!   `ring_capacity`) and flow limits (`max_flows`, `idle_after`), then
-//!   [`build`] the continuously-running pipeline or [`build_barrier`] the
-//!   inline oracle.
+//!   [`ScannerBuilder::build`] the continuously-running pipeline.
 //!
 //! * [`PipelineScanner`] — the production runtime: bounded lock-free SPSC
 //!   rings per worker, **flow-affine dispatch with no per-batch barrier**,
@@ -36,15 +35,12 @@
 //!   forced ring-full, a mock eviction clock), consulted only by a pipeline
 //!   built with [`ScannerBuilder::fault_plan`].
 //!
-//! * [`BarrierScanner`] — the pipeline's differential oracle: the same
-//!   flow-affine routing, flow caps and per-flow scanners run **inline on
-//!   the caller's thread**, one packet at a time, with no ring, thread or
-//!   clock. The pipeline must report byte-identical sorted match sets to it
-//!   (`tests/pipeline_equivalence.rs`); that N workers report what one
-//!   does is proven on the pipeline itself (`tests/shard_determinism.rs`).
-//!
-//! [`build`]: ScannerBuilder::build
-//! [`build_barrier`]: ScannerBuilder::build_barrier
+//! * The pipeline's oracle lives in its tests, not here: each flow is cut
+//!   into stream segments at its closes and evictions, and each segment is
+//!   scanned whole by the naive matcher and rule evaluator. A lossless
+//!   pipeline must report exactly those sorted matches and rules, in every
+//!   mode and at every worker count (`tests/pipeline_equivalence.rs`,
+//!   `tests/shard_determinism.rs`).
 //!
 //! * [`RuleStreamScanner`] — the same chunking guarantee one level up:
 //!   multi-content rules with positional constraints
@@ -78,7 +74,6 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod builder;
 pub mod fault;
 mod flows;
@@ -90,7 +85,6 @@ pub mod stream;
 pub mod types;
 mod worker;
 
-pub use barrier::BarrierScanner;
 pub use builder::{BackpressurePolicy, BuildError, ScannerBuilder};
 pub use fault::FaultPlan;
 pub use group::{GroupedEngineSet, GroupedFlowScanner};
@@ -99,4 +93,4 @@ pub use pipeline::{
 };
 pub use rules::RuleStreamScanner;
 pub use stream::{SharedMatcher, StreamScanner};
-pub use types::{BatchResult, FlowMatch, FlowRuleMatch, Packet};
+pub use types::{FlowMatch, FlowRuleMatch, Packet};

@@ -53,7 +53,7 @@
 //! * **Overload policy** — [`crate::BackpressurePolicy`] sets how long a
 //!   dispatch may wait for a slot in a full job ring before it drops the
 //!   packet and counts it ([`PipelineStats::shed_packets`]): for ever
-//!   (`Block`, the default and the differential oracle), at most a bound
+//!   (`Block`, the default and the lossless one), at most a bound
 //!   (`BlockTimeout`) or not at all (`Shed`). One bounded-wait push serves
 //!   all three and every control job. Shedding loses payload bytes by
 //!   design — an overloaded IDS that sheds predictably beats one that
@@ -66,11 +66,13 @@
 //!   [`PipelineStats::truncated_bytes`] and the
 //!   [`PipelineStats::buffered_bytes`] gauge as the observability.
 //!
-//! Equivalence contract: for the same packets, `dispatch* + drain` (or
-//! [`PipelineScanner::scan_batch`]) under the default `Block` policy
-//! reports byte-identical sorted `matches`/`rule_matches` to the inline
-//! oracle's `scan_batch` ([`crate::BarrierScanner`],
-//! `tests/pipeline_equivalence.rs`).
+//! Equivalence contract: under the default `Block` policy, `dispatch* +
+//! drain` (or [`PipelineScanner::scan_batch`]) reports, for each stream
+//! segment of each flow, what one scan of that segment's bytes reports. A
+//! segment runs from the packet that mints the flow to its close or to its
+//! eviction as the least recently pushed flow of its worker. The pipeline
+//! suites check the sorted `matches`/`rule_matches` against a naive scan of
+//! every such segment (`tests/pipeline_equivalence.rs`).
 
 use crate::fault::FaultPlan;
 use crate::flows::{FlowTable, Seen};
@@ -245,8 +247,9 @@ impl std::error::Error for PipelineError {}
 /// utilization telemetry.
 #[derive(Clone, Debug)]
 pub struct PipelineStats {
-    /// All matches of the interval, sorted by `(flow, start, pattern)` —
-    /// same order, same contents as the barrier scanner's `matches`.
+    /// All matches of the interval, sorted by `(flow, start, pattern)`, with
+    /// `start` counted from the start of the flow's stream segment. In rule
+    /// mode these are the anchor hits; grouped mode reports none.
     pub matches: Vec<FlowMatch>,
     /// Rules confirmed during the interval, sorted by `(flow, rule, end)`.
     pub rule_matches: Vec<FlowRuleMatch>,
@@ -440,8 +443,9 @@ impl PipelineScanner {
         self.epoch
     }
 
-    /// The worker a flow is pinned to — same mixer, same determinism
-    /// contract as the barrier scanner.
+    /// The worker a flow is pinned to: a fixed mix of the flow id modulo the
+    /// worker count, so a flow's packets always share a worker and its
+    /// stream state.
     pub fn worker_of(&self, flow: u64) -> usize {
         worker_of(flow, self.workers.len())
     }
@@ -468,8 +472,9 @@ impl PipelineScanner {
     }
 
     /// Retires a finished flow, freeing its stream state on the owning
-    /// worker (FIFO-ordered against the flow's packets, exactly like the
-    /// barrier scanner's `close_flow`). Never shed, regardless of policy.
+    /// worker, FIFO-ordered against the flow's packets: a packet dispatched
+    /// after the close starts a fresh stream at offset 0. Closing an unknown
+    /// flow is a no-op. Never shed, regardless of policy.
     pub fn close_flow(&mut self, flow: u64) {
         let worker = self.worker_of(flow);
         self.push(worker, PipeJob::CloseFlow(flow), None);
@@ -606,9 +611,8 @@ impl PipelineScanner {
         })
     }
 
-    /// Dispatches a batch and drains — the drop-in shape of the barrier
-    /// scanner's `scan_batch`, used by the equivalence suites. A live
-    /// deployment calls [`PipelineScanner::dispatch`] /
+    /// Dispatches a batch and drains — the one-call shape the test suites
+    /// use. A live deployment calls [`PipelineScanner::dispatch`] /
     /// [`PipelineScanner::poll`] / [`PipelineScanner::drain`] directly.
     ///
     /// # Errors

@@ -1,10 +1,9 @@
-//! The vocabulary both multi-core scanners speak: what goes in
-//! ([`Packet`]) and what comes out ([`FlowMatch`], [`FlowRuleMatch`], and
-//! the barrier's [`BatchResult`]).
+//! The vocabulary of the multi-core scanner: what goes in ([`Packet`]) and
+//! what comes out ([`FlowMatch`], [`FlowRuleMatch`]).
 
 use mpm_patterns::ports::FlowTuple;
 use mpm_patterns::rule::RuleId;
-use mpm_patterns::{MatchEvent, MatcherStats};
+use mpm_patterns::MatchEvent;
 
 /// One unit of work: a payload chunk belonging to a flow.
 #[derive(Clone, Debug)]
@@ -71,30 +70,4 @@ pub struct FlowRuleMatch {
     pub rule: RuleId,
     /// Minimal satisfiable prefix length of the flow's stream.
     pub end: usize,
-}
-
-/// Result of one [`crate::BarrierScanner::scan_batch`] call.
-#[derive(Clone, Debug, Default)]
-pub struct BatchResult {
-    /// All matches of the batch, sorted by `(flow, start, pattern)`. In
-    /// rule mode ([`crate::ScannerBuilder::rules`]) these are the anchor hits.
-    pub matches: Vec<FlowMatch>,
-    /// Rules confirmed during the batch, sorted by `(flow, rule, end)`;
-    /// each rule at most once per flow-stream. Empty unless the scanner was
-    /// built in rule mode.
-    pub rule_matches: Vec<FlowRuleMatch>,
-    /// Per-batch statistics (`bytes_scanned` and `matches` are exact and
-    /// deterministic; the timing fields are zero — wall-clock belongs to
-    /// the caller).
-    pub stats: MatcherStats,
-    /// Flows whose stream state is resident at flush time. With a
-    /// [`crate::ScannerBuilder::max_flows`] cap this never exceeds the cap
-    /// (rounded up to a whole number of flows per worker).
-    pub resident_flows: usize,
-    /// Total bytes of rule-confirmation payload buffered across all
-    /// resident flows at flush time, each flow's payload counted once
-    /// however many port groups scan it — the gauge the per-flow
-    /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds. Zero in
-    /// pattern-only mode.
-    pub buffered_bytes: u64,
 }

@@ -1,5 +1,5 @@
-//! Shared worker machinery: the per-flow state machine and the immutable
-//! compile product both executors scan with.
+//! Worker machinery: the per-flow state machine and the immutable compile
+//! product the pipeline's workers scan with.
 //!
 //! [`WorkerMode`] is the read-only, `Arc`-shared bundle a pipeline worker
 //! is handed at spawn and at hot-swap: a never-pushed prototype
@@ -8,10 +8,9 @@
 //! streaming, anchors + rule confirmation, or port-grouped confirmation,
 //! the last two one [`RuleStreamScanner`] each: [`FlowScanner::mint`] is the
 //! only place a flow's scanner is created and [`FlowScanner::push`] the only
-//! one that knows the three modes apart. The pipeline's worker threads
-//! ([`crate::PipelineScanner`]) and the inline oracle
-//! ([`crate::BarrierScanner`]) share both, so a mode built once drives
-//! either identically.
+//! one that knows the three modes apart. Every worker thread of
+//! [`crate::PipelineScanner`] scans with both, and a hot-swap hands the
+//! workers a new [`WorkerMode`].
 
 use crate::group::GroupedEngineSet;
 use crate::rules::RuleStreamScanner;
@@ -49,7 +48,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 
 /// The worker a flow is pinned to. Deterministic for a given worker count:
 /// a flow's packets always share a worker (and therefore its per-flow
-/// stream state), and both executors route alike.
+/// stream state).
 pub(crate) fn worker_of(flow: u64, workers: usize) -> usize {
     (mix64(flow) % workers as u64) as usize
 }

@@ -1,21 +1,22 @@
 //! The pipeline's core contract: for the same packets, the
-//! continuously-running `PipelineScanner` reports **byte-identical** sorted
-//! match sets to the inline `BarrierScanner`, in every mode
-//! (plain / rules / grouped), at every worker count, under backpressure
-//! (rings far smaller than the batch) and under flow eviction — while also
-//! producing the latency and utilization telemetry the barrier scanner
-//! cannot. The last test backs the ring up with small packets, which the
-//! worker then scans as **runs** (several flows, one engine call), and
-//! replays the same script on the barrier scanner, which pushes one packet
-//! at a time.
+//! continuously-running `PipelineScanner` reports, for each flow, exactly
+//! what a naive scan of that flow's stream segments reports
+//! (`common::naive_per_flow`: a segment ends at a close or at eviction) —
+//! in every mode (plain / rules / grouped), at every worker count, under
+//! backpressure (rings far smaller than the batch) and under flow eviction,
+//! while also producing latency and utilization telemetry. The oracle calls
+//! only the naive matcher and rule evaluator, so it shares no scanning code
+//! with the pipeline. The last test backs the ring up with small packets,
+//! which the worker then scans as **runs** (several flows, one engine
+//! call), and checks the same script against the oracle.
 
 mod common;
 
-use common::{worker_counts, Gated, HOLD_FLOW};
+use common::{naive_per_flow, worker_counts, Gated, Mode, Step, HOLD_FLOW};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
-use mpm_patterns::snort::{parse_grouped, ParseOptions};
+use mpm_patterns::snort::{parse_grouped, parse_ruleset, ParseOptions};
 use mpm_patterns::{NaiveMatcher, PatternSet};
 use mpm_stream::{BackpressurePolicy, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
@@ -49,24 +50,25 @@ fn packet_batch(rules: &PatternSet, bytes: usize, flows: u64) -> Vec<Packet> {
     packets
 }
 
+/// The packets of a batch as a dispatch script.
+fn script(packets: &[Packet]) -> impl Iterator<Item = Step> + '_ {
+    packets.iter().cloned().map(Step::Packet)
+}
+
 #[test]
 fn plain_mode_pipeline_equals_barrier_at_every_worker_count() {
     let rules = PatternSet::from_literals(&["GET /", "passwd", "needle", "ab", "aaaa"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
     let packets = packet_batch(&rules, 128 * 1024, 11);
     for workers in worker_counts(&[1, 2, 4]) {
-        let mut barrier = ScannerBuilder::new()
-            .engine(engine.clone(), &rules)
-            .workers(workers)
-            .build_barrier()
-            .expect("valid build");
-        let expected = barrier.scan_batch(packets.clone());
         let mut pipeline = ScannerBuilder::new()
             .engine(engine.clone(), &rules)
             .workers(workers)
             .build()
             .expect("valid build");
         let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
+        let worker_of = |flow| pipeline.worker_of(flow);
+        let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
         assert_eq!(got.matches, expected.matches, "{workers} workers");
         assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
         assert_eq!(got.stats.matches, expected.stats.matches);
@@ -113,18 +115,14 @@ fn rule_mode_pipeline_equals_barrier() {
         })
         .collect();
     for workers in worker_counts(&[1, 3]) {
-        let mut barrier = ScannerBuilder::new()
-            .rules(engine.clone(), &set)
-            .workers(workers)
-            .build_barrier()
-            .expect("valid build");
-        let expected = barrier.scan_batch(packets.clone());
         let mut pipeline = ScannerBuilder::new()
             .rules(engine.clone(), &set)
             .workers(workers)
             .build()
             .expect("valid build");
         let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
+        let worker_of = |flow| pipeline.worker_of(flow);
+        let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Rules(&set));
         assert_eq!(got.matches, expected.matches, "{workers} workers");
         assert_eq!(got.rule_matches, expected.rule_matches);
         assert!(!got.rule_matches.is_empty());
@@ -179,18 +177,15 @@ fn grouped_mode_pipeline_equals_barrier() {
         })
         .collect();
     for workers in worker_counts(&[1, 4]) {
-        let mut barrier = ScannerBuilder::new()
-            .groups(engines.clone())
-            .workers(workers)
-            .build_barrier()
-            .expect("valid build");
-        let expected = barrier.scan_batch(packets.clone());
         let mut pipeline = ScannerBuilder::new()
             .groups(engines.clone())
             .workers(workers)
             .build()
             .expect("valid build");
         let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
+        let worker_of = |flow| pipeline.worker_of(flow);
+        let mode = Mode::Grouped(engines.grouped());
+        let expected = naive_per_flow(script(&packets), worker_of, None, mode);
         assert!(got.matches.is_empty(), "grouped mode reports rules only");
         assert_eq!(got.rule_matches, expected.rule_matches, "{workers} workers");
         assert_eq!(got.stats.matches, expected.stats.matches);
@@ -201,18 +196,12 @@ fn grouped_mode_pipeline_equals_barrier() {
 fn backpressure_on_tiny_rings_loses_nothing() {
     // Rings of 2 slots against a 2000-packet burst: dispatch must engage
     // backpressure (blocking + draining, never dropping or deadlocking) and
-    // the result must still be byte-identical to the barrier scan.
+    // the result must still equal the naive per-flow scan.
     let rules = PatternSet::from_literals(&["needle", "ab"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
     let packets: Vec<Packet> = (0..2000u64)
         .map(|i| Packet::new(i % 17, b"..needle..ab..".to_vec()))
         .collect();
-    let mut barrier = ScannerBuilder::new()
-        .engine(engine.clone(), &rules)
-        .workers(2)
-        .build_barrier()
-        .expect("valid build");
-    let expected = barrier.scan_batch(packets.clone());
     let mut pipeline = ScannerBuilder::new()
         .engine(engine.clone(), &rules)
         .workers(2)
@@ -220,6 +209,8 @@ fn backpressure_on_tiny_rings_loses_nothing() {
         .build()
         .expect("valid build");
     let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
     assert_eq!(got.matches, expected.matches);
     assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
     assert!(
@@ -234,7 +225,7 @@ fn shed_drops_whole_packets_counts_them_and_block_drops_none() {
     // says so, and everything else is scanned as if the dropped packets had
     // never been sent. Every packet is the same self-contained payload, so
     // whichever ones a flow loses, what it reports is a prefix of what the
-    // barrier reports for the full batch.
+    // naive per-flow scan reports for the full batch.
     let rules = PatternSet::from_literals(&["needle", "ab"]);
     let inner: SharedMatcher = Arc::from(build_auto(&rules));
     let payload = b"..needle..ab..";
@@ -247,14 +238,13 @@ fn shed_drops_whole_packets_counts_them_and_block_drops_none() {
             .workers(1)
             .ring_capacity(2)
     };
-    let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
-    let expected = barrier.scan_batch(packets.clone());
-
     let engine = Gated::open(inner.clone());
     let mut shedding = build(engine.clone())
         .backpressure(BackpressurePolicy::Shed)
         .build()
         .expect("valid build");
+    let worker_of = |flow| shedding.worker_of(flow);
+    let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
     // With the worker held inside the engine the ring cannot drain: of the
     // first 16 packets at most 2 find a slot, whatever the host does.
     let hold = engine.arm();
@@ -306,14 +296,12 @@ fn a_block_timeout_without_a_representable_deadline_waits_like_block() {
             .workers(1)
             .ring_capacity(2)
     };
-    let expected = build()
-        .build_barrier()
-        .expect("valid build")
-        .scan_batch(packets.clone());
     let mut pipeline = build()
         .backpressure(BackpressurePolicy::BlockTimeout(Duration::MAX))
         .build()
         .expect("valid build");
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
     for packet in &packets {
         assert!(pipeline.dispatch(packet.clone()), "nothing is shed");
     }
@@ -340,14 +328,14 @@ fn a_block_timeout_sheds_at_its_deadline_on_a_really_full_ring() {
             .workers(1)
             .ring_capacity(2)
     };
-    let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
-    let expected = barrier.scan_batch(packets.clone());
     let patience = Duration::from_millis(5);
     let engine = Gated::open(inner);
     let mut pipeline = build(engine.clone())
         .backpressure(BackpressurePolicy::BlockTimeout(patience))
         .build()
         .expect("valid build");
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
     let hold = engine.arm();
     hold.hold(&mut pipeline);
     let mut shed = 0;
@@ -381,7 +369,7 @@ fn a_block_timeout_sheds_at_its_deadline_on_a_really_full_ring() {
 fn a_one_slot_ring_holds_one_job_and_loses_nothing() {
     // 1 is a power of two, so the builder accepts it: the ring must then
     // hold one job, not silently two, and a burst through it must still
-    // equal the barrier.
+    // equal the naive per-flow scan.
     let rules = PatternSet::from_literals(&["needle", "ab"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
     let packets: Vec<Packet> = (0..3000u64)
@@ -393,11 +381,11 @@ fn a_one_slot_ring_holds_one_job_and_loses_nothing() {
             .workers(1)
             .ring_capacity(1)
     };
-    let mut barrier = build().build_barrier().expect("valid build");
-    let expected = barrier.scan_batch(packets.clone());
     let mut pipeline = build().build().expect("valid build");
     assert_eq!(pipeline.ring_capacity(), 1);
-    let got = pipeline.scan_batch(packets).expect("worker alive");
+    let got = pipeline.scan_batch(packets.clone()).expect("worker alive");
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let expected = naive_per_flow(script(&packets), worker_of, None, Mode::Plain(&rules));
     assert_eq!(got.matches, expected.matches);
     assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
     assert_eq!(got.workers[0].ring_capacity, 1);
@@ -408,9 +396,10 @@ fn a_one_slot_ring_holds_one_job_and_loses_nothing() {
 fn max_flows_lru_eviction_matches_barrier_semantics() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
-    // One worker, two resident flows — the barrier scanner's LRU scenario,
-    // replayed on the pipeline (worker(1) keeps dispatch order == scan
-    // order, so the eviction sequence is deterministic).
+    // One worker, two resident flows (worker(1) keeps dispatch order ==
+    // scan order, so the eviction sequence is deterministic). Flows 1 and 2
+    // each carry half a pattern; pushing flow 1 again makes flow 2 the
+    // least recently pushed, so flow 3's arrival evicts it.
     let build = || {
         ScannerBuilder::new()
             .engine(engine.clone(), &rules)
@@ -432,11 +421,16 @@ fn max_flows_lru_eviction_matches_barrier_semantics() {
         ]
     };
     let mut pipeline = build().build().expect("valid build");
-    pipeline.scan_batch(batch1()).expect("workers alive");
+    let first = pipeline.scan_batch(batch1()).expect("workers alive");
     let got = pipeline.scan_batch(batch2()).expect("workers alive");
-    let mut barrier = build().build_barrier().expect("valid build");
-    barrier.scan_batch(batch1());
-    let expected = barrier.scan_batch(batch2());
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let expected = naive_per_flow(
+        batch1().into_iter().chain(batch2()).map(Step::Packet),
+        worker_of,
+        Some(2),
+        Mode::Plain(&rules),
+    );
+    assert!(first.matches.is_empty());
     assert_eq!(got.matches, expected.matches);
     assert_eq!(got.matches.len(), 1, "only the retained flow straddles");
     assert_eq!(got.matches[0].flow, 1);
@@ -542,42 +536,67 @@ fn zero_idle_timeout_makes_every_packet_a_fresh_stream() {
     assert!(stats.evicted_flows >= 2);
 }
 
+/// "needle" whole, and cut at the seam the eviction test's packets cut it
+/// at: in rule mode the anchors hit in every packet, and no rule can confirm
+/// unless a flow's state outlives its eviction.
+const NEEDLE_RULES: &str = r#"
+alert tcp any any -> any 80 (msg:"halves"; content:"nee"; content:"dle"; distance:0; sid:1;)
+alert ip any any -> any any (msg:"whole"; content:"needle"; sid:2;)
+"#;
+
 #[test]
 fn lru_eviction_under_backpressure_still_matches_the_barrier() {
     // Eviction churning *while* 2-slot rings push back: the flow cap and
     // the backpressure loop interleave on the hot path, and the result
-    // must still be byte-identical to the barrier scanner under the same
-    // cap (same per-worker division, same LRU order).
+    // must still equal the naive per-flow scan under the same cap (same
+    // per-worker division, same LRU order) — in every mode, so an evicted
+    // flow's carry, rule buffer and group selection are all retired.
     let rules = PatternSet::from_literals(&["needle"]);
-    let engine: SharedMatcher = Arc::from(build_auto(&rules));
+    let rule_set = parse_ruleset(NEEDLE_RULES, ParseOptions::default()).unwrap();
+    let grouped =
+        GroupedRuleSet::new(parse_grouped(NEEDLE_RULES, ParseOptions::default()).unwrap());
+    let engines = Arc::new(GroupedEngineSet::build_with(grouped, |set, _| {
+        Arc::from(build_auto(set))
+    }));
     let packets: Vec<Packet> = (0..2000u64)
         .map(|i| {
             let half: &[u8] = if i % 2 == 0 { b"..nee" } else { b"dle.." };
             Packet::new(i % 17, half.to_vec())
         })
         .collect();
-    let mut barrier = ScannerBuilder::new()
-        .engine(engine.clone(), &rules)
-        .workers(2)
-        .max_flows(4)
-        .build_barrier()
-        .expect("valid build");
-    let expected = barrier.scan_batch(packets.clone());
-    let mut pipeline = ScannerBuilder::new()
-        .engine(engine.clone(), &rules)
-        .workers(2)
-        .ring_capacity(2)
-        .max_flows(4)
-        .build()
-        .expect("valid build");
-    let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
-    assert_eq!(got.matches, expected.matches);
-    assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
-    assert!(got.backpressure_waits > 0, "2-slot rings must push back");
-    assert!(
-        got.evicted_flows > 0,
-        "17 flows against a cap of 4 must churn"
-    );
+    let sources = [
+        (
+            ScannerBuilder::new().engine(Arc::from(build_auto(&rules)), &rules),
+            Mode::Plain(&rules),
+        ),
+        (
+            ScannerBuilder::new().rules(Arc::from(build_auto(rule_set.anchors())), &rule_set),
+            Mode::Rules(&rule_set),
+        ),
+        (
+            ScannerBuilder::new().groups(engines.clone()),
+            Mode::Grouped(engines.grouped()),
+        ),
+    ];
+    for (builder, mode) in sources {
+        let mut pipeline = builder
+            .workers(2)
+            .ring_capacity(2)
+            .max_flows(4)
+            .build()
+            .expect("valid build");
+        let got = pipeline.scan_batch(packets.clone()).expect("workers alive");
+        let worker_of = |flow| pipeline.worker_of(flow);
+        let expected = naive_per_flow(script(&packets), worker_of, Some(2), mode);
+        assert_eq!(got.matches, expected.matches);
+        assert_eq!(got.rule_matches, expected.rule_matches);
+        assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
+        assert!(got.backpressure_waits > 0, "2-slot rings must push back");
+        assert!(
+            got.evicted_flows > 0,
+            "17 flows against a cap of 4 must churn"
+        );
+    }
 }
 
 #[test]
@@ -705,6 +724,51 @@ fn close_flow_retires_stream_state_in_flight() {
     );
     assert_eq!(stats.matches[0].event.start, 3);
     assert_eq!(stats.resident_flows, 1);
+    // Closing a flow no worker holds is a no-op.
+    pipeline.close_flow(12345);
+    let after = pipeline.drain().expect("workers alive");
+    assert!(after.matches.is_empty());
+    assert_eq!(after.resident_flows, 1);
+    // A flow's worker is fixed, and the mixer does not send every flow to
+    // one worker.
+    let spread: std::collections::HashSet<usize> = (0..100)
+        .map(|flow| {
+            assert_eq!(pipeline.worker_of(flow), pipeline.worker_of(flow));
+            pipeline.worker_of(flow)
+        })
+        .collect();
+    assert!(spread.len() > 1);
+}
+
+#[test]
+fn million_flow_churn_stays_bounded_and_scans_correctly() {
+    let rules = PatternSet::from_literals(&["needle"]);
+    let engine: SharedMatcher = Arc::from(NaiveMatcher::new(&rules));
+    let (cap, workers) = (64, 3);
+    let mut pipeline = ScannerBuilder::new()
+        .engine(engine, &rules)
+        .workers(workers)
+        .max_flows(cap)
+        .build()
+        .expect("valid build");
+    // A million distinct flows, each carrying one complete occurrence:
+    // every match must be found (the pattern never straddles packets of
+    // different flows) and the resident state must stay at the cap, not
+    // at one million scanners.
+    let total_flows = 1_000_000u64;
+    let batch_size = 50_000u64;
+    let mut found = 0u64;
+    for first in (0..total_flows).step_by(batch_size as usize) {
+        let packets = (first..first + batch_size).map(|f| Packet::new(f, b"..needle..".to_vec()));
+        let result = pipeline.scan_batch(packets).expect("workers alive");
+        found += result.matches.len() as u64;
+        assert!(
+            result.resident_flows <= workers * cap.div_ceil(workers),
+            "resident flows {} exceeded the cap",
+            result.resident_flows
+        );
+    }
+    assert_eq!(found, total_flows);
 }
 
 /// 64-byte packets of 40 flows waiting in a backed-up ring — six busy flows
@@ -718,10 +782,6 @@ fn close_flow_retires_stream_state_in_flight() {
 /// while the busy flows stay resident and keep joining runs.
 #[test]
 fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
-    enum Step<'a> {
-        Packet(u64, &'a [u8]),
-        Close(u64),
-    }
     let rules = PatternSet::from_literals(&["GET /", "passwd", "needle", "ab", "aaaa", "x"]);
     let inner: SharedMatcher = Arc::from(build_auto(&rules));
     let trace = TraceGenerator::generate(
@@ -731,16 +791,13 @@ fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
     let mut script = Vec::new();
     for (n, payload) in trace.chunks(64).enumerate() {
         let flow_of = |n: usize| if n.is_multiple_of(2) { n / 2 % 6 } else { 6 + n / 2 % 34 } as u64;
-        script.push(Step::Packet(
-            flow_of(if n % 13 == 12 { n - 1 } else { n }),
-            payload,
-        ));
+        let flow = flow_of(if n % 13 == 12 { n - 1 } else { n });
+        script.push(Step::Packet(Packet::new(flow, payload.to_vec())));
         if n % 29 == 5 {
             // Its next packet is three jobs behind this one.
             script.push(Step::Close(flow_of(n + 3)));
         }
     }
-    let hold_packet = || Packet::new(HOLD_FLOW, b".".to_vec());
     for cap in [None, Some(8)] {
         let build = |engine: SharedMatcher| {
             let builder = ScannerBuilder::new()
@@ -752,26 +809,6 @@ fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
                 None => builder,
             }
         };
-        // The barrier sees the packet that holds the pipeline's worker too:
-        // its flow takes a slot under the cap.
-        let mut barrier = build(inner.clone()).build_barrier().expect("valid build");
-        let mut expected = barrier.scan_batch([hold_packet()]);
-        for step in &script {
-            let result = match *step {
-                Step::Packet(flow, payload) => {
-                    barrier.scan_batch([Packet::new(flow, payload.to_vec())])
-                }
-                Step::Close(flow) => {
-                    barrier.close_flow(flow);
-                    continue;
-                }
-            };
-            expected.matches.extend(result.matches);
-            expected.stats.merge(&result.stats);
-            expected.resident_flows = result.resident_flows;
-        }
-        expected.matches.sort_unstable();
-
         let engine = Gated::open(inner.clone());
         let mut pipeline = build(engine.clone()).build().expect("valid build");
         let hold = engine.arm();
@@ -779,21 +816,30 @@ fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
         engine.reset_counts();
         let mut packets = 0;
         for step in &script {
-            match *step {
-                Step::Packet(flow, payload) => {
+            match step {
+                Step::Packet(packet) => {
                     packets += 1;
-                    pipeline.dispatch(Packet::new(flow, payload.to_vec()));
+                    pipeline.dispatch(packet.clone());
                 }
-                Step::Close(flow) => pipeline.close_flow(flow),
+                Step::Close(flow) => pipeline.close_flow(*flow),
             }
         }
         hold.release();
         let got = pipeline.drain().expect("worker alive");
+        // The oracle sees the packet that holds the worker too: its flow
+        // takes a slot under the cap.
+        let hold_packet = Step::Packet(Packet::new(HOLD_FLOW, b".".to_vec()));
+        let expected = naive_per_flow(
+            std::iter::once(hold_packet).chain(script.iter().cloned()),
+            |flow| pipeline.worker_of(flow),
+            cap,
+            Mode::Plain(&rules),
+        );
         assert_eq!(got.matches, expected.matches, "cap {cap:?}");
         assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
         assert_eq!(got.stats.matches, expected.stats.matches);
         assert_eq!(got.resident_flows, expected.resident_flows, "cap {cap:?}");
-        assert_eq!(got.latency.count, packets + 1, "one sample per packet");
+        assert_eq!(got.latency.count, expected.packets, "one sample per packet");
         // The backlog really went through runs: far fewer engine calls than
         // packets, even with everything above cutting runs short.
         let calls = engine.calls.load(std::sync::atomic::Ordering::Relaxed);

@@ -14,6 +14,9 @@
 //! byte to longer than a prescreen block, and the random suite draws rules
 //! over the same range.
 
+mod common;
+
+use common::worker_counts;
 use mpm_patterns::rule::{naive_rule_find_all, Rule, RuleContent, RuleId, RuleSet};
 use mpm_patterns::NaiveMatcher;
 use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend};
@@ -169,27 +172,35 @@ fn confirmation_lands_on_the_completing_push() {
 }
 
 /// Sharded rule mode: packets of one flow cut at every seam across *two
-/// batches* still confirm, and worker count never changes the result.
+/// batches* still confirm, and worker count never changes the result. A
+/// third batch repeats the whole payload: every rule already confirmed, so
+/// the flow's stream confirms nothing more — a rule confirms once per flow,
+/// however many drains its contents recur in.
 #[test]
 fn sharded_rule_confirmation_survives_every_packet_seam() {
     let (set, payload) = seam_fixture();
-    let expected: Vec<(u64, RuleId, usize)> = naive_rule_find_all(&set, &payload)
+    let expected: Vec<(u64, RuleId, usize)> = naive_rule_find_all(&set, &payload.repeat(2))
         .into_iter()
         .map(|m| (5u64, m.rule, m.end))
         .collect();
     let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
     for cut in 0..=payload.len() {
-        for workers in [1usize, 4] {
+        for workers in worker_counts(&[1, 4]) {
             let mut scanner = ScannerBuilder::new()
                 .rules(engine.clone(), &set)
                 .workers(workers)
-                .build_barrier()
+                .build()
                 .expect("valid build");
-            let mut confirmed = Vec::new();
-            let first = scanner.scan_batch(vec![Packet::new(5, payload[..cut].to_vec())]);
-            confirmed.extend(first.rule_matches);
-            let second = scanner.scan_batch(vec![Packet::new(5, payload[cut..].to_vec())]);
-            confirmed.extend(second.rule_matches);
+            let mut scan = |payload: &[u8]| {
+                let batch = vec![Packet::new(5, payload.to_vec())];
+                scanner
+                    .scan_batch(batch)
+                    .expect("workers alive")
+                    .rule_matches
+            };
+            let mut confirmed = scan(&payload[..cut]);
+            confirmed.extend(scan(&payload[cut..]));
+            confirmed.extend(scan(&payload));
             // Rule-id order, as the oracle reports: a rule confirmed by the
             // first batch may have a higher id than one confirmed later.
             let mut got: Vec<(u64, RuleId, usize)> =

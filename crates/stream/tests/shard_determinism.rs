@@ -1,14 +1,12 @@
 //! Sharding must not change results: the same packet batch scanned by a
 //! pipeline of 1 worker and of N workers yields an identical merged match
 //! set and identical summed (deterministic) statistics, in every mode, and
-//! the merged set equals a per-flow one-shot scan of the reassembled
-//! streams.
+//! the merged set equals the naive per-flow scan of the flows' streams.
 
 mod common;
 
-use common::worker_counts;
+use common::{naive_per_flow, worker_counts, Mode, Step};
 use mpm_patterns::group::GroupedRuleSet;
-use mpm_patterns::naive::naive_find_all;
 use mpm_patterns::ports::{FlowTuple, Proto};
 use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
 use mpm_patterns::snort::{parse_grouped, ParseOptions};
@@ -16,7 +14,6 @@ use mpm_patterns::{NaiveMatcher, PatternSet};
 use mpm_stream::{FlowMatch, GroupedEngineSet, Packet, ScannerBuilder, SharedMatcher};
 use mpm_traffic::{TraceGenerator, TraceKind, TraceSpec};
 use mpm_vpatch::build_auto;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A deterministic, realistic packet batch: one ISCX-like trace (with
@@ -36,19 +33,6 @@ fn packet_batch(rules: &PatternSet, bytes: usize, flows: u64) -> Vec<Packet> {
         n += 1;
     }
     packets
-}
-
-/// Reassembles the per-flow streams of a batch (ground truth for the
-/// sharded scan).
-fn reassemble(packets: &[Packet]) -> BTreeMap<u64, Vec<u8>> {
-    let mut flows: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for packet in packets {
-        flows
-            .entry(packet.flow)
-            .or_default()
-            .extend_from_slice(&packet.payload);
-    }
-    flows
 }
 
 #[test]
@@ -93,18 +77,11 @@ fn one_worker_and_n_workers_agree() {
         }
     }
 
-    // The merged set is also exactly what one-shot per-flow scans report.
-    let expected: Vec<FlowMatch> = reassemble(&packets)
-        .into_iter()
-        .flat_map(|(flow, stream)| {
-            naive_find_all(&rules, &stream)
-                .into_iter()
-                .map(move |event| FlowMatch { flow, event })
-        })
-        .collect();
-    let mut expected = expected;
-    expected.sort_unstable();
-    assert_eq!(baseline.unwrap(), expected);
+    // The merged set is also exactly what one-shot per-flow scans report
+    // (no cap, so no flow is cut and the worker mapping is moot).
+    let script = packets.into_iter().map(Step::Packet);
+    let expected = naive_per_flow(script, |_| 0, None, Mode::Plain(&rules));
+    assert_eq!(baseline.unwrap(), expected.matches);
 }
 
 #[test]

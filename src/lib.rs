@@ -81,9 +81,9 @@ pub mod prelude {
         available_backends, detect_best, forced_backend, BackendKind, VectorBackend,
     };
     pub use mpm_stream::{
-        BarrierScanner, FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner, Packet,
-        PipelineScanner, PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher,
-        StreamScanner, WorkerStats,
+        FlowRuleMatch, GroupedEngineSet, GroupedFlowScanner, Packet, PipelineScanner,
+        PipelineStats, RuleStreamScanner, ScannerBuilder, SharedMatcher, StreamScanner,
+        WorkerStats,
     };
     pub use mpm_traffic::{MatchDensityGenerator, TraceGenerator, TraceKind, TraceSpec};
     pub use mpm_verify::{ConfirmProgress, PayloadIndex, RuleConfirmer, RuleScanner};

@@ -219,7 +219,7 @@ proptest! {
         let mut scanner = ScannerBuilder::new()
             .groups(engines.clone())
             .workers(3)
-            .build_barrier().expect("valid build");
+            .build().expect("valid build");
         // Flow 11 carries a tuple and is cut at a random seam; flow 22 has
         // no tuple (scanned against every group, unfiltered).
         let cut = cut % (payload.len() + 1);
@@ -227,7 +227,7 @@ proptest! {
             Packet::new_with_tuple(11, payload[..cut].to_vec(), flow_a),
             Packet::new(22, payload.to_vec()),
             Packet::new(11, payload[cut..].to_vec()),
-        ]);
+        ]).expect("workers alive");
         prop_assert!(result.matches.is_empty(), "grouped mode reports rules only");
         for (flow, expected) in [(11u64, &expected_a), (22, &expected_none)] {
             let got: Vec<RuleMatch> = result

@@ -261,7 +261,7 @@ proptest! {
         let mut scanner = ScannerBuilder::new()
             .rules(engine, &set)
             .workers(3)
-            .build_barrier().expect("valid build");
+            .build().expect("valid build");
         // Two flows carrying the same payload, each cut once at a random
         // seam; both must report the same confirmed rules.
         let cut = cut % (payload.len() + 1);
@@ -269,7 +269,7 @@ proptest! {
             Packet::new(11, payload[..cut].to_vec()),
             Packet::new(22, payload.to_vec()),
             Packet::new(11, payload[cut..].to_vec()),
-        ]);
+        ]).expect("workers alive");
         for flow in [11u64, 22] {
             let got: Vec<RuleMatch> = result
                 .rule_matches

@@ -96,12 +96,14 @@ fn nocase_rules_fire_on_case_varied_traffic_end_to_end() {
         .engine(engine, &rules)
         .workers(2)
         .max_flows(1024)
-        .build_barrier()
+        .build()
         .expect("valid build");
-    let result = sharded.scan_batch(vec![
-        Packet::new(7, b"GET /?q=<ScR".to_vec()),
-        Packet::new(7, b"iPt>alert(1)".to_vec()),
-    ]);
+    let result = sharded
+        .scan_batch(vec![
+            Packet::new(7, b"GET /?q=<ScR".to_vec()),
+            Packet::new(7, b"iPt>alert(1)".to_vec()),
+        ])
+        .expect("workers alive");
     assert_eq!(result.matches.len(), 1);
     assert_eq!(result.matches[0].event.start, 8);
 }
@@ -150,13 +152,15 @@ fn multi_content_rules_confirm_end_to_end() {
     let mut sharded = ScannerBuilder::new()
         .rules(engine, &set)
         .workers(2)
-        .build_barrier()
+        .build()
         .expect("valid build");
-    let result = sharded.scan_batch(vec![
-        Packet::new(1, payload[..20].to_vec()),
-        Packet::new(2, b"POST /upload HTTP/1.1 UPLOAD".to_vec()),
-        Packet::new(1, payload[20..].to_vec()),
-    ]);
+    let result = sharded
+        .scan_batch(vec![
+            Packet::new(1, payload[..20].to_vec()),
+            Packet::new(2, b"POST /upload HTTP/1.1 UPLOAD".to_vec()),
+            Packet::new(1, payload[20..].to_vec()),
+        ])
+        .expect("workers alive");
     let flow1: Vec<u32> = result
         .rule_matches
         .iter()
