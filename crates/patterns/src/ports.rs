@@ -45,12 +45,18 @@ impl Proto {
     /// Parses a protocol token (`tcp` / `udp` / `icmp` / `ip`,
     /// case-insensitive).
     pub fn parse(token: &str) -> Option<Proto> {
-        match token.to_ascii_lowercase().as_str() {
-            "tcp" => Some(Proto::Tcp),
-            "udp" => Some(Proto::Udp),
-            "icmp" => Some(Proto::Icmp),
-            "ip" => Some(Proto::Ip),
-            _ => None,
+        [Proto::Tcp, Proto::Udp, Proto::Icmp, Proto::Ip]
+            .into_iter()
+            .find(|proto| token.eq_ignore_ascii_case(proto.keyword()))
+    }
+
+    /// The protocol's keyword in rule text.
+    fn keyword(self) -> &'static str {
+        match self {
+            Proto::Tcp => "tcp",
+            Proto::Udp => "udp",
+            Proto::Icmp => "icmp",
+            Proto::Ip => "ip",
         }
     }
 
@@ -65,12 +71,7 @@ impl Proto {
 
 impl fmt::Display for Proto {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Proto::Tcp => "tcp",
-            Proto::Udp => "udp",
-            Proto::Icmp => "icmp",
-            Proto::Ip => "ip",
-        })
+        f.write_str(self.keyword())
     }
 }
 
@@ -442,12 +443,18 @@ pub fn parse_header(header: &str) -> Result<RuleHeader, String> {
 
 /// Parses a rule header against an explicit variable table.
 pub fn parse_header_with_vars(header: &str, vars: &PortVars) -> Result<RuleHeader, String> {
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    if tokens.len() != 7 {
+    let mut tokens = [""; 7];
+    let mut fields = 0;
+    for token in header.split_whitespace() {
+        if let Some(slot) = tokens.get_mut(fields) {
+            *slot = token;
+        }
+        fields += 1;
+    }
+    if fields != 7 {
         return Err(format!(
             "malformed rule header (expected 'action proto src_ip src_ports direction \
-             dst_ip dst_ports', got {} fields)",
-            tokens.len()
+             dst_ip dst_ports', got {fields} fields)"
         ));
     }
     let proto = Proto::parse(tokens[1]).ok_or_else(|| {

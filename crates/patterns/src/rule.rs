@@ -129,24 +129,6 @@ impl RuleContent {
         self
     }
 
-    /// In-place setters for the parser, which discovers modifiers after the
-    /// content is already in its rule's list.
-    pub(crate) fn set_nocase(&mut self, nocase: bool) {
-        self.nocase = nocase;
-    }
-    pub(crate) fn set_offset(&mut self, offset: u32) {
-        self.offset = offset;
-    }
-    pub(crate) fn set_depth(&mut self, depth: u32) {
-        self.depth = Some(depth);
-    }
-    pub(crate) fn set_distance(&mut self, distance: i32) {
-        self.distance = Some(distance);
-    }
-    pub(crate) fn set_within(&mut self, within: u32) {
-        self.within = Some(within);
-    }
-
     /// The content bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8] {

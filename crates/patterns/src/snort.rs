@@ -11,9 +11,19 @@
 //! * rule header: `action proto src sport direction dst dport ( options )` —
 //!   read only by [`parse_grouped`], which parses it into a [`RuleHeader`]
 //!   ([`crate::ports`]); the pattern and rule views ignore it;
-//! * `content:"...";` options with Snort escaping: `\"`, `\\`, `\;`, `\:` and
-//!   hex blocks — both whitespace-separated (`|41 42 43|`) and contiguous
-//!   (`|414243|`) byte pairs, and any mix of the two, as Snort accepts;
+//! * options: `name` or `name:value`, separated by `;`. The name is the text
+//!   before the first `:` (whitespace around it is ignored); the value runs
+//!   to the next `;` that is not inside a double-quoted string;
+//! * `content:"...";` options with Snort escaping and hex blocks — both
+//!   whitespace-separated (`|41 42 43|`) and contiguous (`|414243|`) byte
+//!   pairs, and any mix of the two, as Snort accepts. **Escapes:** inside the
+//!   quotes, `\` takes the next character literally and contributes all of
+//!   its UTF-8 bytes, exactly as the unescaped character would (`\"`, `\\`,
+//!   `\;`, `\:`; `\é` is `C3 A9`, like `é`). The quoted string ends at the
+//!   first unescaped `"`, and only whitespace may follow it before the `;`.
+//!   Unterminated strings or hex blocks, a `\` with nothing after it, hex
+//!   digits that are not pairs, non-hex characters in a hex block and empty
+//!   contents are [`ParseError`]s;
 //! * `nocase;` — sets the **case-insensitivity flag** of the `content:` it
 //!   modifies (the immediately preceding one, per Snort's modifier rules).
 //!   The resulting [`Pattern`] reports [`Pattern::is_nocase`]` == true` and
@@ -35,11 +45,18 @@
 //! * all other options are skipped;
 //! * comment lines (`#`) and blank lines are ignored.
 //!
-//! Three entry points share one parsing path:
+//! **One pass per rule line.** Each rule line is read once, byte by byte:
+//! options are slices of the input, never copied, and a `content:` value is
+//! decoded in the same pass that finds its end, into a scratch buffer the
+//! whole file shares. Each content a view keeps is then allocated once, at
+//! its exact size; parsing allocates nothing per option.
+//!
+//! Three entry points share that pass:
 //!
 //! * [`parse_rules`] — the pattern-set view: each `content:` string becomes
 //!   one [`Pattern`] (positional modifiers dropped; the longest content of a
-//!   rule is what Snort hands to the multi-pattern matcher, configurable via
+//!   rule — the first of them on a tie — is what Snort hands to the
+//!   multi-pattern matcher, configurable via
 //!   [`ParseOptions::longest_content_only`]);
 //! * [`parse_ruleset`] — the rule view: every content **with** its
 //!   positional constraints becomes part of a [`Rule`], and the returned
@@ -49,7 +66,7 @@
 //!   input of port-group scanning ([`crate::group::GroupedRuleSet`]).
 
 use crate::pattern::{Pattern, PatternSet};
-use crate::ports::{self, RuleHeader};
+use crate::ports::{self, PortVars, RuleHeader};
 use crate::rule::{Rule, RuleContent, RuleSet};
 use std::fmt;
 
@@ -96,29 +113,24 @@ impl std::error::Error for ParseError {}
 /// Lines that are not rules (comments, blanks, preprocessor directives) are
 /// skipped. Rules without any `content:` option contribute no patterns.
 pub fn parse_rules(text: &str, options: ParseOptions) -> Result<PatternSet, ParseError> {
+    let mut parser = LineParser::default();
     let mut patterns = Vec::new();
     for (line_no, line) in rule_lines(text) {
-        if let Some(parsed) = parse_rule_body(line, line_no)? {
-            // The pattern-set view: contents become patterns, positional
-            // modifiers are dropped (they are the confirmation stage's job),
-            // short contents are filtered per min_len.
-            let mut contents: Vec<RuleContent> = parsed
-                .contents
-                .into_iter()
-                .filter(|c| c.len() >= options.min_len)
-                .collect();
-            if contents.is_empty() {
-                continue;
-            }
-            if options.longest_content_only {
-                contents.sort_by_key(|c| std::cmp::Reverse(c.len()));
-                contents.truncate(1);
-            }
-            patterns.extend(
-                contents
-                    .into_iter()
-                    .map(|c| Pattern::literal(c.bytes().to_vec()).with_nocase(c.is_nocase())),
-            );
+        if parser.parse(line, line_no)?.is_none() {
+            continue;
+        }
+        // The pattern-set view: contents become patterns, positional
+        // modifiers are dropped (they are the confirmation stage's job),
+        // short contents are filtered per min_len.
+        let kept = |c: &&ContentSpan| c.len() >= options.min_len;
+        if options.longest_content_only {
+            // `max_by_key` keeps the last of equal maxima, so over the
+            // reversed contents it keeps the first.
+            let longest = parser.contents.iter().rev().max_by_key(|c| c.len());
+            patterns.extend(longest.filter(kept).map(|c| c.pattern(&parser.bytes)));
+        } else {
+            let all = parser.contents.iter().filter(kept);
+            patterns.extend(all.map(|c| c.pattern(&parser.bytes)));
         }
     }
     Ok(PatternSet::new(patterns))
@@ -135,15 +147,13 @@ pub fn parse_rules(text: &str, options: ParseOptions) -> Result<PatternSet, Pars
 /// short content would change its meaning); rules without contents are
 /// skipped as in [`parse_rules`].
 pub fn parse_ruleset(text: &str, options: ParseOptions) -> Result<RuleSet, ParseError> {
+    let mut parser = LineParser::default();
     let mut rules = Vec::new();
     for (line_no, line) in rule_lines(text) {
-        if let Some(parsed) = parse_rule_body(line, line_no)? {
-            if parsed.contents.is_empty()
-                || parsed.contents.iter().any(|c| c.len() < options.min_len)
-            {
-                continue;
+        if let Some(parsed) = parser.parse(line, line_no)? {
+            if let Some(rule) = parser.rule(parsed.sid, options.min_len) {
+                rules.push(rule);
             }
-            rules.push(Rule::new(parsed.contents).with_sid(parsed.sid));
         }
     }
     Ok(RuleSet::new(rules))
@@ -158,24 +168,27 @@ pub fn parse_ruleset(text: &str, options: ParseOptions) -> Result<RuleSet, Parse
 /// header does not parse (wrong field count, unknown protocol or direction,
 /// malformed port spec) is a [`ParseError`] here and nowhere else: grouped
 /// scanning *depends* on the header, so silently guessing one would change
-/// which flows a rule fires on.
+/// which flows a rule fires on. `$VAR` ports resolve against the default
+/// [`PortVars`] table, built once per file.
 pub fn parse_grouped(
     text: &str,
     options: ParseOptions,
 ) -> Result<Vec<(RuleHeader, Rule)>, ParseError> {
+    let vars = PortVars::default();
+    let mut parser = LineParser::default();
     let mut rules = Vec::new();
     for (line_no, line) in rule_lines(text) {
-        if let Some(parsed) = parse_rule_body(line, line_no)? {
-            if parsed.contents.is_empty()
-                || parsed.contents.iter().any(|c| c.len() < options.min_len)
-            {
-                continue;
+        if let Some(parsed) = parser.parse(line, line_no)? {
+            if let Some(rule) = parser.rule(parsed.sid, options.min_len) {
+                let header =
+                    ports::parse_header_with_vars(parsed.header, &vars).map_err(|message| {
+                        ParseError {
+                            line: line_no,
+                            message,
+                        }
+                    })?;
+                rules.push((header, rule));
             }
-            let header = ports::parse_header(parsed.header).map_err(|message| ParseError {
-                line: line_no,
-                message,
-            })?;
-            rules.push((header, Rule::new(parsed.contents).with_sid(parsed.sid)));
         }
     }
     Ok(rules)
@@ -189,311 +202,350 @@ fn rule_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// One parsed rule line, before any view (patterns / rules / grouped) is
-/// derived.
-struct ParsedRule<'a> {
+/// What one rule line yields besides its contents, which the parser keeps.
+struct RuleLine<'a> {
     /// The header text, left of the option parenthesis; only
     /// [`parse_grouped`] parses it.
     header: &'a str,
     sid: Option<u32>,
-    contents: Vec<RuleContent>,
 }
 
-/// Which modifiers a content has already received (for duplicate and
-/// family-mixing detection; `offset` needs a flag because its default, 0,
-/// is also a legal explicit value).
-#[derive(Clone, Copy, Default)]
-struct ModifierFlags {
-    offset: bool,
-    depth: bool,
-    distance: bool,
-    within: bool,
+/// One kept content of the current rule: its decoded bytes are
+/// `bytes[start..end]` of the parser's scratch, and the modifiers bound to
+/// it so far. A modifier that is `Some` has been seen, which is what the
+/// duplicate and family-mixing checks read.
+struct ContentSpan {
+    start: usize,
+    end: usize,
+    nocase: bool,
+    offset: Option<u32>,
+    depth: Option<u32>,
+    distance: Option<i32>,
+    within: Option<u32>,
 }
 
-/// Parses one rule line into its header text, sid and contents-with-
-/// modifiers. Returns `Ok(None)` for lines that are not rules.
-fn parse_rule_body(line: &str, line_no: usize) -> Result<Option<ParsedRule<'_>>, ParseError> {
-    let open = match line.find('(') {
-        Some(i) => i,
-        // Not a rule (e.g. a variable definition); ignore.
-        None => return Ok(None),
-    };
-    let header = &line[..open];
-    let close = line.rfind(')').ok_or_else(|| ParseError {
-        line: line_no,
-        message: "missing closing ')' in rule options".to_string(),
-    })?;
-    if close < open {
-        return Err(ParseError {
+impl ContentSpan {
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The content as a pattern: its bytes, allocated once at exact size.
+    fn pattern(&self, bytes: &[u8]) -> Pattern {
+        Pattern::literal(&bytes[self.start..self.end]).with_nocase(self.nocase)
+    }
+
+    /// The content with its modifiers, its bytes allocated once at exact
+    /// size.
+    fn content(&self, bytes: &[u8]) -> RuleContent {
+        let mut content = RuleContent::new(&bytes[self.start..self.end])
+            .with_nocase(self.nocase)
+            .with_offset(self.offset.unwrap_or(0));
+        if let Some(depth) = self.depth {
+            content = content.with_depth(depth);
+        }
+        if let Some(distance) = self.distance {
+            content = content.with_distance(distance);
+        }
+        if let Some(within) = self.within {
+            content = content.with_within(within);
+        }
+        content
+    }
+
+    /// Binds the positional modifier `name` (`offset`, `depth`, `distance`
+    /// or `within`) with its raw `value`, enforcing Snort's validity rules.
+    fn set_modifier(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let parsed: i64 = value
+            .parse()
+            .map_err(|_| format!("invalid {name} value {value:?}"))?;
+        let in_range = if name == "distance" {
+            i32::try_from(parsed).is_ok()
+        } else {
+            u32::try_from(parsed).is_ok()
+        };
+        if !in_range {
+            return Err(format!("{name} value {parsed} out of range"));
+        }
+        let seen = match name {
+            "offset" => self.offset.is_some(),
+            "depth" => self.depth.is_some(),
+            "distance" => self.distance.is_some(),
+            _ => self.within.is_some(),
+        };
+        if seen {
+            return Err(format!("duplicate {name} modifier on one content"));
+        }
+        let absolute = self.offset.is_some() || self.depth.is_some();
+        let relative = self.distance.is_some() || self.within.is_some();
+        let mixed = if matches!(name, "offset" | "depth") {
+            relative
+        } else {
+            absolute
+        };
+        if mixed {
+            return Err(format!(
+                "{name} cannot combine with a modifier of the other family \
+                 (offset/depth are absolute, distance/within are relative)"
+            ));
+        }
+        let len = self.len() as i64;
+        if matches!(name, "depth" | "within") && parsed < len {
+            return Err(format!(
+                "{name} {parsed} smaller than its content ({len} bytes)"
+            ));
+        }
+        match name {
+            "offset" => self.offset = Some(parsed as u32),
+            "depth" => self.depth = Some(parsed as u32),
+            "distance" => self.distance = Some(parsed as i32),
+            _ => self.within = Some(parsed as u32),
+        }
+        Ok(())
+    }
+}
+
+/// What a modifier option binds to: Snort modifiers modify the content
+/// immediately before them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// No content yet: a positional modifier here is an error.
+    Nothing,
+    /// A negated content, which is not kept: its modifiers are dropped.
+    Negated,
+    /// The last entry of the parser's contents.
+    Last,
+}
+
+/// The one-pass rule-line parser. Its buffers hold the current rule and are
+/// reused for every line of a file, so a rule costs only the allocations
+/// of what the caller keeps.
+#[derive(Default)]
+struct LineParser {
+    /// Decoded bytes of the current rule's kept contents, back to back.
+    bytes: Vec<u8>,
+    /// The current rule's kept contents, in rule order.
+    contents: Vec<ContentSpan>,
+}
+
+impl LineParser {
+    /// Parses one (trimmed) rule line into `self.contents`. Returns
+    /// `Ok(None)` for lines that are not rules.
+    fn parse<'a>(
+        &mut self,
+        line: &'a str,
+        line_no: usize,
+    ) -> Result<Option<RuleLine<'a>>, ParseError> {
+        let err = |message: String| ParseError {
             line: line_no,
-            message: "')' appears before '('".to_string(),
-        });
-    }
-    let body = &line[open + 1..close];
-
-    // Modifier options bind to the content option they follow, so we track
-    // the index of the most recent kept content; a negated (skipped) content
-    // resets it so its trailing modifiers cannot leak onto the previous
-    // content. `any_content` distinguishes "modifier after a negated
-    // content" (ignored, like nocase) from "modifier before any content at
-    // all" (a hard error: there is nothing it could bind to).
-    let mut contents: Vec<RuleContent> = Vec::new();
-    let mut flags: Vec<ModifierFlags> = Vec::new();
-    let mut last_content: Option<usize> = None;
-    let mut any_content = false;
-    let mut sid = None;
-    for option in split_options(body) {
-        let option = option.trim();
-        if let Some(rest) = option.strip_prefix("content:") {
-            let value = rest.trim();
-            // content may be negated: content:!"..."; negated contents are not
-            // part of the multi-pattern matching workload.
-            if value.starts_with('!') {
-                last_content = None;
-                any_content = true;
-                continue;
+            message,
+        };
+        self.bytes.clear();
+        self.contents.clear();
+        let open = match line.find('(') {
+            Some(i) => i,
+            // Not a rule (e.g. a variable definition); ignore.
+            None => return Ok(None),
+        };
+        let close = line
+            .rfind(')')
+            .ok_or_else(|| err("missing closing ')' in rule options".to_string()))?;
+        if close < open {
+            return Err(err("')' appears before '('".to_string()));
+        }
+        let body = &line[open + 1..close];
+        let b = body.as_bytes();
+        let mut target = Target::Nothing;
+        let mut sid = None;
+        let mut i = 0;
+        while i < b.len() {
+            // The name runs to `:` or `;`. A `"` before either makes this an
+            // option the parser does not read: it is skipped whole, quotes
+            // honoured.
+            let name_start = i;
+            while i < b.len() && !matches!(b[i], b':' | b';' | b'"') {
+                i += 1;
             }
-            let bytes = parse_content_string(value, line_no)?;
-            contents.push(RuleContent::new(bytes));
-            flags.push(ModifierFlags::default());
-            last_content = Some(contents.len() - 1);
-            any_content = true;
-        } else if option == "nocase" {
-            if let Some(idx) = last_content {
-                contents[idx].set_nocase(true);
-            }
-        } else if let Some((name, value)) = split_modifier(option) {
-            apply_positional_modifier(
-                name,
-                value,
-                &mut contents,
-                &mut flags,
-                last_content,
-                any_content,
-                line_no,
-            )?;
-        } else if let Some(rest) = option.strip_prefix("sid:") {
-            sid = rest.trim().parse::<u32>().ok();
-        }
-    }
-    Ok(Some(ParsedRule {
-        header,
-        sid,
-        contents,
-    }))
-}
-
-/// Splits a `name:value` option when `name` is a positional modifier.
-fn split_modifier(option: &str) -> Option<(&'static str, &str)> {
-    for name in ["offset", "depth", "distance", "within"] {
-        if let Some(rest) = option.strip_prefix(name) {
-            let rest = rest.trim_start();
-            if let Some(value) = rest.strip_prefix(':') {
-                return Some((name, value.trim()));
-            }
-        }
-    }
-    None
-}
-
-/// Attaches one positional modifier to the preceding content, enforcing
-/// Snort's binding and validity rules.
-fn apply_positional_modifier(
-    name: &'static str,
-    value: &str,
-    contents: &mut [RuleContent],
-    flags: &mut [ModifierFlags],
-    last_content: Option<usize>,
-    any_content: bool,
-    line_no: usize,
-) -> Result<(), ParseError> {
-    let err = |message: String| ParseError {
-        line: line_no,
-        message,
-    };
-    let idx = match last_content {
-        Some(idx) => idx,
-        // Mirrors the nocase rule: a modifier trailing a *negated* content
-        // is ignored with the content it modified; one before any content
-        // at all has nothing to bind to and the rule is malformed.
-        None if any_content => return Ok(()),
-        None => {
-            return Err(err(format!(
-                "{name} before any content: positional modifiers bind to the preceding content"
-            )))
-        }
-    };
-    let parsed: i64 = value
-        .parse()
-        .map_err(|_| err(format!("invalid {name} value {value:?}")))?;
-    if name != "distance" && !(0..=u32::MAX as i64).contains(&parsed) {
-        return Err(err(format!("{name} value {parsed} out of range")));
-    }
-    if name == "distance" && i32::try_from(parsed).is_err() {
-        return Err(err(format!("distance value {parsed} out of range")));
-    }
-    let f = &mut flags[idx];
-    let duplicate = match name {
-        "offset" => f.offset,
-        "depth" => f.depth,
-        "distance" => f.distance,
-        _ => f.within,
-    };
-    if duplicate {
-        return Err(err(format!("duplicate {name} modifier on one content")));
-    }
-    let absolute = name == "offset" || name == "depth";
-    let mixed = if absolute {
-        f.distance || f.within
-    } else {
-        f.offset || f.depth
-    };
-    if mixed {
-        return Err(err(format!(
-            "{name} cannot combine with a modifier of the other family \
-             (offset/depth are absolute, distance/within are relative)"
-        )));
-    }
-    let len = contents[idx].len() as i64;
-    if (name == "depth" || name == "within") && parsed < len {
-        return Err(err(format!(
-            "{name} {parsed} smaller than its content ({len} bytes)"
-        )));
-    }
-    match name {
-        "offset" => {
-            f.offset = true;
-            contents[idx].set_offset(parsed as u32);
-        }
-        "depth" => {
-            f.depth = true;
-            contents[idx].set_depth(parsed as u32);
-        }
-        "distance" => {
-            f.distance = true;
-            contents[idx].set_distance(parsed as i32);
-        }
-        _ => {
-            f.within = true;
-            contents[idx].set_within(parsed as u32);
-        }
-    }
-    Ok(())
-}
-
-/// Splits a rule option body on ';', honouring quoted strings and escapes.
-fn split_options(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    let mut escape = false;
-    for c in body.chars() {
-        if escape {
-            current.push(c);
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quotes => {
-                current.push(c);
-                escape = true;
-            }
-            '"' => {
-                current.push(c);
-                in_quotes = !in_quotes;
-            }
-            ';' if !in_quotes => {
-                out.push(std::mem::take(&mut current));
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() {
-        out.push(current);
-    }
-    out
-}
-
-/// Parses a Snort content value: a double-quoted string with `\` escapes and
-/// `|41 42|` hex blocks.
-fn parse_content_string(value: &str, line_no: usize) -> Result<Vec<u8>, ParseError> {
-    let value = value.trim();
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| ParseError {
-            line: line_no,
-            message: format!("content value is not quoted: {value:?}"),
-        })?;
-    let mut bytes = Vec::with_capacity(inner.len());
-    let mut chars = inner.chars().peekable();
-    let mut in_hex = false;
-    let mut hex_buf = String::new();
-    while let Some(c) = chars.next() {
-        if in_hex {
-            if c == '|' {
-                // Flush the hex block. Snort accepts both whitespace-
-                // separated bytes (`|41 42|`) and contiguous runs of byte
-                // pairs (`|4142|`, `|41 4243|`): each whitespace-delimited
-                // token must be an even-length run of hex digits and is
-                // consumed two digits per byte. Odd-length runs and non-hex
-                // characters are still rejected.
-                for tok in hex_buf.split_whitespace() {
-                    if !tok.bytes().all(|b| b.is_ascii_hexdigit()) {
-                        return Err(ParseError {
-                            line: line_no,
-                            message: format!("invalid hex byte {tok:?} in content"),
-                        });
-                    }
-                    if tok.len() % 2 != 0 {
-                        return Err(ParseError {
-                            line: line_no,
-                            message: format!(
-                                "odd-length hex run {tok:?} in content (hex bytes are two digits each)"
-                            ),
-                        });
-                    }
-                    for pair in tok.as_bytes().chunks_exact(2) {
-                        let hi = (pair[0] as char).to_digit(16).expect("checked hex digit");
-                        let lo = (pair[1] as char).to_digit(16).expect("checked hex digit");
-                        bytes.push((hi * 16 + lo) as u8);
+            let name = body[name_start..i].trim_ascii();
+            if b.get(i) == Some(&b':') {
+                let value_start = i + 1;
+                if name == "content" {
+                    i = self.content(body, value_start, &mut target).map_err(err)?;
+                } else {
+                    i = option_end(b, value_start);
+                    let value = body[value_start..i].trim_ascii();
+                    match name {
+                        "offset" | "depth" | "distance" | "within" => match target {
+                            Target::Last => {
+                                let last = self.contents.last_mut().expect("a kept content");
+                                last.set_modifier(name, value).map_err(err)?;
+                            }
+                            Target::Negated => {}
+                            Target::Nothing => {
+                                return Err(err(format!(
+                                    "{name} before any content: positional modifiers \
+                                     bind to the preceding content"
+                                )))
+                            }
+                        },
+                        "sid" => sid = value.parse::<u32>().ok(),
+                        _ => {}
                     }
                 }
-                hex_buf.clear();
-                in_hex = false;
             } else {
-                hex_buf.push(c);
+                if name == "nocase" && b.get(i) != Some(&b'"') && target == Target::Last {
+                    self.contents.last_mut().expect("a kept content").nocase = true;
+                }
+                i = option_end(b, i);
             }
-            continue;
+            // Past the `;`.
+            i += 1;
         }
-        match c {
-            '|' => in_hex = true,
-            '\\' => {
-                let escaped = chars.next().ok_or_else(|| ParseError {
-                    line: line_no,
-                    message: "dangling escape at end of content".to_string(),
-                })?;
-                bytes.push(escaped as u8);
+        Ok(Some(RuleLine {
+            header: &line[..open],
+            sid,
+        }))
+    }
+
+    /// Decodes the `content:` value that starts at `start` into the scratch
+    /// and records it (a negated content is only noted in `target`).
+    /// Returns the end of the option: the index of its `;`, or the body's
+    /// length.
+    fn content(&mut self, body: &str, start: usize, target: &mut Target) -> Result<usize, String> {
+        let b = body.as_bytes();
+        let not_quoted = || {
+            let value = body[start..option_end(b, start)].trim_ascii();
+            format!("content value is not quoted: {value:?}")
+        };
+        let mut i = skip_whitespace(body, start);
+        match b.get(i) {
+            // Negated contents are not part of the multi-pattern matching
+            // workload; their modifiers are dropped with them.
+            Some(b'!') => {
+                *target = Target::Negated;
+                return Ok(option_end(b, i));
             }
-            _ => {
-                let mut buf = [0u8; 4];
-                bytes.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+            Some(b'"') => i += 1,
+            _ => return Err(not_quoted()),
+        }
+        let from = self.bytes.len();
+        loop {
+            while let Some(&c) = b.get(i) {
+                if matches!(c, b'"' | b'\\' | b'|') {
+                    break;
+                }
+                self.bytes.push(c);
+                i += 1;
+            }
+            match b.get(i) {
+                Some(b'"') => break,
+                // The escaped character's first byte; the rest of its UTF-8
+                // bytes, never special, join the next literal run.
+                Some(b'\\') => match b.get(i + 1) {
+                    Some(&escaped) => {
+                        self.bytes.push(escaped);
+                        i += 2;
+                    }
+                    None => return Err("dangling escape at end of content".to_string()),
+                },
+                Some(_) => i = self.hex_block(body, i + 1)?,
+                None => return Err(not_quoted()),
             }
         }
-    }
-    if in_hex {
-        return Err(ParseError {
-            line: line_no,
-            message: "unterminated hex block in content".to_string(),
+        let end = skip_whitespace(body, i + 1);
+        if end < b.len() && b[end] != b';' {
+            return Err(not_quoted());
+        }
+        if self.bytes.len() == from {
+            return Err("empty content string".to_string());
+        }
+        self.contents.push(ContentSpan {
+            start: from,
+            end: self.bytes.len(),
+            nocase: false,
+            offset: None,
+            depth: None,
+            distance: None,
+            within: None,
         });
+        *target = Target::Last;
+        Ok(end)
     }
-    if bytes.is_empty() {
-        return Err(ParseError {
-            line: line_no,
-            message: "empty content string".to_string(),
-        });
+
+    /// Decodes the hex block whose first digit is at `start` (just past its
+    /// opening `|`) into the scratch. Bytes are pairs of hex digits; pairs
+    /// may be contiguous or separated by whitespace, but a whitespace-
+    /// delimited run must hold whole pairs. Returns the index just past the
+    /// closing `|`.
+    fn hex_block(&mut self, body: &str, start: usize) -> Result<usize, String> {
+        let b = body.as_bytes();
+        let mut high: Option<u8> = None;
+        let mut run = start;
+        for (i, &c) in b.iter().enumerate().skip(start) {
+            if c == b'|' || c.is_ascii_whitespace() {
+                if high.is_some() {
+                    return Err(format!(
+                        "odd-length hex run {:?} in content (hex bytes are two digits each)",
+                        &body[run..i]
+                    ));
+                }
+                if c == b'|' {
+                    return Ok(i + 1);
+                }
+                run = i + 1;
+                continue;
+            }
+            if c == b'"' {
+                // The string closes inside the block.
+                break;
+            }
+            let Some(digit) = (c as char).to_digit(16) else {
+                let end = b[i..]
+                    .iter()
+                    .position(|&c| matches!(c, b'|' | b'"') || c.is_ascii_whitespace())
+                    .map_or(b.len(), |n| i + n);
+                return Err(format!("invalid hex byte {:?} in content", &body[run..end]));
+            };
+            match high.take() {
+                Some(h) => self.bytes.push(h << 4 | digit as u8),
+                None => high = Some(digit as u8),
+            }
+        }
+        Err("unterminated hex block in content".to_string())
     }
-    Ok(bytes)
+
+    /// The current rule for the rule views: `None` when it has no content
+    /// or one shorter than `min_len`, since evaluating it without that
+    /// content would change its meaning. The content list and each
+    /// content's bytes are allocated once, at exact size.
+    fn rule(&self, sid: Option<u32>, min_len: usize) -> Option<Rule> {
+        if self.contents.is_empty() || self.contents.iter().any(|c| c.len() < min_len) {
+            return None;
+        }
+        let contents = self.contents.iter().map(|c| c.content(&self.bytes));
+        Some(Rule::new(contents.collect()).with_sid(sid))
+    }
+}
+
+/// The end of the option whose value starts at `i`: the index of the first
+/// `;` outside double quotes, or `b.len()`. Inside quotes `\` escapes the
+/// next byte.
+fn option_end(b: &[u8], mut i: usize) -> usize {
+    let mut quoted = false;
+    while i < b.len() {
+        match b[i] {
+            b'\\' if quoted => i += 1,
+            b'"' => quoted = !quoted,
+            b';' if !quoted => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    b.len()
+}
+
+/// The first index at or after `i` that is not whitespace.
+fn skip_whitespace(body: &str, i: usize) -> usize {
+    body.len() - body[i..].trim_ascii_start().len()
 }
 
 #[cfg(test)]
@@ -565,6 +617,48 @@ mod tests {
         let set = parse_rules(rule, ParseOptions::default()).unwrap();
         let (_, p) = set.iter().next().unwrap();
         assert_eq!(p.bytes(), &[0x00, 0x01, 0x02, b'A', b'B', b';', b'C', 0xff]);
+    }
+
+    #[test]
+    fn an_escaped_character_contributes_its_utf8_bytes() {
+        for (content, bytes) in [
+            (r"a\中b", &[0x61, 0xE4, 0xB8, 0xAD, 0x62][..]),
+            (r"a\é", &[0x61, 0xC3, 0xA9][..]),
+            ("a\u{e9}", &[0x61, 0xC3, 0xA9][..]),
+            (r#"\"\\\|\;\:\x"#, &b"\"\\|;:x"[..]),
+        ] {
+            let rule = format!(r#"alert tcp any any -> any 80 (content:"{content}"; sid:1;)"#);
+            let set = parse_rules(&rule, ParseOptions::default()).unwrap();
+            assert_eq!(set.iter().next().unwrap().1.bytes(), bytes, "{content}");
+        }
+    }
+
+    #[test]
+    fn every_malformed_content_errors_on_its_line() {
+        for (body, message) in [
+            (r#"content:abc; sid:1;"#, "not quoted"),
+            (r#"content:"abc; sid:1;"#, "not quoted"),
+            (r#"content:"a"b"c"; sid:1;"#, "not quoted"),
+            (r#"content:"ab" x; sid:1;"#, "not quoted"),
+            (r#"content:"|41 4|"; sid:1;"#, "odd-length"),
+            (r#"content:"|4G|"; sid:1;"#, "invalid hex byte"),
+            (r#"content:"|41"; sid:1;"#, "unterminated"),
+            (r#"content:""; sid:1;"#, "empty content"),
+            (r#"content:"||"; sid:1;"#, "empty content"),
+            (r#"content:"ab\"#, "dangling escape"),
+        ] {
+            let text = format!(
+                "# a comment\nalert tcp any any -> any 80 (content:\"fine\"; sid:2;)\n\
+                 alert tcp any any -> any 80 ({body})\n"
+            );
+            let err = parse_ruleset(&text, ParseOptions::default()).unwrap_err();
+            assert_eq!(err.line, 3, "{body}");
+            assert!(err.message.contains(message), "{body}: {}", err.message);
+        }
+        // Whitespace around the quoted string is not an error.
+        let spaced = r#"alert tcp any any -> any 80 (content:  "ab"  ; sid:3;)"#;
+        let set = parse_rules(spaced, ParseOptions::default()).unwrap();
+        assert_eq!(set.iter().next().unwrap().1.bytes(), b"ab");
     }
 
     #[test]

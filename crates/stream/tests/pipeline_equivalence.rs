@@ -56,7 +56,7 @@ fn script(packets: &[Packet]) -> impl Iterator<Item = Step> + '_ {
 }
 
 #[test]
-fn plain_mode_pipeline_equals_barrier_at_every_worker_count() {
+fn plain_mode_pipeline_equals_naive_per_flow_at_every_worker_count() {
     let rules = PatternSet::from_literals(&["GET /", "passwd", "needle", "ab", "aaaa"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
     let packets = packet_batch(&rules, 128 * 1024, 11);
@@ -102,7 +102,7 @@ fn rules_fixture() -> RuleSet {
 }
 
 #[test]
-fn rule_mode_pipeline_equals_barrier() {
+fn rule_mode_pipeline_equals_naive_per_flow() {
     let set = rules_fixture();
     let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
     let packets: Vec<Packet> = (0..40u64)
@@ -161,7 +161,7 @@ fn gated_groups(text: &str) -> (Arc<GroupedEngineSet>, impl Fn() -> usize) {
 }
 
 #[test]
-fn grouped_mode_pipeline_equals_barrier() {
+fn grouped_mode_pipeline_equals_naive_per_flow() {
     let engines = grouped_engines();
     let packets: Vec<Packet> = (0..30u64)
         .flat_map(|f| {
@@ -393,7 +393,7 @@ fn a_one_slot_ring_holds_one_job_and_loses_nothing() {
 }
 
 #[test]
-fn max_flows_lru_eviction_matches_barrier_semantics() {
+fn max_flows_lru_eviction_matches_naive_per_flow() {
     let rules = PatternSet::from_literals(&["split"]);
     let engine: SharedMatcher = Arc::from(build_auto(&rules));
     // One worker, two resident flows (worker(1) keeps dispatch order ==
@@ -545,7 +545,7 @@ alert ip any any -> any any (msg:"whole"; content:"needle"; sid:2;)
 "#;
 
 #[test]
-fn lru_eviction_under_backpressure_still_matches_the_barrier() {
+fn lru_eviction_under_backpressure_still_matches_naive_per_flow() {
     // Eviction churning *while* 2-slot rings push back: the flow cap and
     // the backpressure loop interleave on the hot path, and the result
     // must still equal the naive per-flow scan under the same cap (same
@@ -781,7 +781,7 @@ fn million_flow_churn_stays_bounded_and_scans_correctly() {
 /// recently pushed flow, which the order of the run's own pushes decides,
 /// while the busy flows stay resident and keep joining runs.
 #[test]
-fn a_backed_up_ring_of_small_packets_equals_the_barrier() {
+fn a_backed_up_ring_of_small_packets_equals_naive_per_flow() {
     let rules = PatternSet::from_literals(&["GET /", "passwd", "needle", "ab", "aaaa", "x"]);
     let inner: SharedMatcher = Arc::from(build_auto(&rules));
     let trace = TraceGenerator::generate(
