@@ -182,26 +182,25 @@ impl PortVars {
     /// The ranges of a variable, if defined (name is case-insensitive).
     pub fn lookup(&self, name: &str) -> Option<&[(u16, u16)]> {
         self.vars
-            .get(&name.to_ascii_lowercase())
-            .map(|v| v.as_slice())
+            .iter()
+            .find(|(defined, _)| defined.eq_ignore_ascii_case(name))
+            .map(|(_, ranges)| ranges.as_slice())
     }
 }
 
-/// Sorts and merges a list of inclusive ranges.
+/// Sorts and merges a list of inclusive ranges, in place.
 fn normalize(mut ranges: Vec<(u16, u16)>) -> Vec<(u16, u16)> {
     ranges.sort_unstable();
-    let mut merged: Vec<(u16, u16)> = Vec::with_capacity(ranges.len());
-    for (lo, hi) in ranges {
-        match merged.last_mut() {
-            // Adjacent or overlapping ranges fuse (saturating: 65535 has no
-            // successor).
-            Some((_, last_hi)) if lo <= last_hi.saturating_add(1) => {
-                *last_hi = (*last_hi).max(hi);
-            }
-            _ => merged.push((lo, hi)),
+    // Adjacent or overlapping ranges fuse into the earlier one (saturating:
+    // 65535 has no successor).
+    ranges.dedup_by(|&mut (lo, hi), (_, last_hi)| {
+        let fuses = lo <= last_hi.saturating_add(1);
+        if fuses {
+            *last_hi = (*last_hi).max(hi);
         }
-    }
-    merged
+        fuses
+    });
+    ranges
 }
 
 /// True if `port` falls in any of the (normalized) ranges.
@@ -576,6 +575,16 @@ mod tests {
         let s = PortSpec::parse("$HTTP_PORTS", &vars).unwrap();
         assert!(s.matches(3128));
         assert!(!s.matches(80));
+    }
+
+    #[test]
+    fn variable_names_are_case_insensitive() {
+        let vars = PortVars::default();
+        for name in ["$Http_Ports", "$http_ports", "$HTTP_PORTS"] {
+            let s = PortSpec::parse(name, &vars).unwrap();
+            assert!(s.matches(8080) && !s.matches(22), "{name}");
+        }
+        assert_eq!(vars.lookup("Ssh_Ports"), Some(&[(22, 22)][..]));
     }
 
     #[test]

@@ -102,10 +102,10 @@ fn parsing_allocates_a_constant_per_rule_plus_logarithmic_growth() {
         let rules = allocations(|| parse_ruleset(&text, options).unwrap());
         assert!(rules <= 3 * n + slack, "parse_ruleset, {n} rules: {rules}");
         // * grouped — the bytes, the content list, the header's action and
-        //   its destination port list (normalised into a second one).
+        //   its destination port list (normalised in place).
         let grouped = allocations(|| parse_grouped(&text, options).unwrap());
         assert!(
-            grouped <= 5 * n + slack,
+            grouped <= 4 * n + slack,
             "parse_grouped, {n} rules: {grouped}"
         );
     }

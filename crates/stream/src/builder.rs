@@ -175,13 +175,14 @@ impl ScannerBuilder {
         self
     }
 
-    /// Scan flows in **port-grouped rule mode**: each flow is scanned only
-    /// against the groups its [`crate::Packet::tuple`] selects.
+    /// Scan flows in **port-grouped rule mode**: rule mode over the one
+    /// engine of `engines`, where each flow confirms only the rules whose
+    /// headers apply to its [`crate::Packet::tuple`].
     ///
     /// # Panics
     /// Panics if a source was already set.
     pub fn groups(mut self, engines: Arc<GroupedEngineSet>) -> Self {
-        self.set_source(WorkerMode::Grouped(engines));
+        self.set_source(WorkerMode::Rules(engines.prototype().clone()));
         self
     }
 
@@ -227,10 +228,9 @@ impl ScannerBuilder {
         self
     }
 
-    /// Caps the rule-confirmation payload buffer of each flow at `bytes`
-    /// (per flow, however many port groups scan it in grouped mode). Flows
-    /// that exceed the cap degrade to anchor-only reporting — grouped flows,
-    /// which report rules only, stop scanning — see
+    /// Caps the rule-confirmation payload buffer of each flow at `bytes`.
+    /// Flows that exceed the cap degrade to anchor-only reporting — grouped
+    /// flows, which report rules only, stop scanning — see
     /// [`crate::RuleStreamScanner::with_max_buffer`] for the exact
     /// contract, and [`crate::PipelineStats::degraded_flows`] /
     /// [`crate::PipelineStats::truncated_bytes`] for the observability.

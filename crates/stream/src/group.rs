@@ -1,149 +1,98 @@
-//! Grouped scanning: one engine per port group, per-flow group selection.
+//! Grouped scanning: one engine per rule set, per-flow header checks.
 //!
-//! [`GroupedEngineSet`] compiles one anchor engine per group of a
-//! [`GroupedRuleSet`], all referencing one shared [`PatternArena`] so the
-//! per-group verification tables do not multiply pattern storage (see
-//! `mpm_patterns::arena`). A flow's state is one [`RuleStreamScanner`]
-//! ([`GroupedFlowScanner`] wraps it): minted with the flow's [`FlowTuple`],
-//! it scans with a clone of the never-pushed anchor stream of each group
-//! [`GroupedRuleSet::groups_for`] selects and confirms a triggered rule
-//! once, only if its header exactly applies to the flow — which makes
-//! grouped scanning report **exactly** the rules a monolithic scan filtered
-//! post-hoc to the flow's applicable rules would report (property-tested in
-//! `tests/grouped_differential.rs`).
+//! [`GroupedEngineSet`] compiles **one** anchor engine for a whole
+//! [`GroupedRuleSet`], over the distinct `(bytes, nocase)` anchor contents
+//! of its monolithic rule set: each distinct anchor is one engine pattern,
+//! a **slot**, and a slot table maps it to every rule it anchors. A port
+//! group is not a compile product but a header check. A flow's state is
+//! one rule-mode [`RuleStreamScanner`] minted with the flow's
+//! [`FlowTuple`] ([`GroupedFlowScanner`] wraps it): it scans the flow's
+//! bytes once, and a rule its anchor triggers becomes pending only if
+//! [`GroupedRuleSet::applies_to`] holds for the flow — the exact header
+//! check. That makes grouped scanning report **exactly** the rules a
+//! monolithic scan filtered post-hoc to the flow's applicable rules would
+//! report (property-tested in `tests/grouped_differential.rs`). A flow
+//! whose tuple selects no group ([`GroupedRuleSet::groups_for`] is empty)
+//! can match no rule and stays inert: it is neither scanned nor buffered.
+//! A flow without a tuple is filtered by nothing, which equals a monolithic
+//! scan.
 //!
-//! Cross-group deduplication, on two levels:
+//! One [`RuleConfirmer`], built over the monolithic rule set, confirms
+//! every rule; it dedups every `(bytes, nocase)` content globally.
+//! [`GroupedEngineSet::memory_footprint`] counts the engine, the slot
+//! table, the confirmer and the engine's pattern arena once each.
 //!
-//! - **Confirmer contents**: all groups share **one** [`RuleConfirmer`] built
-//!   over the monolithic rule set. Per-group confirmers would each carry
-//!   their own rule chains and — once anything indexes a payload — their
-//!   own unique-content automaton, measured at ~30× the engine tables on
-//!   realistic rulesets, even though the contents they cover overlap almost
-//!   entirely across groups. The shared confirmer dedups every
-//!   `(bytes, nocase)` content globally; each group's anchor stream maps its
-//!   anchors straight to monolithic rule ids, composed once at build.
-//!   (Grouped scanning confirms by resumable enumeration and never indexes,
-//!   so the automaton, compiled on first use, is not resident here.)
-//! - **Engines**: groups whose local rule lists are structurally identical
-//!   (same contents and modifiers, in the same order — Snort `sid`s may
-//!   differ) share one compiled engine via `Arc`, so N lookup keys pointing
-//!   at the same rules cost one set of tables. Engines match contents only,
-//!   so nothing else about a rule can tell two such groups apart.
-//!
-//! [`GroupedEngineSet::memory_footprint`] counts each unique engine once,
-//! the shared confirmer once, and the shared arena exactly once.
+//! [`RuleConfirmer`]: mpm_verify::RuleConfirmer
 
-use crate::rules::{AnchorStream, RuleStreamScanner};
+use crate::rules::RuleStreamScanner;
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, MemoryFootprint, PatternArena, PatternSet};
-use mpm_verify::RuleConfirmer;
+use mpm_patterns::rule::RuleMatch;
+use mpm_patterns::{ArenaBuilder, MatchEvent, MemoryFootprint, PatternArena, PatternSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Structural equality of two groups' rule lists for engine sharing: same
-/// contents (bytes + modifiers) in the same order. `sid`s are deliberately
-/// ignored — two port groups carrying the same rules under different sids
-/// still match identically.
-fn rules_equal_ignoring_sid(a: &RuleSet, b: &RuleSet) -> bool {
-    a.len() == b.len()
-        && a.rules()
-            .iter()
-            .zip(b.rules().iter())
-            .all(|(x, y)| x.contents() == y.contents())
-}
-
-/// Cheap pre-filter for [`rules_equal_ignoring_sid`]: a hash over the same
-/// structural data, so the O(groups²) sharing scan compares byte-for-byte
-/// only on hash collisions.
-fn rules_signature(set: &RuleSet) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    set.len().hash(&mut h);
-    for rule in set.rules() {
-        rule.contents().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// All compiled engines of a [`GroupedRuleSet`], plus the shared pattern
-/// arena — the immutable, `Arc`-shared compile product that
-/// [`crate::ScannerBuilder::groups`]-built workers and
-/// [`GroupedFlowScanner`]s hang off.
+/// The compiled engine of a [`GroupedRuleSet`] — the immutable,
+/// `Arc`-shared compile product that [`crate::ScannerBuilder::groups`]-built
+/// workers and [`GroupedFlowScanner`]s mint their flows from.
 pub struct GroupedEngineSet {
     grouped: Arc<GroupedRuleSet>,
-    /// Index-parallel to `grouped.groups()`: each group's never-pushed
-    /// anchor stream, its anchors mapped to monolithic rule ids. A flow
-    /// that selects the group scans with a clone; structurally identical
-    /// groups share one engine.
-    streams: Vec<AnchorStream>,
-    /// The ONE confirmer, built over the monolithic rule set and shared by
-    /// every group (see the module docs: per-group confirmers are the
-    /// dominant memory blow-up, and their contents overlap almost
-    /// entirely).
-    confirmer: Arc<RuleConfirmer>,
+    /// The never-pushed rule-mode scanner every grouped flow is a copy of:
+    /// the one engine's anchor stream, the slot table, the confirmer and
+    /// the rule headers.
+    prototype: RuleStreamScanner,
     arena_bytes: usize,
-    unique_engines: usize,
 }
 
 impl std::fmt::Debug for GroupedEngineSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupedEngineSet")
-            .field("groups", &self.streams.len())
-            .field("unique_engines", &self.unique_engines)
+            .field("groups", &self.grouped.groups().len())
+            .field("prototype", &self.prototype)
             .field("arena_bytes", &self.arena_bytes)
             .finish_non_exhaustive()
     }
 }
 
 impl GroupedEngineSet {
-    /// Compiles one engine per group with `build` (e.g.
+    /// Compiles the one anchor engine with `build` (e.g.
     /// `|set, arena| Arc::from(mpm_vpatch::build_auto_with_arena(set, arena))`
     /// — `mpm-stream` does not depend on the engine crates, so the caller
     /// supplies the compiler; the umbrella crate's `build_grouped_engines`
-    /// wraps exactly that). The shared [`PatternArena`] is built first from
-    /// every content of every rule, so each group's tables reference it by
-    /// offset; groups with structurally identical rule lists share one
-    /// engine.
+    /// wraps exactly that). `build` runs once, over the distinct
+    /// `(bytes, nocase)` anchors of `grouped.monolithic()` in first-use
+    /// order, with a [`PatternArena`] that holds their bytes.
     pub fn build_with<F>(grouped: GroupedRuleSet, build: F) -> Self
     where
-        F: Fn(&PatternSet, &PatternArena) -> SharedMatcher,
+        F: FnOnce(&PatternSet, &PatternArena) -> SharedMatcher,
     {
-        let arena = grouped.build_arena();
-        let signatures: Vec<u64> = grouped
-            .groups()
-            .iter()
-            .map(|g| rules_signature(g.rules()))
-            .collect();
-        let mut streams: Vec<AnchorStream> = Vec::with_capacity(grouped.groups().len());
-        let mut unique_engines = 0usize;
-        for (i, group) in grouped.groups().iter().enumerate() {
-            let shared = (0..i).find(|&j| {
-                signatures[j] == signatures[i]
-                    && rules_equal_ignoring_sid(grouped.groups()[j].rules(), group.rules())
-            });
-            let scanner = match shared {
-                Some(j) => streams[j].scanner.clone(),
-                None => {
-                    unique_engines += 1;
-                    let anchors = group.rules().anchors();
-                    StreamScanner::new(build(anchors, &arena), anchors)
-                }
-            };
-            streams.push(AnchorStream::new(scanner, group.rules(), |local| {
-                group.global_id(RuleId(local)).0
-            }));
+        let mut slots: HashMap<(&[u8], bool), u32> = HashMap::new();
+        let mut anchors = Vec::new();
+        let mut arena = ArenaBuilder::new();
+        let mut slot_of = Vec::with_capacity(grouped.len());
+        for anchor in grouped.monolithic().anchors().patterns() {
+            let slot = *slots
+                .entry((anchor.bytes(), anchor.is_nocase()))
+                .or_insert_with(|| {
+                    arena.intern(anchor.bytes());
+                    anchors.push(anchor.clone());
+                    anchors.len() as u32 - 1
+                });
+            slot_of.push(slot);
         }
-        let confirmer = Arc::new(RuleConfirmer::build(grouped.monolithic()));
-        // The arena's intern index dies here with `arena`; only the byte
-        // buffer survives, inside the tables' `Arc`s.
+        // `slots` borrows `grouped`, which moves into an `Arc` below.
+        drop(slots);
+        let anchors = PatternSet::new(anchors);
+        // The arena and its intern index die with this call; only the byte
+        // buffer survives, inside the engine tables' `Arc`s.
+        let arena = arena.finish();
+        let stream = StreamScanner::new(build(&anchors, &arena), &anchors);
+        let grouped = Arc::new(grouped);
         GroupedEngineSet {
-            grouped: Arc::new(grouped),
-            streams,
-            confirmer,
+            prototype: RuleStreamScanner::grouped(stream, &slot_of, grouped.clone()),
+            grouped,
             arena_bytes: arena.len(),
-            unique_engines,
         }
     }
 
@@ -152,50 +101,21 @@ impl GroupedEngineSet {
         &self.grouped
     }
 
-    /// Number of groups (== `grouped().groups().len()`).
-    pub fn group_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Number of *distinct* compiled engines after identical-group sharing.
-    pub fn unique_engine_count(&self) -> usize {
-        self.unique_engines
-    }
-
-    /// Deduplicated pattern bytes shared by every group's tables, counted
-    /// once here (the per-group tables report zero for them).
+    /// Pattern bytes of the engine's arena, counted once here (the
+    /// engine's tables report zero for them).
     pub fn arena_bytes(&self) -> usize {
         self.arena_bytes
     }
 
-    /// Total resident bytes of the grouped compile product, honestly
-    /// accounted (the CI memory-budget gauge): each unique engine's
-    /// [`mpm_patterns::Matcher::memory_footprint`] counted once — shared
-    /// engines are not double-charged — the **one** shared confirmer
-    /// counted once (its [`RuleConfirmer::heap_bytes`]: the index automaton
-    /// only if something compiled it), plus the shared arena's bytes once
+    /// Total resident bytes of the grouped compile product (the CI
+    /// memory-budget gauge): the engine's
+    /// [`mpm_patterns::Matcher::memory_footprint`], plus its arena's bytes
     /// (attributed to `verify_bytes`, since the verification tables are
-    /// what read it). Confirmer and id-map bytes land in `other_bytes`.
+    /// what read them), plus the anchor lengths, the slot table and the
+    /// confirmer's [`mpm_verify::RuleConfirmer::heap_bytes`] (the index
+    /// automaton only if something compiled it) in `other_bytes`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        let mut total = MemoryFootprint::default();
-        let mut seen: Vec<*const ()> = Vec::with_capacity(self.streams.len());
-        for stream in &self.streams {
-            // Every group's own anchor → rule id map.
-            let anchor_bytes = stream.rule_of.len() * std::mem::size_of::<u32>();
-            total.other_bytes += anchor_bytes;
-            let engine = stream.scanner.engine();
-            let ptr = Arc::as_ptr(engine).cast::<()>();
-            if seen.contains(&ptr) {
-                continue;
-            }
-            seen.push(ptr);
-            let fp = engine.memory_footprint();
-            total.filter_bytes += fp.filter_bytes;
-            total.verify_bytes += fp.verify_bytes;
-            // The engine's prototype keeps one `u32` length per anchor.
-            total.other_bytes += fp.other_bytes + anchor_bytes;
-        }
-        total.other_bytes += self.confirmer.heap_bytes();
+        let mut total = self.prototype.shared_footprint();
         total.verify_bytes += self.arena_bytes;
         total
     }
@@ -212,29 +132,16 @@ impl GroupedEngineSet {
         out
     }
 
-    /// Mints one flow's rule state: the anchor streams of the groups
-    /// `tuple` selects — every group, unfiltered, when it is `None` — and
-    /// a payload buffer capped at `cap` bytes (`None`: unbounded).
-    pub(crate) fn mint(&self, tuple: Option<FlowTuple>, cap: Option<usize>) -> RuleStreamScanner {
-        let streams = match tuple {
-            Some(t) => self
-                .grouped
-                .groups_for(t)
-                .into_iter()
-                .map(|i| self.streams[i].clone())
-                .collect(),
-            None => self.streams.clone(),
-        };
-        let applicable = tuple.map(|t| (self.grouped.clone(), t));
-        RuleStreamScanner::with_streams(streams, self.confirmer.clone(), applicable, cap)
+    /// The never-pushed prototype the pipeline's workers mint grouped flows
+    /// from ([`RuleStreamScanner`] in rule mode, with the rule headers).
+    pub(crate) fn prototype(&self) -> &RuleStreamScanner {
+        &self.prototype
     }
 }
 
-/// One flow's grouped scanning state: a [`RuleStreamScanner`] over the
-/// anchor streams of the groups the flow's [`FlowTuple`] selects, reporting
-/// rules only. A flow without a tuple (`None`) is scanned against **every**
-/// group with no applicability filter, which by group-membership
-/// completeness equals a monolithic scan.
+/// One flow's grouped scanning state: a [`RuleStreamScanner`] minted with
+/// the flow's [`FlowTuple`], reporting rules only. A flow without a tuple
+/// (`None`) is filtered by nothing, which equals a monolithic scan.
 #[derive(Debug)]
 pub struct GroupedFlowScanner {
     rules: RuleStreamScanner,
@@ -243,24 +150,24 @@ pub struct GroupedFlowScanner {
 }
 
 impl GroupedFlowScanner {
-    /// Mints the per-flow state: group selection happens here, once per
-    /// flow, from its tuple. The confirmation buffer is unbounded.
+    /// Mints the per-flow state from the flow's tuple. The confirmation
+    /// buffer is unbounded.
     pub fn new(set: Arc<GroupedEngineSet>, tuple: Option<FlowTuple>) -> Self {
         GroupedFlowScanner {
-            rules: set.mint(tuple, None),
+            rules: set.prototype.mint(tuple),
             scratch: Vec::new(),
         }
     }
 
-    /// Streams the next payload chunk through every selected group,
-    /// appending newly confirmed rules as **global** rule ids — each rule
-    /// at most once per flow, only if its header exactly applies to the
-    /// flow's tuple ([`GroupedRuleSet::applies_to`]; unfiltered when the
-    /// tuple is unknown), with [`RuleMatch::end`] the minimal satisfiable
-    /// prefix of the flow stream (chunking-independent, exactly as
+    /// Streams the next payload chunk through the one engine, appending
+    /// newly confirmed rules as **global** rule ids — each rule at most once
+    /// per flow, only if its header exactly applies to the flow's tuple
+    /// ([`GroupedRuleSet::applies_to`]; unfiltered when the tuple is
+    /// unknown), with [`RuleMatch::end`] the minimal satisfiable prefix of
+    /// the flow stream (chunking-independent, exactly as
     /// [`RuleStreamScanner::push`] guarantees).
     pub fn push(&mut self, chunk: &[u8], rules_out: &mut Vec<RuleMatch>) {
-        self.rules.push_rules(chunk, &mut self.scratch, rules_out);
+        self.rules.push_flow(chunk, &mut self.scratch, rules_out);
     }
 }
 
@@ -341,21 +248,23 @@ alert ip any any -> any any (msg:"anywhere"; content:"evil-bytes"; sid:5;)
 
     #[test]
     fn identical_groups_share_one_engine() {
-        // Same rule body under many ports and different sids: one engine.
+        // Same rule body under many ports and different sids: one engine,
+        // built once, over one slot per distinct anchor.
         let text = r#"
 alert tcp any any -> any 1001 (content:"same-needle"; sid:100;)
 alert tcp any any -> any 1002 (content:"same-needle"; sid:200;)
 alert tcp any any -> any 1003 (content:"same-needle"; sid:300;)
 alert tcp any any -> any 1004 (content:"other-needle"; sid:400;)
 "#;
-        let set = engines(text);
-        assert_eq!(set.group_count(), 4);
-        assert_eq!(
-            set.unique_engine_count(),
-            2,
-            "three same-needle groups share one engine"
-        );
-        // Sharing must not change results.
+        let grouped = GroupedRuleSet::new(parse_grouped(text, ParseOptions::default()).unwrap());
+        assert_eq!(grouped.groups().len(), 4);
+        let mut builds = Vec::new();
+        let set = Arc::new(GroupedEngineSet::build_with(grouped, |set, _arena| {
+            builds.push(set.len());
+            Arc::from(NaiveMatcher::new(set))
+        }));
+        assert_eq!(builds, vec![2], "one build over the two distinct anchors");
+        // Sharing a slot must not change results.
         let m = set.scan_flow(
             Some(FlowTuple::new(Proto::Tcp, 5, 1002)),
             b"..same-needle..",
@@ -379,15 +288,14 @@ alert tcp any any -> any 1003 (content:"same-needle"; sid:300;)
         };
         let three = grouped(text);
         let one = grouped("alert tcp any any -> any 1001 (content:\"same-needle\"; sid:100;)\n");
-        assert_eq!(three.unique_engine_count(), 1);
         assert_eq!(three.arena_bytes(), "same-needle".len());
         let (fp3, fp1) = (three.memory_footprint(), one.memory_footprint());
-        // Three groups sharing one engine pay for one set of filter and
-        // verification tables (and one arena).
+        // Three groups whose rules share one anchor pay for one slot's
+        // filter and verification tables (and one arena).
         assert_eq!(fp3.filter_bytes, fp1.filter_bytes);
         assert_eq!(fp3.verify_bytes, fp1.verify_bytes);
-        // What does scale with group count is only the confirmer chains
-        // and the per-group id maps: two more one-content rules. The
+        // What does scale with the rule count is only the confirmer chains
+        // and the slot table: two more one-content rules. The
         // confirmer's index automaton is compiled on first use and grouped
         // scanning never indexes, so it is not resident and not charged.
         assert!(fp3.other_bytes > fp1.other_bytes);

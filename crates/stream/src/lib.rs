@@ -52,10 +52,10 @@
 //!
 //! * [`GroupedEngineSet`] / [`GroupedFlowScanner`] — **port-grouped**
 //!   scanning: a `mpm_patterns::GroupedRuleSet` partitions the ruleset by
-//!   Snort header (protocol + ports), one engine is compiled per group
-//!   against a shared pattern arena, and each flow is scanned only against
-//!   the groups its protocol/port tuple selects, by one [`RuleStreamScanner`]
-//!   that buffers the flow's payload once.
+//!   Snort header (protocol + ports), one engine is compiled over the
+//!   distinct anchors of the whole rule set, and each flow is one
+//!   rule-mode [`RuleStreamScanner`] with its protocol/port tuple: scanned
+//!   once, it confirms a triggered rule only if the rule's header applies.
 //!   Grouped mode ([`ScannerBuilder::groups`]) runs it per flow across workers;
 //!   results are provably identical to a monolithic scan filtered to each
 //!   flow's applicable rules (`tests/grouped_differential.rs`).

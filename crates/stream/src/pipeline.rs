@@ -280,8 +280,7 @@ pub struct PipelineStats {
     /// gracefully; see the module docs on hot-swap).
     pub old_epoch_flows: usize,
     /// Gauge: rule-confirmation payload bytes buffered across all resident
-    /// flows at drain time, each flow's payload counted once however many
-    /// port groups scan it — the memory the per-flow
+    /// flows at drain time — the memory the per-flow
     /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds.
     pub buffered_bytes: u64,
     /// Gauge: resident flows that exceeded the buffer cap and degraded to
@@ -387,7 +386,7 @@ impl PipelineScanner {
         assert!(workers > 0, "need at least one worker");
         let mut scanner = PipelineScanner {
             workers: Vec::new(),
-            mode,
+            mode: mode.with_flow_cap(limits.max_flow_buffer),
             epoch: 0,
             flush_token: 0,
             pending_matches: Vec::new(),
@@ -641,12 +640,14 @@ impl PipelineScanner {
     }
 
     /// Hot-swaps to a port-grouped engine set (built off-thread by the
-    /// caller — this call is just the `Arc` flip). Returns the new epoch.
+    /// caller — this call hands the workers its rule-mode prototype).
+    /// Returns the new epoch.
     pub fn swap_groups(&mut self, engines: Arc<GroupedEngineSet>) -> u64 {
-        self.swap(WorkerMode::Grouped(engines))
+        self.swap(WorkerMode::Rules(engines.prototype().clone()))
     }
 
     fn swap(&mut self, mode: WorkerMode) -> u64 {
+        let mode = mode.with_flow_cap(self.limits.max_flow_buffer);
         self.epoch += 1;
         self.mode = mode.clone();
         for w in 0..self.workers.len() {
@@ -1116,7 +1117,7 @@ impl PipelineWorker {
                     ),
                     Seen::Absent { evicts } => !evicts && fits(0),
                 },
-                || FlowScanner::mint(&self.mode, packet.tuple, self.limits.max_flow_buffer),
+                || FlowScanner::mint(&self.mode, packet.tuple),
             ) else {
                 break;
             };
@@ -1216,7 +1217,7 @@ impl PipelineWorker {
                 now,
                 self.epoch,
                 |_| true,
-                || FlowScanner::mint(&self.mode, packet.tuple, max_flow_buffer),
+                || FlowScanner::mint(&self.mode, packet.tuple),
             )
             .expect("a packet scanned alone is always admitted");
         self.events.clear();

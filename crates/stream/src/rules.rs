@@ -6,12 +6,13 @@
 //! windows are unbounded (a rule may pair a content at offset 0 with one a
 //! megabyte later), so confirmation is a function of the **whole flow
 //! payload seen so far**. `RuleStreamScanner` therefore buffers the flow's
-//! payload **once**, while still running the anchor engines incrementally
-//! through one **anchor stream** each — a [`StreamScanner`] (carry bytes
-//! only) whose anchors map straight to the confirmer's rule ids. Monolithic
-//! rule mode has one stream; a port-grouped flow has one per group its
-//! tuple selects ([`crate::GroupedEngineSet`]), and a triggered rule
-//! becomes pending only if its header applies to the flow.
+//! payload **once**, while still running its anchor engine incrementally
+//! through one [`StreamScanner`] (carry bytes only). The engine's pattern
+//! `s` is an anchor **slot**, and a slot table maps it to the confirmer's
+//! rules it anchors: one rule per slot in monolithic rule mode, every rule
+//! sharing a `(bytes, nocase)` anchor in grouped mode
+//! ([`crate::GroupedEngineSet`]). A grouped flow carries its tuple, and a
+//! triggered rule becomes pending only if its header applies to the flow.
 //!
 //! # Per-push cost: O(pending × contents × chunk)
 //!
@@ -25,9 +26,9 @@
 //! O(pending rules × contents × chunk length) — flat along the flow — and
 //! over a whole flow every byte is examined once per pending content,
 //! instead of once per pending content *per push*. Per-flow state is
-//! proportional to the rules the flow has triggered, not to the rule set
-//! or the stream count: a sorted list of triggered rule ids plus one
-//! record per pending rule. The record is dropped when its rule confirms, on
+//! proportional to the rules the flow has triggered, not to the rule set:
+//! a sorted list of triggered slots plus one record per pending rule. The
+//! record is dropped when its rule confirms, on
 //! [`RuleStreamScanner::reset`] and when the flow degrades.
 //!
 //! Equivalence guarantee (property-tested in
@@ -66,13 +67,13 @@ use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
-use mpm_patterns::MatchEvent;
+use mpm_patterns::{MatchEvent, MemoryFootprint};
 use mpm_verify::{ConfirmProgress, RuleConfirmer};
 use std::sync::Arc;
 
 /// Inserts `id` into the sorted set `ids`; false if it was already there.
-/// The per-flow rule set is this small sorted vector because a flow
-/// triggers a handful of rules out of thousands.
+/// The per-flow slot set is this small sorted vector because a flow
+/// triggers a handful of anchors out of thousands.
 fn insert_sorted(ids: &mut Vec<u32>, id: u32) -> bool {
     match ids.binary_search(&id) {
         Ok(_) => false,
@@ -92,31 +93,74 @@ struct PendingRule {
     progress: ConfirmProgress,
 }
 
-/// One engine's anchor stream over a flow: its carry state, and the
-/// confirmer's rule id for each of its anchor patterns.
+/// What every flow minted from one prototype shares, behind one `Arc` so a
+/// flow holds a pointer to it and nothing more.
 #[derive(Clone)]
-pub(crate) struct AnchorStream {
-    pub(crate) scanner: StreamScanner,
-    /// Anchor pattern index → the confirmer's rule id.
-    pub(crate) rule_of: Arc<[u32]>,
+struct RuleTables {
+    /// Slot table, compressed sparse rows: the engine's pattern (slot) `s`
+    /// anchors the confirmer's rules
+    /// `slot_rules[slot_start[s]..slot_start[s + 1]]`, ascending.
+    slot_start: Arc<[u32]>,
+    slot_rules: Arc<[u32]>,
+    confirmer: RuleConfirmer,
+    /// A grouped rule set's headers: a flow minted with a tuple admits only
+    /// the rules that apply to it, and the flow reports rules only.
+    headers: Option<Arc<GroupedRuleSet>>,
+    /// Buffer cap in bytes; `None` means unbounded. See the module-level
+    /// memory contract.
+    max_buffer: Option<usize>,
 }
 
-impl AnchorStream {
-    /// `scanner` scans `set.anchors()`, whose pattern `i` anchors rule `i`;
-    /// `id_of` maps a rule index of `set` to the id the confirmer knows the
-    /// rule by.
-    pub(crate) fn new(scanner: StreamScanner, set: &RuleSet, id_of: impl Fn(u32) -> u32) -> Self {
-        let rule_of = (0..set.len() as u32).map(id_of).collect();
-        AnchorStream { scanner, rule_of }
+impl RuleTables {
+    /// The rules slot `slot` anchors.
+    #[inline]
+    fn rules_of(&self, slot: usize) -> &[u32] {
+        let (start, end) = (self.slot_start[slot], self.slot_start[slot + 1]);
+        &self.slot_rules[start as usize..end as usize]
+    }
+}
+
+/// Where one flow's confirmation stands.
+#[derive(Clone)]
+enum Confirmation {
+    /// Buffering the payload and confirming the rules its anchors trigger.
+    Open {
+        /// The flow's payload so far (see module docs for why rules need it).
+        payload: Vec<u8>,
+        /// Every slot whose anchor has fired on this flow, sorted. A rule
+        /// of a slot absent from it cannot match (anchor gating is exact);
+        /// a slot present is never re-triggered, so a confirmed rule is
+        /// never re-reported.
+        triggered: Vec<u32>,
+        /// The triggered rules not yet confirmed, in trigger order, each
+        /// with its resumable confirmation progress.
+        pending: Vec<PendingRule>,
+    },
+    /// Past the buffer cap: anchor-only reporting, the buffer released.
+    /// `truncated` counts the payload bytes never eligible for
+    /// confirmation (everything past the first `max_buffer` bytes).
+    Degraded { truncated: u64 },
+    /// A grouped flow whose tuple selects no port group: no rule applies
+    /// to it, so it is neither scanned nor buffered.
+    Inert,
+}
+
+impl Confirmation {
+    fn open() -> Self {
+        Confirmation::Open {
+            payload: Vec::new(),
+            triggered: Vec::new(),
+            pending: Vec::new(),
+        }
     }
 }
 
 /// Stateful rule scanning over one logical stream (one flow).
 ///
-/// Runs one or more anchor streams ([`StreamScanner`]s over anchor
-/// patterns) and confirms the rules they trigger with a [`RuleConfirmer`];
-/// the engines and the confirmer are shared (`Arc`), so per-flow cost is
-/// the buffered payload plus a few words per rule the flow has triggered.
+/// Runs one anchor stream (a [`StreamScanner`] over anchor patterns) and
+/// confirms the rules it triggers with a [`RuleConfirmer`]; the engine, the
+/// slot table and the confirmer are shared (`Arc`), so per-flow cost is the
+/// buffered payload plus a few words per rule the flow has triggered.
 ///
 /// ```
 /// use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -140,41 +184,20 @@ impl AnchorStream {
 /// ```
 #[derive(Clone)]
 pub struct RuleStreamScanner {
-    /// One per engine scanning the flow; monolithic rule mode has one.
-    streams: Vec<AnchorStream>,
-    confirmer: Arc<RuleConfirmer>,
-    /// A grouped flow's rule headers and tuple: a triggered rule becomes
-    /// pending only if it applies to the flow. `None` admits every rule.
-    applicable: Option<(Arc<GroupedRuleSet>, FlowTuple)>,
-    /// The flow's payload so far (see module docs for why rules need it).
-    payload: Vec<u8>,
-    /// Confirmer ids of every rule whose anchor has fired on this flow —
-    /// pending, confirmed or not applicable — sorted. A rule absent from it
-    /// cannot match (anchor gating is exact); one present is never
-    /// re-triggered, so a confirmed rule is never re-reported.
-    triggered: Vec<u32>,
-    /// The triggered rules not yet confirmed, in trigger order, each with
-    /// its resumable confirmation progress.
-    pending: Vec<PendingRule>,
-    /// Buffer cap in bytes; `None` means unbounded (the historical
-    /// behaviour). See the module-level memory contract.
-    max_buffer: Option<usize>,
-    /// True once the flow exceeded `max_buffer` and fell back to
-    /// anchor-only reporting.
-    degraded: bool,
-    /// Payload bytes that were never eligible for confirmation (everything
-    /// past the first `max_buffer` bytes of the stream).
-    truncated: u64,
+    stream: StreamScanner,
+    tables: Arc<RuleTables>,
+    /// A grouped flow's tuple; `None` admits every rule.
+    tuple: Option<FlowTuple>,
+    state: Confirmation,
 }
 
 impl std::fmt::Debug for RuleStreamScanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleStreamScanner")
-            .field("streams", &self.streams.len())
-            .field("triggered", &self.triggered.len())
-            .field("pending", &self.pending.len())
-            .field("buffered_bytes", &self.payload.len())
-            .field("degraded", &self.degraded)
+            .field("slots", &(self.tables.slot_start.len() - 1))
+            .field("tuple", &self.tuple)
+            .field("buffered_bytes", &self.buffered_bytes())
+            .field("degraded", &self.degraded())
             .finish_non_exhaustive()
     }
 }
@@ -190,83 +213,121 @@ impl RuleStreamScanner {
     /// pattern.
     pub fn new(engine: SharedMatcher, set: &RuleSet) -> Self {
         let scanner = StreamScanner::new(engine, set.anchors());
-        Self::with_streams(
-            vec![AnchorStream::new(scanner, set, |rule| rule)],
-            Arc::new(RuleConfirmer::build(set)),
-            None,
-            None,
-        )
+        let identity: Vec<u32> = (0..set.len() as u32).collect();
+        Self::with_slots(scanner, &identity, RuleConfirmer::build(set), None)
     }
 
-    /// A fresh scanner over never-pushed `streams` with `confirmer`'s rule
-    /// ids, admitting the rules `applicable` lets through, capped at `max_buffer`.
-    pub(crate) fn with_streams(
-        streams: Vec<AnchorStream>,
-        confirmer: Arc<RuleConfirmer>,
-        applicable: Option<(Arc<GroupedRuleSet>, FlowTuple)>,
-        max_buffer: Option<usize>,
+    /// A never-pushed grouped prototype: `stream` scans one slot per
+    /// distinct anchor, and `slot_of[r]` is the slot of monolithic rule
+    /// `r`'s anchor.
+    pub(crate) fn grouped(
+        stream: StreamScanner,
+        slot_of: &[u32],
+        grouped: Arc<GroupedRuleSet>,
     ) -> Self {
-        RuleStreamScanner {
-            streams,
+        let confirmer = RuleConfirmer::build(grouped.monolithic());
+        Self::with_slots(stream, slot_of, confirmer, Some(grouped))
+    }
+
+    /// A fresh scanner whose slot table inverts `slot_of` (the confirmer's
+    /// rule id → its anchor's slot).
+    fn with_slots(
+        stream: StreamScanner,
+        slot_of: &[u32],
+        confirmer: RuleConfirmer,
+        headers: Option<Arc<GroupedRuleSet>>,
+    ) -> Self {
+        // Rule ids sorted by slot, stably: ascending within each slot.
+        let mut slot_rules: Vec<u32> = (0..slot_of.len() as u32).collect();
+        slot_rules.sort_by_key(|&rule| slot_of[rule as usize]);
+        let slots = slot_of.iter().map(|&s| s + 1).max().unwrap_or(0);
+        let slot_start = (0..=slots)
+            .map(|s| slot_rules.partition_point(|&rule| slot_of[rule as usize] < s) as u32)
+            .collect();
+        let tables = RuleTables {
+            slot_start,
+            slot_rules: slot_rules.into(),
             confirmer,
-            applicable,
-            payload: Vec::new(),
-            triggered: Vec::new(),
-            pending: Vec::new(),
-            max_buffer,
-            degraded: false,
-            truncated: 0,
+            headers,
+            max_buffer: None,
+        };
+        RuleStreamScanner {
+            stream,
+            tables: Arc::new(tables),
+            tuple: None,
+            state: Confirmation::open(),
         }
     }
 
     /// Caps the confirmation buffer at `bytes`; over the cap the flow
     /// degrades to anchor-only reporting (see the module-level memory
-    /// contract). A cap of zero degrades on the first non-empty push.
+    /// contract). A cap of zero degrades on the first non-empty push. Every
+    /// flow minted from a capped prototype shares its cap.
     #[must_use]
     pub fn with_max_buffer(mut self, bytes: usize) -> Self {
-        self.max_buffer = Some(bytes);
+        Arc::make_mut(&mut self.tables).max_buffer = Some(bytes);
         self
     }
 
-    /// One flow's copy of this never-pushed prototype, its buffer capped at
-    /// `cap` bytes (`None`: unbounded).
-    pub(crate) fn mint(&self, cap: Option<usize>) -> Self {
-        RuleStreamScanner {
-            max_buffer: cap,
-            ..self.clone()
+    /// One flow's copy of this never-pushed prototype. A grouped prototype
+    /// keeps `tuple` to admit only the rules that apply to the flow — and a
+    /// flow whose tuple selects no group is inert; otherwise `tuple` is
+    /// ignored.
+    pub(crate) fn mint(&self, tuple: Option<FlowTuple>) -> Self {
+        let mut flow = self.clone();
+        if let (Some(headers), Some(tuple)) = (&self.tables.headers, tuple) {
+            flow.tuple = Some(tuple);
+            if headers.groups_for(tuple).is_empty() {
+                flow.state = Confirmation::Inert;
+            }
         }
+        flow
+    }
+
+    /// What every flow minted from this prototype shares: the engine's
+    /// tables (filter and verify bytes), plus its anchor lengths, the slot
+    /// table and the confirmer in `other_bytes`.
+    pub(crate) fn shared_footprint(&self) -> MemoryFootprint {
+        let tables = &self.tables;
+        let mut total = self.stream.engine().memory_footprint();
+        // The stream's one `u32` length per slot, and the slot table.
+        let words = 2 * tables.slot_start.len() - 1 + tables.slot_rules.len();
+        total.other_bytes += words * std::mem::size_of::<u32>() + tables.confirmer.heap_bytes();
+        total
     }
 
     /// Bytes of flow payload currently buffered for confirmation (the whole
     /// stream so far, or zero once the flow degraded — see the module docs
     /// for the memory contract).
     pub fn buffered_bytes(&self) -> usize {
-        self.payload.len()
+        match &self.state {
+            Confirmation::Open { payload, .. } => payload.len(),
+            _ => 0,
+        }
     }
 
     /// True once the flow exceeded the buffer cap and fell back to
     /// anchor-only reporting (confirmation disabled, buffer released).
     pub fn degraded(&self) -> bool {
-        self.degraded
+        matches!(self.state, Confirmation::Degraded { .. })
     }
 
     /// Payload bytes past the first `max_buffer` bytes of the stream —
     /// scanned for anchors but never eligible for rule confirmation.
     pub fn truncated_bytes(&self) -> u64 {
-        self.truncated
+        match self.state {
+            Confirmation::Degraded { truncated } => truncated,
+            _ => 0,
+        }
     }
 
-    /// Resets the scanner for a new stream, keeping the engine, confirmer
-    /// and allocated buffers.
+    /// Resets the scanner for a new stream, keeping the engine and the
+    /// shared tables (an inert flow stays inert).
     pub fn reset(&mut self) {
-        for stream in &mut self.streams {
-            stream.scanner.reset();
+        self.stream.reset();
+        if !matches!(self.state, Confirmation::Inert) {
+            self.state = Confirmation::open();
         }
-        self.payload.clear();
-        self.triggered.clear();
-        self.pending.clear();
-        self.degraded = false;
-        self.truncated = 0;
     }
 
     /// Scans the next chunk: anchor-pattern hits are appended to
@@ -280,46 +341,52 @@ impl RuleStreamScanner {
         anchors_out: &mut Vec<MatchEvent>,
         rules_out: &mut Vec<RuleMatch>,
     ) {
-        // A flow no stream scans (its tuple selected no group) can trigger
-        // no rule, so it buffers nothing.
-        if chunk.is_empty() || self.streams.is_empty() {
+        let RuleStreamScanner {
+            stream,
+            tables,
+            tuple,
+            state,
+        } = self;
+        if chunk.is_empty() {
             return;
         }
-        if self.degraded {
-            // Anchor-only fallback: the engine's carry window keeps anchor
-            // reporting exact; confirmation state is frozen.
-            self.truncated += chunk.len() as u64;
-            for stream in &mut self.streams {
-                stream.scanner.push(chunk, anchors_out);
+        let (payload, triggered, pending) = match state {
+            Confirmation::Open {
+                payload,
+                triggered,
+                pending,
+            } => (payload, triggered, pending),
+            Confirmation::Degraded { truncated } => {
+                // Anchor-only fallback: the engine's carry window keeps
+                // anchor reporting exact; confirmation state is gone.
+                *truncated += chunk.len() as u64;
+                stream.push(chunk, anchors_out);
+                return;
             }
-            return;
-        }
+            Confirmation::Inert => return,
+        };
         // Does this push take the stream past the buffer cap? If so, only
         // the prefix that still fits is eligible for confirmation; the rest
         // of the chunk is anchor-scanned but truncated.
-        let crossing = self
+        let crossing = tables
             .max_buffer
-            .is_some_and(|cap| self.payload.len() + chunk.len() > cap);
-        let take = if crossing {
-            self.max_buffer
-                .unwrap_or(0)
-                .saturating_sub(self.payload.len())
-        } else {
-            chunk.len()
-        };
-        self.payload.extend_from_slice(&chunk[..take]);
-        for stream in &mut self.streams {
-            let first_new = anchors_out.len();
-            stream.scanner.push(chunk, anchors_out);
-            for event in &anchors_out[first_new..] {
-                let rule = stream.rule_of[event.pattern.index()];
-                if insert_sorted(&mut self.triggered, rule)
-                    && self
-                        .applicable
-                        .as_ref()
-                        .is_none_or(|(grouped, tuple)| grouped.applies_to(RuleId(rule), *tuple))
-                {
-                    self.pending.push(PendingRule {
+            .filter(|&cap| payload.len() + chunk.len() > cap);
+        let take = crossing.map_or(chunk.len(), |cap| cap - payload.len());
+        payload.extend_from_slice(&chunk[..take]);
+        let first_new = anchors_out.len();
+        stream.push(chunk, anchors_out);
+        for event in &anchors_out[first_new..] {
+            let slot = event.pattern.0;
+            if !insert_sorted(triggered, slot) {
+                continue;
+            }
+            for &rule in tables.rules_of(slot as usize) {
+                let admitted = match (&tables.headers, *tuple) {
+                    (Some(headers), Some(tuple)) => headers.applies_to(RuleId(rule), tuple),
+                    _ => true,
+                };
+                if admitted {
+                    pending.push(PendingRule {
                         rule,
                         progress: ConfirmProgress::default(),
                     });
@@ -331,11 +398,10 @@ impl RuleStreamScanner {
         // same rules as `scan_rules` on that prefix regardless of where the
         // chunk seams fall. (Anchors past the cap may have marked rules
         // pending above; their contents are absent from the capped payload,
-        // so they cannot confirm, and pending state is cleared below.)
-        let (confirmer, payload) = (&self.confirmer, &self.payload);
-        self.pending.retain_mut(|pending| {
+        // so they cannot confirm, and pending state is dropped below.)
+        pending.retain_mut(|pending| {
             let id = RuleId(pending.rule);
-            match confirmer.resume(payload, id, &mut pending.progress) {
+            match tables.confirmer.resume(payload, id, &mut pending.progress) {
                 Some(end) => {
                     rules_out.push(RuleMatch::new(id, end));
                     false
@@ -343,33 +409,38 @@ impl RuleStreamScanner {
                 None => true,
             }
         });
-        if crossing {
-            self.truncated += (chunk.len() - take) as u64;
-            self.pending.clear();
-            self.degraded = true;
+        if crossing.is_some() {
             // Release (not just clear) the buffer: the cap exists to bound
             // memory, and this flow will never confirm again.
-            self.payload = Vec::new();
+            *state = Confirmation::Degraded {
+                truncated: (chunk.len() - take) as u64,
+            };
         }
     }
 
-    /// [`RuleStreamScanner::push`] for a caller that reports rules only —
-    /// grouped mode, where an anchor's pattern id means nothing outside its
-    /// group. The anchors pass through `scratch` and are discarded, so a
-    /// degraded flow, which can report nothing else, is not scanned at all:
-    /// the chunk only counts as truncated.
-    pub(crate) fn push_rules(
+    /// One pipeline packet through [`RuleStreamScanner::push`]; returns what
+    /// it adds to `MatcherStats::matches`: the anchor hits in rule mode.
+    /// A grouped flow reports and counts rules only — its anchors are slots
+    /// shared across rules, so they pass through `events` and are
+    /// discarded — and once degraded, when it could report nothing else, it
+    /// is not scanned at all: the chunk only counts as truncated.
+    pub(crate) fn push_flow(
         &mut self,
         chunk: &[u8],
-        scratch: &mut Vec<MatchEvent>,
+        events: &mut Vec<MatchEvent>,
         rules_out: &mut Vec<RuleMatch>,
-    ) {
-        if self.degraded {
-            self.truncated += chunk.len() as u64;
-        } else {
-            self.push(chunk, scratch, rules_out);
-            scratch.clear();
+    ) -> u64 {
+        if self.tables.headers.is_none() {
+            self.push(chunk, events, rules_out);
+            return events.len() as u64;
         }
+        if let Confirmation::Degraded { truncated } = &mut self.state {
+            *truncated += chunk.len() as u64;
+        } else {
+            self.push(chunk, events, rules_out);
+            events.clear();
+        }
+        rules_out.len() as u64
     }
 }
 
@@ -527,8 +598,11 @@ mod tests {
             s.push(packet, &mut anchors, &mut rules);
         }
         assert!(rules.is_empty(), "the second contents never arrive");
-        assert_eq!(s.pending.len(), 2, "both rules held pending");
-        for pending in &s.pending {
+        let Confirmation::Open { pending, .. } = &s.state else {
+            unreachable!("an uncapped flow stays open");
+        };
+        assert_eq!(pending.len(), 2, "both rules held pending");
+        for pending in pending {
             let examined = pending.progress.examined_starts();
             // Two contents each: at most one look per start per content,
             // and no fewer than the whole flow bar the last few starts.

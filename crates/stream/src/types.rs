@@ -14,18 +14,18 @@ pub struct Packet {
     /// The payload bytes of this packet.
     pub payload: Vec<u8>,
     /// Protocol + ports of the flow, used by grouped scanning
-    /// ([`crate::ScannerBuilder::groups`]) to select which port groups scan
-    /// the flow. Group selection happens once per flow, from the **first**
-    /// packet's tuple; tuples on later packets of the same flow are ignored
-    /// (a flow's 5-tuple does not change mid-flow). `None` scans the flow
-    /// against every group, exactly like a monolithic scan. Plain and rule
-    /// mode ignore this field.
+    /// ([`crate::ScannerBuilder::groups`]) to confirm only the rules whose
+    /// headers apply to the flow. The flow takes its tuple once, from the
+    /// **first** packet; tuples on later packets of the same flow are
+    /// ignored (a flow's 5-tuple does not change mid-flow). `None` filters
+    /// the flow's rules by nothing, exactly like a monolithic scan. Plain
+    /// and rule mode ignore this field.
     pub tuple: Option<FlowTuple>,
 }
 
 impl Packet {
-    /// Creates a packet with no flow tuple (grouped scanners fall back to
-    /// scanning all groups for it).
+    /// Creates a packet with no flow tuple (grouped scanners filter its
+    /// flow's rules by nothing).
     pub fn new(flow: u64, payload: impl Into<Vec<u8>>) -> Self {
         Packet {
             flow,

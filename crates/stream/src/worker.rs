@@ -3,22 +3,20 @@
 //!
 //! [`WorkerMode`] is the read-only, `Arc`-shared bundle a pipeline worker
 //! is handed at spawn and at hot-swap: a never-pushed prototype
-//! [`StreamScanner`] or [`RuleStreamScanner`], or the grouped engine set.
+//! [`StreamScanner`] or [`RuleStreamScanner`] — a grouped engine set hands
+//! over its rule-mode prototype, which carries the rule headers.
 //! [`FlowScanner`] is the per-flow state machine minted from it — plain
-//! streaming, anchors + rule confirmation, or port-grouped confirmation,
-//! the last two one [`RuleStreamScanner`] each: [`FlowScanner::mint`] is the
-//! only place a flow's scanner is created and [`FlowScanner::push`] the only
-//! one that knows the three modes apart. Every worker thread of
+//! streaming, or rule confirmation: [`FlowScanner::mint`] is the only
+//! place a flow's scanner is created and [`FlowScanner::push`] the only one
+//! that knows the two modes apart. Every worker thread of
 //! [`crate::PipelineScanner`] scans with both, and a hot-swap hands the
 //! workers a new [`WorkerMode`].
 
-use crate::group::GroupedEngineSet;
 use crate::rules::RuleStreamScanner;
 use crate::stream::StreamScanner;
 use mpm_patterns::ports::FlowTuple;
 use mpm_patterns::rule::RuleMatch;
 use mpm_patterns::MatchEvent;
-use std::sync::Arc;
 
 /// What every worker thread scans with — the shared, read-only compile
 /// product its per-flow scanners are minted from. The prototypes'
@@ -29,12 +27,22 @@ pub(crate) enum WorkerMode {
     /// Pattern-only. Never pushed; a flow's scanner is a clone of it (two
     /// `Arc` clones and an empty carry).
     Plain(StreamScanner),
-    /// Anchors + rule confirmation over one monolithic rule set. Never
-    /// pushed; a flow's scanner is a clone of it.
+    /// Anchors + rule confirmation, monolithic or port-grouped. Never
+    /// pushed; a flow's scanner is minted from it with the flow's tuple.
     Rules(RuleStreamScanner),
-    /// Port-grouped rule scanning: each flow is scanned only against the
-    /// groups its tuple selects ([`GroupedEngineSet`]).
-    Grouped(Arc<GroupedEngineSet>),
+}
+
+impl WorkerMode {
+    /// This mode with every flow's rule buffer capped at `cap` (`None`:
+    /// unbounded); plain mode has no flow buffer.
+    pub(crate) fn with_flow_cap(self, cap: Option<usize>) -> Self {
+        match (self, cap) {
+            (WorkerMode::Rules(prototype), Some(bytes)) => {
+                WorkerMode::Rules(prototype.with_max_buffer(bytes))
+            }
+            (mode, _) => mode,
+        }
+    }
 }
 
 /// SplitMix64 finalizer: decorrelates adjacent flow ids (sequential ids are
@@ -59,25 +67,21 @@ pub(crate) fn flow_cap_share(max_flows: Option<usize>, workers: usize) -> Option
     max_flows.map(|m| m.div_ceil(workers).max(1))
 }
 
-/// One flow's scanning state: pattern-only, anchors + rule confirmation, or
-/// port-grouped rule confirmation (rules only).
+/// One flow's scanning state: pattern-only, or rule confirmation (anchors
+/// and rules, or rules only for a grouped flow).
 pub(crate) enum FlowScanner {
     Plain(StreamScanner),
     Rules(RuleStreamScanner),
-    Grouped(RuleStreamScanner),
 }
 
 impl FlowScanner {
     /// Mints a flow's scanner from the worker's shared mode. `tuple` is the
-    /// flow's first packet's tuple; only grouped mode consults it (this is
-    /// where per-flow group selection happens). `cap` bounds the flow's
-    /// rule-confirmation buffer; plain mode has no flow buffer and ignores
-    /// it.
-    pub(crate) fn mint(mode: &WorkerMode, tuple: Option<FlowTuple>, cap: Option<usize>) -> Self {
+    /// flow's first packet's tuple; only a grouped prototype consults it
+    /// (this is where the flow's header check is set up).
+    pub(crate) fn mint(mode: &WorkerMode, tuple: Option<FlowTuple>) -> Self {
         match mode {
             WorkerMode::Plain(prototype) => FlowScanner::Plain(prototype.clone()),
-            WorkerMode::Rules(prototype) => FlowScanner::Rules(prototype.mint(cap)),
-            WorkerMode::Grouped(engines) => FlowScanner::Grouped(engines.mint(tuple, cap)),
+            WorkerMode::Rules(prototype) => FlowScanner::Rules(prototype.mint(tuple)),
         }
     }
 
@@ -85,16 +89,16 @@ impl FlowScanner {
     fn rules(&self) -> Option<&RuleStreamScanner> {
         match self {
             FlowScanner::Plain(_) => None,
-            FlowScanner::Rules(scanner) | FlowScanner::Grouped(scanner) => Some(scanner),
+            FlowScanner::Rules(scanner) => Some(scanner),
         }
     }
 
     /// Pushes the flow's next payload chunk, appending anchor/pattern
     /// matches to `events` and newly confirmed rules to `rule_events` (both
     /// in flow-stream coordinates; the caller hands them over empty).
-    /// Returns what the push adds to `MatcherStats::matches`: grouped mode
-    /// reports no anchor events (group-local pattern ids would be
-    /// ambiguous) and counts confirmed rules instead.
+    /// Returns what the push adds to `MatcherStats::matches`: a grouped
+    /// flow reports no anchor events (an anchor slot is shared by rules of
+    /// many headers) and counts confirmed rules instead.
     #[inline]
     pub(crate) fn push(
         &mut self,
@@ -103,14 +107,12 @@ impl FlowScanner {
         rule_events: &mut Vec<RuleMatch>,
     ) -> u64 {
         match self {
-            FlowScanner::Plain(scanner) => scanner.push(payload, events),
-            FlowScanner::Rules(scanner) => scanner.push(payload, events, rule_events),
-            FlowScanner::Grouped(scanner) => {
-                scanner.push_rules(payload, events, rule_events);
-                return rule_events.len() as u64;
+            FlowScanner::Plain(scanner) => {
+                scanner.push(payload, events);
+                events.len() as u64
             }
+            FlowScanner::Rules(scanner) => scanner.push_flow(payload, events, rule_events),
         }
-        events.len() as u64
     }
 
     /// Bytes buffered for rule confirmation (zero for pattern-only flows

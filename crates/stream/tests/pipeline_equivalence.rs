@@ -679,6 +679,47 @@ fn a_grouped_flow_buffers_its_payload_once() {
     assert_eq!(calls(), 0, "no group, no engine call");
 }
 
+/// A tcp:80 flow selects the port-80, tcp catch-all and `ip any` groups;
+/// a flow without a tuple selects all three.
+const OVERLAPPING_GROUPS: &str = r#"
+alert tcp any any -> any 80 (msg:"web"; content:"GET /admin"; sid:1;)
+alert tcp any any -> any any (msg:"tcp"; content:"tcp-bytes"; sid:2;)
+alert ip any any -> any any (msg:"any"; content:"evil-bytes"; sid:3;)
+"#;
+
+#[test]
+fn a_grouped_flow_takes_one_engine_call_per_push() {
+    let (engines, calls) = gated_groups(OVERLAPPING_GROUPS);
+    let web = FlowTuple::new(Proto::Tcp, 40000, 80);
+    assert_eq!(engines.grouped().groups_for(web).len(), 3);
+    let packets = vec![
+        Packet::new_with_tuple(1, b"GET /ad".to_vec(), web),
+        Packet::new(1, b"min tcp-bytes".to_vec()),
+        Packet::new(1, Vec::new()),
+        Packet::new(1, b" evil-bytes".to_vec()),
+        Packet::new(2, b"GET /admin tcp-".to_vec()),
+        Packet::new(2, b"bytes evil-bytes".to_vec()),
+    ];
+    let mut pipeline = ScannerBuilder::new()
+        .groups(engines.clone())
+        .workers(1)
+        .build()
+        .expect("valid build");
+    let got = pipeline.scan_batch(packets.clone()).expect("worker alive");
+    let pushed = packets.iter().filter(|p| !p.payload.is_empty()).count();
+    assert_eq!(
+        calls(),
+        pushed,
+        "one engine call per push, whatever the groups"
+    );
+    let worker_of = |flow| pipeline.worker_of(flow);
+    let mode = Mode::Grouped(engines.grouped());
+    let expected = naive_per_flow(script(&packets), worker_of, None, mode);
+    assert_eq!(got.rule_matches, expected.rule_matches);
+    assert_eq!(got.stats.matches, expected.stats.matches);
+    assert_eq!(got.rule_matches.len(), 6, "three rules on each flow");
+}
+
 #[test]
 fn a_degraded_grouped_flow_stops_scanning() {
     // Grouped mode reports rules only, so a flow past its cap has nothing

@@ -36,10 +36,11 @@ pub use mpm_verify as verify;
 pub use mpm_vpatch as vpatch;
 pub use mpm_wu_manber as wu_manber;
 
-/// Compiles a port-grouped ruleset into one auto-selected engine per group
+/// Compiles a port-grouped ruleset into one auto-selected engine over the
+/// distinct anchor contents of the whole rule set
 /// (`mpm_vpatch::build_auto_with_arena`: widest available SIMD V-PATCH, or
-/// scalar S-PATCH), all sharing one deduplicated pattern arena. The result
-/// plugs straight into `mpm_stream::ScannerBuilder::groups` or
+/// scalar S-PATCH); a flow's port groups become a header check on the rules
+/// that engine triggers. The result plugs straight into `mpm_stream::ScannerBuilder::groups` or
 /// per-flow `mpm_stream::GroupedFlowScanner`s:
 ///
 /// ```

@@ -11,10 +11,10 @@
 //! multi-content rules and random flows, and check that claim on the
 //! one-shot, streamed-chunked, and sharded paths.
 //!
-//! The grouped engines come from `build_grouped_engines`, which compiles
-//! per-group engines through `build_auto_with_arena` — so the CI
-//! `MPM_FORCE_BACKEND` matrix drives this suite through the scalar, AVX2
-//! and AVX-512 verification paths in turn, shared arena included.
+//! The grouped engine comes from `build_grouped_engines`, which compiles
+//! one engine over the distinct anchors through `build_auto_with_arena` —
+//! so the CI `MPM_FORCE_BACKEND` matrix drives this suite through the
+//! scalar, AVX2 and AVX-512 verification paths in turn, arena included.
 
 mod common;
 
